@@ -50,7 +50,6 @@ from .solver import (
     solution_convergence_report,
     solve_contraction,
     solve_relaxed,
-    spde_solution_sample,
 )
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ __all__ = [
     "lambda_sup",
     "poincare_constant",
     "k_apply",
+    "k_apply_stack",
     "holder_probe",
     "green_integrand",
     "free_space_green",
@@ -86,9 +87,12 @@ class HolderEstimate:
 
 @lru_cache(maxsize=16)
 def _lam_tensor(d: int, kmax: int) -> np.ndarray:
+    """Eigenvalues pi^2 |k|^2 on {1..kmax}^d; cached, so read-only."""
     k = np.arange(1, kmax + 1, dtype=float)
     grids = np.meshgrid(*([k] * d), indexing="ij")
-    return np.pi**2 * sum(g**2 for g in grids)
+    lam = np.pi**2 * sum(g**2 for g in grids)
+    lam.flags.writeable = False
+    return lam
 
 
 def _sine_matrix(pts: np.ndarray, kmax: int) -> np.ndarray:
@@ -242,15 +246,22 @@ def poincare_constant(gs: GreenSeries) -> float:
     return gs.d * np.pi**2
 
 
-def _interior_sine_basis(N: int, kmax: int) -> np.ndarray:
-    """V[j, k] = sqrt(2) sin((k+1) pi j / N) on interior nodes j = 1..N-1."""
-    j = np.arange(1, N) / N
-    return _sine_matrix(j, kmax)
+@lru_cache(maxsize=32)
+def _interior_sine_bases(N: int, kuse: int) -> tuple:
+    """(analysis, synthesis) matrices on the interior nodes j = 1..N-1.
+
+    synthesis[j, k] = sqrt(2) sin((k+1) pi j / N) and analysis = synthesis / N.
+    Cached, so both are read-only.
+    """
+    synthesis = _sine_matrix(np.arange(1, N) / N, kuse)
+    analysis = synthesis / N
+    synthesis.flags.writeable = False
+    analysis.flags.writeable = False
+    return analysis, synthesis
 
 
-def grid_sine_coefficients(gs: GreenSeries, phi: GridField) -> np.ndarray:
-    """Discrete sine coefficients of a boundary-vanishing grid field."""
-    grid = phi.grid
+def _check_sine_grid(gs: GreenSeries, grid: GridSpec) -> int:
+    """Validate the grid for sine expansion; return the number of modes used per axis."""
     if grid.d != gs.d:
         raise ValueError("grid dimension must match the series dimension")
     if any(abs(t - 1.0) > 1e-12 for t in grid.T):
@@ -258,32 +269,69 @@ def grid_sine_coefficients(gs: GreenSeries, phi: GridField) -> np.ndarray:
     kuse = min(gs.kmax, min(grid.N) - 1)
     if kuse < 1:
         raise ValueError("grid too coarse for any sine mode")
-    inner = phi.values[tuple(slice(1, -1) for _ in range(grid.d))]
-    coef = inner
+    return kuse
+
+
+def _contract_first_axis(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Contract axis 1 of a stack x (B, a, *rest) with M (a, k): shape (B, *rest, k).
+
+    np.matmul makes one BLAS call per stacked field, shaped as for a lone
+    field, so a field's result does not depend on what else is in the stack.
+    """
+    B, a, rest = x.shape[0], x.shape[1], x.shape[2:]
+    rows = np.moveaxis(x, 1, -1).reshape(B, -1, a)
+    return np.matmul(rows, M).reshape((B,) + rest + (M.shape[1],))
+
+
+def _analysis(values: np.ndarray, grid: GridSpec, kuse: int) -> np.ndarray:
+    """Sine coefficients of a stack (B, *node_shape) of fields: shape (B, kuse, ..., kuse)."""
+    coef = values[(slice(None),) + tuple(slice(1, -1) for _ in range(grid.d))]
     for i in range(grid.d):
-        V = _interior_sine_basis(grid.N[i], kuse)
-        coef = np.tensordot(coef, V / grid.N[i], axes=([0], [0]))
+        coef = _contract_first_axis(coef, _interior_sine_bases(grid.N[i], kuse)[0])
     return coef
+
+
+def _synthesis(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Node values (zero boundary) of a stack (B, kuse, ..., kuse) of coefficient tensors."""
+    kuse = coef.shape[-1]
+    out = coef
+    for i in range(grid.d):
+        out = _contract_first_axis(out, _interior_sine_bases(grid.N[i], kuse)[1].T)
+    vals = np.zeros((coef.shape[0],) + grid.node_shape)
+    vals[(slice(None),) + tuple(slice(1, -1) for _ in range(grid.d))] = out
+    return vals
+
+
+def grid_sine_coefficients(gs: GreenSeries, phi: GridField) -> np.ndarray:
+    """Discrete sine coefficients of a boundary-vanishing grid field."""
+    kuse = _check_sine_grid(gs, phi.grid)
+    return _analysis(phi.values[None], phi.grid, kuse)[0]
 
 
 def sine_synthesis(coef: np.ndarray, grid: GridSpec) -> GridField:
     """Evaluate a sine-coefficient tensor at the grid nodes (zero boundary)."""
-    kuse = coef.shape[0]
-    out = coef
-    for i in range(grid.d):
-        V = _interior_sine_basis(grid.N[i], kuse)
-        out = np.tensordot(out, V, axes=([0], [1]))
-    vals = np.zeros(grid.node_shape)
-    vals[tuple(slice(1, -1) for _ in range(grid.d))] = out
-    return GridField(grid, vals)
+    return GridField(grid, _synthesis(np.asarray(coef)[None], grid)[0])
+
+
+def k_apply_stack(gs: GreenSeries, values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """k_apply on an array of node values with leading batch axes.
+
+    values has shape (*batch, *grid.node_shape); every field is solved
+    independently and the result has the same shape.
+    """
+    kuse = _check_sine_grid(gs, grid)
+    values = np.asarray(values, dtype=float)
+    batch = values.shape[: values.ndim - grid.d]
+    if values.shape[values.ndim - grid.d :] != grid.node_shape:
+        raise ValueError("trailing axes must match the grid node shape")
+    flat = values.reshape((-1,) + grid.node_shape)
+    coef = _analysis(flat, grid, kuse) / _lam_tensor(gs.d, kuse)
+    return _synthesis(coef, grid).reshape(batch + grid.node_shape)
 
 
 def k_apply(gs: GreenSeries, phi: GridField) -> GridField:
     """Spectral solve u = int_D K(.,y) phi(y) dy: divide sine coefficients by lambda_k."""
-    coef = grid_sine_coefficients(gs, phi)
-    kuse = coef.shape[0]
-    lam = _lam_tensor(gs.d, kuse)
-    return sine_synthesis(coef / lam, phi.grid)
+    return GridField(phi.grid, k_apply_stack(gs, phi.values, phi.grid))
 
 
 def green_integrand(gs: GreenSeries, rho: float = 1e-3) -> Integrand:

@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridField, GridSpec, as_point
+from .grid import GridSpec, as_point
 from .kernels import DonskerField, PoissonField, ks_values_on_grid
 from .quadrature import QuadSpec, tensor_points
 from .sheet import SheetSample
@@ -269,8 +269,3 @@ def integrate_restricted(f: Integrand, k, x, quad: QuadSpec = QuadSpec()) -> flo
 def limit_field(f: Integrand, sheet: SheetSample, xs, quad: QuadSpec = QuadSpec()) -> np.ndarray:
     """Wiener-integral field X(x) = int_D f(x,y) W(dy) at the points xs."""
     return SheetIntegrator(f, xs, sheet.grid, quad).apply(sheet)
-
-
-def field_on_grid(values: np.ndarray, grid: GridSpec) -> GridField:
-    """Package values computed at all grid nodes (C-order) as a GridField."""
-    return GridField(grid, np.asarray(values, dtype=float).reshape(grid.node_shape))

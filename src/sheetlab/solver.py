@@ -13,7 +13,14 @@ from scipy import stats
 from .convergence import ConvergenceReport
 from .grid import GridField, GridSpec
 from .integrals import DonskerIntegrator, KacStroockIntegrator, SheetIntegrator
-from .green import GreenSeries, green_integrand, k_apply, lambda_sup, poincare_constant
+from .green import (
+    GreenSeries,
+    green_integrand,
+    k_apply,
+    k_apply_stack,
+    lambda_sup,
+    poincare_constant,
+)
 from .kernels import _draw_innovations, sample_kac_stroock
 from .quadrature import QuadSpec
 from .rng import RngStream
@@ -28,13 +35,16 @@ __all__ = [
     "residual",
     "psi_continuity_check",
     "SpdeSampler",
-    "spde_solution_sample",
     "solution_convergence_report",
     "nonlinearity_preset",
 ]
 
 # safety factor absorbing grid-maximum underestimation of sup ||K(x,.)||_2
 GATE_INFLATION = 1.05
+
+# replicates solved together by SpdeSampler.sample_solutions; keeps a Donsker
+# innovation block at n=64, d=2 to 2 MiB
+SOLVE_BLOCK = 64
 
 
 class GateError(RuntimeError):
@@ -104,15 +114,16 @@ class SolveResult:
             )
 
 
+def _sup_residual(u: np.ndarray, KFu: np.ndarray, Kg: np.ndarray, eta: np.ndarray, d: int):
+    """Sup norm of u + K F(u) - K g - eta over the last d (node) axes."""
+    r = u + KFu - Kg - eta
+    return np.max(np.abs(r), axis=tuple(range(r.ndim - d, r.ndim)))
+
+
 def residual(u: GridField, F: Nonlinearity, g: GridField, eta: GridField, gs: GreenSeries) -> float:
     """Sup norm of u + int K F(u) - int K g - eta over the grid nodes."""
-    r = (
-        u.values
-        + k_apply(gs, GridField(u.grid, F(u.values))).values
-        - k_apply(gs, g).values
-        - eta.values
-    )
-    return float(np.max(np.abs(r)))
+    KFu = k_apply(gs, GridField(u.grid, F(u.values))).values
+    return float(_sup_residual(u.values, KFu, k_apply(gs, g).values, eta.values, u.grid.d))
 
 
 def _check_gate(gs: GreenSeries, grid: GridSpec, L: float) -> float:
@@ -122,6 +133,65 @@ def _check_gate(gs: GreenSeries, grid: GridSpec, L: float) -> float:
             f"contraction gate failed: {GATE_INFLATION} * Lambda({lam:.4g}) * L({L:.4g}) >= 1"
         )
     return lam
+
+
+def _solve_stack(
+    F: Nonlinearity,
+    Kg: np.ndarray,
+    eta: np.ndarray,
+    gs: GreenSeries,
+    grid: GridSpec,
+    lam: float,
+    cfg: SolveConfig,
+) -> list:
+    """Banach fixed-point iteration for a stack eta of shape (M, *node_shape).
+
+    Each replicate stops on its own delta <= tolerance; finished replicates
+    leave the stack, so every replicate takes the iterations, ratios and
+    verdict of a lone solve.  Kg = int K g and lam = Lambda were computed by
+    the caller, which also checked the gate.
+    """
+    M = eta.shape[0]
+    b = Kg + eta
+    u_out = np.empty_like(b)
+    iterations = np.zeros(M, dtype=int)
+    converged = np.zeros(M, dtype=bool)
+    ratios = [[] for _ in range(M)]
+    active = np.arange(M)
+    u = np.zeros_like(b)
+    prev_delta = None
+    for it in range(1, cfg.max_iterations + 1):
+        u_new = b - k_apply_stack(gs, F(u), grid)
+        delta = np.max(np.abs(u_new - u), axis=tuple(range(1, u.ndim)))
+        if prev_delta is not None:
+            for row, dl, pd in zip(active, delta, prev_delta):
+                if pd > 0:
+                    ratios[row].append(float(dl / pd))
+        iterations[active] = it
+        done = delta <= cfg.tolerance
+        converged[active[done]] = True
+        u_out[active[done]] = u_new[done]
+        keep = ~done
+        active, u, b, prev_delta = active[keep], u_new[keep], b[keep], delta[keep]
+        if active.size == 0:
+            break
+    u_out[active] = u
+    res = _sup_residual(u_out, k_apply_stack(gs, F(u_out), grid), Kg, eta, grid.d)
+    return [
+        SolveResult(
+            u=GridField(grid, u_out[i]),
+            iterations=int(iterations[i]),
+            final_residual=float(res[i]),
+            converged=bool(converged[i]),
+            contraction_ratios=ratios[i],
+            diagnostics={
+                "lambda_hat": lam,
+                "gate": GATE_INFLATION * lam * F.lipschitz,
+                "residual_bound": cfg.tolerance / max(1.0 - lam * F.lipschitz, 1e-12),
+            },
+        )
+        for i in range(M)
+    ]
 
 
 def solve_contraction(
@@ -134,36 +204,8 @@ def solve_contraction(
     """Banach fixed-point iteration u <- -int K F(u) + int K g + eta from u0 = 0."""
     grid = eta.grid
     lam = _check_gate(gs, grid, F.lipschitz)
-    b = k_apply(gs, g).values + eta.values
-    u = np.zeros(grid.node_shape)
-    ratios = []
-    prev_delta = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        u_new = b - k_apply(gs, GridField(grid, F(u))).values
-        delta = float(np.max(np.abs(u_new - u)))
-        if prev_delta is not None and prev_delta > 0:
-            ratios.append(delta / prev_delta)
-        prev_delta = delta
-        u = u_new
-        if delta <= cfg.tolerance:
-            converged = True
-            break
-    uf = GridField(grid, u)
-    res = residual(uf, F, g, eta, gs)
-    return SolveResult(
-        u=uf,
-        iterations=iterations,
-        final_residual=res,
-        converged=converged,
-        contraction_ratios=ratios,
-        diagnostics={
-            "lambda_hat": lam,
-            "gate": GATE_INFLATION * lam * F.lipschitz,
-            "residual_bound": cfg.tolerance / max(1.0 - lam * F.lipschitz, 1e-12),
-        },
-    )
+    Kg = k_apply(gs, g).values
+    return _solve_stack(F, Kg, eta.values[None], gs, grid, lam, cfg)[0]
 
 
 def solve_relaxed(
@@ -183,15 +225,19 @@ def solve_relaxed(
     if cfg.relaxation >= 1.0:
         raise ValueError("solve_relaxed requires relaxation < 1")
     grid = eta.grid
-    b = k_apply(gs, g).values + eta.values
+    Kg = k_apply(gs, g).values
+    b = Kg + eta.values
     u = np.zeros(grid.node_shape)
+    # K F(u) at the current u: the residual of one step is the proposal of the next
+    KFu = k_apply(gs, GridField(grid, F(u))).values
     history = []
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        proposal = b - k_apply(gs, GridField(grid, F(u))).values
+        proposal = b - KFu
         u = (1.0 - cfg.relaxation) * u + cfg.relaxation * proposal
-        res = residual(GridField(grid, u), F, g, eta, gs)
+        KFu = k_apply(gs, GridField(grid, F(u))).values
+        res = float(_sup_residual(u, KFu, Kg, eta.values, grid.d))
         history.append(res)
         if res <= cfg.tolerance:
             converged = True
@@ -240,8 +286,11 @@ def psi_continuity_check(
 class SpdeSampler:
     """Replicate sampler for mild-solution fields under a chosen noise driver.
 
-    Precomputes the Green-kernel quadrature weights at the grid nodes once so
-    that each replicate costs one innovation draw plus one fixed-point solve.
+    Precomputes the Green-kernel quadrature weights at the grid nodes, the
+    contraction gate and int K g once.  Replicates are then solved in blocks
+    of SOLVE_BLOCK: each replicate draws its noise from its own stream, the
+    block's noise is applied with one matrix product (Donsker and sheet
+    drivers), and one fixed-point iteration runs over the whole block.
     """
 
     def __init__(
@@ -264,7 +313,7 @@ class SpdeSampler:
         self.law = law
         grid = g.grid
         self.grid = grid
-        _check_gate(gs, grid, F.lipschitz)
+        self.lam = _check_gate(gs, grid, F.lipschitz)
         if quad is None:
             # tie the refinement to the noise scale (r >= n for Donsker cells)
             quad = QuadSpec(r=1, rho=1e-3)
@@ -279,48 +328,48 @@ class SpdeSampler:
             self._integ = SheetIntegrator(kernel, nodes, grid, quad)
         else:
             raise ValueError(f"unknown driver family {family!r}")
+        self._Kg = k_apply(gs, g).values
+
+    def _noise_block(self, streams) -> np.ndarray:
+        """eta at the grid nodes for one replicate per stream, shape (len(streams), *node_shape)."""
+        if self.family == "donsker":
+            Z = np.empty((len(streams), int(np.prod(self._integ.cell_shape))))
+            for row, s in zip(Z, streams):
+                row[:] = _draw_innovations(s.generator(), self.law, row.shape)
+            vals = self._integ.apply_innovations(Z)
+        elif self.family == "kac-stroock":
+            n = float(self.n)
+            vals = np.stack([self._integ.apply(sample_kac_stroock(self.grid, n, s)) for s in streams])
+        else:
+            scale = np.sqrt(self.grid.cell_volume)
+            incr = np.empty((len(streams), int(np.prod(self.grid.cell_shape))))
+            for row, s in zip(incr, streams):
+                row[:] = s.generator().standard_normal(row.shape) * scale
+            vals = self._integ.apply_increments(incr)
+        eta = vals.reshape((len(streams),) + self.grid.node_shape)
+        # the Green kernel vanishes for boundary x; enforce exactly
+        for axis in range(self.grid.d):
+            sl = [slice(None)] * (self.grid.d + 1)
+            for edge in (0, -1):
+                sl[axis + 1] = edge
+                eta[tuple(sl)] = 0.0
+        return eta
 
     def sample_noise_field(self, rng: RngStream) -> GridField:
         """One realization of eta(x) = int_D K(x,y) (noise)(dy) at the grid nodes."""
-        if self.family == "donsker":
-            gen = rng.generator()
-            Z = _draw_innovations(gen, self.law, (1, int(np.prod(self._integ.cell_shape))))
-            vals = self._integ.apply_innovations(Z)[0]
-        elif self.family == "kac-stroock":
-            field_ = sample_kac_stroock(self.grid, float(self.n), rng)
-            vals = self._integ.apply(field_)
-        else:
-            gen = rng.generator()
-            ncells = int(np.prod(self.grid.cell_shape))
-            incr = gen.standard_normal((1, ncells)) * np.sqrt(self.grid.cell_volume)
-            vals = self._integ.apply_increments(incr)[0]
-        eta = vals.reshape(self.grid.node_shape)
-        # the Green kernel vanishes for boundary x; enforce exactly
-        for axis in range(self.grid.d):
-            sl = [slice(None)] * self.grid.d
-            for edge in (0, -1):
-                sl[axis] = edge
-                eta[tuple(sl)] = 0.0
-        return GridField(self.grid, eta)
+        return GridField(self.grid, self._noise_block([rng])[0])
+
+    def sample_solutions(self, streams) -> list:
+        """One solve per stream, in order; replicate i depends only on streams[i]."""
+        streams = list(streams)
+        out = []
+        for lo in range(0, len(streams), SOLVE_BLOCK):
+            eta = self._noise_block(streams[lo : lo + SOLVE_BLOCK])
+            out += _solve_stack(self.F, self._Kg, eta, self.gs, self.grid, self.lam, self.cfg)
+        return out
 
     def sample_solution(self, rng: RngStream) -> SolveResult:
-        eta = self.sample_noise_field(rng)
-        return solve_contraction(self.F, self.g, eta, self.gs, self.cfg)
-
-
-def spde_solution_sample(
-    family: str,
-    n,
-    g: GridField,
-    F: Nonlinearity,
-    gs: GreenSeries,
-    rng: RngStream,
-    cfg: SolveConfig = SolveConfig(),
-    quad: QuadSpec | None = None,
-) -> GridField:
-    """One mild-solution realization u = Psi(eta) for the requested driver."""
-    sampler = SpdeSampler(family, n, g, F, gs, cfg, quad)
-    return sampler.sample_solution(rng).u
+        return self.sample_solutions([rng])[0]
 
 
 def solution_convergence_report(
@@ -346,11 +395,8 @@ def solution_convergence_report(
     probe_idx = [grid.node_index(p) for p in probes]
 
     def solution_values(sampler: SpdeSampler, stream: RngStream) -> np.ndarray:
-        out = np.empty((M, len(probe_idx)))
-        for i, sub in enumerate(stream.split(M)):
-            u = sampler.sample_solution(sub).u
-            out[i] = [u.values[idx] for idx in probe_idx]
-        return out
+        results = sampler.sample_solutions(stream.split(M))
+        return np.array([[r.u.values[idx] for idx in probe_idx] for r in results])
 
     target_sampler = SpdeSampler("sheet", None, g, F, gs, cfg, quad)
     target = solution_values(target_sampler, rng.substream(0))

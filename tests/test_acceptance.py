@@ -292,9 +292,8 @@ def test_criterion_11_linear_case_law():
     sampler = SpdeSampler("sheet", None, g, F, gs, SolveConfig())
     rng = RngStream(1010)
     idx = grid.node_index(xstar)
-    vals = np.empty(M)
-    for i, sub in enumerate(rng.substream(0).split(M)):
-        vals[i] = sampler.sample_solution(sub).u.values[idx]
+    results = sampler.sample_solutions(rng.substream(0).split(M))
+    vals = np.array([r.u.values[idx] for r in results])
     integ = SheetIntegrator(green_integrand(gs), [np.asarray(xstar)], grid)
     var_ref = float(integ.discrete_l2sq()[0])
     emp_var = vals.var(ddof=1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheetlab import (
     GreenSeries,
@@ -19,9 +21,12 @@ from sheetlab import (
 )
 from sheetlab.grid import GridField
 from sheetlab.green import (
+    _interior_sine_bases,
+    _lam_tensor,
     free_space_green,
     green_tail_estimate,
     green_values,
+    k_apply_stack,
     sine_synthesis,
     walk_on_spheres_exit,
 )
@@ -171,6 +176,34 @@ def test_k_apply_requires_unit_cube():
     gs = GreenSeries(d=2, kmax=4)
     with pytest.raises(ValueError):
         k_apply(gs, GridField.zeros(grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    data=st.data(),
+    kmax_offset=st.integers(-3, 3),
+    batch=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    seed=st.integers(0, 2**16),
+)
+def test_k_apply_stack_matches_per_field(d, data, kmax_offset, batch, seed):
+    """A stacked solve equals one k_apply per field, bit for bit, with kmax
+    below, at and above the N - 1 modes the grid resolves."""
+    N = tuple(data.draw(st.lists(st.integers(2, 10), min_size=d, max_size=d)))
+    grid = GridSpec(d=d, T=1.0, N=N)
+    gs = GreenSeries(d=d, kmax=max(1, min(N) - 1 + kmax_offset))
+    stack = np.random.default_rng(seed).standard_normal(tuple(batch) + grid.node_shape)
+    out = k_apply_stack(gs, stack, grid)
+    assert out.shape == stack.shape
+    fields = (-1,) + grid.node_shape
+    for phi, u in zip(stack.reshape(fields), out.reshape(fields)):
+        np.testing.assert_array_equal(u, k_apply(gs, GridField(grid, phi)).values)
+
+
+def test_cached_spectral_tensors_are_read_only():
+    for arr in (_lam_tensor(2, 5), *_interior_sine_bases(8, 5)):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_k_apply_inverts_discrete_laplacian():

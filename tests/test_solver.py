@@ -15,11 +15,10 @@ from sheetlab import (
     solution_convergence_report,
     solve_contraction,
     solve_relaxed,
-    spde_solution_sample,
 )
 from sheetlab.grid import GridField
 from sheetlab.green import sine_synthesis
-from sheetlab.solver import GateError, SpdeSampler, nonlinearity_preset
+from sheetlab.solver import SOLVE_BLOCK, GateError, SpdeSampler, nonlinearity_preset
 
 GRID = GridSpec(d=2, T=1.0, N=12)
 GS = GreenSeries(d=2, kmax=11)
@@ -156,14 +155,37 @@ def test_spde_sample_deterministic_and_boundary_zero():
     F = nonlinearity_preset("tanh:1.0")
     rng = RngStream(81)
     for family, n in (("donsker", 8), ("kac-stroock", 8), ("sheet", None)):
-        u1 = spde_solution_sample(family, n, g, F, GS, rng)
-        u2 = spde_solution_sample(family, n, g, F, GS, rng)
+        u1 = SpdeSampler(family, n, g, F, GS).sample_solution(rng).u
+        u2 = SpdeSampler(family, n, g, F, GS).sample_solution(rng).u
         np.testing.assert_array_equal(u1.values, u2.values)
         tol = 1e-7
         assert np.all(np.abs(u1.values[0, :]) < tol)
         assert np.all(np.abs(u1.values[-1, :]) < tol)
         assert np.all(np.abs(u1.values[:, 0]) < tol)
         assert np.all(np.abs(u1.values[:, -1]) < tol)
+
+
+@pytest.mark.parametrize("family, n", [("donsker", 8), ("kac-stroock", 8), ("sheet", None)])
+@pytest.mark.parametrize("max_iterations", [200, 6])
+def test_sample_solutions_match_single_solves(family, n, max_iterations):
+    """Block solves reproduce one solve_contraction per replicate substream:
+    the same iterations and verdict, values within 1e-12 of the sup norm
+    (the block's noise product sums in another order than a lone one)."""
+    g = GridField(GRID, np.ones(GRID.node_shape))
+    F = nonlinearity_preset("tanh:1.0")
+    cfg = SolveConfig(max_iterations=max_iterations)  # 6 stops some replicates unconverged
+    sampler = SpdeSampler(family, n, g, F, GS, cfg)
+    B = SOLVE_BLOCK
+    streams = RngStream(84).split(2 * B + 3)
+    ref = [solve_contraction(F, g, sampler.sample_noise_field(s), GS, cfg) for s in streams]
+    for M in (1, B - 1, B, B + 1, 2 * B + 3):
+        got = sampler.sample_solutions(streams[:M])
+        assert len(got) == M
+        for res, want in zip(got, ref):
+            assert res.iterations == want.iterations
+            assert res.converged == want.converged
+            tol = 1e-12 * np.max(np.abs(want.u.values))
+            np.testing.assert_allclose(res.u.values, want.u.values, rtol=0, atol=tol)
 
 
 def test_linear_case_decomposition():
