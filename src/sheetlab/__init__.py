@@ -31,6 +31,7 @@ from .convergence import (
 )
 from .green import (
     GreenSeries,
+    WalkTruncationError,
     WosConfig,
     green_eval,
     green_integrand,

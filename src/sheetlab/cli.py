@@ -402,10 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--strict", action="store_true",
                         help="exit 3 when any statistical verdict fails")
-        sp.add_argument(
-            "--workers", type=int, default=None,
-            help="worker count hint; results are bit-identical at any value",
-        )
         for key, val in defaults.items():
             flag = "--" + key.replace("_", "-")
             if isinstance(val, bool):

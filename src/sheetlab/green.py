@@ -24,6 +24,7 @@ from .rng import RngStream
 __all__ = [
     "GreenSeries",
     "WosConfig",
+    "WalkTruncationError",
     "HolderEstimate",
     "green_eval",
     "green_mc_estimate",
@@ -72,6 +73,15 @@ class WosConfig:
             raise ValueError("capture tolerance delta must lie in (0, 0.5)")
         if self.walks < 1 or self.max_steps < 1:
             raise ValueError("walks and max_steps must be positive")
+
+
+class WalkTruncationError(RuntimeError):
+    """Raised when walks are still farther than delta from the boundary after max_steps steps."""
+
+
+# points per block in green_values and the Green pair matrix: bounds the
+# per-axis sine matrices to kmax * 64 KiB
+POINT_CHUNK = 8192
 
 
 @dataclass
@@ -133,12 +143,20 @@ def green_eval(gs: GreenSeries, x, y) -> float:
 
 def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
     """K(x, y_j) for arbitrary points Y of shape (m, d)."""
-    xp = as_point(x)
-    coef = _coef_tensor(gs, xp)
-    mats = [_sine_matrix(Y[:, i], gs.kmax) for i in range(gs.d)]
-    if gs.d == 2:
-        return np.einsum("ja,ab,jb->j", mats[0], coef, mats[1])
-    return np.einsum("ja,jb,jc,abc->j", mats[0], mats[1], mats[2], coef)
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != gs.d:
+        raise ValueError(f"Y must have shape (m, {gs.d}), got {Y.shape}")
+    coef = _coef_tensor(gs, as_point(x)).reshape(gs.kmax, -1)
+    out = np.empty(Y.shape[0])
+    for lo in range(0, Y.shape[0], POINT_CHUNK):
+        block = Y[lo : lo + POINT_CHUNK]
+        mats = [_sine_matrix(block[:, i], gs.kmax) for i in range(gs.d)]
+        # the first mode axis by one GEMM, the others by products and row sums
+        acc = mats[0] @ coef
+        if gs.d == 3:
+            acc = (acc.reshape(-1, gs.kmax, gs.kmax) * mats[2][:, None, :]).sum(-1)
+        out[lo : lo + POINT_CHUNK] = (acc * mats[1]).sum(-1)
+    return out
 
 
 def green_on_axes(gs: GreenSeries, x, axes) -> np.ndarray:
@@ -174,19 +192,35 @@ def _project_to_face(pos: np.ndarray) -> np.ndarray:
 
 
 def walk_on_spheres_exit(x, cfg: WosConfig, rng: RngStream) -> np.ndarray:
-    """Brownian exit points from (0,1)^d via walk-on-spheres, shape (walks, d)."""
+    """Brownian exit points from (0,1)^d via walk-on-spheres, shape (walks, d).
+
+    Only the live walks are stepped: a walk within delta of the boundary is
+    written out once and dropped. Each step draws one direction per live walk,
+    in ascending walk order. Raises WalkTruncationError when walks are still
+    live after cfg.max_steps steps.
+    """
     xp = as_point(x)
     d = xp.size
     gen = rng.generator()
-    pos = np.tile(xp, (cfg.walks, 1))
-    for _ in range(cfg.max_steps):
-        r = _distance_to_boundary(pos)
-        active = r >= cfg.delta
-        if not np.any(active):
+    pos = np.empty((cfg.walks, d))
+    idx = np.arange(cfg.walks)
+    live = np.tile(xp, (cfg.walks, 1))
+    for step in range(cfg.max_steps + 1):
+        r = _distance_to_boundary(live)
+        captured = r < cfg.delta
+        if np.any(captured):
+            pos[idx[captured]] = live[captured]
+            keep = ~captured
+            idx, live, r = idx[keep], live[keep], r[keep]
+        if idx.size == 0 or step == cfg.max_steps:
             break
-        dirs = gen.standard_normal((int(active.sum()), d))
+        dirs = gen.standard_normal((idx.size, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pos[active] += r[active, None] * dirs
+        live += r[:, None] * dirs
+    if idx.size:
+        raise WalkTruncationError(
+            f"{idx.size} of {cfg.walks} walks still active after max_steps={cfg.max_steps}"
+        )
     return _project_to_face(pos)
 
 
@@ -369,14 +403,14 @@ def green_integrand(gs: GreenSeries, rho: float = 1e-3) -> Integrand:
         A = _flat_modes([_sine_matrix(xs[:, i], gs.kmax) for i in range(gs.d)])
         return A / _lam_tensor(gs.d, gs.kmax).ravel()
 
-    def pm(xs, Y, chunk: int = 8192):
+    def pm(xs, Y):
         A = x_mode_matrix(xs)
         Y = np.asarray(Y, dtype=float)
         out = np.empty((A.shape[0], Y.shape[0]))
-        for lo in range(0, Y.shape[0], chunk):
-            block = Y[lo : lo + chunk]
+        for lo in range(0, Y.shape[0], POINT_CHUNK):
+            block = Y[lo : lo + POINT_CHUNK]
             B = _flat_modes([_sine_matrix(block[:, i], gs.kmax) for i in range(gs.d)])
-            out[:, lo : lo + chunk] = A @ B.T
+            out[:, lo : lo + POINT_CHUNK] = A @ B.T
         return out
 
     def pci(xs, edges):

@@ -76,6 +76,13 @@ def test_bad_family_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_workers_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_gate_failure_exits_refused(tmp_path):
     # 1.05 * Lambda_hat * L >= 1 needs L around 10 since Lambda_hat is ~0.108
     code = main(

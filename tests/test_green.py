@@ -21,8 +21,13 @@ from sheetlab import (
 )
 from sheetlab.grid import GridField
 from sheetlab.green import (
+    POINT_CHUNK,
+    WalkTruncationError,
+    _coef_tensor,
     _interior_sine_bases,
     _lam_tensor,
+    _project_to_face,
+    _sine_matrix,
     free_space_green,
     green_tail_estimate,
     green_values,
@@ -66,6 +71,41 @@ def test_green_values_matches_scalar():
         assert v == pytest.approx(green_eval(gs, x, y), abs=1e-13)
 
 
+def _green_values_einsum(gs, x, Y):
+    """The one-pass einsum evaluator that the chunked GEMM replaced."""
+    coef = _coef_tensor(gs, np.asarray(x, dtype=float))
+    mats = [_sine_matrix(Y[:, i], gs.kmax) for i in range(gs.d)]
+    if gs.d == 2:
+        return np.einsum("ja,ab,jb->j", mats[0], coef, mats[1])
+    return np.einsum("ja,jb,jc,abc->j", mats[0], mats[1], mats[2], coef)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "m", [1, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 1, 2 * POINT_CHUNK + 3]
+)
+def test_green_values_chunks_match_references(d, m):
+    """Every chunk boundary: each point against green_eval, all against the einsum."""
+    gs = GreenSeries(d=d, kmax=24 if d == 2 else 12)
+    x = (0.35, 0.6, 0.45)[:d]
+    Y = np.random.default_rng(1000 * d + m).uniform(0.0, 1.0, (m, d))
+    vals = green_values(gs, x, Y)
+    assert vals.shape == (m,)
+    for v, y in zip(vals, Y):
+        assert abs(v - green_eval(gs, x, y)) <= 1e-13
+    ref = _green_values_einsum(gs, x, Y)
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_green_values_rejects_bad_shape():
+    gs = GreenSeries(d=2, kmax=8)
+    for Y in (np.full((5, 3), 0.5), np.full((5, 1), 0.5), np.full(2, 0.5)):
+        with pytest.raises(ValueError, match="shape"):
+            green_values(gs, (0.4, 0.6), Y)
+    with pytest.raises(ValueError, match="shape"):
+        green_values(GreenSeries(d=3, kmax=4), (0.4, 0.6, 0.5), np.full((5, 2), 0.5))
+
+
 def test_truncation_tail_small():
     gs = GreenSeries(d=2, kmax=64)
     fine = GreenSeries(d=2, kmax=128)
@@ -88,6 +128,49 @@ def test_walk_on_spheres_exits_on_boundary():
     on_face = np.isclose(exits, 0.0) | np.isclose(exits, 1.0)
     assert np.all(np.any(on_face, axis=1))
     assert np.all((exits >= -1e-12) & (exits <= 1.0 + 1e-12))
+
+
+def _wos_exit_reference(x, cfg, rng):
+    """The uncompacted loop: every step touches every walk, and walks still
+    live at max_steps are snapped to a face. Returns (exits, snapped walks)."""
+    xp = np.asarray(x, dtype=float)
+    gen = rng.generator()
+    pos = np.tile(xp, (cfg.walks, 1))
+
+    def dist(p):
+        return np.minimum(p.min(axis=1), (1.0 - p).min(axis=1))
+
+    for _ in range(cfg.max_steps):
+        r = dist(pos)
+        active = r >= cfg.delta
+        if not np.any(active):
+            break
+        dirs = gen.standard_normal((int(active.sum()), xp.size))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        pos[active] += r[active, None] * dirs
+    return _project_to_face(pos), int(np.sum(dist(pos) >= cfg.delta))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    data=st.data(),
+    walks=st.integers(1, 300),
+    delta=st.sampled_from([1e-6, 1e-4, 1e-2, 0.1, 0.3]),
+    max_steps=st.integers(1, 60),
+    seed=st.integers(0, 2**16),
+)
+def test_compacted_walk_on_spheres_matches_reference(d, data, walks, delta, max_steps, seed):
+    """Exit points equal the uncompacted loop bit for bit, and the walk is
+    refused exactly when that loop would have snapped live walks to a face."""
+    x = data.draw(st.lists(st.floats(0.01, 0.99), min_size=d, max_size=d))
+    cfg = WosConfig(walks=walks, delta=delta, max_steps=max_steps)
+    ref, snapped = _wos_exit_reference(x, cfg, RngStream(seed))
+    if snapped:
+        with pytest.raises(WalkTruncationError, match=f"^{snapped} of {walks} walks"):
+            walk_on_spheres_exit(x, cfg, RngStream(seed))
+    else:
+        np.testing.assert_array_equal(walk_on_spheres_exit(x, cfg, RngStream(seed)), ref)
 
 
 def test_mc_cross_validates_series_d2():
