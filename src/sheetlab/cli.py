@@ -5,7 +5,7 @@ config file, and explicit command-line flags (flags win), then writes a
 manifest.json echoing the resolved configuration plus the package version.
 
 Exit codes: 0 success, 2 config error, 3 statistical verdict failure under
---strict, 4 resource refusal (innovation budget or contraction gate).
+--strict, 4 resource refusal (innovation or weight-matrix budget, or contraction gate).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .convergence import (
 from .grid import GridField, GridSpec
 from .green import (
     GreenSeries,
+    green_l2_norm,
     green_on_axes,
-    green_l2_norm_on_axes,
     lambda_sup,
     poincare_constant,
 )
@@ -280,7 +280,7 @@ def _run_green_table(cfg: dict, outdir: str) -> int:
     norms = {
         "x": x.tolist(),
         "kmax": gs.kmax,
-        "l2_norm_at_x": float(green_l2_norm_on_axes(gs, [np.array([c]) for c in x])[tuple([0] * d)]),
+        "l2_norm_at_x": green_l2_norm(gs, x),
         "lambda_sup_on_grid": lambda_sup(gs, grid),
         "poincare_constant": poincare_constant(gs),
     }

@@ -10,13 +10,10 @@ import numpy as np
 from scipy import stats
 
 from .grid import GridSpec, as_point
-from .integrals import (
-    DonskerIntegrator,
-    Integrand,
-    KacStroockIntegrator,
-    SheetIntegrator,
-)
-from .kernels import _draw_innovations, sample_kac_stroock
+from .integrals import Integrand, noise_integrator
+
+# re-exported: bench/layers.py traces the integrator classes it finds on this module
+from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401
 from .quadrature import QuadSpec, tensor_points
 from .rng import RngStream
 
@@ -28,8 +25,6 @@ __all__ = [
     "tightness_modulus_probe",
     "variance_convergence_report",
 ]
-
-FAMILIES = ("donsker", "kac-stroock", "sheet")
 
 
 @dataclass(frozen=True)
@@ -106,43 +101,6 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _replicate_matrix(
-    f: Integrand,
-    family: str,
-    grid: GridSpec,
-    n,
-    xs,
-    M: int,
-    quad: QuadSpec,
-    rng: RngStream,
-    law: str = "standard-normal",
-) -> np.ndarray:
-    """M replicates of X_n at the points xs, shape (M, npts)."""
-    if family == "donsker":
-        integ = DonskerIntegrator(f, xs, int(n), grid.T, quad)
-        gen = rng.generator()
-        Z = _draw_innovations(gen, law, (M, int(np.prod(integ.cell_shape))))
-        return integ.apply_innovations(Z)
-    if family == "kac-stroock":
-        integ = KacStroockIntegrator(f, xs, grid, float(n), quad)
-        out = np.empty((M, integ.xs.shape[0]))
-        for i, sub in enumerate(rng.split(M)):
-            out[i] = integ.apply(sample_kac_stroock(grid, float(n), sub))
-        return out
-    if family == "sheet":
-        return _sheet_matrix(f, grid, xs, M, quad, rng)
-    raise ValueError(f"unknown kernel family {family!r}; choose one of {FAMILIES}")
-
-
-def _sheet_matrix(f, grid, xs, M, quad, rng) -> np.ndarray:
-    """M replicates of the limit field X at the points xs, shape (M, npts)."""
-    integ = SheetIntegrator(f, xs, grid, quad)
-    gen = rng.generator()
-    ncells = int(np.prod(grid.cell_shape))
-    incr = gen.standard_normal((M, ncells)) * np.sqrt(grid.cell_volume)
-    return integ.apply_increments(incr)
-
-
 def _unit_directions(count: int, dim: int, gen: np.random.Generator) -> np.ndarray:
     dirs = np.empty((count, dim))
     i = 0
@@ -176,12 +134,13 @@ def fdd_test(
         raise ValueError("asymptotic two-sample KS needs M >= 1000")
     gen = rng.substream(0).generator()
     dirs = _unit_directions(cfg.projections, probes.shape[0], gen)
-    target = _sheet_matrix(f, grid, probes, cfg.M, cfg.quad, rng.substream(1))
+    target = noise_integrator("sheet", f, probes, grid, None, cfg.quad).replicates(
+        rng.substream(1), cfg.M
+    )
     per_n = []
     for j, n in enumerate(cfg.n_list):
-        Xn = _replicate_matrix(
-            f, family, grid, n, probes, cfg.M, cfg.quad, rng.substream(2 + j), cfg.law
-        )
+        integ = noise_integrator(family, f, probes, grid, n, cfg.quad, cfg.law)
+        Xn = integ.replicates(rng.substream(2 + j), cfg.M)
         pvals, ks = [], []
         for a in dirs:
             res = stats.ks_2samp(Xn @ a, target @ a, method="asymp")
@@ -254,15 +213,13 @@ def moment_bound_probe(
     x0 = np.zeros(grid.d)
     per_n = []
     for j, n in enumerate(cfg.n_list):
+        integ = noise_integrator(family, g, [x0], grid, n, cfg.quad, cfg.law)
         if family == "donsker" and cfg.m == 2:
-            integ = DonskerIntegrator(g, [x0], int(n), grid.T, cfg.quad)
             moment = float(integ.second_moment()[0])
             se = 0.0
             exact = True
         else:
-            vals = _replicate_matrix(
-                g, family, grid, n, [x0], cfg.M, cfg.quad, rng.substream(j), cfg.law
-            )[:, 0]
+            vals = integ.replicates(rng.substream(j), cfg.M)[:, 0]
             powered = np.abs(vals) ** cfg.m
             moment = float(powered.mean())
             se = float(powered.std(ddof=1) / np.sqrt(cfg.M))
@@ -319,17 +276,8 @@ def tightness_modulus_probe(
         for i, ((x, z), dist) in enumerate(zip(pts, dists)):
             if dist == 0.0:
                 raise ValueError("pairs with x = z are not admissible")
-            vals = _replicate_matrix(
-                f,
-                family,
-                grid,
-                n,
-                [x, z],
-                cfg.M,
-                cfg.quad,
-                rng.substream(j * len(pts) + i),
-                cfg.law,
-            )
+            integ = noise_integrator(family, f, [x, z], grid, n, cfg.quad, cfg.law)
+            vals = integ.replicates(rng.substream(j * len(pts) + i), cfg.M)
             moment = float(np.mean(np.abs(vals[:, 0] - vals[:, 1]) ** cfg.m))
             log_d.append(np.log(dist))
             log_m.append(np.log(moment))
@@ -375,9 +323,8 @@ def variance_convergence_report(
     target = _lp_norm(Integrand(fsq), grid, 1.0, cfg.quad)
     per_n = []
     for j, n in enumerate(cfg.n_list):
-        vals = _replicate_matrix(
-            f, family, grid, n, [xp], cfg.M, cfg.quad, rng.substream(j), cfg.law
-        )[:, 0]
+        integ = noise_integrator(family, f, [xp], grid, n, cfg.quad, cfg.law)
+        vals = integ.replicates(rng.substream(j), cfg.M)[:, 0]
         sq = vals**2
         per_n.append(
             {

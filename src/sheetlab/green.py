@@ -111,8 +111,17 @@ def _sine_matrix(pts: np.ndarray, kmax: int) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(np.outer(pts, k) * np.pi)
 
 
-def _coef_tensor(gs: GreenSeries, x: np.ndarray, power: int = 1) -> np.ndarray:
+def _series_point(gs: GreenSeries, x) -> np.ndarray:
+    """x as a point of the series' domain: exactly gs.d coordinates."""
+    p = as_point(x)
+    if p.size != gs.d:
+        raise ValueError(f"expected a point with {gs.d} coordinates, got {p.size}")
+    return p
+
+
+def _coef_tensor(gs: GreenSeries, x, power: int = 1) -> np.ndarray:
     """e_k(x) / lambda_k^power as a mode tensor."""
+    x = _series_point(gs, x)
     vecs = [_sine_matrix(np.array([x[i]]), gs.kmax)[0] for i in range(gs.d)]
     out = vecs[0]
     for v in vecs[1:]:
@@ -130,7 +139,7 @@ def _contract(coef: np.ndarray, mats) -> np.ndarray:
 
 def green_eval(gs: GreenSeries, x, y) -> float:
     """Series value sum_{k <= kmax} lambda_k^{-1} e_k(x) e_k(y)."""
-    xp, yp = as_point(x), as_point(y)
+    xp, yp = _series_point(gs, x), _series_point(gs, y)
     # symmetric per-axis products keep green_eval(x, y) == green_eval(y, x) exactly
     out = 1.0 / _lam_tensor(gs.d, gs.kmax)
     for i in range(gs.d):
@@ -146,7 +155,7 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != gs.d:
         raise ValueError(f"Y must have shape (m, {gs.d}), got {Y.shape}")
-    coef = _coef_tensor(gs, as_point(x)).reshape(gs.kmax, -1)
+    coef = _coef_tensor(gs, x).reshape(gs.kmax, -1)
     out = np.empty(Y.shape[0])
     for lo in range(0, Y.shape[0], POINT_CHUNK):
         block = Y[lo : lo + POINT_CHUNK]
@@ -161,7 +170,7 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
 
 def green_on_axes(gs: GreenSeries, x, axes) -> np.ndarray:
     """K(x, .) on a tensor grid given by per-axis coordinate arrays."""
-    coef = _coef_tensor(gs, as_point(x))
+    coef = _coef_tensor(gs, x)
     return _contract(coef, [_sine_matrix(np.asarray(a), gs.kmax) for a in axes])
 
 
@@ -252,12 +261,8 @@ def green_tail_estimate(gs: GreenSeries, x, y, factor: int = 4) -> float:
 
 def green_l2_norm(gs: GreenSeries, x) -> float:
     """||K(x,.)||_2 via Parseval: sqrt(sum lambda_k^{-2} e_k(x)^2)."""
-    xp = as_point(x)
-    vecs = [_sine_matrix(np.array([xp[i]]), gs.kmax)[0] ** 2 for i in range(gs.d)]
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.multiply.outer(out, v)
-    return float(np.sqrt(np.sum(out / _lam_tensor(gs.d, gs.kmax) ** 2)))
+    axes = [np.array([c]) for c in _series_point(gs, x)]
+    return float(green_l2_norm_on_axes(gs, axes).ravel()[0])
 
 
 def green_l2_norm_on_axes(gs: GreenSeries, axes) -> np.ndarray:
@@ -389,7 +394,7 @@ def green_integrand(gs: GreenSeries, rho: float = 1e-3) -> Integrand:
         return mats
 
     def ci(x, edges):
-        return _contract(_coef_tensor(gs, as_point(x)), sine_cell_integrals(edges))
+        return _contract(_coef_tensor(gs, x), sine_cell_integrals(edges))
 
     def _flat_modes(mats) -> np.ndarray:
         """Row-wise tensor product of per-axis (m, kmax) matrices -> (m, kmax^d)."""
@@ -400,6 +405,8 @@ def green_integrand(gs: GreenSeries, rho: float = 1e-3) -> Integrand:
 
     def x_mode_matrix(xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        if xs.shape[1] != gs.d:
+            raise ValueError(f"points must have {gs.d} coordinates, got {xs.shape[1]}")
         A = _flat_modes([_sine_matrix(xs[:, i], gs.kmax) for i in range(gs.d)])
         return A / _lam_tensor(gs.d, gs.kmax).ravel()
 

@@ -110,12 +110,6 @@ class GridSpec:
                 raise ValueError(f"coordinate {p[i]} outside [0, {self.T[i]}] on axis {i}")
         return np.clip(p, 0.0, self.T)
 
-    def cell_centers(self) -> np.ndarray:
-        """All cell centers, shape (prod N, d), in C-order of the cell lattice."""
-        axes = [self.axis_cell_centers(i) for i in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
     def node_points(self) -> np.ndarray:
         """All grid nodes, shape (prod (N+1), d), in C-order of the node lattice."""
         axes = [self.axis_nodes(i) for i in range(self.d)]

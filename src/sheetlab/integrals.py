@@ -7,8 +7,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import kernels
 from .grid import GridSpec, as_point
-from .kernels import DonskerField, PoissonField, ks_values_on_grid
+from .kernels import (
+    BudgetExceededError,
+    DonskerField,
+    PoissonField,
+    _draw_innovations,
+    ks_values_on_grid,
+    sample_kac_stroock,
+)
 from .quadrature import QuadSpec, tensor_points
 from .sheet import SheetSample
 
@@ -21,8 +29,11 @@ __all__ = [
     "limit_field",
     "DonskerIntegrator",
     "KacStroockIntegrator",
-    "SheetIntegrator",
+    "FAMILIES",
+    "noise_integrator",
 ]
+
+FAMILIES = ("donsker", "kac-stroock", "sheet")
 
 
 @dataclass
@@ -125,32 +136,64 @@ def _refined_axes(edges, r: int):
     return mids, widths
 
 
+def _budgeted_points(xs, ncells: int) -> np.ndarray:
+    """xs as an (npts, d) array, once an (npts, ncells) weight matrix fits the budget.
+
+    The budget is kernels.DEFAULT_MAX_CELLS entries, read at call time and
+    checked before any integrand is evaluated or any weight is allocated.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    entries = xs.shape[0] * ncells
+    if entries > kernels.DEFAULT_MAX_CELLS:
+        raise BudgetExceededError(
+            f"weight matrix of shape ({xs.shape[0]}, {ncells}) would need {8 * entries} "
+            f"bytes (> budget of {kernels.DEFAULT_MAX_CELLS} entries)"
+        )
+    return xs
+
+
 class DonskerIntegrator:
-    """Precomputed quadrature weights for X_n(x) = n^{d/2} sum_k Z_k w_k(x).
+    """Precomputed weights for X(x) = s sum_k Z_k w_k(x) with i.i.d. innovations Z_k.
 
     w_k(x) = int_{cell_k cap D} f(x, y) dy, evaluated once per x and reused
-    across kernel realizations.
+    across kernel realizations.  With an integer n the cells have side 1/n on
+    D = [0, T] and s = n^{d/2}: the Donsker kernel.  With n = None, T is a
+    GridSpec whose own cells are used and s = cell_volume^{-1/2}, so that
+    s Z_k w_k = (w_k / cell_volume) (sqrt(cell_volume) Z_k) is the discrete
+    Wiener integral against the Brownian sheet's cell increments.
     """
 
-    def __init__(self, f: Integrand, xs, n: int, T, quad: QuadSpec = QuadSpec()):
-        self.n = int(n)
-        self.T = tuple(T)
-        self.d = len(self.T)
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        self.xs = xs
-        shape = tuple(int(np.ceil(self.n * t)) for t in self.T)
+    def __init__(
+        self, f: Integrand, xs, n, T, quad: QuadSpec = QuadSpec(), law: str = "standard-normal"
+    ):
+        if n is None:
+            # T is a GridSpec; ceil(n T) would miscount its cells when T is not a multiple of 1/n
+            edges = [T.axis_nodes(i) for i in range(T.d)]
+            self.scale = T.cell_volume**-0.5
+        else:
+            n = int(n)
+            edges = [np.minimum(np.arange(int(np.ceil(n * t)) + 1) / n, t) for t in T]
+            self.scale = n ** (len(edges) / 2.0)
+        self.n = n
+        self.d = len(edges)
+        self.law = law
+        shape = tuple(len(e) - 1 for e in edges)
         self.cell_shape = shape
-        edges = [np.minimum(np.arange(k + 1) / self.n, t) for k, t in zip(shape, self.T)]
         ncells = int(np.prod(shape))
-        W = np.empty((xs.shape[0], ncells))
+        xs = _budgeted_points(xs, ncells)
+        self.xs = xs
+        # W is allocated only where it is filled: an unused allocation ahead of
+        # the oracle's temporaries raises peak memory
         if f.pair_cell_integral is not None:
             W = np.asarray(f.pair_cell_integral(xs, edges)).reshape(xs.shape[0], ncells)
         elif f.cell_integral is not None:
+            W = np.empty((xs.shape[0], ncells))
             for i, x in enumerate(xs):
                 W[i] = np.asarray(f.cell_integral(x, edges)).ravel()
         else:
             if f.singular and quad.rho <= 0:
                 raise ValueError("singular integrand requires exclusion radius rho > 0")
+            W = np.empty((xs.shape[0], ncells))
             mids, widths = _refined_axes(edges, quad.r)
             pts = tensor_points(mids)
             wt = widths[0]
@@ -163,7 +206,7 @@ class DonskerIntegrator:
                 if f.singular:
                     vals = vals * _exclusion_mask(x, pts, quad.rho)
                 contrib = (vals * wt).reshape(sub_shape)
-                # aggregate r^d sub-cells back onto Donsker cells
+                # aggregate r^d sub-cells back onto the cells
                 for axis in range(self.d):
                     new = list(contrib.shape)
                     new[axis : axis + 1] = [shape[axis], quad.r]
@@ -174,15 +217,30 @@ class DonskerIntegrator:
     def apply(self, field: DonskerField) -> np.ndarray:
         if field.n != self.n or field.Z.shape != self.cell_shape:
             raise ValueError("kernel field does not match precomputed weights")
-        return self.n ** (self.d / 2.0) * (self.weights @ field.Z.ravel())
+        return self.scale * (self.weights @ field.Z.ravel())
 
     def apply_innovations(self, Z: np.ndarray) -> np.ndarray:
         """Batch apply: Z of shape (M, ncells) -> values of shape (M, npts)."""
-        return self.n ** (self.d / 2.0) * (Z @ self.weights.T)
+        return self.scale * (Z @ self.weights.T)
+
+    def replicates(self, rng, M: Optional[int] = None) -> np.ndarray:
+        """Values at xs for a stack of realizations, shape (M, npts).
+
+        rng is one RngStream whose generator draws all M innovation rows, or,
+        with M omitted, a list of streams drawing one row each.
+        """
+        ncells = int(np.prod(self.cell_shape))
+        if M is None:
+            Z = np.empty((len(rng), ncells))
+            for row, s in zip(Z, rng):
+                row[:] = _draw_innovations(s.generator(), self.law, ncells)
+        else:
+            Z = _draw_innovations(rng.generator(), self.law, (M, ncells))
+        return self.apply_innovations(Z)
 
     def second_moment(self) -> np.ndarray:
-        """Exact E[X_n(x)^2] = n^d sum_k w_k(x)^2 (unit-variance innovations)."""
-        return self.n ** self.d * np.sum(self.weights**2, axis=1)
+        """Exact E[X(x)^2] = s^2 sum_k w_k(x)^2 (unit-variance innovations)."""
+        return self.scale**2 * np.sum(self.weights**2, axis=1)
 
 
 class KacStroockIntegrator:
@@ -198,9 +256,9 @@ class KacStroockIntegrator:
             raise ValueError("singular integrand requires exclusion radius rho > 0")
         self.grid = grid
         self.n = float(n)
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        self.xs = xs
         base = [max(nb, int(np.ceil(self.n * t))) for nb, t in zip(grid.N, grid.T)]
+        xs = _budgeted_points(xs, int(np.prod([quad.r * nb for nb in base])))
+        self.xs = xs
         self.mids = [
             (np.arange(quad.r * nb) + 0.5) * (t / (quad.r * nb))
             for nb, t in zip(base, grid.T)
@@ -215,41 +273,39 @@ class KacStroockIntegrator:
         theta = ks_values_on_grid(field, self.mids).ravel()
         return self.fmat @ theta * self.cell_vol
 
+    def replicates(self, rng, M: Optional[int] = None) -> np.ndarray:
+        """Values at xs for a stack of realizations, shape (M, npts).
 
-class SheetIntegrator:
-    """Precomputed cell-center values for Wiener integrals int_D f(x,y) W(dy)."""
+        One Poisson field per stream: the M substreams of the RngStream rng,
+        or, with M omitted, each stream of the list rng.
+        """
+        streams = rng if M is None else rng.split(M)
+        return np.stack([self.apply(sample_kac_stroock(self.grid, self.n, s)) for s in streams])
 
-    def __init__(self, f: Integrand, xs, grid: GridSpec, quad: QuadSpec = QuadSpec()):
-        self.grid = grid
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        self.xs = xs
-        centers = grid.cell_centers()
-        edges = [grid.axis_nodes(k) for k in range(grid.d)]
-        if f.pair_cell_integral is not None:
-            F = np.asarray(f.pair_cell_integral(xs, edges))
-            F = F.reshape(xs.shape[0], centers.shape[0]) / grid.cell_volume
-        elif f.cell_integral is not None:
-            F = np.empty((xs.shape[0], centers.shape[0]))
-            for i, x in enumerate(xs):
-                F[i] = np.asarray(f.cell_integral(x, edges)).ravel() / grid.cell_volume
-        else:
-            if f.singular and quad.rho <= 0:
-                raise ValueError("singular integrand requires exclusion radius rho > 0")
-            F = _eval_matrix(f, xs, centers, quad.rho)
-        self.fmat = F
 
-    def apply(self, sheet: SheetSample) -> np.ndarray:
-        if sheet.grid.cell_shape != self.grid.cell_shape:
-            raise ValueError("sheet grid does not match precomputed integrand values")
-        return self.fmat @ sheet.cell_increments.ravel()
+def noise_integrator(
+    family: str,
+    f: Integrand,
+    xs,
+    grid: GridSpec,
+    n,
+    quad: QuadSpec = QuadSpec(),
+    law: str = "standard-normal",
+):
+    """The integrator of f against one noise family on grid's domain.
 
-    def apply_increments(self, incr: np.ndarray) -> np.ndarray:
-        """Batch apply: incr of shape (M, ncells) -> values of shape (M, npts)."""
-        return incr @ self.fmat.T
-
-    def discrete_l2sq(self) -> np.ndarray:
-        """Discrete ||f(x,.)||_2^2 = sum f^2 * cellvol, the limit variance."""
-        return np.sum(self.fmat**2, axis=1) * self.grid.cell_volume
+    "donsker": the Donsker kernel at scale n with innovation law `law`;
+    "kac-stroock": the Kac-Stroock kernel of intensity n; "sheet": the
+    Brownian sheet, i.e. the Donsker integrator on the grid's own cells with
+    standard-normal innovations (n and law unused).
+    """
+    if family == "donsker":
+        return DonskerIntegrator(f, xs, int(n), grid.T, quad, law)
+    if family == "kac-stroock":
+        return KacStroockIntegrator(f, xs, grid, float(n), quad)
+    if family == "sheet":
+        return DonskerIntegrator(f, xs, None, grid, quad)
+    raise ValueError(f"unknown noise family {family!r}; choose one of {FAMILIES}")
 
 
 def integrate_against_kernel(f: Integrand, k, xs, quad: QuadSpec = QuadSpec()) -> np.ndarray:
@@ -268,4 +324,6 @@ def integrate_restricted(f: Integrand, k, x, quad: QuadSpec = QuadSpec()) -> flo
 
 def limit_field(f: Integrand, sheet: SheetSample, xs, quad: QuadSpec = QuadSpec()) -> np.ndarray:
     """Wiener-integral field X(x) = int_D f(x,y) W(dy) at the points xs."""
-    return SheetIntegrator(f, xs, sheet.grid, quad).apply(sheet)
+    integ = noise_integrator("sheet", f, xs, sheet.grid, None, quad)
+    # the sheet's cell increments are sqrt(cell_volume) Z = Z / scale
+    return integ.apply_innovations(integ.scale * sheet.cell_increments.reshape(1, -1))[0]

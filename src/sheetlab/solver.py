@@ -12,7 +12,7 @@ from scipy import stats
 
 from .convergence import ConvergenceReport
 from .grid import GridField, GridSpec
-from .integrals import DonskerIntegrator, KacStroockIntegrator, SheetIntegrator
+from .integrals import noise_integrator
 from .green import (
     GreenSeries,
     green_integrand,
@@ -21,7 +21,6 @@ from .green import (
     lambda_sup,
     poincare_constant,
 )
-from .kernels import _draw_innovations, sample_kac_stroock
 from .quadrature import QuadSpec
 from .rng import RngStream
 
@@ -310,7 +309,6 @@ class SpdeSampler:
         self.F = F
         self.gs = gs
         self.cfg = cfg
-        self.law = law
         grid = g.grid
         self.grid = grid
         self.lam = _check_gate(gs, grid, F.lipschitz)
@@ -318,35 +316,13 @@ class SpdeSampler:
             # tie the refinement to the noise scale (r >= n for Donsker cells)
             quad = QuadSpec(r=1, rho=1e-3)
         self.quad = quad
-        nodes = grid.node_points()
         kernel = green_integrand(gs, rho=quad.rho)
-        if family == "donsker":
-            self._integ = DonskerIntegrator(kernel, nodes, int(n), grid.T, quad)
-        elif family == "kac-stroock":
-            self._integ = KacStroockIntegrator(kernel, nodes, grid, float(n), quad)
-        elif family == "sheet":
-            self._integ = SheetIntegrator(kernel, nodes, grid, quad)
-        else:
-            raise ValueError(f"unknown driver family {family!r}")
+        self._integ = noise_integrator(family, kernel, grid.node_points(), grid, n, quad, law)
         self._Kg = k_apply(gs, g).values
 
     def _noise_block(self, streams) -> np.ndarray:
         """eta at the grid nodes for one replicate per stream, shape (len(streams), *node_shape)."""
-        if self.family == "donsker":
-            Z = np.empty((len(streams), int(np.prod(self._integ.cell_shape))))
-            for row, s in zip(Z, streams):
-                row[:] = _draw_innovations(s.generator(), self.law, row.shape)
-            vals = self._integ.apply_innovations(Z)
-        elif self.family == "kac-stroock":
-            n = float(self.n)
-            vals = np.stack([self._integ.apply(sample_kac_stroock(self.grid, n, s)) for s in streams])
-        else:
-            scale = np.sqrt(self.grid.cell_volume)
-            incr = np.empty((len(streams), int(np.prod(self.grid.cell_shape))))
-            for row, s in zip(incr, streams):
-                row[:] = s.generator().standard_normal(row.shape) * scale
-            vals = self._integ.apply_increments(incr)
-        eta = vals.reshape((len(streams),) + self.grid.node_shape)
+        eta = self._integ.replicates(streams).reshape((len(streams),) + self.grid.node_shape)
         # the Green kernel vanishes for boundary x; enforce exactly
         for axis in range(self.grid.d):
             sl = [slice(None)] * (self.grid.d + 1)

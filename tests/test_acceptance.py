@@ -43,7 +43,7 @@ from sheetlab.green import (
     grid_sine_coefficients,
     sine_synthesis,
 )
-from sheetlab.integrals import Integrand, SheetIntegrator
+from sheetlab.integrals import Integrand, noise_integrator
 from sheetlab.kernels import PoissonField, sample_donsker
 from sheetlab.quadrature import tensor_points
 from sheetlab.solver import SpdeSampler, nonlinearity_preset
@@ -63,15 +63,12 @@ def test_criterion_01_sheet_covariance():
     ok = True
     for d, N in [(1, 64), (2, 16), (3, 8)]:
         grid = GridSpec(d=d, T=1.0, N=N)
-        gen = rng.substream(d).generator()
         pgen = rng.substream(10 + d).generator()
         pairs = pgen.uniform(0.1, 1.0, size=(10, 2, d))
         pts = np.vstack([pairs[:, 0], pairs[:, 1]])
-        integ = SheetIntegrator(indicator_integrand(), pts, grid)
-        incr = gen.standard_normal((M, int(np.prod(grid.cell_shape)))) * np.sqrt(
-            grid.cell_volume
-        )
-        W = integ.apply_increments(incr)
+        integ = noise_integrator("sheet", indicator_integrand(), pts, grid, None)
+        # M rows of standard normals from the generator of rng.substream(d)
+        W = integ.replicates(rng.substream(d), M)
         for i in range(10):
             prod = W[:, i] * W[:, 10 + i]
             se = prod.std(ddof=1) / np.sqrt(M)
@@ -294,8 +291,8 @@ def test_criterion_11_linear_case_law():
     idx = grid.node_index(xstar)
     results = sampler.sample_solutions(rng.substream(0).split(M))
     vals = np.array([r.u.values[idx] for r in results])
-    integ = SheetIntegrator(green_integrand(gs), [np.asarray(xstar)], grid)
-    var_ref = float(integ.discrete_l2sq()[0])
+    integ = noise_integrator("sheet", green_integrand(gs), [np.asarray(xstar)], grid, None)
+    var_ref = float(integ.second_moment()[0])
     emp_var = vals.var(ddof=1)
     se_var = emp_var * np.sqrt(2.0 / (M - 1))
     ok = abs(emp_var - var_ref) <= 3.0 * se_var

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sheetlab import __version__
+from sheetlab import __version__, kernels
 from sheetlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, EXIT_VERDICT, main
 
 
@@ -108,6 +108,23 @@ def test_budget_refusal(tmp_path):
         ]
     )
     assert code == EXIT_REFUSED
+
+
+@pytest.mark.parametrize("family", ["donsker", "kac-stroock", "sheet"])
+def test_weight_budget_refusal(tmp_path, monkeypatch, capsys, family):
+    # 25 nodes x 64 cells (donsker, kac-stroock at n=8) or 16 cells (sheet)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 25 * 16 - 1)
+    code = main(
+        [
+            "poisson-solve",
+            "--family", family,
+            "--n", "8",
+            "--grid-n", "4",
+            "--report-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_REFUSED
+    assert "weight matrix of shape (25, " in capsys.readouterr().err
 
 
 def test_strict_verdict_failure(tmp_path):

@@ -16,7 +16,10 @@ from sheetlab import (
     tightness_modulus_probe,
     variance_convergence_report,
 )
-from sheetlab.integrals import Integrand
+from sheetlab.green import GreenSeries
+from sheetlab.grid import GridField
+from sheetlab.integrals import FAMILIES, Integrand
+from sheetlab.solver import SpdeSampler, nonlinearity_preset
 
 
 def _ones_integrand():
@@ -63,6 +66,18 @@ def test_fdd_degenerate_n1_rejected():
     rep = fdd_test(indicator_integrand(), "donsker", grid, [(1.0,)], cfg, RngStream(42))
     assert rep.per_n[-1]["rejection_fraction"] == 1.0
     assert not rep.passed()
+
+
+def test_unknown_family_is_one_error():
+    grid = GridSpec(d=2, T=1.0, N=4)
+    cfg = DiagConfig(n_list=(4,), M=1000)
+    with pytest.raises(ValueError, match="unknown noise family 'bogus'") as fdd:
+        fdd_test(indicator_integrand(), "bogus", grid, [[0.5, 0.5]], cfg, RngStream(0))
+    g = GridField.zeros(grid)
+    with pytest.raises(ValueError) as solver:
+        SpdeSampler("bogus", 4, g, nonlinearity_preset("zero"), GreenSeries(d=2, kmax=4))
+    assert str(fdd.value) == str(solver.value)
+    assert str(FAMILIES) in str(fdd.value)
 
 
 def test_moment_probe_rejects_zero_norm():

@@ -29,6 +29,9 @@ from sheetlab.green import (
     _project_to_face,
     _sine_matrix,
     free_space_green,
+    green_integrand,
+    green_l2_norm_on_axes,
+    green_on_axes,
     green_tail_estimate,
     green_values,
     k_apply_stack,
@@ -104,6 +107,34 @@ def test_green_values_rejects_bad_shape():
             green_values(gs, (0.4, 0.6), Y)
     with pytest.raises(ValueError, match="shape"):
         green_values(GreenSeries(d=3, kmax=4), (0.4, 0.6, 0.5), np.full((5, 2), 0.5))
+
+
+def test_green_evaluators_reject_wrong_point_dimension():
+    gs = GreenSeries(d=2, kmax=8)
+    f = green_integrand(gs)
+    edges = [np.linspace(0.0, 1.0, 5)] * 2
+    Y = np.full((4, 2), 0.5)
+    for bad in [(0.3, 0.4, 0.9), (0.3,)]:
+        calls = [
+            lambda: green_eval(gs, bad, (0.5, 0.5)),
+            lambda: green_eval(gs, (0.5, 0.5), bad),
+            lambda: green_values(gs, bad, Y),
+            lambda: green_on_axes(gs, bad, [np.array([0.5])] * 2),
+            lambda: green_l2_norm(gs, bad),
+            lambda: f.cell_integral(bad, edges),
+            lambda: f.pair_cell_integral(np.array([bad]), edges),
+            lambda: f.pair_matrix(np.array([bad]), Y),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="coordinates"):
+                call()
+
+
+def test_green_l2_norm_is_one_point_of_axes_evaluator():
+    for d, x in [(2, (0.3, 0.4)), (3, (0.3, 0.4, 0.7))]:
+        gs = GreenSeries(d=d, kmax=8)
+        on_axes = green_l2_norm_on_axes(gs, [np.array([c]) for c in x])
+        assert green_l2_norm(gs, x) == float(on_axes[(0,) * d])
 
 
 def test_truncation_tail_small():

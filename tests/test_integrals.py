@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheetlab import (
     GridSpec,
@@ -17,10 +19,13 @@ from sheetlab.integrals import (
     DonskerIntegrator,
     Integrand,
     KacStroockIntegrator,
-    SheetIntegrator,
+    noise_integrator,
     restrict,
 )
-from sheetlab.kernels import sample_donsker, sample_kac_stroock
+from sheetlab import kernels
+from sheetlab.green import GreenSeries, green_integrand
+from sheetlab.kernels import BudgetExceededError, sample_donsker, sample_kac_stroock
+from sheetlab.quadrature import tensor_points
 from sheetlab.sheet import sample_sheet
 
 
@@ -138,21 +143,18 @@ def test_limit_field_variance_isometry():
     grid = GridSpec(d=1, T=1.0, N=8)
     f = _smooth_integrand()
     x = np.array([0.0])
-    integ = SheetIntegrator(f, [x], grid)
+    integ = noise_integrator("sheet", f, [x], grid, None)
     rng = RngStream(38)
     M = 20_000
-    gen = rng.generator()
-    incr = gen.standard_normal((M, 8)) * np.sqrt(grid.cell_volume)
-    vals = integ.apply_increments(incr)[:, 0]
+    # one generator draws all M rows of 8 standard normals
+    vals = integ.replicates(rng, M)[:, 0]
     sq = vals**2
-    target = float(integ.discrete_l2sq()[0])
+    target = float(integ.second_moment()[0])
     assert abs(sq.mean() - target) <= 3.0 * sq.std(ddof=1) / np.sqrt(M)
 
 
 def test_batched_oracles_match_loop():
     # pair_matrix / pair_cell_integral must agree with the per-point paths
-    from sheetlab.green import GreenSeries, green_integrand
-
     gs = GreenSeries(d=2, kmax=8)
     f = green_integrand(gs, rho=1e-3)
     xs = np.array([[0.3, 0.4], [0.7, 0.2], [0.5, 0.5]])
@@ -165,3 +167,91 @@ def test_batched_oracles_match_loop():
     pci = f.pair_cell_integral(xs, edges)
     ci = np.stack([np.asarray(f.cell_integral(x, edges)).ravel() for x in xs])
     np.testing.assert_allclose(pci, ci, atol=1e-12)
+
+
+def _former_sheet(f, xs, grid, rng, M):
+    """Replicates and variances of int f(x, y) W(dy) by the arithmetic of the
+    former SheetIntegrator: exact cell averages (or values at the cell centers
+    when f has no cell-integral oracle) against increments sqrt(cv) Z, and the
+    variance sum F^2 cv."""
+    cv = grid.cell_volume
+    edges = [grid.axis_nodes(k) for k in range(grid.d)]
+    if f.pair_cell_integral is not None:
+        F = np.asarray(f.pair_cell_integral(xs, edges)).reshape(xs.shape[0], -1) / cv
+    elif f.cell_integral is not None:
+        F = np.stack([np.asarray(f.cell_integral(x, edges)).ravel() for x in xs]) / cv
+    else:
+        centers = tensor_points([grid.axis_cell_centers(i) for i in range(grid.d)])
+        F = np.stack([f.evaluator(x, centers) for x in xs])
+    incr = rng.generator().standard_normal((M, F.shape[1])) * np.sqrt(cv)
+    return incr @ F.T, np.sum(F**2, axis=1) * cv
+
+
+def _sheet_case(kind, d, N, T, seed):
+    if kind == "green":
+        grid = GridSpec(d=d, T=1.0, N=N)
+        f = green_integrand(GreenSeries(d=d, kmax=6))
+    else:
+        grid = GridSpec(d=d, T=T, N=N)
+        f = indicator_integrand() if kind == "indicator" else _smooth_integrand()
+    xs = RngStream(seed).substream(1).generator().uniform(0.05, 0.95, size=(3, d)) * grid.T
+    return f, xs, grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["indicator", "smooth", "green"]),
+    d=st.sampled_from([1, 2, 3]),
+    N=st.integers(1, 10),
+    T=st.sampled_from([1.0, 0.28, 1.7]),
+    seed=st.integers(0, 2**16),
+)
+def test_sheet_driver_matches_former_sheet_integrator(kind, d, N, T, seed):
+    if kind == "green":
+        d = max(d, 2)
+    f, xs, grid = _sheet_case(kind, d, N, T, seed)
+    integ = noise_integrator("sheet", f, xs, grid, None, QuadSpec(r=1, rho=1e-3))
+    assert integ.cell_shape == grid.cell_shape
+    got = integ.replicates(RngStream(seed), 50)
+    ref, ref_var = _former_sheet(f, xs, grid, RngStream(seed), 50)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    var = integ.second_moment()
+    assert np.max(np.abs(var - ref_var)) <= 1e-12 * np.max(ref_var)
+
+
+@pytest.mark.parametrize("kind", ["indicator", "smooth", "green"])
+def test_sheet_driver_bit_identical_on_dyadic_grid(kind):
+    f, xs, grid = _sheet_case(kind, 2, 16, 1.0, 41)
+    integ = noise_integrator("sheet", f, xs, grid, None, QuadSpec(r=1, rho=1e-3))
+    ref, ref_var = _former_sheet(f, xs, grid, RngStream(41), 200)
+    np.testing.assert_array_equal(integ.replicates(RngStream(41), 200), ref)
+    np.testing.assert_array_equal(integ.second_moment(), ref_var)
+
+
+def _never_evaluated(oracles) -> Integrand:
+    """Integrand whose evaluator and given oracles all fail the test when called."""
+
+    def never(*_):
+        raise AssertionError("integrand evaluated before the budget check")
+
+    return Integrand(evaluator=never, **{name: never for name in oracles})
+
+
+@pytest.mark.parametrize("oracles", [(), ("cell_integral",), ("pair_cell_integral", "pair_matrix")])
+def test_weight_budget_checked_before_any_evaluation(monkeypatch, oracles):
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 - 1)
+    grid = GridSpec(d=2, T=1.0, N=8)
+    xs = np.full((3, 2), 0.5)
+    f = _never_evaluated(oracles)
+    shape = r"\(3, 64\)"
+    with pytest.raises(BudgetExceededError, match=rf"{shape} would need 1536 bytes"):
+        DonskerIntegrator(f, xs, 8, grid.T)
+    with pytest.raises(BudgetExceededError, match=shape):
+        KacStroockIntegrator(f, xs, grid, 8.0)
+    with pytest.raises(BudgetExceededError, match=shape):
+        noise_integrator("sheet", f, xs, grid, None)
+    # at exactly the budget the weights are built
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64)
+    ones = Integrand(lambda x, Y: np.ones(Y.shape[0]))
+    assert DonskerIntegrator(ones, xs, 8, grid.T).weights.shape == (3, 64)
+    assert KacStroockIntegrator(ones, xs, grid, 8.0).fmat.shape == (3, 64)
