@@ -238,7 +238,7 @@ def _run_convergence_report(cfg: dict, outdir: str, strict: bool) -> int:
         report = fdd_test(f, cfg["family"], grid, _parse_probes(probes, d), diag, rng)
     elif kind == "moment":
         # the moment probe integrates a function of y alone; use g == 1 on D
-        ones = Integrand(lambda x, Y: np.ones(Y.shape[0]))
+        ones = Integrand(lambda xs, Y: np.ones((len(xs), len(Y))))
         report = moment_bound_probe(ones, cfg["family"], grid, diag, rng)
     elif kind == "variance":
         x = _parse_probes(cfg["probes"] or ",".join(["0.75"] * d), d)[0]
@@ -305,7 +305,8 @@ SOLVE_DEFAULTS = {
 }
 
 
-def _run_poisson_solve(cfg: dict, outdir: str) -> int:
+def _spde_problem(cfg: dict):
+    """(grid, Green series, nonlinearity F, source field g) of an SPDE subcommand."""
     d = int(cfg["d"])
     grid = GridSpec(d=d, T=1.0, N=int(cfg["grid_n"]))
     gs = GreenSeries(d=d, kmax=int(cfg["kmax"]))
@@ -313,14 +314,18 @@ def _run_poisson_solve(cfg: dict, outdir: str) -> int:
         F = nonlinearity_preset(cfg["F"])
     except ValueError as exc:
         raise ConfigError(f"field 'F': {exc}") from exc
-    g = _load_g_field(cfg["g"], grid)
+    return grid, gs, F, _load_g_field(cfg["g"], grid)
+
+
+def _run_poisson_solve(cfg: dict, outdir: str) -> int:
+    grid, gs, F, g = _spde_problem(cfg)
     solve_cfg = SolveConfig(
         tolerance=float(cfg["tolerance"]), max_iterations=int(cfg["max_iterations"])
     )
     quad = QuadSpec(r=int(cfg["r"]), rho=float(cfg["rho"]))
     sampler = SpdeSampler(cfg["family"], cfg["n"], g, F, gs, solve_cfg, quad)
     result = sampler.sample_solution(RngStream(int(cfg["seed"])))
-    header = [f"x{i+1}" for i in range(d)] + ["u"]
+    header = [f"x{i+1}" for i in range(grid.d)] + ["u"]
     _write_csv(os.path.join(outdir, "solution.csv"), header, _field_csv_rows(result.u))
     result.to_json(os.path.join(outdir, "solve.json"))
     return EXIT_OK
@@ -345,18 +350,11 @@ COMPARE_DEFAULTS = {
 
 
 def _run_spde_compare(cfg: dict, outdir: str, strict: bool) -> int:
-    d = int(cfg["d"])
-    grid = GridSpec(d=d, T=1.0, N=int(cfg["grid_n"]))
-    gs = GreenSeries(d=d, kmax=int(cfg["kmax"]))
-    try:
-        F = nonlinearity_preset(cfg["F"])
-    except ValueError as exc:
-        raise ConfigError(f"field 'F': {exc}") from exc
-    g = _load_g_field(cfg["g"], grid)
+    grid, gs, F, g = _spde_problem(cfg)
     report = solution_convergence_report(
         cfg["family"],
         _parse_int_list(cfg["n_list"]),
-        _parse_probes(cfg["probes"], d),
+        _parse_probes(cfg["probes"], grid.d),
         int(cfg["M"]),
         g,
         F,
@@ -431,9 +429,6 @@ def main(argv=None) -> int:
         if args.subcommand == "poisson-solve":
             return _run_poisson_solve(cfg, outdir)
         return _run_spde_compare(cfg, outdir, args.strict)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

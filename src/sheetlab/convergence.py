@@ -190,7 +190,7 @@ def _lp_norm(g: Integrand, grid: GridSpec, p: float, quad: QuadSpec) -> float:
     ]
     vol = float(np.prod([t / (quad.r * nb) for nb, t in zip(grid.N, grid.T)]))
     pts = tensor_points(mids)
-    vals = g.evaluator(np.zeros(grid.d), pts)
+    vals = g.evaluator(np.zeros((1, grid.d)), pts)[0]
     return float(np.sum(np.abs(vals) ** p * vol) ** (1.0 / p))
 
 
@@ -317,8 +317,8 @@ def variance_convergence_report(
     """Check E[X_n(x)^2] -> int_D f^2(x,y) dy across the n list."""
     xp = as_point(x)
 
-    def fsq(_, Y):
-        return f.evaluator(xp, Y) ** 2
+    def fsq(xs, Y):
+        return f.evaluator(np.broadcast_to(xp, (len(xs), xp.size)), Y) ** 2
 
     target = _lp_norm(Integrand(fsq), grid, 1.0, cfg.quad)
     per_n = []

@@ -18,7 +18,7 @@ from scipy import stats
 
 from .grid import GridField, GridSpec, as_point
 from .integrals import Integrand
-from .quadrature import QuadSpec, tensor_points
+from .quadrature import QuadSpec, row_outer, tensor_points
 from .rng import RngStream
 
 __all__ = [
@@ -79,8 +79,8 @@ class WalkTruncationError(RuntimeError):
     """Raised when walks are still farther than delta from the boundary after max_steps steps."""
 
 
-# points per block in green_values and the Green pair matrix: bounds the
-# per-axis sine matrices to kmax * 64 KiB
+# points per block in green_values and the Green integrand's evaluator: bounds
+# the per-axis sine matrices to kmax * 64 KiB
 POINT_CHUNK = 8192
 
 
@@ -119,21 +119,21 @@ def _series_point(gs: GreenSeries, x) -> np.ndarray:
     return p
 
 
-def _coef_tensor(gs: GreenSeries, x, power: int = 1) -> np.ndarray:
-    """e_k(x) / lambda_k^power as a mode tensor."""
-    x = _series_point(gs, x)
-    vecs = [_sine_matrix(np.array([x[i]]), gs.kmax)[0] for i in range(gs.d)]
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.multiply.outer(out, v)
-    return out / _lam_tensor(gs.d, gs.kmax) ** power
+def _x_modes(gs: GreenSeries, xs) -> np.ndarray:
+    """e_k(x) / lambda_k for each point of xs (n, d): shape (n, kmax, ..., kmax)."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if xs.ndim != 2 or xs.shape[1] != gs.d:
+        raise ValueError(f"expected points with {gs.d} coordinates, got shape {xs.shape}")
+    modes = row_outer([_sine_matrix(xs[:, i], gs.kmax) for i in range(gs.d)])
+    return modes / _lam_tensor(gs.d, gs.kmax)
 
 
 def _contract(coef: np.ndarray, mats) -> np.ndarray:
-    """Contract a mode tensor with one matrix (pts_i, kmax) per axis."""
+    """Contract a stack (n, kmax, ..., kmax) of mode tensors with one matrix
+    (pts_i, kmax) per axis: shape (n, pts_1, ..., pts_d)."""
     out = coef
     for V in mats:
-        out = np.tensordot(out, V, axes=([0], [1]))
+        out = np.tensordot(out, V, axes=([1], [1]))
     return out
 
 
@@ -155,7 +155,7 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != gs.d:
         raise ValueError(f"Y must have shape (m, {gs.d}), got {Y.shape}")
-    coef = _coef_tensor(gs, x).reshape(gs.kmax, -1)
+    coef = _x_modes(gs, [x])[0].reshape(gs.kmax, -1)
     out = np.empty(Y.shape[0])
     for lo in range(0, Y.shape[0], POINT_CHUNK):
         block = Y[lo : lo + POINT_CHUNK]
@@ -170,8 +170,7 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
 
 def green_on_axes(gs: GreenSeries, x, axes) -> np.ndarray:
     """K(x, .) on a tensor grid given by per-axis coordinate arrays."""
-    coef = _coef_tensor(gs, x)
-    return _contract(coef, [_sine_matrix(np.asarray(a), gs.kmax) for a in axes])
+    return _contract(_x_modes(gs, [x]), [_sine_matrix(np.asarray(a), gs.kmax) for a in axes])[0]
 
 
 def free_space_green(d: int, r) -> np.ndarray:
@@ -269,7 +268,7 @@ def green_l2_norm_on_axes(gs: GreenSeries, axes) -> np.ndarray:
     """||K(x,.)||_2 on a tensor grid of x points, one axis array per dimension."""
     lam2 = _lam_tensor(gs.d, gs.kmax) ** 2
     mats = [_sine_matrix(np.asarray(a), gs.kmax) ** 2 for a in axes]
-    return np.sqrt(_contract(1.0 / lam2, mats))
+    return np.sqrt(_contract((1.0 / lam2)[None], mats)[0])
 
 
 def lambda_sup(gs: GreenSeries, grid: GridSpec) -> float:
@@ -373,68 +372,41 @@ def k_apply(gs: GreenSeries, phi: GridField) -> GridField:
     return GridField(phi.grid, k_apply_stack(gs, phi.values, phi.grid))
 
 
-def green_integrand(gs: GreenSeries, rho: float = 1e-3) -> Integrand:
+def green_integrand(gs: GreenSeries) -> Integrand:
     """The Green kernel K(x, .) as a singular-diagonal integrand.
 
     Carries an exact cell-integral oracle built from the sine antiderivatives,
     so Donsker integration against it is exact for the truncated series.
     """
+    k = np.arange(1, gs.kmax + 1)
+    # x points per block of the cell oracle: no mode tensor exceeds POINT_CHUNK * kmax doubles
+    x_block = max(1, POINT_CHUNK * gs.kmax // gs.kmax**gs.d)
 
-    def ev(x, Y):
-        return green_values(gs, x, Y)
+    def evaluator(xs, Y):
+        A = _x_modes(gs, xs)
+        A = A.reshape(A.shape[0], -1)
+        Y = np.asarray(Y, dtype=float)
+        out = np.empty((A.shape[0], Y.shape[0]))
+        for lo in range(0, Y.shape[0], POINT_CHUNK):
+            block = Y[lo : lo + POINT_CHUNK]
+            B = row_outer([_sine_matrix(block[:, i], gs.kmax) for i in range(gs.d)])
+            out[:, lo : lo + POINT_CHUNK] = A @ B.reshape(block.shape[0], -1).T
+        return out
 
-    def sine_cell_integrals(edges):
-        k = np.arange(1, gs.kmax + 1)
+    def cell_integral(xs, edges):
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         mats = []
         for e in edges:
             e = np.asarray(e, dtype=float)
             # int_a^b sqrt(2) sin(k pi y) dy = sqrt(2) (cos(k pi a) - cos(k pi b)) / (k pi)
             C = np.sqrt(2.0) * np.cos(np.outer(e, k) * np.pi) / (k * np.pi)
             mats.append(C[:-1] - C[1:])  # (ncells, kmax)
-        return mats
-
-    def ci(x, edges):
-        return _contract(_coef_tensor(gs, x), sine_cell_integrals(edges))
-
-    def _flat_modes(mats) -> np.ndarray:
-        """Row-wise tensor product of per-axis (m, kmax) matrices -> (m, kmax^d)."""
-        out = mats[0]
-        for M in mats[1:]:
-            out = (out[:, :, None] * M[:, None, :]).reshape(out.shape[0], -1)
+        out = np.empty((xs.shape[0],) + tuple(M.shape[0] for M in mats))
+        for lo in range(0, xs.shape[0], x_block):
+            out[lo : lo + x_block] = _contract(_x_modes(gs, xs[lo : lo + x_block]), mats)
         return out
 
-    def x_mode_matrix(xs) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if xs.shape[1] != gs.d:
-            raise ValueError(f"points must have {gs.d} coordinates, got {xs.shape[1]}")
-        A = _flat_modes([_sine_matrix(xs[:, i], gs.kmax) for i in range(gs.d)])
-        return A / _lam_tensor(gs.d, gs.kmax).ravel()
-
-    def pm(xs, Y):
-        A = x_mode_matrix(xs)
-        Y = np.asarray(Y, dtype=float)
-        out = np.empty((A.shape[0], Y.shape[0]))
-        for lo in range(0, Y.shape[0], POINT_CHUNK):
-            block = Y[lo : lo + POINT_CHUNK]
-            B = _flat_modes([_sine_matrix(block[:, i], gs.kmax) for i in range(gs.d)])
-            out[:, lo : lo + POINT_CHUNK] = A @ B.T
-        return out
-
-    def pci(xs, edges):
-        A = x_mode_matrix(xs)
-        mats = sine_cell_integrals(edges)
-        out = A.reshape(A.shape[0], *([gs.kmax] * gs.d))
-        for S in mats:
-            out = np.tensordot(out, S, axes=([1], [1]))
-        return out.reshape(A.shape[0], -1)
-
-    return Integrand(
-        evaluator=ev,
-        smoothness="singular-diagonal",
-        cell_integral=ci,
-        pair_matrix=pm,
-        pair_cell_integral=pci,
-    )
+    return Integrand(evaluator=evaluator, smoothness="singular-diagonal", cell_integral=cell_integral)
 
 
 def _alpha_window_check(d: int, alpha: float) -> None:

@@ -17,7 +17,7 @@ from .kernels import (
     ks_values_on_grid,
     sample_kac_stroock,
 )
-from .quadrature import QuadSpec, tensor_points
+from .quadrature import QuadSpec, row_outer, tensor_points
 from .sheet import SheetSample
 
 __all__ = [
@@ -38,22 +38,20 @@ FAMILIES = ("donsker", "kac-stroock", "sheet")
 
 @dataclass
 class Integrand:
-    """Deterministic integrand f(x, y).
+    """Deterministic integrand f(x, y), evaluated on batches of x.
 
-    evaluator(x, Y) takes x of shape (d,) and Y of shape (m, d) and returns
-    the m values f(x, y_j).  cell_integral, when supplied, takes (x, edges)
-    with per-axis edge arrays and returns the tensor of exact integrals of
-    f(x, .) over the tensor-product cells; the Donsker path then integrates
-    exactly.  singular-diagonal integrands are finite for x != y and require
-    a positive exclusion radius in quadrature.
+    evaluator(xs, Y) takes xs of shape (n, d) and Y of shape (m, d) and
+    returns the (n, m) matrix of values f(x_i, y_j).  cell_integral, when
+    supplied, takes (xs, edges) with per-axis edge arrays and returns, with
+    shape (n, *cells), the exact integrals of f(x_i, .) over the
+    tensor-product cells; the Donsker path then integrates exactly.
+    singular-diagonal integrands are finite for x != y and require a positive
+    exclusion radius in quadrature.
     """
 
     evaluator: Callable
     smoothness: str = "smooth"
     cell_integral: Optional[Callable] = None
-    # optional batched forms used to precompute weight matrices for many x at once
-    pair_matrix: Optional[Callable] = None  # (xs (n,d), Y (m,d)) -> (n, m)
-    pair_cell_integral: Optional[Callable] = None  # (xs (n,d), edges) -> (n, ncells)
 
     @property
     def singular(self) -> bool:
@@ -63,19 +61,14 @@ class Integrand:
 def indicator_integrand() -> Integrand:
     """f(x, y) = I_{[0,x]}(y), for which X_n reduces to zeta_n."""
 
-    def ev(x, Y):
-        return np.all(Y <= np.asarray(x), axis=1).astype(float)
+    def ev(xs, Y):
+        return np.all(Y[None] <= np.asarray(xs)[:, None], axis=2).astype(float)
 
-    def ci(x, edges):
-        xs = np.asarray(x, dtype=float)
-        lens = []
-        for i, e in enumerate(edges):
-            ec = np.clip(e, 0.0, xs[i])
-            lens.append(np.diff(ec))
-        out = lens[0]
-        for v in lens[1:]:
-            out = np.multiply.outer(out, v)
-        return out
+    def ci(xs, edges):
+        xs = np.asarray(xs, dtype=float)
+        # per x, the overlap of each cell's axis interval with [0, x_i]
+        lens = [np.diff(np.clip(e, 0.0, xs[:, i : i + 1]), axis=1) for i, e in enumerate(edges)]
+        return row_outer(lens)
 
     return Integrand(evaluator=ev, cell_integral=ci)
 
@@ -84,35 +77,26 @@ def restrict(f: Integrand, x) -> Integrand:
     """Indicator-wrapped integrand I_{[0,x]}(y) f(., y)."""
     xr = as_point(x)
 
-    def ev(xx, Y):
+    def ev(xs, Y):
         inside = np.all(Y <= xr, axis=1)
-        vals = np.zeros(Y.shape[0])
+        vals = np.zeros((len(xs), Y.shape[0]))
         if np.any(inside):
-            vals[inside] = f.evaluator(xx, Y[inside])
+            vals[:, inside] = f.evaluator(xs, Y[inside])
         return vals
 
     ci = None
     if f.cell_integral is not None:
 
-        def ci(xx, edges):
+        def ci(xs, edges):
             clipped = [np.clip(e, 0.0, xr[i]) for i, e in enumerate(edges)]
-            return f.cell_integral(xx, clipped)
+            return f.cell_integral(xs, clipped)
 
     return Integrand(evaluator=ev, smoothness=f.smoothness, cell_integral=ci)
 
 
-def _exclusion_mask(x, Y, rho: float) -> np.ndarray:
-    return np.linalg.norm(Y - np.asarray(x), axis=1) > rho
-
-
 def _eval_matrix(f: Integrand, xs: np.ndarray, Y: np.ndarray, rho: float) -> np.ndarray:
     """f(x_i, y_j) as an (npts, m) matrix, zeroed inside the exclusion ball."""
-    if f.pair_matrix is not None:
-        F = np.asarray(f.pair_matrix(xs, Y), dtype=float)
-    else:
-        F = np.empty((xs.shape[0], Y.shape[0]))
-        for i, x in enumerate(xs):
-            F[i] = f.evaluator(x, Y)
+    F = np.asarray(f.evaluator(xs, Y), dtype=float)
     if f.singular:
         d2 = np.zeros((xs.shape[0], Y.shape[0]))
         for i in range(xs.shape[1]):
@@ -182,36 +166,23 @@ class DonskerIntegrator:
         ncells = int(np.prod(shape))
         xs = _budgeted_points(xs, ncells)
         self.xs = xs
-        # W is allocated only where it is filled: an unused allocation ahead of
-        # the oracle's temporaries raises peak memory
-        if f.pair_cell_integral is not None:
-            W = np.asarray(f.pair_cell_integral(xs, edges)).reshape(xs.shape[0], ncells)
-        elif f.cell_integral is not None:
-            W = np.empty((xs.shape[0], ncells))
-            for i, x in enumerate(xs):
-                W[i] = np.asarray(f.cell_integral(x, edges)).ravel()
+        if f.cell_integral is not None:
+            W = np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], ncells)
         else:
             if f.singular and quad.rho <= 0:
                 raise ValueError("singular integrand requires exclusion radius rho > 0")
-            W = np.empty((xs.shape[0], ncells))
             mids, widths = _refined_axes(edges, quad.r)
-            pts = tensor_points(mids)
             wt = widths[0]
             for v in widths[1:]:
                 wt = np.multiply.outer(wt, v)
-            wt = wt.ravel()
-            sub_shape = tuple(len(m) for m in mids)
-            for i, x in enumerate(xs):
-                vals = f.evaluator(x, pts)
-                if f.singular:
-                    vals = vals * _exclusion_mask(x, pts, quad.rho)
-                contrib = (vals * wt).reshape(sub_shape)
-                # aggregate r^d sub-cells back onto the cells
-                for axis in range(self.d):
-                    new = list(contrib.shape)
-                    new[axis : axis + 1] = [shape[axis], quad.r]
-                    contrib = contrib.reshape(new).sum(axis=axis + 1)
-                W[i] = contrib.ravel()
+            F = _eval_matrix(f, xs, tensor_points(mids), quad.rho)
+            W = (F * wt.ravel()).reshape((xs.shape[0],) + wt.shape)
+            # aggregate r^d sub-cells back onto the cells
+            for axis in range(self.d):
+                new = list(W.shape)
+                new[axis + 1 : axis + 2] = [shape[axis], quad.r]
+                W = W.reshape(new).sum(axis=axis + 2)
+            W = W.reshape(xs.shape[0], ncells)
         self.weights = W
 
     def apply(self, field: DonskerField) -> np.ndarray:

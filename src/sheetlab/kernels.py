@@ -51,10 +51,6 @@ class DonskerField:
     def d(self) -> int:
         return len(self.T)
 
-    @property
-    def cells_per_axis(self) -> tuple:
-        return self.Z.shape
-
     def to_dict(self) -> dict:
         return {
             "family": "donsker",
@@ -117,9 +113,14 @@ def sample_donsker(
     n: int,
     law: str = "standard-normal",
     rng: RngStream | None = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
+    max_cells: int | None = None,
 ) -> DonskerField:
-    """Draw i.i.d. innovations for every multi-index covering D at scale 1/n."""
+    """Draw i.i.d. innovations for every multi-index covering D at scale 1/n.
+
+    max_cells defaults to kernels.DEFAULT_MAX_CELLS, read at call time.
+    """
+    if max_cells is None:
+        max_cells = DEFAULT_MAX_CELLS
     if n < 1:
         raise ValueError("Donsker scale n must be >= 1")
     shape = tuple(int(np.ceil(n * t)) for t in grid.T)

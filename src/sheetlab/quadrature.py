@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadSpec", "midpoint_axes", "tensor_points"]
+__all__ = ["QuadSpec", "midpoint_axes", "tensor_points", "row_outer"]
 
 
 @dataclass(frozen=True)
@@ -49,3 +49,11 @@ def tensor_points(axes) -> np.ndarray:
     """Flattened tensor-product points, shape (prod m_i, d), C-order."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def row_outer(mats) -> np.ndarray:
+    """Row-wise tensor product of matrices (n, k_i): shape (n, k_1, ..., k_d)."""
+    out = mats[0]
+    for M in mats[1:]:
+        out = out[..., None] * M.reshape((M.shape[0],) + (1,) * (out.ndim - 1) + (M.shape[1],))
+    return out

@@ -316,7 +316,7 @@ class SpdeSampler:
             # tie the refinement to the noise scale (r >= n for Donsker cells)
             quad = QuadSpec(r=1, rho=1e-3)
         self.quad = quad
-        kernel = green_integrand(gs, rho=quad.rho)
+        kernel = green_integrand(gs)
         self._integ = noise_integrator(family, kernel, grid.node_points(), grid, n, quad, law)
         self._Kg = k_apply(gs, g).values
 

@@ -1,5 +1,7 @@
 """Dirichlet Green function: series, walk-on-spheres, norms, spectral solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,11 +25,11 @@ from sheetlab.grid import GridField
 from sheetlab.green import (
     POINT_CHUNK,
     WalkTruncationError,
-    _coef_tensor,
     _interior_sine_bases,
     _lam_tensor,
     _project_to_face,
     _sine_matrix,
+    _x_modes,
     free_space_green,
     green_integrand,
     green_l2_norm_on_axes,
@@ -39,6 +41,7 @@ from sheetlab.green import (
     walk_on_spheres_exit,
 )
 from sheetlab.quadrature import tensor_points
+from sheetlab.solver import SpdeSampler, nonlinearity_preset
 
 
 def test_series_defaults():
@@ -76,7 +79,7 @@ def test_green_values_matches_scalar():
 
 def _green_values_einsum(gs, x, Y):
     """The one-pass einsum evaluator that the chunked GEMM replaced."""
-    coef = _coef_tensor(gs, np.asarray(x, dtype=float))
+    coef = _x_modes(gs, [x])[0]
     mats = [_sine_matrix(Y[:, i], gs.kmax) for i in range(gs.d)]
     if gs.d == 2:
         return np.einsum("ja,ab,jb->j", mats[0], coef, mats[1])
@@ -121,13 +124,40 @@ def test_green_evaluators_reject_wrong_point_dimension():
             lambda: green_values(gs, bad, Y),
             lambda: green_on_axes(gs, bad, [np.array([0.5])] * 2),
             lambda: green_l2_norm(gs, bad),
-            lambda: f.cell_integral(bad, edges),
-            lambda: f.pair_cell_integral(np.array([bad]), edges),
-            lambda: f.pair_matrix(np.array([bad]), Y),
+            lambda: f.cell_integral(np.array([bad]), edges),
+            lambda: f.evaluator(np.array([bad]), Y),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="coordinates"):
                 call()
+
+
+@pytest.mark.parametrize("d, kmax", [(2, 64), (3, 32)])
+def test_green_cell_integral_blocks_match_single_rows(d, kmax):
+    """Every x-block boundary of the cell oracle against one-row calls."""
+    gs = GreenSeries(d=d, kmax=kmax)
+    R = max(1, POINT_CHUNK * kmax // kmax**d)
+    oracle = green_integrand(gs).cell_integral
+    edges = [np.linspace(0.0, 1.0, 4)] * d
+    for n in (1, R - 1, R, R + 1, 2 * R + 3):
+        xs = np.random.default_rng(n).uniform(0.0, 1.0, (n, d))
+        got = oracle(xs, edges)
+        ref = np.stack([oracle(x[None], edges)[0] for x in xs])
+        assert got.shape == (n,) + (3,) * d
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_green_cell_oracle_memory_bounded():
+    # 729 nodes x 32^3 modes: the mode tensor of all nodes at once is 182 MiB
+    grid = GridSpec(d=3, T=1.0, N=8)
+    g = GridField(grid, np.ones(grid.node_shape))
+    tracemalloc.start()
+    try:
+        SpdeSampler("donsker", 4, g, nonlinearity_preset("zero"), GreenSeries(d=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_green_l2_norm_is_one_point_of_axes_evaluator():

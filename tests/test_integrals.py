@@ -19,19 +19,20 @@ from sheetlab.integrals import (
     DonskerIntegrator,
     Integrand,
     KacStroockIntegrator,
+    _refined_axes,
     noise_integrator,
     restrict,
 )
 from sheetlab import kernels
-from sheetlab.green import GreenSeries, green_integrand
+from sheetlab.green import GreenSeries, _lam_tensor, _sine_matrix, green_eval, green_integrand
 from sheetlab.kernels import BudgetExceededError, sample_donsker, sample_kac_stroock
 from sheetlab.quadrature import tensor_points
 from sheetlab.sheet import sample_sheet
 
 
 def _smooth_integrand():
-    def ev(x, Y):
-        return np.cos(np.pi * Y[:, 0]) * (1.0 + Y[:, -1])
+    def ev(xs, Y):
+        return np.tile(np.cos(np.pi * Y[:, 0]) * (1.0 + Y[:, -1]), (len(xs), 1))
 
     return Integrand(evaluator=ev)
 
@@ -75,8 +76,37 @@ def test_donsker_oracle_matches_brute_force():
                 ),
                 axis=-1,
             ).reshape(-1, 2)
-            total += fld.Z[i, j] * f.evaluator(x, ys).mean() / n**2
+            total += fld.Z[i, j] * f.evaluator(x[None], ys)[0].mean() / n**2
     assert got == pytest.approx(n * total, rel=1e-4)
+
+
+def _former_quadrature_weights(f, xs, n, d, r):
+    """The per-x midpoint-rule weights that the batched Donsker fallback replaced."""
+    edges = [np.minimum(np.arange(n + 1) / n, 1.0)] * d
+    mids, widths = _refined_axes(edges, r)
+    wt = widths[0]
+    for v in widths[1:]:
+        wt = np.multiply.outer(wt, v)
+    pts = tensor_points(mids)
+    rows = []
+    for x in xs:
+        contrib = (f.evaluator(x[None], pts)[0] * wt.ravel()).reshape((n * r,) * d)
+        for axis in range(d):
+            new = list(contrib.shape)
+            new[axis : axis + 1] = [n, r]
+            contrib = contrib.reshape(new).sum(axis=axis + 1)
+        rows.append(contrib.ravel())
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_donsker_quadrature_matches_per_x_loop(d):
+    def ev(xs, Y):
+        return np.cos(np.pi * (Y[None, :, 0] - xs[:, :1])) * (1.0 + Y[None, :, -1] * xs[:, -1:])
+
+    xs = RngStream(42).generator().uniform(0.0, 1.0, size=(5, d))
+    got = DonskerIntegrator(Integrand(ev), xs, 3, (1.0,) * d, QuadSpec(r=3)).weights
+    np.testing.assert_array_equal(got, _former_quadrature_weights(Integrand(ev), xs, 3, d, 3))
 
 
 def test_wrapped_equals_restricted():
@@ -102,9 +132,9 @@ def test_piecewise_constant_factorizes_through_zeta():
     knots = np.array([0.0, 0.25, 0.5, 1.0])
     gvals = np.array([2.0, -1.0, 0.5])
 
-    def ev(x, Y):
+    def ev(xs, Y):
         idx = np.clip(np.searchsorted(knots, Y[:, 0], side="left") - 1, 0, 2)
-        return gvals[idx]
+        return np.tile(gvals[idx], (len(xs), 1))
 
     got = integrate_against_kernel(Integrand(ev), fld, [np.array([0.0])], QuadSpec(r=8))[0]
     expect = sum(
@@ -122,12 +152,23 @@ def test_donsker_integrator_second_moment_exact():
 
 
 def test_singular_integrand_requires_rho():
-    f = Integrand(lambda x, Y: np.ones(Y.shape[0]), smoothness="singular-diagonal")
+    f = Integrand(lambda xs, Y: np.ones((len(xs), len(Y))), smoothness="singular-diagonal")
     grid = GridSpec(d=2, T=1.0, N=4)
     with pytest.raises(ValueError):
         DonskerIntegrator(f, [np.zeros(2)], 4, grid.T, QuadSpec(r=2, rho=0.0))
     with pytest.raises(ValueError):
         KacStroockIntegrator(f, [np.zeros(2)], grid, 4.0, QuadSpec(r=2, rho=0.0))
+
+
+def test_quadrature_excludes_ball_around_x_for_singular_integrand():
+    # midpoints (j + 0.5) / 8: within rho = 0.1 of x = 0.5 are 0.4375 and 0.5625, of x = 0 is 0.0625
+    f = Integrand(lambda xs, Y: np.ones((len(xs), len(Y))), smoothness="singular-diagonal")
+    quad = QuadSpec(r=4, rho=0.1)
+    xs = np.array([[0.5], [0.0]])
+    W = DonskerIntegrator(f, xs, 2, (1.0,), quad).weights
+    np.testing.assert_array_equal(W, [[0.375, 0.375], [0.375, 0.5]])
+    fmat = KacStroockIntegrator(f, xs, GridSpec(d=1, T=1.0, N=2), 2.0, quad).fmat
+    np.testing.assert_array_equal(fmat, [[1, 1, 1, 0, 0, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1, 1]])
 
 
 def test_limit_field_matches_sheet_nodes():
@@ -153,20 +194,41 @@ def test_limit_field_variance_isometry():
     assert abs(sq.mean() - target) <= 3.0 * sq.std(ddof=1) / np.sqrt(M)
 
 
-def test_batched_oracles_match_loop():
-    # pair_matrix / pair_cell_integral must agree with the per-point paths
+def test_green_evaluator_matches_green_eval():
     gs = GreenSeries(d=2, kmax=8)
-    f = green_integrand(gs, rho=1e-3)
     xs = np.array([[0.3, 0.4], [0.7, 0.2], [0.5, 0.5]])
     Y = RngStream(39).generator().uniform(0.05, 0.95, size=(50, 2))
-    batched = f.pair_matrix(xs, Y)
-    looped = np.stack([f.evaluator(x, Y) for x in xs])
-    np.testing.assert_allclose(batched, looped, atol=1e-12)
+    F = green_integrand(gs).evaluator(xs, Y)
+    assert F.shape == (3, 50)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(Y):
+            assert abs(F[i, j] - green_eval(gs, x, y)) <= 1e-13
 
-    edges = [np.linspace(0.0, 1.0, 5)] * 2
-    pci = f.pair_cell_integral(xs, edges)
-    ci = np.stack([np.asarray(f.cell_integral(x, edges)).ravel() for x in xs])
-    np.testing.assert_allclose(pci, ci, atol=1e-12)
+
+def _former_green_cell_integral(gs, x, edges):
+    """The per-point Green cell oracle that the batched one replaced: the mode
+    tensor e_k(x) / lambda_k, then one tensordot over its first axis per edge array."""
+    vecs = [_sine_matrix(np.array([c]), gs.kmax)[0] for c in x]
+    coef = vecs[0]
+    for v in vecs[1:]:
+        coef = np.multiply.outer(coef, v)
+    out = coef / _lam_tensor(gs.d, gs.kmax)
+    k = np.arange(1, gs.kmax + 1)
+    for e in edges:
+        C = np.sqrt(2.0) * np.cos(np.outer(e, k) * np.pi) / (k * np.pi)
+        out = np.tensordot(out, C[:-1] - C[1:], axes=([0], [1]))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_green_cell_integral_matches_former_per_point_oracle(d):
+    gs = GreenSeries(d=d, kmax=8)
+    xs = np.array([[0.3, 0.4, 0.6], [0.7, 0.2, 0.1], [0.5, 0.5, 0.5]])[:, :d]
+    edges = [np.linspace(0.0, 1.0, 5)] * d
+    got = green_integrand(gs).cell_integral(xs, edges)
+    assert got.shape == (3,) + (4,) * d
+    for x, row in zip(xs, got):
+        np.testing.assert_array_equal(row, _former_green_cell_integral(gs, x, edges))
 
 
 def _former_sheet(f, xs, grid, rng, M):
@@ -176,13 +238,11 @@ def _former_sheet(f, xs, grid, rng, M):
     variance sum F^2 cv."""
     cv = grid.cell_volume
     edges = [grid.axis_nodes(k) for k in range(grid.d)]
-    if f.pair_cell_integral is not None:
-        F = np.asarray(f.pair_cell_integral(xs, edges)).reshape(xs.shape[0], -1) / cv
-    elif f.cell_integral is not None:
-        F = np.stack([np.asarray(f.cell_integral(x, edges)).ravel() for x in xs]) / cv
+    if f.cell_integral is not None:
+        F = np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], -1) / cv
     else:
         centers = tensor_points([grid.axis_cell_centers(i) for i in range(grid.d)])
-        F = np.stack([f.evaluator(x, centers) for x in xs])
+        F = f.evaluator(xs, centers)
     incr = rng.generator().standard_normal((M, F.shape[1])) * np.sqrt(cv)
     return incr @ F.T, np.sum(F**2, axis=1) * cv
 
@@ -237,7 +297,7 @@ def _never_evaluated(oracles) -> Integrand:
     return Integrand(evaluator=never, **{name: never for name in oracles})
 
 
-@pytest.mark.parametrize("oracles", [(), ("cell_integral",), ("pair_cell_integral", "pair_matrix")])
+@pytest.mark.parametrize("oracles", [(), ("cell_integral",)])
 def test_weight_budget_checked_before_any_evaluation(monkeypatch, oracles):
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 - 1)
     grid = GridSpec(d=2, T=1.0, N=8)
@@ -252,6 +312,6 @@ def test_weight_budget_checked_before_any_evaluation(monkeypatch, oracles):
         noise_integrator("sheet", f, xs, grid, None)
     # at exactly the budget the weights are built
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64)
-    ones = Integrand(lambda x, Y: np.ones(Y.shape[0]))
+    ones = Integrand(lambda xs, Y: np.ones((len(xs), len(Y))))
     assert DonskerIntegrator(ones, xs, 8, grid.T).weights.shape == (3, 64)
     assert KacStroockIntegrator(ones, xs, grid, 8.0).fmat.shape == (3, 64)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sheetlab import kernels
 from sheetlab import (
     GridSpec,
     QuadSpec,
@@ -34,6 +35,12 @@ def test_donsker_innovation_counts():
 def test_donsker_budget_refusal():
     with pytest.raises(BudgetExceededError):
         sample_donsker(GridSpec(d=2, T=1.0, N=1), 10_000, max_cells=10**6)
+
+
+def test_donsker_budget_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10)
+    with pytest.raises(BudgetExceededError, match="256 innovations"):
+        sample_donsker(GridSpec(d=2, T=1.0, N=4), 16)
 
 
 def test_rademacher_moments():
