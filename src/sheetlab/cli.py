@@ -5,7 +5,7 @@ config file, and explicit command-line flags (flags win), then writes a
 manifest.json echoing the resolved configuration plus the package version.
 
 Exit codes: 0 success, 2 config error, 3 statistical verdict failure under
---strict, 4 resource refusal (innovation or weight-matrix budget, or contraction gate).
+--strict, 4 resource refusal (innovation, weight-matrix or sign-grid budget, or contraction gate).
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def _run_convergence_report(cfg: dict, outdir: str, strict: bool) -> int:
         report = fdd_test(f, cfg["family"], grid, _parse_probes(probes, d), diag, rng)
     elif kind == "moment":
         # the moment probe integrates a function of y alone; use g == 1 on D
-        ones = Integrand(lambda xs, Y: np.ones((len(xs), len(Y))))
+        ones = Integrand(lambda xs, axes: np.ones((len(xs),) + tuple(len(a) for a in axes)))
         report = moment_bound_probe(ones, cfg["family"], grid, diag, rng)
     elif kind == "variance":
         x = _parse_probes(cfg["probes"] or ",".join(["0.75"] * d), d)[0]

@@ -14,7 +14,7 @@ from .integrals import Integrand, noise_integrator
 
 # re-exported: bench/layers.py traces the integrator classes it finds on this module
 from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401
-from .quadrature import QuadSpec, tensor_points
+from .quadrature import QuadSpec
 from .rng import RngStream
 
 __all__ = [
@@ -189,8 +189,7 @@ def _lp_norm(g: Integrand, grid: GridSpec, p: float, quad: QuadSpec) -> float:
         for nb, t in zip(grid.N, grid.T)
     ]
     vol = float(np.prod([t / (quad.r * nb) for nb, t in zip(grid.N, grid.T)]))
-    pts = tensor_points(mids)
-    vals = g.evaluator(np.zeros((1, grid.d)), pts)[0]
+    vals = g.evaluator(np.zeros((1, grid.d)), mids)[0].ravel()
     return float(np.sum(np.abs(vals) ** p * vol) ** (1.0 / p))
 
 
@@ -317,8 +316,8 @@ def variance_convergence_report(
     """Check E[X_n(x)^2] -> int_D f^2(x,y) dy across the n list."""
     xp = as_point(x)
 
-    def fsq(xs, Y):
-        return f.evaluator(np.broadcast_to(xp, (len(xs), xp.size)), Y) ** 2
+    def fsq(xs, axes):
+        return f.evaluator(np.broadcast_to(xp, (len(xs), xp.size)), axes) ** 2
 
     target = _lp_norm(Integrand(fsq), grid, 1.0, cfg.quad)
     per_n = []

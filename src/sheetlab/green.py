@@ -79,8 +79,8 @@ class WalkTruncationError(RuntimeError):
     """Raised when walks are still farther than delta from the boundary after max_steps steps."""
 
 
-# points per block in green_values and the Green integrand's evaluator: bounds
-# the per-axis sine matrices to kmax * 64 KiB
+# points per block in green_values: bounds the per-axis sine matrices to
+# kmax * 64 KiB; also bounds every x block's mode tensor to POINT_CHUNK * kmax doubles
 POINT_CHUNK = 8192
 
 
@@ -137,6 +137,22 @@ def _contract(coef: np.ndarray, mats) -> np.ndarray:
     return out
 
 
+def _contract_x_modes(gs: GreenSeries, xs, mats) -> np.ndarray:
+    """_contract(_x_modes(gs, xs), mats) over blocks of x points.
+
+    A block holds max(1, POINT_CHUNK * kmax // kmax^d) points, so no mode
+    tensor exceeds POINT_CHUNK * kmax doubles.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if len(mats) != gs.d:
+        raise ValueError(f"expected {gs.d} per-axis arrays, got {len(mats)}")
+    block = max(1, POINT_CHUNK * gs.kmax // gs.kmax**gs.d)
+    out = np.empty((xs.shape[0],) + tuple(M.shape[0] for M in mats))
+    for lo in range(0, xs.shape[0], block):
+        out[lo : lo + block] = _contract(_x_modes(gs, xs[lo : lo + block]), mats)
+    return out
+
+
 def green_eval(gs: GreenSeries, x, y) -> float:
     """Series value sum_{k <= kmax} lambda_k^{-1} e_k(x) e_k(y)."""
     xp, yp = _series_point(gs, x), _series_point(gs, y)
@@ -170,7 +186,7 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
 
 def green_on_axes(gs: GreenSeries, x, axes) -> np.ndarray:
     """K(x, .) on a tensor grid given by per-axis coordinate arrays."""
-    return _contract(_x_modes(gs, [x]), [_sine_matrix(np.asarray(a), gs.kmax) for a in axes])[0]
+    return _contract_x_modes(gs, [x], [_sine_matrix(np.asarray(a), gs.kmax) for a in axes])[0]
 
 
 def free_space_green(d: int, r) -> np.ndarray:
@@ -379,32 +395,18 @@ def green_integrand(gs: GreenSeries) -> Integrand:
     so Donsker integration against it is exact for the truncated series.
     """
     k = np.arange(1, gs.kmax + 1)
-    # x points per block of the cell oracle: no mode tensor exceeds POINT_CHUNK * kmax doubles
-    x_block = max(1, POINT_CHUNK * gs.kmax // gs.kmax**gs.d)
 
-    def evaluator(xs, Y):
-        A = _x_modes(gs, xs)
-        A = A.reshape(A.shape[0], -1)
-        Y = np.asarray(Y, dtype=float)
-        out = np.empty((A.shape[0], Y.shape[0]))
-        for lo in range(0, Y.shape[0], POINT_CHUNK):
-            block = Y[lo : lo + POINT_CHUNK]
-            B = row_outer([_sine_matrix(block[:, i], gs.kmax) for i in range(gs.d)])
-            out[:, lo : lo + POINT_CHUNK] = A @ B.reshape(block.shape[0], -1).T
-        return out
+    def evaluator(xs, axes):
+        return _contract_x_modes(gs, xs, [_sine_matrix(np.asarray(a), gs.kmax) for a in axes])
 
     def cell_integral(xs, edges):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         mats = []
         for e in edges:
             e = np.asarray(e, dtype=float)
             # int_a^b sqrt(2) sin(k pi y) dy = sqrt(2) (cos(k pi a) - cos(k pi b)) / (k pi)
             C = np.sqrt(2.0) * np.cos(np.outer(e, k) * np.pi) / (k * np.pi)
             mats.append(C[:-1] - C[1:])  # (ncells, kmax)
-        out = np.empty((xs.shape[0],) + tuple(M.shape[0] for M in mats))
-        for lo in range(0, xs.shape[0], x_block):
-            out[lo : lo + x_block] = _contract(_x_modes(gs, xs[lo : lo + x_block]), mats)
-        return out
+        return _contract_x_modes(gs, xs, mats)
 
     return Integrand(evaluator=evaluator, smoothness="singular-diagonal", cell_integral=cell_integral)
 

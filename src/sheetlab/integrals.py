@@ -14,10 +14,11 @@ from .kernels import (
     DonskerField,
     PoissonField,
     _draw_innovations,
+    ks_base_cells,
     ks_values_on_grid,
     sample_kac_stroock,
 )
-from .quadrature import QuadSpec, row_outer, tensor_points
+from .quadrature import QuadSpec, row_outer
 from .sheet import SheetSample
 
 __all__ = [
@@ -38,13 +39,14 @@ FAMILIES = ("donsker", "kac-stroock", "sheet")
 
 @dataclass
 class Integrand:
-    """Deterministic integrand f(x, y), evaluated on batches of x.
+    """Deterministic integrand f(x, y), evaluated on batches of x and tensor grids of y.
 
-    evaluator(xs, Y) takes xs of shape (n, d) and Y of shape (m, d) and
-    returns the (n, m) matrix of values f(x_i, y_j).  cell_integral, when
-    supplied, takes (xs, edges) with per-axis edge arrays and returns, with
-    shape (n, *cells), the exact integrals of f(x_i, .) over the
-    tensor-product cells; the Donsker path then integrates exactly.
+    evaluator(xs, axes) takes xs of shape (n, d) and one 1-d array of y
+    coordinates per axis and returns the values f(x_i, y) on the tensor grid,
+    shape (n, m_1, ..., m_d).  cell_integral, when supplied, takes (xs, edges)
+    with per-axis edge arrays and returns, with shape (n, *cells), the exact
+    integrals of f(x_i, .) over the tensor-product cells; the Donsker path
+    then integrates exactly.
     singular-diagonal integrands are finite for x != y and require a positive
     exclusion radius in quadrature.
     """
@@ -61,8 +63,9 @@ class Integrand:
 def indicator_integrand() -> Integrand:
     """f(x, y) = I_{[0,x]}(y), for which X_n reduces to zeta_n."""
 
-    def ev(xs, Y):
-        return np.all(Y[None] <= np.asarray(xs)[:, None], axis=2).astype(float)
+    def ev(xs, axes):
+        xs = np.asarray(xs, dtype=float)
+        return row_outer([(a <= xs[:, i : i + 1]).astype(float) for i, a in enumerate(axes)])
 
     def ci(xs, edges):
         xs = np.asarray(xs, dtype=float)
@@ -77,11 +80,13 @@ def restrict(f: Integrand, x) -> Integrand:
     """Indicator-wrapped integrand I_{[0,x]}(y) f(., y)."""
     xr = as_point(x)
 
-    def ev(xs, Y):
-        inside = np.all(Y <= xr, axis=1)
-        vals = np.zeros((len(xs), Y.shape[0]))
-        if np.any(inside):
-            vals[:, inside] = f.evaluator(xs, Y[inside])
+    def ev(xs, axes):
+        # f is evaluated only on the sub-grid inside [0, x]
+        inside = [np.asarray(a) <= xr[i] for i, a in enumerate(axes)]
+        vals = np.zeros((len(xs),) + tuple(m.size for m in inside))
+        if all(m.any() for m in inside):
+            sub = [np.asarray(a)[m] for a, m in zip(axes, inside)]
+            vals[(slice(None),) + np.ix_(*inside)] = f.evaluator(xs, sub)
         return vals
 
     ci = None
@@ -94,13 +99,16 @@ def restrict(f: Integrand, x) -> Integrand:
     return Integrand(evaluator=ev, smoothness=f.smoothness, cell_integral=ci)
 
 
-def _eval_matrix(f: Integrand, xs: np.ndarray, Y: np.ndarray, rho: float) -> np.ndarray:
-    """f(x_i, y_j) as an (npts, m) matrix, zeroed inside the exclusion ball."""
-    F = np.asarray(f.evaluator(xs, Y), dtype=float)
+def _eval_matrix(f: Integrand, xs: np.ndarray, axes, rho: float) -> np.ndarray:
+    """f(x_i, .) on the tensor grid of axes, shape (npts, m_1, ..., m_d),
+    zeroed inside the exclusion ball."""
+    F = np.asarray(f.evaluator(xs, axes), dtype=float)
     if f.singular:
-        d2 = np.zeros((xs.shape[0], Y.shape[0]))
-        for i in range(xs.shape[1]):
-            d2 += (xs[:, i : i + 1] - Y[None, :, i]) ** 2
+        d2 = 0.0
+        for i, a in enumerate(axes):
+            shape = [1] * len(axes)
+            shape[i] = len(a)
+            d2 = d2 + ((xs[:, i : i + 1] - a) ** 2).reshape([xs.shape[0]] + shape)
         F = np.where(d2 > rho**2, F, 0.0)
     return F
 
@@ -123,8 +131,9 @@ def _refined_axes(edges, r: int):
 def _budgeted_points(xs, ncells: int) -> np.ndarray:
     """xs as an (npts, d) array, once an (npts, ncells) weight matrix fits the budget.
 
-    The budget is kernels.DEFAULT_MAX_CELLS entries, read at call time and
-    checked before any integrand is evaluated or any weight is allocated.
+    ncells counts the cells or quadrature nodes per x. The budget is
+    kernels.DEFAULT_MAX_CELLS entries, read at call time and checked before
+    any integrand is evaluated or any weight is allocated.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     entries = xs.shape[0] * ncells
@@ -164,7 +173,9 @@ class DonskerIntegrator:
         shape = tuple(len(e) - 1 for e in edges)
         self.cell_shape = shape
         ncells = int(np.prod(shape))
-        xs = _budgeted_points(xs, ncells)
+        # the quadrature fallback evaluates f at r^d nodes per cell
+        nodes = ncells if f.cell_integral is not None else ncells * quad.r**self.d
+        xs = _budgeted_points(xs, nodes)
         self.xs = xs
         if f.cell_integral is not None:
             W = np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], ncells)
@@ -175,8 +186,7 @@ class DonskerIntegrator:
             wt = widths[0]
             for v in widths[1:]:
                 wt = np.multiply.outer(wt, v)
-            F = _eval_matrix(f, xs, tensor_points(mids), quad.rho)
-            W = (F * wt.ravel()).reshape((xs.shape[0],) + wt.shape)
+            W = _eval_matrix(f, xs, mids, quad.rho) * wt
             # aggregate r^d sub-cells back onto the cells
             for axis in range(self.d):
                 new = list(W.shape)
@@ -227,7 +237,7 @@ class KacStroockIntegrator:
             raise ValueError("singular integrand requires exclusion radius rho > 0")
         self.grid = grid
         self.n = float(n)
-        base = [max(nb, int(np.ceil(self.n * t))) for nb, t in zip(grid.N, grid.T)]
+        base = ks_base_cells(grid, self.n)
         xs = _budgeted_points(xs, int(np.prod([quad.r * nb for nb in base])))
         self.xs = xs
         self.mids = [
@@ -237,8 +247,7 @@ class KacStroockIntegrator:
         self.cell_vol = float(
             np.prod([t / (quad.r * nb) for nb, t in zip(base, grid.T)])
         )
-        pts = tensor_points(self.mids)
-        self.fmat = _eval_matrix(f, xs, pts, quad.rho)
+        self.fmat = _eval_matrix(f, xs, self.mids, quad.rho).reshape(xs.shape[0], -1)
 
     def apply(self, field: PoissonField) -> np.ndarray:
         theta = ks_values_on_grid(field, self.mids).ravel()

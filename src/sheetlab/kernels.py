@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, as_point
-from .quadrature import QuadSpec, midpoint_axes
+from .quadrature import QuadSpec
 from .rng import RngStream
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "donsker_eval",
     "sample_kac_stroock",
     "kac_stroock_eval",
+    "ks_base_cells",
     "zeta",
 ]
 
@@ -113,21 +114,18 @@ def sample_donsker(
     n: int,
     law: str = "standard-normal",
     rng: RngStream | None = None,
-    max_cells: int | None = None,
 ) -> DonskerField:
     """Draw i.i.d. innovations for every multi-index covering D at scale 1/n.
 
-    max_cells defaults to kernels.DEFAULT_MAX_CELLS, read at call time.
+    Refuses more than kernels.DEFAULT_MAX_CELLS innovations, read at call time.
     """
-    if max_cells is None:
-        max_cells = DEFAULT_MAX_CELLS
     if n < 1:
         raise ValueError("Donsker scale n must be >= 1")
     shape = tuple(int(np.ceil(n * t)) for t in grid.T)
     total = int(np.prod(shape))
-    if total > max_cells:
+    if total > DEFAULT_MAX_CELLS:
         raise BudgetExceededError(
-            f"Donsker field would need {total} innovations (> budget {max_cells})"
+            f"Donsker field would need {total} innovations (> budget {DEFAULT_MAX_CELLS})"
         )
     gen = rng.generator() if rng is not None else np.random.default_rng()
     Z = _draw_innovations(gen, law, shape)
@@ -157,6 +155,12 @@ def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream | None = None) -
     count = int(gen.poisson(n * volume))
     pts = gen.uniform(0.0, 1.0, size=(count, grid.d)) * np.asarray(grid.T)
     return PoissonField(n=float(n), grid=grid, points=pts)
+
+
+def ks_base_cells(grid: GridSpec, n: float) -> list:
+    """Cells per axis of the Kac-Stroock midpoint rules before r-fold refinement:
+    the grid's N_i, floored at ceil(n T_i) so that the rule resolves the noise scale."""
+    return [max(nb, int(np.ceil(n * t))) for nb, t in zip(grid.N, grid.T)]
 
 
 def _ks_prefactor_exponent(d: int) -> float:
@@ -225,8 +229,9 @@ def zeta(f, x, quad: QuadSpec = QuadSpec()) -> float:
     """Primitive process zeta_n(x) = int_{[0,x]} theta_n(y) dy.
 
     Donsker fields integrate exactly (piecewise-constant kernel); Kac-Stroock
-    fields use the composite midpoint rule on the field's grid refined r-fold
-    per axis, restricted to [0, x].
+    fields use the composite midpoint rule on ks_base_cells refined r-fold per
+    axis, restricted to [0, x], and refuse a sign grid of more than
+    kernels.DEFAULT_MAX_CELLS cells.
     """
     p = as_point(x)
     if p.size != f.d:
@@ -239,12 +244,17 @@ def zeta(f, x, quad: QuadSpec = QuadSpec()) -> float:
             v = np.tensordot(v, o, axes=([0], [0]))
         return float(f.n ** (f.d / 2.0) * v)
     if isinstance(f, PoissonField):
-        if quad.r < 1:
-            raise ValueError("Kac-Stroock zeta needs quadrature resolution r >= 1")
-        base = [nb * (p[i] / t if t > 0 else 0) for i, (nb, t) in enumerate(zip(f.grid.N, f.grid.T))]
-        mids, widths = midpoint_axes(p, base, quad.r)
-        if any(len(m) == 0 for m in mids):
+        if np.any(p <= 0):
             return 0.0
-        vals = ks_values_on_grid(f, mids)
-        return float(vals.sum() * np.prod(widths))
+        # axis i of [0, x] holds the fraction x_i / T_i of its r * base_i cells
+        base = ks_base_cells(f.grid, f.n)
+        m = [max(1, int(np.ceil(quad.r * (b * (c / t))))) for b, c, t in zip(base, p, f.T)]
+        cells = np.prod(m, dtype=float)
+        if cells > DEFAULT_MAX_CELLS:
+            raise BudgetExceededError(
+                f"Kac-Stroock sign grid would need {cells:.0f} cells (> budget {DEFAULT_MAX_CELLS})"
+            )
+        h = [c / k for c, k in zip(p, m)]
+        vals = ks_values_on_grid(f, [(np.arange(k) + 0.5) * w for k, w in zip(m, h)])
+        return float(vals.sum() * np.prod(h))
     raise TypeError(f"unsupported kernel field type {type(f)!r}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadSpec", "midpoint_axes", "tensor_points", "row_outer"]
+__all__ = ["QuadSpec", "tensor_points", "row_outer"]
 
 
 @dataclass(frozen=True)
@@ -23,26 +23,6 @@ class QuadSpec:
         if self.rho < 0:
             raise ValueError("exclusion radius rho must be >= 0")
         object.__setattr__(self, "r", int(self.r))
-
-
-def midpoint_axes(upper, base_cells, r: int):
-    """Per-axis midpoints and widths for a midpoint rule on [0, upper].
-
-    Axis i is split into ceil(r * base_cells_i * upper_i_fraction) equal
-    sub-intervals, where the caller supplies base_cells for the full axis.
-    Returns (mids, widths): lists of 1-d arrays.
-    """
-    mids, widths = [], []
-    for up, nb in zip(upper, base_cells):
-        m = max(1, int(np.ceil(r * nb)))
-        if up <= 0:
-            mids.append(np.zeros(0))
-            widths.append(0.0)
-            continue
-        h = up / m
-        mids.append((np.arange(m) + 0.5) * h)
-        widths.append(h)
-    return mids, widths
 
 
 def tensor_points(axes) -> np.ndarray:

@@ -301,7 +301,6 @@ class SpdeSampler:
         gs: GreenSeries,
         cfg: SolveConfig = SolveConfig(),
         quad: QuadSpec | None = None,
-        law: str = "standard-normal",
     ):
         self.family = family
         self.n = n
@@ -317,7 +316,7 @@ class SpdeSampler:
             quad = QuadSpec(r=1, rho=1e-3)
         self.quad = quad
         kernel = green_integrand(gs)
-        self._integ = noise_integrator(family, kernel, grid.node_points(), grid, n, quad, law)
+        self._integ = noise_integrator(family, kernel, grid.node_points(), grid, n, quad)
         self._Kg = k_apply(gs, g).values
 
     def _noise_block(self, streams) -> np.ndarray:

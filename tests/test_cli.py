@@ -1,6 +1,7 @@
 """CLI: artifact emission, config precedence, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +109,44 @@ def test_budget_refusal(tmp_path):
         ]
     )
     assert code == EXIT_REFUSED
+
+
+def test_kac_stroock_sign_grid_refusal(tmp_path, monkeypatch, capsys):
+    # at n=16, r=4 the sign grid of the node (1, 1) has 64 x 64 cells
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 64 * 64 - 1)
+    code = main(
+        [
+            "simulate",
+            "--family", "kac-stroock",
+            "--n", "16",
+            "--grid-n", "4",
+            "--report-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_REFUSED
+    assert "sign grid would need 4096 cells" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The sheetlab command lines of README.md's command block, as argument lists."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [line.split()[1:] for line in readme.read_text().splitlines() if line.startswith("sheetlab ")]
+
+
+def test_readme_commands_exit_ok(tmp_path):
+    commands = _readme_commands()
+    assert [c[0] for c in commands] == [
+        "simulate", "convergence-report", "green-table", "poisson-solve", "spde-compare"
+    ]
+    extra = [
+        ["convergence-report", "--diagnostic", "moment", "--report-dir", "out"],
+        ["simulate", "--family", "kac-stroock", "--seed", "1", "--report-dir", "out"],
+    ]
+    for i, args in enumerate(commands + extra):
+        out = tmp_path / str(i)
+        args = [str(out) if prev == "--report-dir" else a for prev, a in zip([""] + args, args)]
+        assert main(args) == EXIT_OK, args
+        assert (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("family", ["donsker", "kac-stroock", "sheet"])

@@ -23,7 +23,7 @@ from sheetlab.solver import SpdeSampler, nonlinearity_preset
 
 
 def _ones_integrand():
-    return Integrand(lambda xs, Y: np.ones((len(xs), len(Y))))
+    return Integrand(lambda xs, axes: np.ones((len(xs),) + tuple(len(a) for a in axes)))
 
 
 def test_diagconfig_validation():
@@ -81,7 +81,7 @@ def test_unknown_family_is_one_error():
 
 
 def test_moment_probe_rejects_zero_norm():
-    zero = Integrand(lambda xs, Y: np.zeros((len(xs), len(Y))))
+    zero = Integrand(lambda xs, axes: np.zeros((len(xs),) + tuple(len(a) for a in axes)))
     cfg = DiagConfig()
     with pytest.raises(ValueError):
         moment_bound_probe(zero, "donsker", GridSpec(d=1, T=1.0, N=4), cfg, RngStream(0))

@@ -125,11 +125,15 @@ def test_green_evaluators_reject_wrong_point_dimension():
             lambda: green_on_axes(gs, bad, [np.array([0.5])] * 2),
             lambda: green_l2_norm(gs, bad),
             lambda: f.cell_integral(np.array([bad]), edges),
-            lambda: f.evaluator(np.array([bad]), Y),
+            lambda: f.evaluator(np.array([bad]), [np.array([0.5])] * 2),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="coordinates"):
                 call()
+    # one y axis per dimension: three axes on a 2-d series would contract silently
+    for axes in ([np.array([0.5])] * 3, [np.array([0.5])]):
+        with pytest.raises(ValueError, match="per-axis arrays"):
+            f.evaluator(np.array([[0.5, 0.5]]), axes)
 
 
 @pytest.mark.parametrize("d, kmax", [(2, 64), (3, 32)])
@@ -147,17 +151,45 @@ def test_green_cell_integral_blocks_match_single_rows(d, kmax):
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
-def test_green_cell_oracle_memory_bounded():
-    # 729 nodes x 32^3 modes: the mode tensor of all nodes at once is 182 MiB
+def _sampler_build_peak(family, n):
+    """tracemalloc peak of building a sampler on a d=3 grid with N=8 at the default kmax."""
     grid = GridSpec(d=3, T=1.0, N=8)
     g = GridField(grid, np.ones(grid.node_shape))
     tracemalloc.start()
     try:
-        SpdeSampler("donsker", 4, g, nonlinearity_preset("zero"), GreenSeries(d=3))
+        SpdeSampler(family, n, g, nonlinearity_preset("zero"), GreenSeries(d=3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    return peak
+
+
+def test_green_cell_oracle_memory_bounded():
+    # 729 nodes x 32^3 modes: the mode tensor of all nodes at once is 182 MiB
+    assert _sampler_build_peak("donsker", 4) < 16 * 2**20
+
+
+def test_green_evaluator_memory_bounded():
+    # 729 nodes x 512 midpoints: a 2.8 MiB weight matrix; a flat mode matrix
+    # of all nodes would be 182 MiB, and of the midpoints 128 MiB
+    assert _sampler_build_peak("kac-stroock", 8) < 16 * 2**20
+
+
+@pytest.mark.parametrize("d, kmax", [(2, 64), (3, 32)])
+def test_green_evaluator_on_tensor_grid_matches_green_eval(d, kmax):
+    """Every x-block boundary of the evaluator: each node within 1e-13 of green_eval."""
+    gs = GreenSeries(d=d, kmax=kmax)
+    R = max(1, POINT_CHUNK * kmax // kmax**d)
+    # axes of different lengths, so that a transposed axis changes the shape
+    axes = [np.array([0.05, 0.5, 0.9]), np.array([0.3, 0.7]), np.array([0.2, 0.6, 0.8, 0.95])][:d]
+    evaluator = green_integrand(gs).evaluator
+    for n in (1, R - 1, R, R + 1, 2 * R + 3):
+        xs = np.random.default_rng(n).uniform(0.0, 1.0, (n, d))
+        got = evaluator(xs, axes)
+        assert got.shape == (n,) + tuple(len(a) for a in axes)
+        for x, row in zip(xs, got):
+            for y, v in zip(tensor_points(axes), row.ravel()):
+                assert abs(v - green_eval(gs, x, y)) <= 1e-13
 
 
 def test_green_l2_norm_is_one_point_of_axes_evaluator():

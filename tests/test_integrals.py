@@ -30,11 +30,26 @@ from sheetlab.quadrature import tensor_points
 from sheetlab.sheet import sample_sheet
 
 
+def _on_axes(ev):
+    """A point-list evaluator (xs, Y) -> (n, m) as the tensor-grid evaluator
+    (xs, axes) -> (n, m_1, ..., m_d) that Integrand takes."""
+
+    def on_axes(xs, axes):
+        shape = (len(xs),) + tuple(len(a) for a in axes)
+        return ev(np.asarray(xs), tensor_points(axes)).reshape(shape)
+
+    return on_axes
+
+
+def _ones(xs, Y):
+    return np.ones((len(xs), len(Y)))
+
+
 def _smooth_integrand():
     def ev(xs, Y):
         return np.tile(np.cos(np.pi * Y[:, 0]) * (1.0 + Y[:, -1]), (len(xs), 1))
 
-    return Integrand(evaluator=ev)
+    return Integrand(evaluator=_on_axes(ev))
 
 
 def test_indicator_reduces_to_zeta_donsker():
@@ -46,9 +61,11 @@ def test_indicator_reduces_to_zeta_donsker():
         assert got == pytest.approx(zeta(fld, x), abs=1e-12)
 
 
-def test_indicator_reduces_to_zeta_kac_stroock():
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_indicator_reduces_to_zeta_kac_stroock(n):
+    # zeta and the integrator both floor the rule at ceil(n T_i) cells per axis
     grid = GridSpec(d=2, T=1.0, N=4)
-    fld = sample_kac_stroock(grid, 4.0, RngStream(32))
+    fld = sample_kac_stroock(grid, float(n), RngStream(32))
     quad = QuadSpec(r=8)
     x = (0.5, 0.75)
     got = integrate_restricted(indicator_integrand(), fld, x, quad)
@@ -68,14 +85,7 @@ def test_donsker_oracle_matches_brute_force():
     total = 0.0
     for i in range(n):
         for j in range(n):
-            ys = np.stack(
-                np.meshgrid(
-                    (i + (np.arange(m) + 0.5) / m) / n,
-                    (j + (np.arange(m) + 0.5) / m) / n,
-                    indexing="ij",
-                ),
-                axis=-1,
-            ).reshape(-1, 2)
+            ys = [(i + (np.arange(m) + 0.5) / m) / n, (j + (np.arange(m) + 0.5) / m) / n]
             total += fld.Z[i, j] * f.evaluator(x[None], ys)[0].mean() / n**2
     assert got == pytest.approx(n * total, rel=1e-4)
 
@@ -87,10 +97,9 @@ def _former_quadrature_weights(f, xs, n, d, r):
     wt = widths[0]
     for v in widths[1:]:
         wt = np.multiply.outer(wt, v)
-    pts = tensor_points(mids)
     rows = []
     for x in xs:
-        contrib = (f.evaluator(x[None], pts)[0] * wt.ravel()).reshape((n * r,) * d)
+        contrib = (f.evaluator(x[None], mids)[0].ravel() * wt.ravel()).reshape((n * r,) * d)
         for axis in range(d):
             new = list(contrib.shape)
             new[axis : axis + 1] = [n, r]
@@ -105,8 +114,9 @@ def test_donsker_quadrature_matches_per_x_loop(d):
         return np.cos(np.pi * (Y[None, :, 0] - xs[:, :1])) * (1.0 + Y[None, :, -1] * xs[:, -1:])
 
     xs = RngStream(42).generator().uniform(0.0, 1.0, size=(5, d))
-    got = DonskerIntegrator(Integrand(ev), xs, 3, (1.0,) * d, QuadSpec(r=3)).weights
-    np.testing.assert_array_equal(got, _former_quadrature_weights(Integrand(ev), xs, 3, d, 3))
+    f = Integrand(_on_axes(ev))
+    got = DonskerIntegrator(f, xs, 3, (1.0,) * d, QuadSpec(r=3)).weights
+    np.testing.assert_array_equal(got, _former_quadrature_weights(f, xs, 3, d, 3))
 
 
 def test_wrapped_equals_restricted():
@@ -136,7 +146,7 @@ def test_piecewise_constant_factorizes_through_zeta():
         idx = np.clip(np.searchsorted(knots, Y[:, 0], side="left") - 1, 0, 2)
         return np.tile(gvals[idx], (len(xs), 1))
 
-    got = integrate_against_kernel(Integrand(ev), fld, [np.array([0.0])], QuadSpec(r=8))[0]
+    got = integrate_against_kernel(Integrand(_on_axes(ev)), fld, [np.array([0.0])], QuadSpec(r=8))[0]
     expect = sum(
         g * (zeta(fld, (b,)) - zeta(fld, (a,)))
         for g, a, b in zip(gvals, knots[:-1], knots[1:])
@@ -152,7 +162,7 @@ def test_donsker_integrator_second_moment_exact():
 
 
 def test_singular_integrand_requires_rho():
-    f = Integrand(lambda xs, Y: np.ones((len(xs), len(Y))), smoothness="singular-diagonal")
+    f = Integrand(_on_axes(_ones), smoothness="singular-diagonal")
     grid = GridSpec(d=2, T=1.0, N=4)
     with pytest.raises(ValueError):
         DonskerIntegrator(f, [np.zeros(2)], 4, grid.T, QuadSpec(r=2, rho=0.0))
@@ -162,13 +172,27 @@ def test_singular_integrand_requires_rho():
 
 def test_quadrature_excludes_ball_around_x_for_singular_integrand():
     # midpoints (j + 0.5) / 8: within rho = 0.1 of x = 0.5 are 0.4375 and 0.5625, of x = 0 is 0.0625
-    f = Integrand(lambda xs, Y: np.ones((len(xs), len(Y))), smoothness="singular-diagonal")
+    f = Integrand(_on_axes(_ones), smoothness="singular-diagonal")
     quad = QuadSpec(r=4, rho=0.1)
     xs = np.array([[0.5], [0.0]])
     W = DonskerIntegrator(f, xs, 2, (1.0,), quad).weights
     np.testing.assert_array_equal(W, [[0.375, 0.375], [0.375, 0.5]])
     fmat = KacStroockIntegrator(f, xs, GridSpec(d=1, T=1.0, N=2), 2.0, quad).fmat
     np.testing.assert_array_equal(fmat, [[1, 1, 1, 0, 0, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1, 1]])
+
+
+def test_quadrature_excludes_ball_around_x_in_two_dimensions():
+    # T = (1, 0.5), n = 2, r = 4: 2 x 1 cells of 8 x 4 sub-cells of area 1/64
+    f = Integrand(_on_axes(_ones), smoothness="singular-diagonal")
+    quad = QuadSpec(r=4, rho=0.3)
+    xs = np.array([[0.3, 0.1], [0.9, 0.45]])
+    W = DonskerIntegrator(f, xs, 2, (1.0, 0.5), quad).weights
+    pts = tensor_points([(np.arange(8) + 0.5) / 8, (np.arange(4) + 0.5) / 8])
+    first_cell = pts[:, 0] < 0.5
+    for x, w in zip(xs, W):
+        keep = np.sum((pts - x) ** 2, axis=1) > quad.rho**2
+        counts = [np.sum(keep & first_cell), np.sum(keep & ~first_cell)]
+        np.testing.assert_array_equal(w, np.array(counts) / 64)
 
 
 def test_limit_field_matches_sheet_nodes():
@@ -198,11 +222,11 @@ def test_green_evaluator_matches_green_eval():
     gs = GreenSeries(d=2, kmax=8)
     xs = np.array([[0.3, 0.4], [0.7, 0.2], [0.5, 0.5]])
     Y = RngStream(39).generator().uniform(0.05, 0.95, size=(50, 2))
-    F = green_integrand(gs).evaluator(xs, Y)
-    assert F.shape == (3, 50)
+    F = green_integrand(gs).evaluator(xs, [Y[:, 0], Y[:, 1]])
+    assert F.shape == (3, 50, 50)
     for i, x in enumerate(xs):
-        for j, y in enumerate(Y):
-            assert abs(F[i, j] - green_eval(gs, x, y)) <= 1e-13
+        for j, y in enumerate(tensor_points([Y[:, 0], Y[:, 1]])):
+            assert abs(F[i].ravel()[j] - green_eval(gs, x, y)) <= 1e-13
 
 
 def _former_green_cell_integral(gs, x, edges):
@@ -241,8 +265,8 @@ def _former_sheet(f, xs, grid, rng, M):
     if f.cell_integral is not None:
         F = np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], -1) / cv
     else:
-        centers = tensor_points([grid.axis_cell_centers(i) for i in range(grid.d)])
-        F = f.evaluator(xs, centers)
+        centers = [grid.axis_cell_centers(i) for i in range(grid.d)]
+        F = f.evaluator(xs, centers).reshape(xs.shape[0], -1)
     incr = rng.generator().standard_normal((M, F.shape[1])) * np.sqrt(cv)
     return incr @ F.T, np.sum(F**2, axis=1) * cv
 
@@ -312,6 +336,42 @@ def test_weight_budget_checked_before_any_evaluation(monkeypatch, oracles):
         noise_integrator("sheet", f, xs, grid, None)
     # at exactly the budget the weights are built
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64)
-    ones = Integrand(lambda xs, Y: np.ones((len(xs), len(Y))))
+    ones = Integrand(_on_axes(_ones))
     assert DonskerIntegrator(ones, xs, 8, grid.T).weights.shape == (3, 64)
     assert KacStroockIntegrator(ones, xs, grid, 8.0).fmat.shape == (3, 64)
+
+
+@pytest.mark.parametrize("oracles, per_cell", [((), 4), (("cell_integral",), 1)])
+def test_donsker_budget_counts_quadrature_nodes(monkeypatch, oracles, per_cell):
+    # at r = 2 in d = 2 the quadrature fallback evaluates f at 4 nodes per cell
+    quad = QuadSpec(r=2)
+    xs = np.full((3, 2), 0.5)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 * per_cell - 1)
+    with pytest.raises(BudgetExceededError, match=rf"\(3, {64 * per_cell}\)"):
+        DonskerIntegrator(_never_evaluated(oracles), xs, 8, (1.0, 1.0), quad)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 * per_cell)
+    ones = Integrand(_on_axes(_ones))
+    if oracles:
+        ones.cell_integral = lambda xs, edges: np.ones((len(xs), 8, 8))
+    assert DonskerIntegrator(ones, xs, 8, (1.0, 1.0), quad).weights.shape == (3, 64)
+
+
+def test_restrict_evaluates_only_inside_box():
+    axes = [np.linspace(0.1, 1.0, 10), np.linspace(0.0, 0.9, 7)]
+    base = _smooth_integrand()
+    seen = []
+
+    def ev(xs, sub):
+        seen.append(sub)
+        return base.evaluator(xs, sub)
+
+    xs = np.array([[0.2, 0.3], [0.9, 0.1]])
+    for x in [(0.55, 0.3), (1.0, 0.9), (0.05, 0.5)]:
+        seen.clear()
+        got = restrict(Integrand(ev), x).evaluator(xs, axes)
+        for sub in seen:
+            assert all(np.all(a <= c) for a, c in zip(sub, x))
+        inside = np.multiply.outer(axes[0] <= x[0], axes[1] <= x[1])
+        np.testing.assert_array_equal(got, np.where(inside, base.evaluator(xs, axes), 0.0))
+    # no axis value of the first axis lies in [0, 0.05]: f is not called at all
+    assert seen == []

@@ -34,7 +34,7 @@ def test_donsker_innovation_counts():
 
 def test_donsker_budget_refusal():
     with pytest.raises(BudgetExceededError):
-        sample_donsker(GridSpec(d=2, T=1.0, N=1), 10_000, max_cells=10**6)
+        sample_donsker(GridSpec(d=2, T=1.0, N=1), 10_000)
 
 
 def test_donsker_budget_read_at_call_time(monkeypatch):
@@ -183,6 +183,17 @@ def test_zeta_kac_stroock_closed_form_empty():
             closed = 4.0 ** (d / 2.0) * np.prod(x**p / p)
             got = zeta(fld, x, QuadSpec(r=64))
             assert got == pytest.approx(closed, abs=1e-4)
+
+
+def test_zeta_kac_stroock_sign_grid_budget(monkeypatch):
+    # N=4, n=16, r=2: the rule has 2 * 16 = 32 cells per axis, 16 x 24 inside [0, x]
+    fld = sample_kac_stroock(GridSpec(d=2, T=1.0, N=4), 16.0, RngStream(8))
+    x, quad = (0.5, 0.75), QuadSpec(r=2)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 16 * 24 - 1)
+    with pytest.raises(BudgetExceededError, match="384 cells"):
+        zeta(fld, x, quad)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 16 * 24)
+    assert np.isfinite(zeta(fld, x, quad))
 
 
 def test_zeta_rejects_mismatch():
