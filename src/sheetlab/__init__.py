@@ -12,15 +12,10 @@ from .kernels import (
     sample_donsker,
     sample_kac_stroock,
     zeta,
+    zeta_on_axes,
 )
-from .sheet import SheetSample, sample_sheet, sheet_covariance, wiener_integral
-from .integrals import (
-    Integrand,
-    indicator_integrand,
-    integrate_against_kernel,
-    integrate_restricted,
-    limit_field,
-)
+from .sheet import sheet_covariance
+from .integrals import Integrand, indicator_integrand
 from .convergence import (
     ConvergenceReport,
     DiagConfig,

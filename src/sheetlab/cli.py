@@ -36,10 +36,9 @@ from .green import (
     poincare_constant,
 )
 from .integrals import Integrand, indicator_integrand
-from .kernels import BudgetExceededError, sample_donsker, sample_kac_stroock, zeta
+from .kernels import BudgetExceededError, sample_donsker, sample_kac_stroock, zeta_on_axes
 from .quadrature import QuadSpec
 from .rng import RngStream
-from .sheet import sample_sheet
 from .solver import (
     GateError,
     SolveConfig,
@@ -140,7 +139,7 @@ def _load_g_field(spec_text: str, grid: GridSpec) -> GridField:
         return GridField(grid, np.full(grid.node_shape, float(arg)))
     if kind == "csv":
         with open(arg) as fh:
-            rows = list(csv.reader(fh))
+            rows = [r for r in csv.reader(fh) if r]
         body = rows[1:] if rows and not _is_float(rows[0][-1]) else rows
         vals = np.array([float(r[-1]) for r in body])
         if vals.size != int(np.prod(grid.node_shape)):
@@ -177,19 +176,17 @@ def _run_simulate(cfg: dict, outdir: str) -> int:
     grid = GridSpec(d=int(cfg["d"]), T=1.0, N=int(cfg["grid_n"]))
     rng = RngStream(int(cfg["seed"]))
     family = cfg["family"]
-    if family == "sheet":
-        sample = sample_sheet(grid, rng)
-        field = sample.node_values()
-    elif family in ("donsker", "kac-stroock"):
-        if family == "donsker":
-            kern = sample_donsker(grid, int(cfg["n"]), cfg["law"], rng)
-        else:
-            kern = sample_kac_stroock(grid, float(cfg["n"]), rng)
-        quad = QuadSpec(r=int(cfg["r"]))
-        vals = np.array([zeta(kern, p, quad) for p in grid.node_points()])
-        field = GridField(grid, vals)
+    if family == "donsker":
+        kern = sample_donsker(grid, int(cfg["n"]), cfg["law"], rng)
+    elif family == "kac-stroock":
+        kern = sample_kac_stroock(grid, float(cfg["n"]), rng)
+    elif family == "sheet":
+        # the Brownian sheet is the Donsker field at n = N with standard-normal innovations
+        kern = sample_donsker(grid, int(cfg["grid_n"]), "standard-normal", rng)
     else:
         raise ConfigError(f"field 'family': unknown value {family!r}")
+    axes = [grid.axis_nodes(i) for i in range(grid.d)]
+    field = GridField(grid, zeta_on_axes(kern, axes, QuadSpec(r=int(cfg["r"]))))
     header = [f"x{i+1}" for i in range(grid.d)] + ["value"]
     _write_csv(os.path.join(outdir, "field.csv"), header, _field_csv_rows(field))
     return EXIT_OK

@@ -130,6 +130,8 @@ def fdd_test(
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.size == 0:
         raise ValueError("probe set must be nonempty")
+    for p in probes:
+        grid.point_in_domain(p)
     if cfg.M < 1000:
         raise ValueError("asymptotic two-sample KS needs M >= 1000")
     gen = rng.substream(0).generator()
@@ -267,6 +269,8 @@ def tightness_modulus_probe(
 ) -> ConvergenceReport:
     """Regress log E|X_n(x) - X_n(z)|^m on log sum_i |x_i - z_i|, pooled over n."""
     pts = [(as_point(x), as_point(z)) for x, z in pairs]
+    for p in (q for pair in pts for q in pair):
+        grid.point_in_domain(p)
     dists = [float(np.sum(np.abs(x - z))) for x, z in pts]
     if len({round(np.log(max(t, 1e-300)), 12) for t in dists if t > 0}) < 3:
         raise ValueError("tightness probe needs pairs at >= 3 distinct distances")
@@ -314,6 +318,7 @@ def variance_convergence_report(
     rng: RngStream,
 ) -> ConvergenceReport:
     """Check E[X_n(x)^2] -> int_D f^2(x,y) dy across the n list."""
+    grid.point_in_domain(x)
     xp = as_point(x)
 
     def fsq(xs, axes):

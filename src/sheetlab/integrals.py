@@ -11,23 +11,19 @@ from . import kernels
 from .grid import GridSpec, as_point
 from .kernels import (
     BudgetExceededError,
-    DonskerField,
     PoissonField,
     _draw_innovations,
-    ks_base_cells,
+    ks_midpoints,
+    ks_rule,
     ks_values_on_grid,
     sample_kac_stroock,
 )
 from .quadrature import QuadSpec, row_outer
-from .sheet import SheetSample
 
 __all__ = [
     "Integrand",
     "indicator_integrand",
     "restrict",
-    "integrate_against_kernel",
-    "integrate_restricted",
-    "limit_field",
     "DonskerIntegrator",
     "KacStroockIntegrator",
     "FAMILIES",
@@ -195,11 +191,6 @@ class DonskerIntegrator:
             W = W.reshape(xs.shape[0], ncells)
         self.weights = W
 
-    def apply(self, field: DonskerField) -> np.ndarray:
-        if field.n != self.n or field.Z.shape != self.cell_shape:
-            raise ValueError("kernel field does not match precomputed weights")
-        return self.scale * (self.weights @ field.Z.ravel())
-
     def apply_innovations(self, Z: np.ndarray) -> np.ndarray:
         """Batch apply: Z of shape (M, ncells) -> values of shape (M, npts)."""
         return self.scale * (Z @ self.weights.T)
@@ -237,16 +228,11 @@ class KacStroockIntegrator:
             raise ValueError("singular integrand requires exclusion radius rho > 0")
         self.grid = grid
         self.n = float(n)
-        base = ks_base_cells(grid, self.n)
-        xs = _budgeted_points(xs, int(np.prod([quad.r * nb for nb in base])))
+        cells, widths = ks_rule(grid, self.n, quad.r)
+        xs = _budgeted_points(xs, int(np.prod(cells)))
         self.xs = xs
-        self.mids = [
-            (np.arange(quad.r * nb) + 0.5) * (t / (quad.r * nb))
-            for nb, t in zip(base, grid.T)
-        ]
-        self.cell_vol = float(
-            np.prod([t / (quad.r * nb) for nb, t in zip(base, grid.T)])
-        )
+        self.mids = ks_midpoints(cells, widths)
+        self.cell_vol = float(np.prod(widths))
         self.fmat = _eval_matrix(f, xs, self.mids, quad.rho).reshape(xs.shape[0], -1)
 
     def apply(self, field: PoissonField) -> np.ndarray:
@@ -287,23 +273,3 @@ def noise_integrator(
         return DonskerIntegrator(f, xs, None, grid, quad)
     raise ValueError(f"unknown noise family {family!r}; choose one of {FAMILIES}")
 
-
-def integrate_against_kernel(f: Integrand, k, xs, quad: QuadSpec = QuadSpec()) -> np.ndarray:
-    """X_n at the points xs for one kernel realization."""
-    if isinstance(k, DonskerField):
-        return DonskerIntegrator(f, xs, k.n, k.T, quad).apply(k)
-    if isinstance(k, PoissonField):
-        return KacStroockIntegrator(f, xs, k.grid, k.n, quad).apply(k)
-    raise TypeError(f"unsupported kernel field type {type(k)!r}")
-
-
-def integrate_restricted(f: Integrand, k, x, quad: QuadSpec = QuadSpec()) -> float:
-    """int_{[0,x]} f(x,y) theta_n(y) dy via the indicator-wrapped integrand."""
-    return float(integrate_against_kernel(restrict(f, x), k, [as_point(x)], quad)[0])
-
-
-def limit_field(f: Integrand, sheet: SheetSample, xs, quad: QuadSpec = QuadSpec()) -> np.ndarray:
-    """Wiener-integral field X(x) = int_D f(x,y) W(dy) at the points xs."""
-    integ = noise_integrator("sheet", f, xs, sheet.grid, None, quad)
-    # the sheet's cell increments are sqrt(cell_volume) Z = Z / scale
-    return integ.apply_innovations(integ.scale * sheet.cell_increments.reshape(1, -1))[0]

@@ -25,7 +25,9 @@ __all__ = [
     "donsker_eval",
     "sample_kac_stroock",
     "kac_stroock_eval",
-    "ks_base_cells",
+    "ks_rule",
+    "ks_midpoints",
+    "zeta_on_axes",
     "zeta",
 ]
 
@@ -52,21 +54,6 @@ class DonskerField:
     def d(self) -> int:
         return len(self.T)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": "donsker",
-            "n": self.n,
-            "T": list(self.T),
-            "law": self.law,
-            "Z": self.Z.ravel().tolist(),
-            "shape": list(self.Z.shape),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DonskerField":
-        Z = np.array(data["Z"], dtype=float).reshape(data["shape"])
-        return cls(n=int(data["n"]), T=tuple(data["T"]), Z=Z, law=data["law"])
-
 
 @dataclass
 class PoissonField:
@@ -83,20 +70,6 @@ class PoissonField:
     @property
     def T(self) -> tuple:
         return self.grid.T
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "kac-stroock",
-            "n": self.n,
-            "grid": self.grid.to_dict(),
-            "points": self.points.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PoissonField":
-        grid = GridSpec.from_dict(data["grid"])
-        pts = np.array(data["points"], dtype=float).reshape(-1, grid.d)
-        return cls(n=float(data["n"]), grid=grid, points=pts)
 
 
 def _draw_innovations(rng: np.random.Generator, law: str, shape) -> np.ndarray:
@@ -157,10 +130,17 @@ def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream | None = None) -
     return PoissonField(n=float(n), grid=grid, points=pts)
 
 
-def ks_base_cells(grid: GridSpec, n: float) -> list:
-    """Cells per axis of the Kac-Stroock midpoint rules before r-fold refinement:
-    the grid's N_i, floored at ceil(n T_i) so that the rule resolves the noise scale."""
-    return [max(nb, int(np.ceil(n * t))) for nb, t in zip(grid.N, grid.T)]
+def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:
+    """Sub-cells per axis and their widths in the Kac-Stroock midpoint rule: the
+    grid's N_i cells, floored at ceil(n T_i) so that the rule resolves the noise
+    scale, each split r-fold."""
+    cells = [r * max(nb, int(np.ceil(n * t))) for nb, t in zip(grid.N, grid.T)]
+    return cells, [t / k for k, t in zip(cells, grid.T)]
+
+
+def ks_midpoints(cells, widths) -> list:
+    """Midpoints of the first cells[i] sub-cells of width widths[i] on each axis."""
+    return [(np.arange(k) + 0.5) * w for k, w in zip(cells, widths)]
 
 
 def _ks_prefactor_exponent(d: int) -> float:
@@ -214,47 +194,46 @@ def ks_values_on_grid(f: PoissonField, mid_axes) -> np.ndarray:
     return f.n ** (f.d / 2.0) * pref * signs
 
 
-def _donsker_overlaps(f: DonskerField, x: np.ndarray):
-    """Per-axis lengths of cell_j intersected with [0, x_i]."""
-    out = []
-    for i in range(f.d):
-        j = np.arange(f.Z.shape[i])
-        lo = j / f.n
-        hi = (j + 1) / f.n
-        out.append(np.clip(np.minimum(x[i], hi) - lo, 0.0, None))
-    return out
+def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
+    """zeta_n(x) = int_{[0,x]} theta_n(y) dy at every point of the tensor grid of
+    axes, shape (len(a_1), ..., len(a_d)).
+
+    theta_n is constant on the cells of a tensor grid, so zeta is its cell values
+    contracted with one overlap matrix |cell_j cap [0, a_p]| per axis. Donsker
+    fields integrate exactly on their cells of side 1/n. Kac-Stroock fields take
+    their midpoint values on the ks_rule sub-cells, kept up to the one that
+    straddles max a_i, and refuse a sign grid of more than
+    kernels.DEFAULT_MAX_CELLS cells.
+    """
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    if len(axes) != f.d:
+        raise ValueError("dimension mismatch")
+    if isinstance(f, DonskerField):
+        scale, vals = f.n ** (f.d / 2.0), f.Z
+        edges = [np.minimum(np.arange(k + 1) / f.n, t) for k, t in zip(f.Z.shape, f.T)]
+    elif isinstance(f, PoissonField):
+        cells, widths = ks_rule(f.grid, f.n, quad.r)
+        m = [min(k, int(np.ceil(a.max(initial=0.0) / w))) for k, a, w in zip(cells, axes, widths)]
+        kept = np.prod(m, dtype=float)
+        if kept > DEFAULT_MAX_CELLS:
+            raise BudgetExceededError(
+                f"Kac-Stroock sign grid would need {kept:.0f} cells (> budget {DEFAULT_MAX_CELLS})"
+            )
+        scale, vals = 1.0, ks_values_on_grid(f, ks_midpoints(m, widths))
+        edges = [np.arange(k + 1) * w for k, w in zip(m, widths)]
+    else:
+        raise TypeError(f"unsupported kernel field type {type(f)!r}")
+    for a, e in zip(axes, edges):
+        overlap = np.clip(np.minimum(a[:, None], e[1:]) - e[:-1], 0.0, None)
+        vals = np.tensordot(vals, overlap, axes=([0], [1]))
+    return scale * vals
 
 
 def zeta(f, x, quad: QuadSpec = QuadSpec()) -> float:
-    """Primitive process zeta_n(x) = int_{[0,x]} theta_n(y) dy.
-
-    Donsker fields integrate exactly (piecewise-constant kernel); Kac-Stroock
-    fields use the composite midpoint rule on ks_base_cells refined r-fold per
-    axis, restricted to [0, x], and refuse a sign grid of more than
-    kernels.DEFAULT_MAX_CELLS cells.
-    """
+    """zeta_n at one point x of D: zeta_on_axes on the one-point grid."""
     p = as_point(x)
     if p.size != f.d:
         raise ValueError("dimension mismatch")
     if np.any(p < 0) or np.any(p > np.asarray(f.T)):
         raise ValueError("x outside D")
-    if isinstance(f, DonskerField):
-        v = f.Z
-        for o in _donsker_overlaps(f, p):
-            v = np.tensordot(v, o, axes=([0], [0]))
-        return float(f.n ** (f.d / 2.0) * v)
-    if isinstance(f, PoissonField):
-        if np.any(p <= 0):
-            return 0.0
-        # axis i of [0, x] holds the fraction x_i / T_i of its r * base_i cells
-        base = ks_base_cells(f.grid, f.n)
-        m = [max(1, int(np.ceil(quad.r * (b * (c / t))))) for b, c, t in zip(base, p, f.T)]
-        cells = np.prod(m, dtype=float)
-        if cells > DEFAULT_MAX_CELLS:
-            raise BudgetExceededError(
-                f"Kac-Stroock sign grid would need {cells:.0f} cells (> budget {DEFAULT_MAX_CELLS})"
-            )
-        h = [c / k for c, k in zip(p, m)]
-        vals = ks_values_on_grid(f, [(np.arange(k) + 0.5) * w for k, w in zip(m, h)])
-        return float(vals.sum() * np.prod(h))
-    raise TypeError(f"unsupported kernel field type {type(f)!r}")
+    return zeta_on_axes(f, p[:, None], quad).item()

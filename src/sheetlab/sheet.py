@@ -1,69 +1,17 @@
-"""Direct simulation of the Brownian sheet on a grid and Wiener integrals against it."""
+"""Covariance of the Brownian sheet.
+
+The sheet itself is drawn as the Donsker field at n = N with standard-normal
+innovations: its primitive at the grid nodes is kernels.zeta_on_axes, and its
+Wiener integrals are noise_integrator("sheet", ...).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import GridField, GridSpec, as_point
-from .rng import RngStream
+from .grid import as_point
 
-__all__ = ["SheetSample", "sample_sheet", "wiener_integral", "sheet_covariance"]
-
-
-@dataclass
-class SheetSample:
-    """One realization of Brownian-sheet cell increments: i.i.d. centered
-    Gaussians with variance equal to the cell volume."""
-
-    grid: GridSpec
-    cell_increments: np.ndarray
-
-    def node_values(self) -> GridField:
-        """W at grid nodes: cumulative sums of cell increments, zero on the
-        lower boundary."""
-        W = np.zeros(self.grid.node_shape)
-        inner = self.cell_increments.copy()
-        for axis in range(self.grid.d):
-            inner = np.cumsum(inner, axis=axis)
-        W[tuple(slice(1, None) for _ in range(self.grid.d))] = inner
-        return GridField(self.grid, W)
-
-    def at(self, x) -> float:
-        return self.node_values().at(x)
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.to_dict(),
-            "cell_increments": self.cell_increments.ravel().tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SheetSample":
-        grid = GridSpec.from_dict(data["grid"])
-        incr = np.array(data["cell_increments"], dtype=float).reshape(grid.cell_shape)
-        return cls(grid, incr)
-
-
-def sample_sheet(grid: GridSpec, rng: RngStream | None = None) -> SheetSample:
-    gen = rng.generator() if rng is not None else np.random.default_rng()
-    incr = gen.standard_normal(grid.cell_shape) * np.sqrt(grid.cell_volume)
-    return SheetSample(grid, incr)
-
-
-def wiener_integral(fvals: np.ndarray, sheet: SheetSample) -> float:
-    """Discrete Wiener integral sum_cells f(cell) * increment.
-
-    fvals holds f at cell centers (or exact cell averages); unbiased for
-    int_D f dW with variance sum f^2 * cellvol.
-    """
-    f = np.asarray(fvals, dtype=float)
-    if f.size != sheet.cell_increments.size:
-        raise ValueError(
-            f"fvals has {f.size} entries, sheet has {sheet.cell_increments.size} cells"
-        )
-    return float(np.sum(f.reshape(sheet.cell_increments.shape) * sheet.cell_increments))
+__all__ = ["sheet_covariance"]
 
 
 def sheet_covariance(x, z) -> float:

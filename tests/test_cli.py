@@ -3,9 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sheetlab import __version__, kernels
+from sheetlab import GridSpec, RngStream, __version__, kernels, sample_donsker, zeta_on_axes
 from sheetlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, EXIT_VERDICT, main
 
 
@@ -49,6 +50,66 @@ def test_simulate_deterministic_artifacts(tmp_path):
     ma.pop("timestamp"), mb.pop("timestamp")
     ma["config"].pop("report_dir"), mb["config"].pop("report_dir")
     assert ma == mb
+
+
+def test_simulate_sheet_is_donsker_at_grid_scale(tmp_path):
+    code = main(
+        [
+            "simulate",
+            "--family", "sheet",
+            "--d", "3",
+            "--grid-n", "4",
+            "--seed", "5",
+            "--report-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+    got = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)[:, -1].reshape((5,) * 3)
+    grid = GridSpec(d=3, T=1.0, N=4)
+    want = zeta_on_axes(sample_donsker(grid, 4, rng=RngStream(5)), [grid.axis_nodes(0)] * 3)
+    np.testing.assert_array_equal(got, want)
+    assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0) and np.all(got[:, :, 0] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "diagnostic, probes", [("fdd", "1.5,1.5;0.5,0.5"), ("variance", "2.0,2.0")]
+)
+def test_report_probes_outside_domain_are_config_errors(tmp_path, capsys, diagnostic, probes):
+    code = main(
+        [
+            "convergence-report",
+            "--diagnostic", diagnostic,
+            "--probes", probes,
+            "--n", "4",
+            "--M", "1000",
+            "--report-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "outside [0, 1.0]" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_g_csv_blank_lines_ignored(tmp_path):
+    nodes = GridSpec(d=2, T=1.0, N=4).node_points()
+    rows = [f"{a},{b},{1.0 + a - b}" for a, b in nodes]
+    plain, blank = tmp_path / "g.csv", tmp_path / "g_blank.csv"
+    plain.write_text("\n".join(["x1,x2,g"] + rows) + "\n")
+    blank.write_text("\n".join(["", "x1,x2,g", ""] + rows[:7] + ["", ""] + rows[7:]) + "\n\n")
+    for path in (plain, blank):
+        code = main(
+            [
+                "poisson-solve",
+                "--grid-n", "4",
+                "--g", f"csv:{path}",
+                "--seed", "2",
+                "--report-dir", str(tmp_path / path.stem),
+            ]
+        )
+        assert code == EXIT_OK
+    assert (tmp_path / "g" / "solution.csv").read_bytes() == (
+        tmp_path / "g_blank" / "solution.csv"
+    ).read_bytes()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -112,7 +173,7 @@ def test_budget_refusal(tmp_path):
 
 
 def test_kac_stroock_sign_grid_refusal(tmp_path, monkeypatch, capsys):
-    # at n=16, r=4 the sign grid of the node (1, 1) has 64 x 64 cells
+    # at n=16, r=4 the sign grid up to the node (1, 1) has 64 x 64 cells
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 64 * 64 - 1)
     code = main(
         [

@@ -122,6 +122,18 @@ def test_tightness_rejects_equal_pairs():
         )
 
 
+def test_probes_outside_domain_rejected():
+    grid = GridSpec(d=2, T=1.0, N=4)
+    f, cfg, rng = indicator_integrand(), DiagConfig(n_list=(4,)), RngStream(0)
+    with pytest.raises(ValueError, match="outside"):
+        fdd_test(f, "donsker", grid, [[1.5, 1.5], [0.5, 0.5]], cfg, rng)
+    with pytest.raises(ValueError, match="outside"):
+        variance_convergence_report(f, "donsker", grid, (2.0, 2.0), cfg, rng)
+    pairs = [((0.3, 0.3), (0.3 + t, 0.3 + t)) for t in (0.1, 0.2, 1.4)]
+    with pytest.raises(ValueError, match="outside"):
+        tightness_modulus_probe(f, "donsker", grid, pairs, cfg, rng)
+
+
 def test_tightness_donsker_d1_fourth_moment():
     # E|X_n(x) - X_n(z)|^4 ~ 3|x-z|^2 in the limit: slope near 2 > d = 1
     grid = GridSpec(d=1, T=1.0, N=8)

@@ -10,10 +10,8 @@ from sheetlab import (
     QuadSpec,
     RngStream,
     indicator_integrand,
-    integrate_against_kernel,
-    integrate_restricted,
-    limit_field,
     zeta,
+    zeta_on_axes,
 )
 from sheetlab.integrals import (
     DonskerIntegrator,
@@ -26,8 +24,7 @@ from sheetlab.integrals import (
 from sheetlab import kernels
 from sheetlab.green import GreenSeries, _lam_tensor, _sine_matrix, green_eval, green_integrand
 from sheetlab.kernels import BudgetExceededError, sample_donsker, sample_kac_stroock
-from sheetlab.quadrature import tensor_points
-from sheetlab.sheet import sample_sheet
+from sheetlab.quadrature import row_outer, tensor_points
 
 
 def _on_axes(ev):
@@ -52,25 +49,30 @@ def _smooth_integrand():
     return Integrand(evaluator=_on_axes(ev))
 
 
+def _one_draw(family, f, xs, grid, n, stream, quad=QuadSpec()):
+    """The integrator's values at xs for the one kernel field that stream draws."""
+    return noise_integrator(family, f, xs, grid, n, quad).replicates([stream])[0]
+
+
 def test_indicator_reduces_to_zeta_donsker():
     grid = GridSpec(d=2, T=1.0, N=4)
     fld = sample_donsker(grid, 4, rng=RngStream(31))
     f = indicator_integrand()
     for x in [(0.3, 0.9), (0.5, 0.5), (1.0, 1.0)]:
-        got = integrate_against_kernel(restrict(f, x), fld, [np.array(x)])[0]
+        got = _one_draw("donsker", restrict(f, x), [x], grid, 4, RngStream(31))[0]
         assert got == pytest.approx(zeta(fld, x), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [4, 64, 256])
 def test_indicator_reduces_to_zeta_kac_stroock(n):
-    # zeta and the integrator both floor the rule at ceil(n T_i) cells per axis
+    # x lies on sub-cell boundaries of the one Kac-Stroock rule, so both sum the same cells
     grid = GridSpec(d=2, T=1.0, N=4)
     fld = sample_kac_stroock(grid, float(n), RngStream(32))
     quad = QuadSpec(r=8)
     x = (0.5, 0.75)
-    got = integrate_restricted(indicator_integrand(), fld, x, quad)
-    # same quadrature base (refined field grid restricted to [0, x])
-    assert got == pytest.approx(zeta(fld, x, quad), rel=1e-2, abs=1e-3)
+    f = restrict(indicator_integrand(), x)
+    got = _one_draw("kac-stroock", f, [x], grid, n, RngStream(32), quad)
+    assert got[0] == pytest.approx(zeta(fld, x, quad), rel=1e-13)
 
 
 def test_donsker_oracle_matches_brute_force():
@@ -79,7 +81,7 @@ def test_donsker_oracle_matches_brute_force():
     fld = sample_donsker(grid, n, rng=RngStream(33))
     f = _smooth_integrand()
     x = np.array([0.4, 0.6])
-    got = integrate_against_kernel(f, fld, [x], QuadSpec(r=32))[0]
+    got = _one_draw("donsker", f, [x], grid, n, RngStream(33), QuadSpec(r=32))[0]
     # brute force: n^{d/2} sum_k Z_k * (cell integral by dense midpoints)
     m = 40
     total = 0.0
@@ -120,19 +122,25 @@ def test_donsker_quadrature_matches_per_x_loop(d):
 
 
 def test_wrapped_equals_restricted():
+    # restrict(f, x) against f times the indicator of [0, x], written out
     grid = GridSpec(d=2, T=1.0, N=4)
-    fld = sample_donsker(grid, 8, rng=RngStream(34))
     f = _smooth_integrand()
     x = (0.6, 0.8)
-    a = integrate_against_kernel(restrict(f, x), fld, [np.array(x)], QuadSpec(r=16))[0]
-    b = integrate_restricted(f, fld, x, QuadSpec(r=16))
+
+    def masked(xs, axes):
+        inside = row_outer([(np.asarray(a) <= c)[None].astype(float) for a, c in zip(axes, x)])
+        return f.evaluator(xs, axes) * inside
+
+    quad = QuadSpec(r=16)
+    a = _one_draw("donsker", restrict(f, x), [x], grid, 8, RngStream(34), quad)[0]
+    b = _one_draw("donsker", Integrand(masked), [x], grid, 8, RngStream(34), quad)[0]
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_restricted_at_origin_is_zero():
     grid = GridSpec(d=2, T=1.0, N=4)
-    fld = sample_donsker(grid, 4, rng=RngStream(35))
-    assert integrate_restricted(_smooth_integrand(), fld, (0.0, 0.0)) == 0.0
+    f = restrict(_smooth_integrand(), (0.0, 0.0))
+    assert _one_draw("donsker", f, [(0.0, 0.0)], grid, 4, RngStream(35))[0] == 0.0
 
 
 def test_piecewise_constant_factorizes_through_zeta():
@@ -146,7 +154,8 @@ def test_piecewise_constant_factorizes_through_zeta():
         idx = np.clip(np.searchsorted(knots, Y[:, 0], side="left") - 1, 0, 2)
         return np.tile(gvals[idx], (len(xs), 1))
 
-    got = integrate_against_kernel(Integrand(_on_axes(ev)), fld, [np.array([0.0])], QuadSpec(r=8))[0]
+    f = Integrand(_on_axes(ev))
+    got = _one_draw("donsker", f, [[0.0]], grid, 8, RngStream(36), QuadSpec(r=8))[0]
     expect = sum(
         g * (zeta(fld, (b,)) - zeta(fld, (a,)))
         for g, a, b in zip(gvals, knots[:-1], knots[1:])
@@ -196,12 +205,12 @@ def test_quadrature_excludes_ball_around_x_in_two_dimensions():
 
 
 def test_limit_field_matches_sheet_nodes():
+    # the sheet integrator of the indicator is zeta of the Donsker field at n = N
     grid = GridSpec(d=2, T=1.0, N=4)
-    sheet = sample_sheet(grid, RngStream(37))
-    W = sheet.node_values()
-    pts = grid.node_points()
-    vals = limit_field(indicator_integrand(), sheet, pts)
-    np.testing.assert_allclose(vals.reshape(grid.node_shape), W.values, atol=1e-12)
+    nodes = [grid.axis_nodes(i) for i in range(2)]
+    W = zeta_on_axes(sample_donsker(grid, 4, rng=RngStream(37)), nodes)
+    vals = _one_draw("sheet", indicator_integrand(), grid.node_points(), grid, None, RngStream(37))
+    np.testing.assert_allclose(vals.reshape(grid.node_shape), W, atol=1e-12)
 
 
 def test_limit_field_variance_isometry():

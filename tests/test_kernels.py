@@ -1,5 +1,7 @@
 """Donsker and Kac-Stroock kernel families and the primitive process zeta_n."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,14 @@ from sheetlab import (
     sample_donsker,
     sample_kac_stroock,
     zeta,
+    zeta_on_axes,
 )
 from sheetlab.kernels import (
     BudgetExceededError,
     DonskerField,
     PoissonField,
     ks_sign_grid,
+    ks_values_on_grid,
 )
 
 
@@ -76,13 +80,6 @@ def test_donsker_eval_d2():
         donsker_eval(fld, (1.2, 0.2))
 
 
-def test_donsker_roundtrip_dict():
-    fld = sample_donsker(GridSpec(d=2, T=1.0, N=1), 3, rng=RngStream(1))
-    back = DonskerField.from_dict(fld.to_dict())
-    assert back.n == fld.n and back.T == fld.T
-    np.testing.assert_array_equal(back.Z, fld.Z)
-
-
 # --------------------------------------------------------------- Kac-Stroock
 
 
@@ -133,13 +130,6 @@ def test_ks_sign_grid_matches_pointwise_eval():
         for j, b in enumerate(mids[1]):
             count = int(np.sum(np.all(fld.points <= (a, b), axis=1)))
             assert signs[i, j] == (-1) ** count
-
-
-def test_poisson_roundtrip_dict():
-    fld = sample_kac_stroock(GridSpec(d=2, T=1.0, N=2), 10.0, RngStream(3))
-    back = PoissonField.from_dict(fld.to_dict())
-    assert back.n == fld.n
-    np.testing.assert_allclose(back.points, fld.points)
 
 
 # ---------------------------------------------------------------------- zeta
@@ -202,3 +192,81 @@ def test_zeta_rejects_mismatch():
         zeta(fld, (0.5,))
     with pytest.raises(ValueError):
         zeta(fld, (0.5, 1.5))
+
+
+# -------------------------------------------------------- zeta on tensor grids
+
+
+def _overlap(lo, hi, a):
+    """Length of [lo, hi] cap [0, a]."""
+    return max(0.0, min(a, hi) - lo)
+
+
+def _brute_zeta_donsker(f, x):
+    total = 0.0
+    for k in itertools.product(*(range(s) for s in f.Z.shape)):
+        vol = np.prod([_overlap(j / f.n, min((j + 1) / f.n, t), c) for j, t, c in zip(k, f.T, x)])
+        total += f.n ** (f.d / 2.0) * f.Z[k] * vol
+    return total
+
+
+def _brute_zeta_kac_stroock(f, x, r):
+    # the grid's N_i cells floored at ceil(n T_i), split r-fold, valued at their midpoints
+    cells = [r * max(nb, int(np.ceil(f.n * t))) for nb, t in zip(f.grid.N, f.T)]
+    widths = [t / k for k, t in zip(cells, f.T)]
+    total = 0.0
+    for k in itertools.product(*(range(c) for c in cells)):
+        vol = np.prod([_overlap(j * w, (j + 1) * w, c) for j, w, c in zip(k, widths, x)])
+        if vol > 0.0:
+            total += kac_stroock_eval(f, [(j + 0.5) * w for j, w in zip(k, widths)]) * vol
+    return total
+
+
+def _test_axes(T, counts, seed):
+    # off-lattice points plus both ends of D, axes of unequal lengths
+    gen = RngStream(seed).generator()
+    return [np.sort(np.r_[0.0, t, gen.uniform(0.0, t, m - 2)]) for t, m in zip(T, counts)]
+
+
+@pytest.mark.parametrize(
+    "d, T, N, n, r",
+    [(1, (1.0,), (3,), 5, 2), (2, (1.0, 0.7), (2, 3), 3, 3), (3, (1.0, 0.7, 1.3), (2, 1, 2), 2, 2)],
+)
+def test_zeta_on_axes_matches_brute_force(d, T, N, n, r):
+    grid = GridSpec(d=d, T=T, N=N)
+    axes = _test_axes(T, [5, 4, 3][:d], 50 + d)
+    pts = list(itertools.product(*axes))
+    don = sample_donsker(grid, n, rng=RngStream(51))
+    got = zeta_on_axes(don, axes).ravel()
+    want = np.array([_brute_zeta_donsker(don, x) for x in pts])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    ks = sample_kac_stroock(grid, float(n), RngStream(52))
+    got = zeta_on_axes(ks, axes, QuadSpec(r=r)).ravel()
+    want = np.array([_brute_zeta_kac_stroock(ks, x, r) for x in pts])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _former_zeta_kac_stroock(f, x, r):
+    """The per-x rule zeta used before the tensor-grid contraction: ceil(r b_i x_i / T_i)
+    cells of width x_i / m_i on [0, x_i]."""
+    base = [max(nb, int(np.ceil(f.n * t))) for nb, t in zip(f.grid.N, f.T)]
+    m = [max(1, int(np.ceil(r * (b * (c / t))))) for b, c, t in zip(base, x, f.T)]
+    h = [c / k for c, k in zip(x, m)]
+    vals = ks_values_on_grid(f, [(np.arange(k) + 0.5) * w for k, w in zip(m, h)])
+    return float(vals.sum() * np.prod(h))
+
+
+@pytest.mark.parametrize(
+    "d, N, n, r", [(1, 8, 20.0, 2), (2, 4, 4.0, 2), (2, 4, 64.0, 2), (2, 16, 16.0, 4)]
+)
+def test_zeta_on_axes_matches_former_rule_at_aligned_nodes(d, N, n, r):
+    # every node k / N is a sub-cell boundary of the rule, so both rules use the same cells
+    grid = GridSpec(d=d, T=1.0, N=N)
+    fld = sample_kac_stroock(grid, n, RngStream(53))
+    axes = [grid.axis_nodes(i) for i in range(d)]
+    got = zeta_on_axes(fld, axes, QuadSpec(r=r))
+    inner = got[(slice(1, None),) * d].ravel()
+    inside = itertools.product(*(a[1:] for a in axes))
+    want = np.array([_former_zeta_kac_stroock(fld, x, r) for x in inside])
+    assert np.max(np.abs(inner - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(got[(0,) + (slice(None),) * (d - 1)] == 0.0)

@@ -1,72 +1,65 @@
-"""Brownian-sheet simulation and Wiener integrals."""
+"""The Brownian sheet: the Donsker field at n = N, its node values and Wiener integrals."""
 
 import numpy as np
 import pytest
 
-from sheetlab import (
-    GridSpec,
-    RngStream,
-    SheetSample,
-    sample_sheet,
-    sheet_covariance,
-    wiener_integral,
-)
+from sheetlab import GridSpec, RngStream, sample_donsker, sheet_covariance, zeta_on_axes
+from sheetlab.integrals import Integrand, indicator_integrand, noise_integrator
+from sheetlab.kernels import DonskerField
+
+
+def _nodes(grid):
+    return [grid.axis_nodes(i) for i in range(grid.d)]
+
+
+def _sheet_at_nodes(grid, rng):
+    """W at the grid nodes: zeta of the Donsker field at n = N."""
+    return zeta_on_axes(sample_donsker(grid, grid.N[0], rng=rng), _nodes(grid))
 
 
 def test_single_cell_is_standard_normal():
     grid = GridSpec(d=2, T=1.0, N=1)
     rng = RngStream(21)
-    vals = np.array(
-        [sample_sheet(grid, rng.substream(i)).at((1.0, 1.0)) for i in range(5000)]
-    )
+    vals = np.array([_sheet_at_nodes(grid, rng.substream(i))[1, 1] for i in range(5000)])
     assert abs(vals.mean()) <= 3.0 / np.sqrt(vals.size)
     assert abs(vals.var(ddof=1) - 1.0) <= 3.0 * np.sqrt(2.0 / vals.size)
 
 
 def test_zero_on_lower_boundary():
-    grid = GridSpec(d=3, T=1.0, N=3)
-    W = sample_sheet(grid, RngStream(22)).node_values()
-    assert np.all(W.values[0, :, :] == 0.0)
-    assert np.all(W.values[:, 0, :] == 0.0)
-    assert np.all(W.values[:, :, 0] == 0.0)
+    W = _sheet_at_nodes(GridSpec(d=3, T=1.0, N=3), RngStream(22))
+    assert np.all(W[0, :, :] == 0.0)
+    assert np.all(W[:, 0, :] == 0.0)
+    assert np.all(W[:, :, 0] == 0.0)
 
 
 def test_node_values_are_cumulative_sums():
-    grid = GridSpec(d=2, T=1.0, N=2)
+    # increments sqrt(cell_volume) Z = Z / N^{d/2} with N = 2
     incr = np.array([[1.0, 2.0], [3.0, 4.0]])
-    W = SheetSample(grid, incr).node_values()
-    assert W.at((1.0, 1.0)) == pytest.approx(10.0)
-    assert W.at((0.5, 1.0)) == pytest.approx(3.0)
-    assert W.at((1.0, 0.5)) == pytest.approx(4.0)
+    W = zeta_on_axes(DonskerField(n=2, T=(1.0, 1.0), Z=2.0 * incr), [[0.0, 0.5, 1.0]] * 2)
+    assert W[2, 2] == pytest.approx(10.0)
+    assert W[1, 2] == pytest.approx(3.0)
+    assert W[2, 1] == pytest.approx(4.0)
+    assert W[1, 1] == pytest.approx(1.0)
 
 
 def test_wiener_integral_of_one_is_total_mass():
     grid = GridSpec(d=2, T=1.0, N=4)
-    sheet = sample_sheet(grid, RngStream(23))
-    total = wiener_integral(np.ones(grid.cell_shape), sheet)
-    assert total == pytest.approx(float(sheet.cell_increments.sum()))
-    assert total == pytest.approx(sheet.at((1.0, 1.0)))
+    ones = Integrand(lambda xs, axes: np.ones((len(xs),) + tuple(len(a) for a in axes)))
+    total = noise_integrator("sheet", ones, [np.zeros(2)], grid, None).replicates([RngStream(23)])
+    Z = sample_donsker(grid, 4, rng=RngStream(23)).Z
+    assert total[0, 0] == pytest.approx(Z.sum() * np.sqrt(grid.cell_volume))
+    assert total[0, 0] == pytest.approx(_sheet_at_nodes(grid, RngStream(23))[4, 4])
 
 
 def test_wiener_integral_isometry():
     grid = GridSpec(d=1, T=1.0, N=16)
     x = 0.75
-    fvals = (grid.axis_cell_centers(0) <= x).astype(float)
-    rng = RngStream(24)
+    integ = noise_integrator("sheet", indicator_integrand(), [[x]], grid, None)
     M = 20_000
-    vals = np.array(
-        [wiener_integral(fvals, sample_sheet(grid, rng.substream(i))) for i in range(M)]
-    )
+    vals = integ.replicates(RngStream(24), M)[:, 0]
     assert abs(vals.mean()) <= 3.0 * vals.std(ddof=1) / np.sqrt(M)
     sq = vals**2
     assert abs(sq.mean() - x) <= 3.0 * sq.std(ddof=1) / np.sqrt(M)
-
-
-def test_wiener_integral_shape_mismatch():
-    grid = GridSpec(d=2, T=1.0, N=4)
-    sheet = sample_sheet(grid, RngStream(25))
-    with pytest.raises(ValueError):
-        wiener_integral(np.ones(7), sheet)
 
 
 def test_sheet_covariance_values():
@@ -75,11 +68,3 @@ def test_sheet_covariance_values():
     assert sheet_covariance((0.0, 0.9), (0.5, 0.9)) == 0.0
     with pytest.raises(ValueError):
         sheet_covariance((0.5,), (0.5, 0.5))
-
-
-def test_sheet_roundtrip_dict():
-    grid = GridSpec(d=2, T=1.0, N=3)
-    sheet = sample_sheet(grid, RngStream(26))
-    back = SheetSample.from_dict(sheet.to_dict())
-    np.testing.assert_allclose(back.cell_increments, sheet.cell_increments)
-    assert back.grid == grid
