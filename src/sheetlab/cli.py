@@ -176,13 +176,10 @@ def _run_simulate(cfg: dict, outdir: str) -> int:
     grid = GridSpec(d=int(cfg["d"]), T=1.0, N=int(cfg["grid_n"]))
     rng = RngStream(int(cfg["seed"]))
     family = cfg["family"]
-    if family == "donsker":
+    if family in ("donsker", "sheet"):
         kern = sample_donsker(grid, int(cfg["n"]), cfg["law"], rng)
     elif family == "kac-stroock":
         kern = sample_kac_stroock(grid, float(cfg["n"]), rng)
-    elif family == "sheet":
-        # the Brownian sheet is the Donsker field at n = N with standard-normal innovations
-        kern = sample_donsker(grid, int(cfg["grid_n"]), "standard-normal", rng)
     else:
         raise ConfigError(f"field 'family': unknown value {family!r}")
     axes = [grid.axis_nodes(i) for i in range(grid.d)]
@@ -238,8 +235,10 @@ def _run_convergence_report(cfg: dict, outdir: str, strict: bool) -> int:
         ones = Integrand(lambda xs, axes: np.ones((len(xs),) + tuple(len(a) for a in axes)))
         report = moment_bound_probe(ones, cfg["family"], grid, diag, rng)
     elif kind == "variance":
-        x = _parse_probes(cfg["probes"] or ",".join(["0.75"] * d), d)[0]
-        report = variance_convergence_report(f, cfg["family"], grid, x, diag, rng)
+        pts = _parse_probes(cfg["probes"] or ",".join(["0.75"] * d), d)
+        if len(pts) != 1:
+            raise ConfigError(f"field 'probes': variance takes one point, got {len(pts)}")
+        report = variance_convergence_report(f, cfg["family"], grid, pts[0], diag, rng)
     elif kind == "tightness":
         base = np.full(d, 0.3)
         pairs = [(base, base + t) for t in (0.1, 0.2, 0.4)]
@@ -412,6 +411,9 @@ def main(argv=None) -> int:
     outdir = args.report_dir or "."
     try:
         cfg = _resolve(args, _SUBCOMMANDS[args.subcommand])
+        if args.subcommand == "simulate" and cfg["family"] == "sheet":
+            # the Brownian sheet is the Donsker field at n = N with standard-normal innovations
+            cfg.update(n=cfg["grid_n"], law="standard-normal")
         os.makedirs(outdir, exist_ok=True)
         cfg_full = dict(cfg)
         cfg_full["report_dir"] = outdir

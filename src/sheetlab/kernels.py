@@ -27,6 +27,8 @@ __all__ = [
     "kac_stroock_eval",
     "ks_rule",
     "ks_midpoints",
+    "ks_parity_bits",
+    "ks_scale",
     "zeta_on_axes",
     "zeta",
 ]
@@ -161,37 +163,59 @@ def kac_stroock_eval(f: PoissonField, x) -> float:
     return float(f.n ** (f.d / 2.0) * pref * (-1) ** count)
 
 
-def ks_sign_grid(points: np.ndarray, mid_axes) -> np.ndarray:
-    """(-1)^{N(y)} on the tensor grid of midpoints, via cumulative counting."""
+# point sets per packed parity grid: one bit of a uint64 each
+KS_BLOCK = 64
+
+
+def ks_parity_bits(point_sets, mid_axes) -> np.ndarray:
+    """N(y) mod 2 on the tensor grid of midpoints for up to KS_BLOCK point sets.
+
+    Bit b of each uint64 entry is the parity for point_sets[b]. A point's cell on
+    axis i is the first midpoint at or above its coordinate; points past the last
+    midpoint are dropped. One XOR scatter of per-cell toggles and one cumulative
+    XOR per axis give every parity at once.
+    """
+    if len(point_sets) > KS_BLOCK:
+        raise ValueError(f"at most {KS_BLOCK} point sets per parity grid, got {len(point_sets)}")
     shape = tuple(len(m) for m in mid_axes)
-    counts = np.zeros(shape, dtype=np.int64)
-    if points.size:
-        idx = []
-        keep = np.ones(points.shape[0], dtype=bool)
-        for i, mids in enumerate(mid_axes):
-            j = np.searchsorted(mids, points[:, i], side="left")
-            keep &= j < len(mids)
-            idx.append(j)
-        if np.any(keep):
-            sel = tuple(j[keep] for j in idx)
-            np.add.at(counts, sel, 1)
-        for axis in range(len(mid_axes)):
-            np.cumsum(counts, axis=axis, out=counts)
-    return 1.0 - 2.0 * (counts & 1)
+    bits = np.zeros(shape, dtype=np.uint64)
+    counts = [len(p) for p in point_sets]
+    if not sum(counts):
+        return bits
+    pts = np.concatenate(point_sets)
+    owner = np.repeat(np.arange(len(point_sets), dtype=np.uint64), counts)
+    idx = [np.searchsorted(mids, pts[:, i], side="left") for i, mids in enumerate(mid_axes)]
+    keep = np.all([j < k for j, k in zip(idx, shape)], axis=0)
+    flat = np.ravel_multi_index(tuple(j[keep] for j in idx), shape)
+    # ufunc.at toggles a cell once per point; fancy-index ^= would drop repeats
+    np.bitwise_xor.at(bits.reshape(-1), flat, np.left_shift(np.uint64(1), owner[keep]))
+    for axis in range(len(shape)):
+        np.bitwise_xor.accumulate(bits, axis=axis, out=bits)
+    return bits
+
+
+def ks_sign_grid(points: np.ndarray, mid_axes) -> np.ndarray:
+    """(-1)^{N(y)} on the tensor grid of midpoints."""
+    return 1.0 - 2.0 * (ks_parity_bits([points], mid_axes) & 1)
+
+
+def ks_scale(n: float, mid_axes) -> np.ndarray:
+    """The sign-free factor n^{d/2} (prod y_i)^{(d-1)/2} of theta_n on the tensor
+    grid of midpoints."""
+    d = len(mid_axes)
+    expo = _ks_prefactor_exponent(d)
+    if expo == 0.0:
+        return np.full(tuple(len(m) for m in mid_axes), n ** (d / 2.0))
+    vecs = [np.power(m, expo) for m in mid_axes]
+    pref = vecs[0]
+    for v in vecs[1:]:
+        pref = np.multiply.outer(pref, v)
+    return n ** (d / 2.0) * pref
 
 
 def ks_values_on_grid(f: PoissonField, mid_axes) -> np.ndarray:
     """Kernel values theta_n on the tensor grid of midpoints."""
-    signs = ks_sign_grid(f.points, mid_axes)
-    expo = _ks_prefactor_exponent(f.d)
-    if expo == 0.0:
-        pref = 1.0
-    else:
-        vecs = [np.power(m, expo) for m in mid_axes]
-        pref = vecs[0]
-        for v in vecs[1:]:
-            pref = np.multiply.outer(pref, v)
-    return f.n ** (f.d / 2.0) * pref * signs
+    return ks_scale(f.n, mid_axes) * ks_sign_grid(f.points, mid_axes)
 
 
 def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:

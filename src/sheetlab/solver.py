@@ -288,8 +288,9 @@ class SpdeSampler:
     Precomputes the Green-kernel quadrature weights at the grid nodes, the
     contraction gate and int K g once.  Replicates are then solved in blocks
     of SOLVE_BLOCK: each replicate draws its noise from its own stream, the
-    block's noise is applied with one matrix product (Donsker and sheet
-    drivers), and one fixed-point iteration runs over the whole block.
+    block's noise is applied at once (one matrix product for the Donsker and
+    sheet drivers, one packed parity grid for Kac-Stroock), and one
+    fixed-point iteration runs over the whole block.
     """
 
     def __init__(

@@ -59,11 +59,16 @@ def test_simulate_sheet_is_donsker_at_grid_scale(tmp_path):
             "--family", "sheet",
             "--d", "3",
             "--grid-n", "4",
+            "--n", "3",
+            "--law", "rademacher",
             "--seed", "5",
             "--report-dir", str(tmp_path),
         ]
     )
     assert code == EXIT_OK
+    # --n and --law do not apply to the sheet; the manifest records what was drawn
+    config = _read_json(tmp_path / "manifest.json")["config"]
+    assert (config["n"], config["law"]) == ("4", "standard-normal")
     got = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)[:, -1].reshape((5,) * 3)
     grid = GridSpec(d=3, T=1.0, N=4)
     want = zeta_on_axes(sample_donsker(grid, 4, rng=RngStream(5)), [grid.axis_nodes(0)] * 3)
@@ -87,6 +92,22 @@ def test_report_probes_outside_domain_are_config_errors(tmp_path, capsys, diagno
     )
     assert code == EXIT_CONFIG
     assert "outside [0, 1.0]" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_variance_report_rejects_several_probes(tmp_path, capsys):
+    code = main(
+        [
+            "convergence-report",
+            "--diagnostic", "variance",
+            "--probes", "0.5,0.5;0.2,0.2",
+            "--n", "4",
+            "--M", "100",
+            "--report-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "field 'probes'" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

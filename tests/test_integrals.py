@@ -1,5 +1,7 @@
 """Random-field integrals X_n and their Wiener-integral limits."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,16 +16,26 @@ from sheetlab import (
     zeta_on_axes,
 )
 from sheetlab.integrals import (
+    KS_CHUNK,
     DonskerIntegrator,
     Integrand,
     KacStroockIntegrator,
+    _eval_matrix,
     _refined_axes,
     noise_integrator,
     restrict,
 )
-from sheetlab import kernels
+from sheetlab import integrals, kernels
 from sheetlab.green import GreenSeries, _lam_tensor, _sine_matrix, green_eval, green_integrand
-from sheetlab.kernels import BudgetExceededError, sample_donsker, sample_kac_stroock
+from sheetlab.kernels import (
+    BudgetExceededError,
+    PoissonField,
+    ks_midpoints,
+    ks_rule,
+    ks_scale,
+    sample_donsker,
+    sample_kac_stroock,
+)
 from sheetlab.quadrature import row_outer, tensor_points
 
 
@@ -186,7 +198,8 @@ def test_quadrature_excludes_ball_around_x_for_singular_integrand():
     xs = np.array([[0.5], [0.0]])
     W = DonskerIntegrator(f, xs, 2, (1.0,), quad).weights
     np.testing.assert_array_equal(W, [[0.375, 0.375], [0.375, 0.5]])
-    fmat = KacStroockIntegrator(f, xs, GridSpec(d=1, T=1.0, N=2), 2.0, quad).fmat
+    ks = KacStroockIntegrator(f, xs, GridSpec(d=1, T=1.0, N=2), 2.0, quad)
+    fmat = ks.weights / (ks_scale(2.0, ks.mids).ravel() / 8)
     np.testing.assert_array_equal(fmat, [[1, 1, 1, 0, 0, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1, 1]])
 
 
@@ -321,6 +334,106 @@ def test_sheet_driver_bit_identical_on_dyadic_grid(kind):
     np.testing.assert_array_equal(integ.second_moment(), ref_var)
 
 
+def _former_ks_values(f, xs, grid, n, quad, fields):
+    """Kac-Stroock values by the former dense per-field rule: the integrand on the
+    rule's midpoints against theta_n there, counted by cumulative sums, times the
+    cell volume; shape (len(fields), npts)."""
+    cells, widths = ks_rule(grid, n, quad.r)
+    mids = ks_midpoints(cells, widths)
+    fmat = _eval_matrix(f, xs, mids, quad.rho).reshape(len(xs), -1)
+    d = grid.d
+    pref = n ** (d / 2.0) * np.prod(np.meshgrid(*mids, indexing="ij"), axis=0) ** ((d - 1) / 2)
+    out = []
+    for fld in fields:
+        counts = np.zeros(tuple(cells), dtype=np.int64)
+        idx = [np.searchsorted(m, fld.points[:, i], side="left") for i, m in enumerate(mids)]
+        keep = np.all([j < k for j, k in zip(idx, cells)], axis=0)
+        np.add.at(counts, tuple(j[keep] for j in idx), 1)
+        for axis in range(d):
+            np.cumsum(counts, axis=axis, out=counts)
+        theta = pref * (1.0 - 2.0 * (counts & 1))
+        out.append(fmat @ theta.ravel() * np.prod(widths))
+    return np.array(out)
+
+
+def _crafted_sampler(anchor, r):
+    """A sample_kac_stroock stand-in whose fields hit the parity grid's edge cases:
+    no points, one point twice, a point on the r-fold rule's midpoints, a point
+    past the last midpoint and a point (anchor) shared by several fields."""
+
+    def sample(grid, n, stream):
+        gen = stream.generator()
+        T = np.asarray(grid.T)
+        cells, widths = ks_rule(grid, n, r)
+        on_mid = (gen.integers(0, cells) + 0.5) * np.asarray(widths)
+        past = gen.uniform(size=grid.d) * T
+        axis = gen.integers(grid.d)
+        past[axis] = T[axis]
+        pts = gen.uniform(size=(int(gen.integers(0, 6)), grid.d)) * T
+        extra = [pts[:1], on_mid[None], past[None], anchor[None]]
+        use = gen.integers(0, 2, size=len(extra)).astype(bool)
+        pts = np.concatenate([pts] + [e for e, u in zip(extra, use) if u])
+        if gen.integers(0, 4) == 0:
+            pts = pts[:0]
+        return PoissonField(n=float(n), grid=grid, points=pts)
+
+    return sample
+
+
+def _ks_case(kind, d, N, seed):
+    grid = GridSpec(d=d, T=(1.0, 0.75, 1.25)[:d] if kind != "green" else 1.0, N=N)
+    if kind == "green":
+        f = green_integrand(GreenSeries(d=d, kmax=6))
+    else:
+        f = indicator_integrand() if kind == "indicator" else _smooth_integrand()
+    xs = RngStream(seed).substream(1).generator().uniform(0.05, 0.95, size=(3, d)) * grid.T
+    return f, xs, grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["indicator", "smooth", "green"]),
+    d=st.sampled_from([1, 2, 3]),
+    N=st.integers(1, 4),
+    n=st.integers(1, 8),
+    r=st.integers(1, 3),
+    M=st.sampled_from([1, 63, 64, 65, 129]),
+    chunk=st.sampled_from([KS_CHUNK, 64, 5]),
+    seed=st.integers(0, 2**16),
+)
+def test_kac_stroock_replicates_match_former_dense_rule(kind, d, N, n, r, M, chunk, seed):
+    if kind == "green":
+        d = max(d, 2)
+    f, xs, grid = _ks_case(kind, d, N, seed)
+    quad = QuadSpec(r=r, rho=1e-3)
+    integ = KacStroockIntegrator(f, xs, grid, float(n), quad)
+    sample = _crafted_sampler(xs[0], r)
+    with mock.patch.object(integrals, "sample_kac_stroock", sample), mock.patch.object(
+        integrals, "KS_CHUNK", chunk
+    ):
+        got = integ.replicates(RngStream(seed), M)
+    fields = [sample(grid, n, s) for s in RngStream(seed).split(M)]
+    ref = _former_ks_values(f, xs, grid, float(n), quad, fields)
+    assert got.shape == (M, 3)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_kac_stroock_replicates_over_several_chunks():
+    # the field-law rule at n = 64: 128^2 sub-cells
+    grid = GridSpec(d=2, T=1.0, N=32)
+    xs = np.array([[0.25, 0.25], [0.5, 0.5], [0.75, 0.75]])
+    f, quad = indicator_integrand(), QuadSpec(r=2)
+    integ = KacStroockIntegrator(f, xs, grid, 64.0, quad)
+    assert integ.weights.shape[1] > KS_CHUNK
+    got = integ.replicates(RngStream(43), 129)
+    fields = [sample_kac_stroock(grid, 64.0, s) for s in RngStream(43).split(129)]
+    ref = _former_ks_values(f, xs, grid, 64.0, quad, fields)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(integ.apply(fields[64:128]), got[64:128])
+    with pytest.raises(ValueError, match="at most 64"):
+        integ.apply(fields[:65])
+
+
 def _never_evaluated(oracles) -> Integrand:
     """Integrand whose evaluator and given oracles all fail the test when called."""
 
@@ -347,7 +460,7 @@ def test_weight_budget_checked_before_any_evaluation(monkeypatch, oracles):
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64)
     ones = Integrand(_on_axes(_ones))
     assert DonskerIntegrator(ones, xs, 8, grid.T).weights.shape == (3, 64)
-    assert KacStroockIntegrator(ones, xs, grid, 8.0).fmat.shape == (3, 64)
+    assert KacStroockIntegrator(ones, xs, grid, 8.0).weights.shape == (3, 64)
 
 
 @pytest.mark.parametrize("oracles, per_cell", [((), 4), (("cell_integral",), 1)])

@@ -21,6 +21,7 @@ from sheetlab.kernels import (
     BudgetExceededError,
     DonskerField,
     PoissonField,
+    ks_parity_bits,
     ks_sign_grid,
     ks_values_on_grid,
 )
@@ -130,6 +131,37 @@ def test_ks_sign_grid_matches_pointwise_eval():
         for j, b in enumerate(mids[1]):
             count = int(np.sum(np.all(fld.points <= (a, b), axis=1)))
             assert signs[i, j] == (-1) ** count
+
+
+def _brute_parity(points, mid_axes):
+    """N(y) mod 2 at every midpoint, counting the points <= y coordinatewise."""
+    grid_pts = np.stack(np.meshgrid(*mid_axes, indexing="ij"), axis=-1)
+    below = np.all(points[:, None, :] <= grid_pts.reshape(-1, len(mid_axes)), axis=2)
+    return (below.sum(axis=0) % 2).reshape(grid_pts.shape[:-1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ks_parity_bits_pack_each_fields_own_sign_grid(d):
+    grid = GridSpec(d=d, T=1.0, N=3)
+    mids = [grid.axis_cell_centers(i) for i in range(d)]
+    gen = RngStream(11).generator()
+    sets = [sample_kac_stroock(grid, 12.0, RngStream(11, b)).points for b in range(64)]
+    # a field without points, one point on midpoints (counted at that midpoint),
+    # one point twice, one point shared with another field, one past the last midpoint
+    sets[3] = np.zeros((0, d))
+    sets[5] = np.array([[m[1] for m in mids]])
+    sets[7] = np.repeat(gen.uniform(size=(1, d)), 2, axis=0)
+    sets[63] = np.concatenate([sets[63], sets[0][:1]])
+    sets[9] = np.full((1, d), 0.99)
+    bits = ks_parity_bits(sets, mids)
+    assert bits.dtype == np.uint64 and bits.shape == (3,) * d
+    for b, pts in enumerate(sets):
+        own = (bits >> np.uint64(b)) & np.uint64(1)
+        np.testing.assert_array_equal(own, (1 - ks_sign_grid(pts, mids)) / 2)
+        np.testing.assert_array_equal(own, _brute_parity(pts, mids))
+    assert not np.any(ks_parity_bits(sets[:0], mids))
+    with pytest.raises(ValueError, match="at most 64 point sets"):
+        ks_parity_bits(sets + sets[:1], mids)
 
 
 # ---------------------------------------------------------------------- zeta
