@@ -175,12 +175,18 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
     out = np.empty(Y.shape[0])
     for lo in range(0, Y.shape[0], POINT_CHUNK):
         block = Y[lo : lo + POINT_CHUNK]
-        mats = [_sine_matrix(block[:, i], gs.kmax) for i in range(gs.d)]
-        # the first mode axis by one GEMM, the others by products and row sums
-        acc = mats[0] @ coef
+        # sines once per distinct coordinate of the block, gathered per point
+        uniq, inv = zip(*(np.unique(block[:, i], return_inverse=True) for i in range(gs.d)))
+        mats = [_sine_matrix(u, gs.kmax) for u in uniq]
+        # the first mode axis by one GEMM on the distinct rows, the others by
+        # products and row sums. numpy sends a one-row product to GEMV, which
+        # sums in another order, so a block of two or more points keeps at
+        # least two rows: every point is summed as by a GEMM over the block
+        rows = np.resize(mats[0], (max(len(uniq[0]), min(2, len(block))), gs.kmax))
+        acc = (rows @ coef)[inv[0]]
         if gs.d == 3:
-            acc = (acc.reshape(-1, gs.kmax, gs.kmax) * mats[2][:, None, :]).sum(-1)
-        out[lo : lo + POINT_CHUNK] = (acc * mats[1]).sum(-1)
+            acc = (acc.reshape(-1, gs.kmax, gs.kmax) * mats[2][inv[2], None, :]).sum(-1)
+        out[lo : lo + POINT_CHUNK] = (acc * mats[1][inv[1]]).sum(-1)
     return out
 
 
@@ -200,7 +206,12 @@ def free_space_green(d: int, r) -> np.ndarray:
 
 
 def _distance_to_boundary(pos: np.ndarray) -> np.ndarray:
-    return np.minimum(pos.min(axis=1), (1.0 - pos).min(axis=1))
+    """Distance of each row of pos (walks, d) to the cube's boundary, one column at a time."""
+    r = np.minimum(pos[:, 0], 1.0 - pos[:, 0])
+    for i in range(1, pos.shape[1]):
+        r = np.minimum(r, pos[:, i])
+        r = np.minimum(r, 1.0 - pos[:, i])
+    return r
 
 
 def _project_to_face(pos: np.ndarray) -> np.ndarray:
@@ -239,7 +250,11 @@ def walk_on_spheres_exit(x, cfg: WosConfig, rng: RngStream) -> np.ndarray:
         if idx.size == 0 or step == cfg.max_steps:
             break
         dirs = gen.standard_normal((idx.size, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        # squares summed column by column in the order np.linalg.norm sums a row
+        norm2 = dirs[:, 0] * dirs[:, 0]
+        for i in range(1, d):
+            norm2 += dirs[:, i] * dirs[:, i]
+        dirs /= np.sqrt(norm2)[:, None]
         live += r[:, None] * dirs
     if idx.size:
         raise WalkTruncationError(
@@ -255,10 +270,14 @@ def green_mc_estimate(x, y, cfg: WosConfig = WosConfig(), rng: RngStream | None 
     """
     xp, yp = as_point(x), as_point(y)
     d = xp.size
+    if yp.size != d:
+        raise ValueError(f"y has {yp.size} coordinates, x has {d}")
     if np.allclose(xp, yp):
         raise ValueError("free-space kernel is singular at x = y")
     if np.any(xp <= 0) or np.any(xp >= 1):
         raise ValueError("walk-on-spheres start point must be interior")
+    if np.any(yp <= 0) or np.any(yp >= 1):
+        raise ValueError("y must be interior")
     if rng is None:
         rng = RngStream(0)
     exits = walk_on_spheres_exit(xp, cfg, rng)

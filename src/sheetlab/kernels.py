@@ -167,9 +167,24 @@ def kac_stroock_eval(f: PoissonField, x) -> float:
 KS_BLOCK = 64
 
 
+def _midpoint_cells(mids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(mids, x, side="left") for the midpoints mids[j] = (j + 1/2) w.
+
+    floor(x / w + 1/2) is never below that index (w = 2 mids[0] exactly), and
+    one above it only when x is on or just below a midpoint, so one comparison
+    with the midpoint below makes it exact: a coordinate on a midpoint gets that
+    midpoint's index, and one past the last midpoint gets len(mids).
+    """
+    j = np.clip(np.floor(x / (2.0 * mids[0]) + 0.5), 0, len(mids)).astype(np.intp)
+    below = np.concatenate(([-np.inf], mids))  # below[j] = mids[j - 1]
+    j -= below[j] >= x
+    return j
+
+
 def ks_parity_bits(point_sets, mid_axes) -> np.ndarray:
     """N(y) mod 2 on the tensor grid of midpoints for up to KS_BLOCK point sets.
 
+    mid_axes are uniform midpoints (j + 1/2) w per axis, as ks_midpoints gives.
     Bit b of each uint64 entry is the parity for point_sets[b]. A point's cell on
     axis i is the first midpoint at or above its coordinate; points past the last
     midpoint are dropped. One XOR scatter of per-cell toggles and one cumulative
@@ -180,11 +195,11 @@ def ks_parity_bits(point_sets, mid_axes) -> np.ndarray:
     shape = tuple(len(m) for m in mid_axes)
     bits = np.zeros(shape, dtype=np.uint64)
     counts = [len(p) for p in point_sets]
-    if not sum(counts):
+    if not sum(counts) or not bits.size:
         return bits
     pts = np.concatenate(point_sets)
     owner = np.repeat(np.arange(len(point_sets), dtype=np.uint64), counts)
-    idx = [np.searchsorted(mids, pts[:, i], side="left") for i, mids in enumerate(mid_axes)]
+    idx = [_midpoint_cells(mids, pts[:, i]) for i, mids in enumerate(mid_axes)]
     keep = np.all([j < k for j, k in zip(idx, shape)], axis=0)
     flat = np.ravel_multi_index(tuple(j[keep] for j in idx), shape)
     # ufunc.at toggles a cell once per point; fancy-index ^= would drop repeats

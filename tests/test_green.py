@@ -103,6 +103,55 @@ def test_green_values_chunks_match_references(d, m):
     assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _green_values_per_point(gs, x, Y):
+    """The block loop that evaluates the sines of every point's coordinates."""
+    coef = _x_modes(gs, [x])[0].reshape(gs.kmax, -1)
+    out = np.empty(Y.shape[0])
+    for lo in range(0, Y.shape[0], POINT_CHUNK):
+        block = Y[lo : lo + POINT_CHUNK]
+        mats = [_sine_matrix(block[:, i], gs.kmax) for i in range(gs.d)]
+        acc = mats[0] @ coef
+        if gs.d == 3:
+            acc = (acc.reshape(-1, gs.kmax, gs.kmax) * mats[2][:, None, :]).sum(-1)
+        out[lo : lo + POINT_CHUNK] = (acc * mats[1]).sum(-1)
+    return out
+
+
+def _points_with_repeats(gen, kind, m, d, side):
+    """m points in [0, 1]^d whose coordinates repeat in the way kind names."""
+    if kind in ("grid", "shuffled-grid"):
+        # side distinct values on every axis but the first, which takes what m needs
+        rest = side ** (d - 1)
+        axes = [np.sort(gen.uniform(size=-(-m // rest)))] + [
+            np.sort(gen.uniform(size=side)) for _ in range(d - 1)
+        ]
+        Y = tensor_points(axes)[:m]
+        return gen.permutation(Y) if kind == "shuffled-grid" else Y
+    if kind == "duplicated-rows":
+        return gen.uniform(size=(side, d))[gen.integers(0, side, m)]
+    Y = gen.uniform(size=(m, d))
+    Y[:, gen.integers(d)] = gen.uniform()
+    return Y
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    kmax=st.sampled_from([1, 5, 16]),
+    m=st.sampled_from([1, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 1]),
+    kind=st.sampled_from(["grid", "shuffled-grid", "duplicated-rows", "constant-column"]),
+    side=st.sampled_from([1, 2, 16, 90]),
+    seed=st.integers(0, 2**16),
+)
+def test_green_values_with_repeated_coordinates_matches_per_point_loop(d, kmax, m, kind, side, seed):
+    """Sines once per distinct coordinate give every value bit for bit."""
+    gen = np.random.default_rng(seed)
+    gs = GreenSeries(d=d, kmax=kmax)
+    x = gen.uniform(0.05, 0.95, d)
+    Y = _points_with_repeats(gen, kind, m, d, side)
+    np.testing.assert_array_equal(green_values(gs, x, Y), _green_values_per_point(gs, x, Y))
+
+
 def test_green_values_rejects_bad_shape():
     gs = GreenSeries(d=2, kmax=8)
     for Y in (np.full((5, 3), 0.5), np.full((5, 1), 0.5), np.full(2, 0.5)):
@@ -286,6 +335,16 @@ def test_mc_rejects_bad_points():
         green_mc_estimate((0.5, 0.5), (0.5, 0.5))
     with pytest.raises(ValueError):
         green_mc_estimate((0.0, 0.5), (0.6, 0.5))
+
+
+def test_mc_rejects_y_of_another_dimension():
+    with pytest.raises(ValueError, match="y has 1 coordinates, x has 3"):
+        green_mc_estimate((0.3, 0.4, 0.5), (0.6,))
+
+
+def test_mc_rejects_y_outside_the_cube():
+    with pytest.raises(ValueError, match="y must be interior"):
+        green_mc_estimate((0.3, 0.4), (1.5, 0.5))
 
 
 def test_parseval_matches_quadrature():

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheetlab import kernels
 from sheetlab import (
@@ -138,6 +140,27 @@ def _brute_parity(points, mid_axes):
     grid_pts = np.stack(np.meshgrid(*mid_axes, indexing="ij"), axis=-1)
     below = np.all(points[:, None, :] <= grid_pts.reshape(-1, len(mid_axes)), axis=2)
     return (below.sum(axis=0) % 2).reshape(grid_pts.shape[:-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.integers(1, 600),
+    T=st.floats(0.05, 20.0),
+    on_mids=st.lists(st.integers(0, 599), max_size=30),
+    scaled=st.lists(st.floats(-0.5, 2.0), max_size=30),
+)
+def test_midpoint_cells_match_searchsorted(cells, T, on_mids, scaled):
+    """The arithmetic cell index equals searchsorted(side="left") on the rule's
+    midpoints: on midpoints and next to them, at 0 and T, and past the last one."""
+    mids = kernels.ks_midpoints([cells], [T / cells])[0]
+    on = mids[np.array(on_mids, dtype=int) % cells]
+    x = np.concatenate(
+        [[0.0, T, np.nextafter(T, np.inf), 2.0 * T, mids[-1]], on,
+         np.nextafter(on, -np.inf), np.nextafter(on, np.inf), np.array(scaled) * T]
+    )
+    np.testing.assert_array_equal(
+        kernels._midpoint_cells(mids, x), np.searchsorted(mids, x, side="left")
+    )
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
