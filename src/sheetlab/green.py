@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
 from .grid import GridField, GridSpec, as_point
 from .integrals import Integrand
 from .quadrature import QuadSpec, row_outer, tensor_points
 from .rng import RngStream
+from . import stats
 
 __all__ = [
     "GreenSeries",

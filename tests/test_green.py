@@ -91,14 +91,18 @@ def _green_values_einsum(gs, x, Y):
     "m", [1, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 1, 2 * POINT_CHUNK + 3]
 )
 def test_green_values_chunks_match_references(d, m):
-    """Every chunk boundary: each point against green_eval, all against the einsum."""
+    """Every chunk boundary: the ends, the points beside each chunk start and a
+    seeded sample against green_eval, all points against the einsum."""
     gs = GreenSeries(d=d, kmax=24 if d == 2 else 12)
     x = (0.35, 0.6, 0.45)[:d]
     Y = np.random.default_rng(1000 * d + m).uniform(0.0, 1.0, (m, d))
     vals = green_values(gs, x, Y)
     assert vals.shape == (m,)
-    for v, y in zip(vals, Y):
-        assert abs(v - green_eval(gs, x, y)) <= 1e-13
+    picked = {0, m - 1, *np.random.default_rng(7).integers(0, m, 256).tolist()}
+    for lo in range(0, m, POINT_CHUNK):
+        picked |= {i for i in (lo - 1, lo, lo + 1) if 0 <= i < m}
+    for i in sorted(picked):
+        assert abs(vals[i] - green_eval(gs, x, Y[i])) <= 1e-13
     ref = _green_values_einsum(gs, x, Y)
     assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
