@@ -1,7 +1,7 @@
 """Numerical laboratory for Brownian-sheet kernel approximations, weak-convergence
 diagnostics, and the stochastic Poisson equation on the unit cube."""
 
-from .grid import GridField, GridSpec, leq, rectangle_increment
+from .grid import GridField, GridSpec
 from .rng import RngStream
 from .quadrature import QuadSpec
 from .kernels import (
@@ -45,7 +45,6 @@ from .solver import (
     residual,
     solution_convergence_report,
     solve_contraction,
-    solve_relaxed,
 )
 
 __version__ = "0.1.0"

@@ -36,7 +36,13 @@ from .green import (
     poincare_constant,
 )
 from .integrals import Integrand, indicator_integrand
-from .kernels import BudgetExceededError, sample_donsker, sample_kac_stroock, zeta_on_axes
+from .kernels import (
+    INNOVATION_LAWS,
+    BudgetExceededError,
+    sample_donsker,
+    sample_kac_stroock,
+    zeta_on_axes,
+)
 from .quadrature import QuadSpec
 from .rng import RngStream
 from .solver import (
@@ -411,9 +417,15 @@ def main(argv=None) -> int:
     outdir = args.report_dir or "."
     try:
         cfg = _resolve(args, _SUBCOMMANDS[args.subcommand])
-        if args.subcommand == "simulate" and cfg["family"] == "sheet":
+        if "law" in cfg and cfg["law"] not in INNOVATION_LAWS:
+            raise ConfigError(
+                f"field 'law': unknown value {cfg['law']!r}; choose one of {INNOVATION_LAWS}"
+            )
+        if args.subcommand in ("simulate", "poisson-solve") and cfg["family"] == "sheet":
             # the Brownian sheet is the Donsker field at n = N with standard-normal innovations
-            cfg.update(n=cfg["grid_n"], law="standard-normal")
+            cfg["n"] = cfg["grid_n"]
+            if "law" in cfg:
+                cfg["law"] = "standard-normal"
         os.makedirs(outdir, exist_ok=True)
         cfg_full = dict(cfg)
         cfg_full["report_dir"] = outdir

@@ -1,8 +1,7 @@
-"""Rectangular parameter domain D = [0, T] in R^d: grids, partial order, box increments."""
+"""Rectangular parameter domain D = [0, T] in R^d: grids and fields on their nodes."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,8 +9,6 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "GridField",
-    "leq",
-    "rectangle_increment",
     "as_point",
 ]
 
@@ -152,29 +149,3 @@ class GridField:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-
-def leq(x, z) -> bool:
-    """Componentwise partial order x <= z on D."""
-    a, b = as_point(x), as_point(z)
-    if a.size != b.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    return bool(np.all(a <= b))
-
-
-def rectangle_increment(F: GridField, x, z) -> float:
-    """Alternating-sign increment of F over the box [x, z].
-
-    Sum over corners eps in {0,1}^d of (-1)^(d - sum eps) * F(x + eps*(z - x)).
-    Both x and z must be grid nodes with x <= z.
-    """
-    grid = F.grid
-    ix = np.array(grid.node_index(x))
-    iz = np.array(grid.node_index(z))
-    if np.any(ix > iz):
-        raise ValueError("rectangle_increment requires x <= z componentwise")
-    total = 0.0
-    for eps in itertools.product((0, 1), repeat=grid.d):
-        corner = tuple(np.where(np.array(eps) == 1, iz, ix))
-        sign = (-1) ** (grid.d - sum(eps))
-        total += sign * F.values[corner]
-    return float(total)

@@ -209,11 +209,6 @@ def ks_parity_bits(point_sets, mid_axes) -> np.ndarray:
     return bits
 
 
-def ks_sign_grid(points: np.ndarray, mid_axes) -> np.ndarray:
-    """(-1)^{N(y)} on the tensor grid of midpoints."""
-    return 1.0 - 2.0 * (ks_parity_bits([points], mid_axes) & 1)
-
-
 def ks_scale(n: float, mid_axes) -> np.ndarray:
     """The sign-free factor n^{d/2} (prod y_i)^{(d-1)/2} of theta_n on the tensor
     grid of midpoints."""
@@ -229,8 +224,8 @@ def ks_scale(n: float, mid_axes) -> np.ndarray:
 
 
 def ks_values_on_grid(f: PoissonField, mid_axes) -> np.ndarray:
-    """Kernel values theta_n on the tensor grid of midpoints."""
-    return ks_scale(f.n, mid_axes) * ks_sign_grid(f.points, mid_axes)
+    """Kernel values theta_n = ks_scale * (-1)^{N(y)} on the tensor grid of midpoints."""
+    return ks_scale(f.n, mid_axes) * (1.0 - 2.0 * (ks_parity_bits([f.points], mid_axes) & 1))
 
 
 def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:

@@ -4,7 +4,7 @@ u + int_D K(.,y) F(u(y)) dy = int_D K(.,y) g(y) dy + eta."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "SolveResult",
     "GateError",
     "solve_contraction",
-    "solve_relaxed",
     "residual",
     "psi_continuity_check",
     "SpdeSampler",
@@ -47,7 +46,8 @@ SOLVE_BLOCK = 64
 
 
 class GateError(RuntimeError):
-    """Raised when the contraction gate Lambda * L < 1 fails."""
+    """Raised when F fails the gate of the regime that the relaxation selects:
+    the contraction gate Lambda * L < 1 or the monotonicity gate L < d pi^2."""
 
 
 @dataclass
@@ -125,13 +125,34 @@ def residual(u: GridField, F: Nonlinearity, g: GridField, eta: GridField, gs: Gr
     return float(_sup_residual(u.values, KFu, k_apply(gs, g).values, eta.values, u.grid.d))
 
 
-def _check_gate(gs: GreenSeries, grid: GridSpec, L: float) -> float:
-    lam = lambda_sup(gs, grid)
-    if GATE_INFLATION * lam * L >= 1.0:
-        raise GateError(
-            f"contraction gate failed: {GATE_INFLATION} * Lambda({lam:.4g}) * L({L:.4g}) >= 1"
-        )
-    return lam
+def _check_gate(gs: GreenSeries, grid: GridSpec, F: Nonlinearity, cfg: SolveConfig) -> dict:
+    """Refuse F outside the regime that cfg.relaxation selects; return the
+    diagnostics that every solve in that regime reports.
+
+    Relaxation 1 iterates the mild-solution map itself, which converges under
+    the contraction gate GATE_INFLATION * Lambda * L < 1, with the a-posteriori
+    bound tolerance / (1 - Lambda L).  A relaxation below 1 damps each step,
+    which converges for bounded F under the monotonicity gate
+    L < poincare_constant; the contraction bound does not hold there.
+    """
+    L = F.lipschitz
+    if cfg.relaxation == 1.0:
+        lam = lambda_sup(gs, grid)
+        if GATE_INFLATION * lam * L >= 1.0:
+            raise GateError(
+                f"contraction gate failed: {GATE_INFLATION} * Lambda({lam:.4g}) * L({L:.4g}) >= 1"
+            )
+        return {
+            "lambda_hat": lam,
+            "gate": GATE_INFLATION * lam * L,
+            "residual_bound": cfg.tolerance / max(1.0 - lam * L, 1e-12),
+        }
+    if F.bound is None:
+        raise ValueError("a relaxation below 1 requires a bounded nonlinearity")
+    a = poincare_constant(gs)
+    if L >= a:
+        raise GateError(f"monotonicity gate failed: L({L:.4g}) >= a({a:.4g})")
+    return {"gate": L / a}
 
 
 def _solve_stack(
@@ -140,16 +161,19 @@ def _solve_stack(
     eta: np.ndarray,
     gs: GreenSeries,
     grid: GridSpec,
-    lam: float,
+    gate: dict,
     cfg: SolveConfig,
 ) -> list:
-    """Banach fixed-point iteration for a stack eta of shape (M, *node_shape).
+    """Fixed-point iteration for a stack eta of shape (M, *node_shape).
 
-    Each replicate stops on its own delta <= tolerance; finished replicates
-    leave the stack, so every replicate takes the iterations, ratios and
-    verdict of a lone solve.  Kg = int K g and lam = Lambda were computed by
-    the caller, which also checked the gate.
+    With b = Kg + eta and relaxation w, each step is u <- b - K F(u) at w = 1
+    and u <- (1 - w) u + w (b - K F(u)) below.  The step is -w times the
+    residual at u, so each replicate stops on its own delta / w <= tolerance;
+    finished replicates leave the stack, so every replicate takes the
+    iterations, ratios and verdict of a lone solve.  Kg = int K g and the gate
+    diagnostics were computed by the caller, which also checked the gate.
     """
+    w = cfg.relaxation
     M = eta.shape[0]
     b = Kg + eta
     u_out = np.empty_like(b)
@@ -161,7 +185,9 @@ def _solve_stack(
     prev_delta = None
     for it in range(1, cfg.max_iterations + 1):
         u_new = b - k_apply_stack(gs, F(u), grid)
-        delta = np.max(np.abs(u_new - u), axis=tuple(range(1, u.ndim)))
+        if w != 1.0:
+            u_new = (1.0 - w) * u + w * u_new
+        delta = np.max(np.abs(u_new - u), axis=tuple(range(1, u.ndim))) / w
         if prev_delta is not None:
             for row, dl, pd in zip(active, delta, prev_delta):
                 if pd > 0:
@@ -183,11 +209,7 @@ def _solve_stack(
             final_residual=float(res[i]),
             converged=bool(converged[i]),
             contraction_ratios=ratios[i],
-            diagnostics={
-                "lambda_hat": lam,
-                "gate": GATE_INFLATION * lam * F.lipschitz,
-                "residual_bound": cfg.tolerance / max(1.0 - lam * F.lipschitz, 1e-12),
-            },
+            diagnostics=dict(gate),
         )
         for i in range(M)
     ]
@@ -200,61 +222,12 @@ def solve_contraction(
     gs: GreenSeries,
     cfg: SolveConfig = SolveConfig(),
 ) -> SolveResult:
-    """Banach fixed-point iteration u <- -int K F(u) + int K g + eta from u0 = 0."""
+    """Fixed-point iteration u <- -int K F(u) + int K g + eta from u0 = 0,
+    damped by cfg.relaxation, under the gate that the relaxation selects."""
     grid = eta.grid
-    lam = _check_gate(gs, grid, F.lipschitz)
+    gate = _check_gate(gs, grid, F, cfg)
     Kg = k_apply(gs, g).values
-    return _solve_stack(F, Kg, eta.values[None], gs, grid, lam, cfg)[0]
-
-
-def solve_relaxed(
-    F: Nonlinearity,
-    g: GridField,
-    eta: GridField,
-    gs: GreenSeries,
-    cfg: SolveConfig = SolveConfig(relaxation=0.5),
-    patience: int = 10,
-) -> SolveResult:
-    """Damped iteration for bounded F under L < d pi^2; accepts on residual only."""
-    if F.bound is None:
-        raise ValueError("solve_relaxed requires a bounded nonlinearity")
-    a = poincare_constant(gs)
-    if F.lipschitz >= a:
-        raise GateError(f"monotonicity gate failed: L({F.lipschitz:.4g}) >= a({a:.4g})")
-    if cfg.relaxation >= 1.0:
-        raise ValueError("solve_relaxed requires relaxation < 1")
-    grid = eta.grid
-    Kg = k_apply(gs, g).values
-    b = Kg + eta.values
-    u = np.zeros(grid.node_shape)
-    # K F(u) at the current u: the residual of one step is the proposal of the next
-    KFu = k_apply(gs, GridField(grid, F(u))).values
-    history = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        proposal = b - KFu
-        u = (1.0 - cfg.relaxation) * u + cfg.relaxation * proposal
-        KFu = k_apply(gs, GridField(grid, F(u))).values
-        res = float(_sup_residual(u, KFu, Kg, eta.values, grid.d))
-        history.append(res)
-        if res <= cfg.tolerance:
-            converged = True
-            break
-        if len(history) > patience and history[-1] >= history[-1 - patience]:
-            raise RuntimeError(
-                f"relaxed iteration stalled: residual {history[-1]:.3g} after "
-                f"{iterations} iterations; history={history[-patience:]}"
-            )
-    uf = GridField(grid, u)
-    return SolveResult(
-        u=uf,
-        iterations=iterations,
-        final_residual=history[-1],
-        converged=converged,
-        contraction_ratios=[],
-        diagnostics={"residual_history": history},
-    )
+    return _solve_stack(F, Kg, eta.values[None], gs, grid, gate, cfg)[0]
 
 
 def psi_continuity_check(
@@ -267,7 +240,8 @@ def psi_continuity_check(
 ) -> dict:
     """Verify the data-continuity bound of the solution map Psi:
     ||Psi(eta) - Psi(eta')||_inf <= (1 - Lambda L)^{-1} ||eta - eta'||_inf."""
-    lam = _check_gate(gs, eta.grid, F.lipschitz)
+    # the bound assumes a contraction, whatever relaxation cfg sets
+    lam = _check_gate(gs, eta.grid, F, replace(cfg, relaxation=1.0))["lambda_hat"]
     u = solve_contraction(F, g, eta, gs, cfg)
     u_prime = solve_contraction(F, g, eta_prime, gs, cfg)
     lhs = float(np.max(np.abs(u.u.values - u_prime.u.values)))
@@ -286,8 +260,8 @@ class SpdeSampler:
     """Replicate sampler for mild-solution fields under a chosen noise driver.
 
     Precomputes the Green-kernel quadrature weights at the grid nodes, the
-    contraction gate and int K g once.  Replicates are then solved in blocks
-    of SOLVE_BLOCK: each replicate draws its noise from its own stream, the
+    solver gate and int K g once.  Replicates are then solved in blocks of
+    SOLVE_BLOCK: each replicate draws its noise from its own stream, the
     block's noise is applied at once (one matrix product for the Donsker and
     sheet drivers, one packed parity grid for Kac-Stroock), and one
     fixed-point iteration runs over the whole block.
@@ -311,9 +285,11 @@ class SpdeSampler:
         self.cfg = cfg
         grid = g.grid
         self.grid = grid
-        self.lam = _check_gate(gs, grid, F.lipschitz)
+        self.gate = _check_gate(gs, grid, F, cfg)
         if quad is None:
-            # tie the refinement to the noise scale (r >= n for Donsker cells)
+            # r = 1 suffices: Donsker and the sheet integrate the Green kernel's
+            # exact cell integrals, and Kac-Stroock's rule already has at least
+            # ceil(n T_i) cells per axis
             quad = QuadSpec(r=1, rho=1e-3)
         self.quad = quad
         kernel = green_integrand(gs)
@@ -341,7 +317,7 @@ class SpdeSampler:
         out = []
         for lo in range(0, len(streams), SOLVE_BLOCK):
             eta = self._noise_block(streams[lo : lo + SOLVE_BLOCK])
-            out += _solve_stack(self.F, self._Kg, eta, self.gs, self.grid, self.lam, self.cfg)
+            out += _solve_stack(self.F, self._Kg, eta, self.gs, self.grid, self.gate, self.cfg)
         return out
 
     def sample_solution(self, rng: RngStream) -> SolveResult:

@@ -40,6 +40,16 @@ def test_convergence_report_happy_path(tmp_path):
     assert manifest["config"]["seed"] == "7"
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "convergence-report"])
+@pytest.mark.parametrize("family", ["donsker", "kac-stroock", "sheet"])
+def test_unknown_law_is_config_error(tmp_path, capsys, subcommand, family):
+    out = tmp_path / "run"
+    code = main([subcommand, "--family", family, "--law", "bogus", "--report-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert "field 'law': unknown value 'bogus'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_simulate_deterministic_artifacts(tmp_path):
     args = ["simulate", "--family", "sheet", "--d", "2", "--grid-n", "6", "--seed", "3"]
     a, b = tmp_path / "a", tmp_path / "b"
@@ -296,12 +306,15 @@ def test_poisson_solve_artifacts(tmp_path):
             "--family", "sheet",
             "--F", "tanh:1.0",
             "--g", "constant:1.0",
+            "--n", "3",
             "--grid-n", "8",
             "--seed", "11",
             "--report-dir", str(tmp_path),
         ]
     )
     assert code == EXIT_OK
+    # the sheet is drawn at n = grid-n whatever --n says; the manifest records that
+    assert _read_json(tmp_path / "manifest.json")["config"]["n"] == "8"
     solve = _read_json(tmp_path / "solve.json")
     assert solve["converged"] is True
     assert "lambda_hat" in solve["diagnostics"]

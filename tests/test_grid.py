@@ -1,11 +1,9 @@
-"""Grid, partial order, and rectangle-increment tests."""
+"""Grid specification tests."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sheetlab import GridField, GridSpec, leq, rectangle_increment
+from sheetlab import GridSpec
 
 
 def test_scalar_broadcast():
@@ -60,81 +58,3 @@ def test_grid_roundtrip_dict():
     grid = GridSpec(d=2, T=(1.0, 0.5), N=(4, 2))
     assert GridSpec.from_dict(grid.to_dict()) == grid
 
-
-def test_leq_examples():
-    assert leq((0.1, 0.2), (0.1, 0.5))
-    assert not leq((0.3, 0.2), (0.1, 0.5))
-    assert leq((0.3, 0.2), (0.3, 0.2))
-    with pytest.raises(ValueError):
-        leq((0.1,), (0.1, 0.2))
-
-
-def test_increment_d1_is_difference():
-    grid = GridSpec(d=1, T=1.0, N=4)
-    F = GridField(grid, np.array([0.0, 1.0, 3.0, 6.0, 10.0]))
-    assert rectangle_increment(F, (0.25,), (1.0,)) == pytest.approx(9.0)
-
-
-def test_increment_d2_corner_signs():
-    grid = GridSpec(d=2, T=1.0, N=2)
-    vals = np.arange(9.0).reshape(3, 3)
-    F = GridField(grid, vals)
-    x, z = (0.0, 0.5), (1.0, 1.0)
-    expect = vals[2, 2] - vals[0, 2] - vals[2, 1] + vals[0, 1]
-    assert rectangle_increment(F, x, z) == pytest.approx(expect)
-
-
-def test_increment_of_product_field():
-    # F(x) = prod x_i has box increment prod (z_i - x_i)
-    grid = GridSpec(d=3, T=1.0, N=4)
-    pts = grid.node_points()
-    F = GridField(grid, np.prod(pts, axis=1))
-    x = np.array([0.25, 0.0, 0.5])
-    z = np.array([0.75, 0.5, 1.0])
-    assert rectangle_increment(F, x, z) == pytest.approx(np.prod(z - x))
-
-
-def test_increment_requires_order():
-    grid = GridSpec(d=2, T=1.0, N=2)
-    F = GridField.zeros(grid)
-    with pytest.raises(ValueError):
-        rectangle_increment(F, (1.0, 0.0), (0.5, 1.0))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    data=st.data(),
-    split=st.integers(min_value=1, max_value=3),
-)
-def test_increment_additive_in_first_axis(data, split):
-    """Splitting the box along an axis splits the increment additively."""
-    grid = GridSpec(d=2, T=1.0, N=4)
-    vals = data.draw(
-        st.lists(
-            st.floats(min_value=-5, max_value=5, allow_nan=False),
-            min_size=25,
-            max_size=25,
-        )
-    )
-    F = GridField(grid, np.array(vals).reshape(5, 5))
-    x, z = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-    mid = np.array([split / 4, 1.0])
-    whole = rectangle_increment(F, x, z)
-    left = rectangle_increment(F, x, np.array([mid[0], z[1]]))
-    right = rectangle_increment(F, np.array([mid[0], x[1]]), z)
-    assert whole == pytest.approx(left + right, abs=1e-10)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    a=st.lists(st.floats(-3, 3, allow_nan=False), min_size=5, max_size=5),
-    b=st.lists(st.floats(-3, 3, allow_nan=False), min_size=5, max_size=5),
-)
-def test_increment_kills_separable_terms(a, b):
-    """F(x) = g(x1) + h(x2) has zero box increment in d=2."""
-    grid = GridSpec(d=2, T=1.0, N=4)
-    g = np.array(a)
-    h = np.array(b)
-    F = GridField(grid, g[:, None] + h[None, :])
-    inc = rectangle_increment(F, (0.0, 0.25), (0.75, 1.0))
-    assert inc == pytest.approx(0.0, abs=1e-9)

@@ -24,7 +24,7 @@ from sheetlab.kernels import (
     DonskerField,
     PoissonField,
     ks_parity_bits,
-    ks_sign_grid,
+    ks_scale,
     ks_values_on_grid,
 )
 
@@ -128,7 +128,7 @@ def test_ks_sign_grid_matches_pointwise_eval():
     grid = GridSpec(d=2, T=1.0, N=4)
     fld = sample_kac_stroock(grid, 20.0, RngStream(10))
     mids = [grid.axis_cell_centers(i) for i in range(2)]
-    signs = ks_sign_grid(fld.points, mids)
+    signs = ks_values_on_grid(fld, mids) / ks_scale(fld.n, mids)
     for i, a in enumerate(mids[0]):
         for j, b in enumerate(mids[1]):
             count = int(np.sum(np.all(fld.points <= (a, b), axis=1)))
@@ -180,7 +180,9 @@ def test_ks_parity_bits_pack_each_fields_own_sign_grid(d):
     assert bits.dtype == np.uint64 and bits.shape == (3,) * d
     for b, pts in enumerate(sets):
         own = (bits >> np.uint64(b)) & np.uint64(1)
-        np.testing.assert_array_equal(own, (1 - ks_sign_grid(pts, mids)) / 2)
+        lone = PoissonField(n=12.0, grid=grid, points=pts)
+        signs = ks_values_on_grid(lone, mids) / ks_scale(lone.n, mids)
+        np.testing.assert_array_equal(own, (1 - signs) / 2)
         np.testing.assert_array_equal(own, _brute_parity(pts, mids))
     assert not np.any(ks_parity_bits(sets[:0], mids))
     with pytest.raises(ValueError, match="at most 64 point sets"):

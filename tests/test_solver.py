@@ -10,15 +10,22 @@ from sheetlab import (
     RngStream,
     SolveConfig,
     k_apply,
+    poincare_constant,
     psi_continuity_check,
     residual,
     solution_convergence_report,
     solve_contraction,
-    solve_relaxed,
 )
 from sheetlab.grid import GridField
-from sheetlab.green import sine_synthesis
-from sheetlab.solver import SOLVE_BLOCK, GateError, SpdeSampler, nonlinearity_preset
+from sheetlab.green import k_apply_stack, sine_synthesis
+from sheetlab.solver import (
+    SOLVE_BLOCK,
+    GateError,
+    SpdeSampler,
+    _check_gate,
+    _solve_stack,
+    nonlinearity_preset,
+)
 
 GRID = GridSpec(d=2, T=1.0, N=12)
 GS = GreenSeries(d=2, kmax=11)
@@ -101,7 +108,7 @@ def test_relaxed_matches_contraction_for_zero_f():
     g = _random_field(69)
     eta = _random_field(70, scale=0.1)
     cfg = SolveConfig(tolerance=1e-9, relaxation=0.5)
-    a = solve_relaxed(nonlinearity_preset("zero"), g, eta, GS, cfg)
+    a = solve_contraction(nonlinearity_preset("zero"), g, eta, GS, cfg)
     b = solve_contraction(nonlinearity_preset("zero"), g, eta, GS)
     assert a.converged
     np.testing.assert_allclose(a.u.values, b.u.values, atol=1e-7)
@@ -109,19 +116,76 @@ def test_relaxed_matches_contraction_for_zero_f():
 
 def test_relaxed_bounded_sigmoid_converges():
     cfg = SolveConfig(tolerance=1e-8, relaxation=0.5, max_iterations=300)
-    res = solve_relaxed(
+    res = solve_contraction(
         nonlinearity_preset("tanh:3.0"), _random_field(71), _random_field(72, 0.1), GS, cfg
     )
     assert res.converged and res.final_residual <= cfg.tolerance
+    # the contraction-only residual bound is not reported in the damped regime
+    assert res.diagnostics == {"gate": 3.0 / poincare_constant(GS)}
 
 
 def test_relaxed_rejects_unbounded_or_strong_f():
     cfg = SolveConfig(relaxation=0.5)
     with pytest.raises(ValueError):
-        solve_relaxed(nonlinearity_preset("linear:1.0"), _random_field(1), _random_field(2), GS, cfg)
+        solve_contraction(
+            nonlinearity_preset("linear:1.0"), _random_field(1), _random_field(2), GS, cfg
+        )
     strong = Nonlinearity(lambda u: 30.0 * np.tanh(u), lipschitz=30.0, bound=30.0)
     with pytest.raises(GateError):
-        solve_relaxed(strong, _random_field(1), _random_field(2), GS, cfg)
+        solve_contraction(strong, _random_field(1), _random_field(2), GS, cfg)
+
+
+def _banach_stack(F, Kg, eta, cfg):
+    """Reference: the undamped block iteration u <- Kg + eta - K F(u), written
+    without relaxation; (u, iterations, ratios, converged) per replicate."""
+    M = eta.shape[0]
+    b = Kg + eta
+    u_out = np.empty_like(b)
+    iterations = np.zeros(M, dtype=int)
+    converged = np.zeros(M, dtype=bool)
+    ratios = [[] for _ in range(M)]
+    active = np.arange(M)
+    u = np.zeros_like(b)
+    prev_delta = None
+    for it in range(1, cfg.max_iterations + 1):
+        u_new = b - k_apply_stack(GS, F(u), GRID)
+        delta = np.max(np.abs(u_new - u), axis=tuple(range(1, u.ndim)))
+        if prev_delta is not None:
+            for row, dl, pd in zip(active, delta, prev_delta):
+                if pd > 0:
+                    ratios[row].append(float(dl / pd))
+        iterations[active] = it
+        done = delta <= cfg.tolerance
+        converged[active[done]] = True
+        u_out[active[done]] = u_new[done]
+        keep = ~done
+        active, u, b, prev_delta = active[keep], u_new[keep], b[keep], delta[keep]
+        if active.size == 0:
+            break
+    u_out[active] = u
+    return u_out, iterations, ratios, converged
+
+
+@pytest.mark.parametrize("spec", ["tanh:1.0", "linear:-1.5"])
+@pytest.mark.parametrize("M", [1, SOLVE_BLOCK, SOLVE_BLOCK + 1])
+@pytest.mark.parametrize("max_iterations", [200, 4])
+def test_unit_relaxation_is_the_banach_iteration(spec, M, max_iterations):
+    """At relaxation 1 the one loop does the undamped iteration's arithmetic."""
+    F = nonlinearity_preset(spec)
+    cfg = SolveConfig(max_iterations=max_iterations)
+    gen = RngStream(85).generator()
+    Kg = k_apply(GS, _random_field(86)).values
+    eta = gen.standard_normal((M,) + GRID.node_shape) * 0.1
+    gate = _check_gate(GS, GRID, F, cfg)
+    got = _solve_stack(F, Kg, eta, GS, GRID, gate, cfg)
+    u, iterations, ratios, converged = _banach_stack(F, Kg, eta, cfg)
+    assert not converged.all() if max_iterations == 4 else converged.all()
+    for i, res in enumerate(got):
+        np.testing.assert_array_equal(res.u.values, u[i])
+        assert res.iterations == iterations[i]
+        assert res.contraction_ratios == ratios[i]
+        assert res.converged == converged[i]
+        assert list(res.diagnostics) == ["lambda_hat", "gate", "residual_bound"]
 
 
 def test_residual_positive_for_random_guess():
@@ -165,15 +229,24 @@ def test_spde_sample_deterministic_and_boundary_zero():
         assert np.all(np.abs(u1.values[:, -1]) < tol)
 
 
-@pytest.mark.parametrize("family, n", [("donsker", 8), ("kac-stroock", 8), ("sheet", None)])
+DRIVERS = [("donsker", 8), ("kac-stroock", 8), ("sheet", None)]
+
+
+@pytest.mark.parametrize(
+    "family, n, spec, relaxation",
+    [pytest.param(f, n, "tanh:1.0", 1.0, id=f"{f}-{n}") for f, n in DRIVERS]
+    # L = 19 is past the contraction gate and inside the monotonicity gate 2 pi^2
+    + [pytest.param(f, n, "tanh:19", 0.5, id=f"{f}-{n}-relaxed") for f, n in DRIVERS],
+)
 @pytest.mark.parametrize("max_iterations", [200, 6])
-def test_sample_solutions_match_single_solves(family, n, max_iterations):
+def test_sample_solutions_match_single_solves(family, n, spec, relaxation, max_iterations):
     """Block solves reproduce one solve_contraction per replicate substream:
     the same iterations and verdict, values within 1e-12 of the sup norm
     (the block's noise product sums in another order than a lone one)."""
     g = GridField(GRID, np.ones(GRID.node_shape))
-    F = nonlinearity_preset("tanh:1.0")
-    cfg = SolveConfig(max_iterations=max_iterations)  # 6 stops some replicates unconverged
+    F = nonlinearity_preset(spec)
+    # 6 stops some replicates unconverged
+    cfg = SolveConfig(max_iterations=max_iterations, relaxation=relaxation)
     sampler = SpdeSampler(family, n, g, F, GS, cfg)
     B = SOLVE_BLOCK
     streams = RngStream(84).split(2 * B + 3)
