@@ -1,8 +1,12 @@
 """Command-line entry point: seeded batch experiments emitting CSV/JSON artifacts.
 
 Every run resolves its configuration from built-in defaults, an optional JSON
-config file, and explicit command-line flags (flags win), then writes a
-manifest.json echoing the resolved configuration plus the package version.
+config file, and explicit command-line flags (flags win). Each subcommand is
+one entry of ``_SUBCOMMANDS``: its defaults and its runner. ``main`` checks
+the family and the innovation law, calls the runner, writes the runner's
+report (report.json, report.csv) if it returns one, and writes manifest.json,
+echoing the resolved configuration plus the package version, last. Artifacts
+are written only by runs that exit 0 or 3; a refused run writes no file.
 
 Exit codes: 0 success, 2 config error, 3 statistical verdict failure under
 --strict, 4 resource refusal (innovation, weight-matrix or sign-grid budget, or contraction gate).
@@ -21,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .convergence import (
+    ConvergenceReport,
     DiagConfig,
     fdd_test,
     moment_bound_probe,
@@ -35,7 +40,7 @@ from .green import (
     lambda_sup,
     poincare_constant,
 )
-from .integrals import Integrand, indicator_integrand
+from .integrals import FAMILIES, Integrand, indicator_integrand
 from .kernels import (
     INNOVATION_LAWS,
     BudgetExceededError,
@@ -43,7 +48,7 @@ from .kernels import (
     sample_kac_stroock,
     zeta_on_axes,
 )
-from .quadrature import QuadSpec
+from .quadrature import QuadSpec, tensor_points
 from .rng import RngStream
 from .solver import (
     GateError,
@@ -178,21 +183,27 @@ SIMULATE_DEFAULTS = {
 }
 
 
-def _run_simulate(cfg: dict, outdir: str) -> int:
+def _sheet_at_grid_scale(cfg: dict) -> None:
+    """The Brownian sheet is the Donsker field at n = N with standard-normal
+    innovations: set n and law to that, so that the manifest records them."""
+    if cfg["family"] == "sheet":
+        cfg["n"] = cfg["grid_n"]
+        if "law" in cfg:
+            cfg["law"] = "standard-normal"
+
+
+def _run_simulate(cfg: dict, outdir: str) -> None:
+    _sheet_at_grid_scale(cfg)
     grid = GridSpec(d=int(cfg["d"]), T=1.0, N=int(cfg["grid_n"]))
     rng = RngStream(int(cfg["seed"]))
-    family = cfg["family"]
-    if family in ("donsker", "sheet"):
-        kern = sample_donsker(grid, int(cfg["n"]), cfg["law"], rng)
-    elif family == "kac-stroock":
+    if cfg["family"] == "kac-stroock":
         kern = sample_kac_stroock(grid, float(cfg["n"]), rng)
     else:
-        raise ConfigError(f"field 'family': unknown value {family!r}")
+        kern = sample_donsker(grid, int(cfg["n"]), cfg["law"], rng)
     axes = [grid.axis_nodes(i) for i in range(grid.d)]
     field = GridField(grid, zeta_on_axes(kern, axes, QuadSpec(r=int(cfg["r"]))))
     header = [f"x{i+1}" for i in range(grid.d)] + ["value"]
     _write_csv(os.path.join(outdir, "field.csv"), header, _field_csv_rows(field))
-    return EXIT_OK
 
 
 REPORT_DEFAULTS = {
@@ -213,14 +224,12 @@ REPORT_DEFAULTS = {
 }
 
 
-def _run_convergence_report(cfg: dict, outdir: str, strict: bool) -> int:
+def _run_convergence_report(cfg: dict, outdir: str) -> ConvergenceReport:
     d = int(cfg["d"])
     grid = GridSpec(d=d, T=1.0, N=int(cfg["grid_n"]))
-    n_list = _parse_int_list(cfg["n"])
-    M = int(cfg["M"])
     diag = DiagConfig(
-        n_list=tuple(n_list),
-        M=M,
+        n_list=tuple(_parse_int_list(cfg["n"])),
+        M=int(cfg["M"]),
         m=int(cfg["m"]),
         q=float(cfg["q"]),
         significance=float(cfg["significance"]),
@@ -235,28 +244,21 @@ def _run_convergence_report(cfg: dict, outdir: str, strict: bool) -> int:
         probes = cfg["probes"] or ";".join(
             ",".join(str(c) for c in p) for p in [[0.25] * d, [0.5] * d, [0.75] * d]
         )
-        report = fdd_test(f, cfg["family"], grid, _parse_probes(probes, d), diag, rng)
-    elif kind == "moment":
+        return fdd_test(f, cfg["family"], grid, _parse_probes(probes, d), diag, rng)
+    if kind == "moment":
         # the moment probe integrates a function of y alone; use g == 1 on D
         ones = Integrand(lambda xs, axes: np.ones((len(xs),) + tuple(len(a) for a in axes)))
-        report = moment_bound_probe(ones, cfg["family"], grid, diag, rng)
-    elif kind == "variance":
+        return moment_bound_probe(ones, cfg["family"], grid, diag, rng)
+    if kind == "variance":
         pts = _parse_probes(cfg["probes"] or ",".join(["0.75"] * d), d)
         if len(pts) != 1:
             raise ConfigError(f"field 'probes': variance takes one point, got {len(pts)}")
-        report = variance_convergence_report(f, cfg["family"], grid, pts[0], diag, rng)
-    elif kind == "tightness":
+        return variance_convergence_report(f, cfg["family"], grid, pts[0], diag, rng)
+    if kind == "tightness":
         base = np.full(d, 0.3)
         pairs = [(base, base + t) for t in (0.1, 0.2, 0.4)]
-        report = tightness_modulus_probe(f, cfg["family"], grid, pairs, diag, rng)
-    else:
-        raise ConfigError(f"field 'diagnostic': unknown value {kind!r}")
-    report.to_json(os.path.join(outdir, "report.json"))
-    report.to_csv(os.path.join(outdir, "report.csv"))
-    if strict and not report.passed():
-        print("verdict failure:", {k: v for k, v in report.verdicts.items() if not v["ok"]})
-        return EXIT_VERDICT
-    return EXIT_OK
+        return tightness_modulus_probe(f, cfg["family"], grid, pairs, diag, rng)
+    raise ConfigError(f"field 'diagnostic': unknown value {kind!r}")
 
 
 GREEN_DEFAULTS = {
@@ -267,18 +269,17 @@ GREEN_DEFAULTS = {
 }
 
 
-def _run_green_table(cfg: dict, outdir: str) -> int:
+def _run_green_table(cfg: dict, outdir: str) -> None:
     d = int(cfg["d"])
-    gs = GreenSeries(d=d, kmax=int(cfg["kmax"]))
-    x = _parse_probes(cfg["x"] or ",".join(["0.5"] * d), d)[0]
     m = int(cfg["grid_n"])
+    grid = GridSpec(d=d, T=1.0, N=m)
+    gs = GreenSeries(d=d, kmax=int(cfg["kmax"]))
+    x = grid.point_in_domain(_parse_probes(cfg["x"] or ",".join(["0.5"] * d), d)[0])
     axes = [np.arange(m + 1) / m] * d
     table = green_on_axes(gs, x, axes)
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     header = [f"y{i+1}" for i in range(d)] + ["K"]
-    rows = [list(p) + [v] for p, v in zip(pts, table.ravel())]
+    rows = [list(p) + [v] for p, v in zip(tensor_points(axes), table.ravel())]
     _write_csv(os.path.join(outdir, "green.csv"), header, rows)
-    grid = GridSpec(d=d, T=1.0, N=m)
     norms = {
         "x": x.tolist(),
         "kmax": gs.kmax,
@@ -288,7 +289,6 @@ def _run_green_table(cfg: dict, outdir: str) -> int:
     }
     with open(os.path.join(outdir, "norms.json"), "w") as fh:
         json.dump(norms, fh, indent=2)
-    return EXIT_OK
 
 
 SOLVE_DEFAULTS = {
@@ -319,7 +319,8 @@ def _spde_problem(cfg: dict):
     return grid, gs, F, _load_g_field(cfg["g"], grid)
 
 
-def _run_poisson_solve(cfg: dict, outdir: str) -> int:
+def _run_poisson_solve(cfg: dict, outdir: str) -> None:
+    _sheet_at_grid_scale(cfg)
     grid, gs, F, g = _spde_problem(cfg)
     solve_cfg = SolveConfig(
         tolerance=float(cfg["tolerance"]), max_iterations=int(cfg["max_iterations"])
@@ -330,7 +331,6 @@ def _run_poisson_solve(cfg: dict, outdir: str) -> int:
     header = [f"x{i+1}" for i in range(grid.d)] + ["u"]
     _write_csv(os.path.join(outdir, "solution.csv"), header, _field_csv_rows(result.u))
     result.to_json(os.path.join(outdir, "solve.json"))
-    return EXIT_OK
 
 
 COMPARE_DEFAULTS = {
@@ -351,9 +351,9 @@ COMPARE_DEFAULTS = {
 }
 
 
-def _run_spde_compare(cfg: dict, outdir: str, strict: bool) -> int:
+def _run_spde_compare(cfg: dict, outdir: str) -> ConvergenceReport:
     grid, gs, F, g = _spde_problem(cfg)
-    report = solution_convergence_report(
+    return solution_convergence_report(
         cfg["family"],
         _parse_int_list(cfg["n_list"]),
         _parse_probes(cfg["probes"], grid.d),
@@ -366,22 +366,18 @@ def _run_spde_compare(cfg: dict, outdir: str, strict: bool) -> int:
         significance=float(cfg["significance"]),
         quad=QuadSpec(r=int(cfg["r"]), rho=float(cfg["rho"])),
     )
-    report.to_json(os.path.join(outdir, "report.json"))
-    report.to_csv(os.path.join(outdir, "report.csv"))
-    if strict and not report.passed():
-        print("verdict failure:", {k: v for k, v in report.verdicts.items() if not v["ok"]})
-        return EXIT_VERDICT
-    return EXIT_OK
 
 
 # -------------------------------------------------------------------- parser
 
+# name -> (defaults, runner); a runner writes its own data files and returns
+# None, or returns a report that main writes
 _SUBCOMMANDS = {
-    "simulate": SIMULATE_DEFAULTS,
-    "convergence-report": REPORT_DEFAULTS,
-    "green-table": GREEN_DEFAULTS,
-    "poisson-solve": SOLVE_DEFAULTS,
-    "spde-compare": COMPARE_DEFAULTS,
+    "simulate": (SIMULATE_DEFAULTS, _run_simulate),
+    "convergence-report": (REPORT_DEFAULTS, _run_convergence_report),
+    "green-table": (GREEN_DEFAULTS, _run_green_table),
+    "poisson-solve": (SOLVE_DEFAULTS, _run_poisson_solve),
+    "spde-compare": (COMPARE_DEFAULTS, _run_spde_compare),
 }
 
 
@@ -393,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sheetlab {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, defaults in _SUBCOMMANDS.items():
+    for name, (defaults, _) in _SUBCOMMANDS.items():
         sp = subs.add_parser(name, help=f"{name} experiment")
         sp.add_argument("--config", help="JSON config file; flags override its fields")
         sp.add_argument(
@@ -415,31 +411,28 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     outdir = args.report_dir or "."
+    defaults, runner = _SUBCOMMANDS[args.subcommand]
     try:
-        cfg = _resolve(args, _SUBCOMMANDS[args.subcommand])
-        if "law" in cfg and cfg["law"] not in INNOVATION_LAWS:
-            raise ConfigError(
-                f"field 'law': unknown value {cfg['law']!r}; choose one of {INNOVATION_LAWS}"
-            )
-        if args.subcommand in ("simulate", "poisson-solve") and cfg["family"] == "sheet":
-            # the Brownian sheet is the Donsker field at n = N with standard-normal innovations
-            cfg["n"] = cfg["grid_n"]
-            if "law" in cfg:
-                cfg["law"] = "standard-normal"
+        cfg = _resolve(args, defaults)
+        for key, allowed in (("family", FAMILIES), ("law", INNOVATION_LAWS)):
+            if key in cfg and cfg[key] not in allowed:
+                raise ConfigError(
+                    f"field {key!r}: unknown value {cfg[key]!r}; choose one of {allowed}"
+                )
         os.makedirs(outdir, exist_ok=True)
-        cfg_full = dict(cfg)
-        cfg_full["report_dir"] = outdir
-        cfg_full["strict"] = bool(args.strict)
-        _write_manifest(outdir, args.subcommand, cfg_full)
-        if args.subcommand == "simulate":
-            return _run_simulate(cfg, outdir)
-        if args.subcommand == "convergence-report":
-            return _run_convergence_report(cfg, outdir, args.strict)
-        if args.subcommand == "green-table":
-            return _run_green_table(cfg, outdir)
-        if args.subcommand == "poisson-solve":
-            return _run_poisson_solve(cfg, outdir)
-        return _run_spde_compare(cfg, outdir, args.strict)
+        report = runner(cfg, outdir)
+        code = EXIT_OK
+        if report is not None:
+            report.to_json(os.path.join(outdir, "report.json"))
+            report.to_csv(os.path.join(outdir, "report.csv"))
+            if args.strict and not report.passed():
+                failed = {k: v for k, v in report.verdicts.items() if not v["ok"]}
+                print("verdict failure:", failed)
+                code = EXIT_VERDICT
+        _write_manifest(
+            outdir, args.subcommand, {**cfg, "report_dir": outdir, "strict": args.strict}
+        )
+        return code
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

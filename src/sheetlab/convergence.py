@@ -42,8 +42,8 @@ class DiagConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(self.n_list))
-        if list(self.n_list) != sorted(set(self.n_list)):
-            raise ValueError("n_list must be strictly increasing")
+        if not self.n_list or list(self.n_list) != sorted(set(self.n_list)):
+            raise ValueError("n_list must be non-empty and strictly increasing")
         if self.M < 100:
             raise ValueError("need at least 100 replicates per n")
         if self.m < 2:

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import tensor_points
+
 __all__ = [
     "GridSpec",
     "GridField",
@@ -109,9 +111,7 @@ class GridSpec:
 
     def node_points(self) -> np.ndarray:
         """All grid nodes, shape (prod (N+1), d), in C-order of the node lattice."""
-        axes = [self.axis_nodes(i) for i in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_points([self.axis_nodes(i) for i in range(self.d)])
 
     def to_dict(self) -> dict:
         return {"d": self.d, "T": list(self.T), "N": list(self.N)}

@@ -342,6 +342,8 @@ def solution_convergence_report(
     For each n, M replicate solutions are evaluated at the probe points and
     compared per probe with M sheet-driven solutions.
     """
+    if len(n_list) == 0:
+        raise ValueError("n_list must be non-empty")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     grid = g.grid
     probe_idx = [grid.node_index(p) for p in probes]

@@ -277,6 +277,10 @@ def test_strict_verdict_failure(tmp_path):
         ]
     )
     assert code == EXIT_VERDICT
+    # a verdict failure is a run that happened: its report and manifest are kept
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["manifest.json", "report.csv", "report.json"]
+    assert _read_json(tmp_path / "manifest.json")["config"]["strict"] is True
 
 
 def test_green_table_artifacts(tmp_path):
@@ -321,3 +325,29 @@ def test_poisson_solve_artifacts(tmp_path):
     rows = (tmp_path / "solution.csv").read_text().splitlines()
     assert rows[0] == "x1,x2,u"
     assert len(rows) == 1 + 9 * 9
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["convergence-report", "--family", "sheet", "--n", "2,4", "--M", "50", "--grid-n", "4"],
+         EXIT_CONFIG, "need at least 100 replicates"),
+        (["poisson-solve", "--family", "bogus"], EXIT_CONFIG, "field 'family': unknown value"),
+        (["spde-compare", "--family", "bogus"], EXIT_CONFIG, "field 'family': unknown value"),
+        (["poisson-solve", "--F", "tanh:50"], EXIT_REFUSED, "contraction gate failed"),
+        (["green-table", "--d", "4"], EXIT_CONFIG, "d in {2, 3}"),
+        (["green-table", "--x", "1.5,0.5"], EXIT_CONFIG, "outside [0, 1.0]"),
+        (["green-table", "--grid-n", "0"], EXIT_CONFIG, "cell counts"),
+        (["simulate", "--n", "0"], EXIT_CONFIG, "n must be >= 1"),
+        (["spde-compare", "--probes", "0.3,0.3"], EXIT_CONFIG, "not a grid node"),
+        (["spde-compare", "--n-list", ""], EXIT_CONFIG, "n_list must be non-empty"),
+        (["convergence-report", "--n", ""], EXIT_CONFIG, "n_list must be non-empty"),
+        (["convergence-report", "--diagnostic", "moment", "--n", ""], EXIT_CONFIG,
+         "n_list must be non-empty"),
+    ],
+)
+def test_refused_run_writes_nothing(tmp_path, capsys, argv, code, message):
+    out = tmp_path / "run"
+    assert main(argv + ["--report-dir", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []

@@ -287,3 +287,11 @@ def test_solution_report_null_case():
     # same law on both sides: most probes accepted
     assert final["rejection_fraction"] <= 1.0 / 3.0
     assert rep.passed()
+
+
+def test_solution_report_rejects_empty_n_list():
+    g = GridField(GRID, np.ones(GRID.node_shape))
+    with pytest.raises(ValueError, match="non-empty"):
+        solution_convergence_report(
+            "donsker", [], [(0.5, 0.5)], 300, g, nonlinearity_preset("zero"), GS
+        )
