@@ -274,7 +274,10 @@ def _run_green_table(cfg: dict, outdir: str) -> None:
     m = int(cfg["grid_n"])
     grid = GridSpec(d=d, T=1.0, N=m)
     gs = GreenSeries(d=d, kmax=int(cfg["kmax"]))
-    x = grid.point_in_domain(_parse_probes(cfg["x"] or ",".join(["0.5"] * d), d)[0])
+    pts = _parse_probes(cfg["x"] or ",".join(["0.5"] * d), d)
+    if len(pts) != 1:
+        raise ConfigError(f"field 'x': green-table takes one point, got {len(pts)}")
+    x = grid.point_in_domain(pts[0])
     axes = [np.arange(m + 1) / m] * d
     table = green_on_axes(gs, x, axes)
     header = [f"y{i+1}" for i in range(d)] + ["K"]
@@ -398,12 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--strict", action="store_true",
                         help="exit 3 when any statistical verdict fails")
-        for key, val in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(val, bool):
-                sp.add_argument(flag, default=None, action="store_true")
-            else:
-                sp.add_argument(flag, default=None, type=str)
+        for key in defaults:
+            sp.add_argument("--" + key.replace("_", "-"), default=None, type=str)
     return parser
 
 

@@ -52,6 +52,8 @@ class DiagConfig:
             raise ValueError("significance must lie in (0, 1)")
         if self.q < 1:
             raise ValueError("integrability index q must be >= 1")
+        if self.projections < 1:
+            raise ValueError("projections must be >= 1")
 
 
 @dataclass
@@ -201,7 +203,6 @@ def moment_bound_probe(
     grid: GridSpec,
     cfg: DiagConfig,
     rng: RngStream,
-    bound_factor: float = 1.5,
 ) -> ConvergenceReport:
     """Estimate E|int g theta_n|^m / ||g||_{2q}^m per n and check boundedness.
 
@@ -236,6 +237,7 @@ def moment_bound_probe(
         )
     ratios = np.array([row["ratio"] for row in per_n])
     spread = float(ratios.max() / np.median(ratios))
+    bound_factor = 1.5
     verdicts = {
         "ratios_bounded": {
             "ok": bool(spread <= bound_factor),

@@ -287,9 +287,9 @@ def green_mc_estimate(x, y, cfg: WosConfig = WosConfig(), rng: RngStream | None 
     return est, se
 
 
-def green_tail_estimate(gs: GreenSeries, x, y, factor: int = 4) -> float:
-    """Empirical series-tail bound: twice the kmax-to-(factor*kmax) delta."""
-    fine = GreenSeries(gs.d, factor * gs.kmax)
+def green_tail_estimate(gs: GreenSeries, x, y) -> float:
+    """Empirical series-tail bound: twice the kmax-to-(4 kmax) delta."""
+    fine = GreenSeries(gs.d, 4 * gs.kmax)
     return 2.0 * abs(green_eval(fine, x, y) - green_eval(gs, x, y))
 
 

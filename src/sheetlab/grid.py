@@ -29,9 +29,7 @@ def as_point(x) -> np.ndarray:
 class GridSpec:
     """Uniform grid on D = [0, T_1] x ... x [0, T_d].
 
-    Nodes along axis i sit at j * T_i / N_i, j = 0..N_i; cells are half-open
-    [node, next) except the last cell of each axis, which is closed at T_i,
-    so every point of D lies in exactly one cell.
+    Nodes along axis i sit at j * T_i / N_i, j = 0..N_i.
     """
 
     d: int
@@ -64,20 +62,12 @@ class GridSpec:
     def node_shape(self) -> tuple:
         return tuple(n + 1 for n in self.N)
 
-    @property
-    def cell_shape(self) -> tuple:
-        return tuple(self.N)
-
     def axis_nodes(self, i: int) -> np.ndarray:
         # derive coordinates from integer indices, never by accumulation
         return np.arange(self.N[i] + 1) * (self.T[i] / self.N[i])
 
     def axis_cell_centers(self, i: int) -> np.ndarray:
         return (np.arange(self.N[i]) + 0.5) * (self.T[i] / self.N[i])
-
-    def node_coords(self, index) -> np.ndarray:
-        idx = tuple(int(j) for j in index)
-        return np.array([j * t / n for j, t, n in zip(idx, self.T, self.N)])
 
     def node_index(self, x) -> tuple:
         """Map a grid-aligned point to its node multi-index; raise if off-grid."""
@@ -89,15 +79,6 @@ class GridSpec:
             if abs(p[i] - j * h) > _NODE_TOL * max(1.0, self.T[i]):
                 raise ValueError(f"coordinate {p[i]} is not a grid node on axis {i}")
             idx.append(j)
-        return tuple(idx)
-
-    def cell_index(self, x) -> tuple:
-        """Cell containing x: half-open cells, last cell closed at T_i."""
-        p = self.point_in_domain(x)
-        idx = []
-        for i in range(self.d):
-            h = self.T[i] / self.N[i]
-            idx.append(min(int(p[i] / h), self.N[i] - 1))
         return tuple(idx)
 
     def point_in_domain(self, x) -> np.ndarray:
@@ -115,10 +96,6 @@ class GridSpec:
 
     def to_dict(self) -> dict:
         return {"d": self.d, "T": list(self.T), "N": list(self.N)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridSpec":
-        return cls(d=int(data["d"]), T=tuple(data["T"]), N=tuple(data["N"]))
 
 
 @dataclass
@@ -142,10 +119,3 @@ class GridField:
     @classmethod
     def zeros(cls, grid: GridSpec) -> "GridField":
         return cls(grid, np.zeros(grid.node_shape))
-
-    def at(self, x) -> float:
-        return float(self.values[self.grid.node_index(x)])
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-

@@ -205,9 +205,16 @@ class DonskerIntegrator:
         """Values at xs for a stack of realizations, shape (M, npts).
 
         rng is one RngStream whose generator draws all M innovation rows, or,
-        with M omitted, a list of streams drawing one row each.
+        with M omitted, a list of streams drawing one row each. Refuses, before
+        drawing, more than kernels.DEFAULT_MAX_CELLS innovations in all.
         """
         ncells = int(np.prod(self.cell_shape))
+        total = (len(rng) if M is None else M) * ncells
+        if total > kernels.DEFAULT_MAX_CELLS:
+            raise BudgetExceededError(
+                f"Donsker innovation block would need {total} innovations "
+                f"(> budget {kernels.DEFAULT_MAX_CELLS})"
+            )
         if M is None:
             Z = np.empty((len(rng), ncells))
             for row, s in zip(Z, rng):

@@ -50,7 +50,6 @@ class DonskerField:
     n: int
     T: tuple
     Z: np.ndarray
-    law: str = "standard-normal"
 
     @property
     def d(self) -> int:
@@ -104,7 +103,7 @@ def sample_donsker(
         )
     gen = rng.generator() if rng is not None else np.random.default_rng()
     Z = _draw_innovations(gen, law, shape)
-    return DonskerField(n=int(n), T=grid.T, Z=Z, law=law)
+    return DonskerField(n=int(n), T=grid.T, Z=Z)
 
 
 def donsker_eval(f: DonskerField, x) -> float:

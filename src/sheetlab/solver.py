@@ -85,6 +85,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if not 0 < self.relaxation <= 1:
             raise ValueError("relaxation must lie in (0, 1]")
 
@@ -344,6 +346,8 @@ def solution_convergence_report(
     """
     if len(n_list) == 0:
         raise ValueError("n_list must be non-empty")
+    if M < 100:
+        raise ValueError("need at least 100 replicates per n")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     grid = g.grid
     probe_idx = [grid.node_index(p) for p in probes]
@@ -365,7 +369,7 @@ def solution_convergence_report(
             dists.append(float(res.statistic))
         per_n.append(
             {
-                "n": None if n is None else int(n),
+                "n": int(n),
                 "p_values": pvals,
                 "ks_distances": dists,
                 "rejection_fraction": float(np.mean(np.array(pvals) < significance)),

@@ -219,6 +219,26 @@ def test_kac_stroock_sign_grid_refusal(tmp_path, monkeypatch, capsys):
     assert "sign grid would need 4096 cells" in capsys.readouterr().err
 
 
+def test_donsker_innovation_block_refusal(tmp_path, monkeypatch, capsys):
+    # the variance report's first n (4, d=2) draws 1000 rows of 16 innovations at once
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 1000)
+    out = tmp_path / "run"
+    code = main(
+        [
+            "convergence-report",
+            "--diagnostic", "variance",
+            "--family", "donsker",
+            "--n", "4,8",
+            "--grid-n", "4",
+            "--M", "1000",
+            "--report-dir", str(out),
+        ]
+    )
+    assert code == EXIT_REFUSED
+    assert "innovation block would need 16000 innovations" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def _readme_commands():
     """The sheetlab command lines of README.md's command block, as argument lists."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -344,6 +364,12 @@ def test_poisson_solve_artifacts(tmp_path):
         (["convergence-report", "--n", ""], EXIT_CONFIG, "n_list must be non-empty"),
         (["convergence-report", "--diagnostic", "moment", "--n", ""], EXIT_CONFIG,
          "n_list must be non-empty"),
+        (["spde-compare", "--M", "0"], EXIT_CONFIG, "need at least 100 replicates"),
+        (["spde-compare", "--M", "1"], EXIT_CONFIG, "need at least 100 replicates"),
+        (["convergence-report", "--projections", "0"], EXIT_CONFIG, "projections must be >= 1"),
+        (["poisson-solve", "--max-iterations", "0"], EXIT_CONFIG, "max_iterations must be >= 1"),
+        (["green-table", "--x", "0.5,0.5;0.2,0.2", "--grid-n", "4"], EXIT_CONFIG,
+         "green-table takes one point, got 2"),
     ],
 )
 def test_refused_run_writes_nothing(tmp_path, capsys, argv, code, message):

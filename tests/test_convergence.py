@@ -37,6 +37,8 @@ def test_diagconfig_validation():
         DiagConfig(significance=1.5)
     with pytest.raises(ValueError):
         DiagConfig(q=0.5)
+    with pytest.raises(ValueError, match="projections"):
+        DiagConfig(projections=0)
     with pytest.raises(ValueError, match="non-empty"):
         DiagConfig(n_list=())
 

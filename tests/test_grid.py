@@ -33,17 +33,9 @@ def test_axis_nodes_from_indices():
 
 def test_node_index_roundtrip_and_offgrid():
     grid = GridSpec(d=2, T=(1.0, 2.0), N=(4, 8))
-    idx = (3, 5)
-    assert grid.node_index(grid.node_coords(idx)) == idx
+    assert grid.node_index((0.75, 1.25)) == (3, 5)
     with pytest.raises(ValueError):
         grid.node_index((0.13, 0.25))
-
-
-def test_cell_index_half_open_last_closed():
-    grid = GridSpec(d=1, T=1.0, N=4)
-    assert grid.cell_index((0.25,)) == (1,)  # boundary belongs to the right cell
-    assert grid.cell_index((1.0,)) == (3,)  # except the domain edge
-    assert grid.cell_index((0.0,)) == (0,)
 
 
 def test_point_in_domain_rejects_outside():
@@ -52,9 +44,3 @@ def test_point_in_domain_rejects_outside():
         grid.point_in_domain((0.5, 1.5))
     with pytest.raises(ValueError):
         grid.point_in_domain((0.5,))
-
-
-def test_grid_roundtrip_dict():
-    grid = GridSpec(d=2, T=(1.0, 0.5), N=(4, 2))
-    assert GridSpec.from_dict(grid.to_dict()) == grid
-

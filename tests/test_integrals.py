@@ -317,7 +317,7 @@ def test_sheet_driver_matches_former_sheet_integrator(kind, d, N, T, seed):
         d = max(d, 2)
     f, xs, grid = _sheet_case(kind, d, N, T, seed)
     integ = noise_integrator("sheet", f, xs, grid, None, QuadSpec(r=1, rho=1e-3))
-    assert integ.cell_shape == grid.cell_shape
+    assert integ.cell_shape == grid.N
     got = integ.replicates(RngStream(seed), 50)
     ref, ref_var = _former_sheet(f, xs, grid, RngStream(seed), 50)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -332,6 +332,22 @@ def test_sheet_driver_bit_identical_on_dyadic_grid(kind):
     ref, ref_var = _former_sheet(f, xs, grid, RngStream(41), 200)
     np.testing.assert_array_equal(integ.replicates(RngStream(41), 200), ref)
     np.testing.assert_array_equal(integ.second_moment(), ref_var)
+
+
+@pytest.mark.parametrize("kind", ["indicator", "green"])
+@pytest.mark.parametrize("d, N", [(2, 16), (2, 32), (3, 8)])
+def test_sheet_is_donsker_at_dyadic_n_equals_grid_n(kind, d, N):
+    """On the unit cube with a dyadic N, the grid's nodes j / N and the Donsker
+    cell edges j / n at n = N are the same doubles, and so are the scales
+    cell_volume^{-1/2} and n^{d/2}; at other N (10, 12) the two can differ in
+    the last bits."""
+    f, xs, grid = _sheet_case(kind, d, N, 1.0, 44)
+    sheet = noise_integrator("sheet", f, xs, grid, None, QuadSpec(r=1, rho=1e-3))
+    donsker = DonskerIntegrator(f, xs, N, grid.T)
+    np.testing.assert_array_equal(sheet.weights, donsker.weights)
+    np.testing.assert_array_equal(
+        sheet.replicates(RngStream(44), 50), donsker.replicates(RngStream(44), 50)
+    )
 
 
 def _former_ks_values(f, xs, grid, n, quad, fields):
@@ -461,6 +477,24 @@ def test_weight_budget_checked_before_any_evaluation(monkeypatch, oracles):
     ones = Integrand(_on_axes(_ones))
     assert DonskerIntegrator(ones, xs, 8, grid.T).weights.shape == (3, 64)
     assert KacStroockIntegrator(ones, xs, grid, 8.0).weights.shape == (3, 64)
+
+
+class _NeverDrawn:
+    def generator(self):
+        raise AssertionError("innovations drawn before the budget check")
+
+
+def test_donsker_innovation_block_budget(monkeypatch):
+    # 10 rows of 64 innovations, drawn from one stream or from one stream per row
+    integ = DonskerIntegrator(indicator_integrand(), np.full((3, 2), 0.5), 8, (1.0, 1.0))
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 64 - 1)
+    with pytest.raises(BudgetExceededError, match="would need 640 innovations"):
+        integ.replicates(_NeverDrawn(), 10)
+    with pytest.raises(BudgetExceededError, match="would need 640 innovations"):
+        integ.replicates([_NeverDrawn()] * 10)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 64)
+    assert integ.replicates(RngStream(45), 10).shape == (10, 3)
+    assert integ.replicates(RngStream(45).split(10)).shape == (10, 3)
 
 
 @pytest.mark.parametrize("oracles, per_cell", [((), 4), (("cell_integral",), 1)])

@@ -56,6 +56,8 @@ def test_solveconfig_validation():
         SolveConfig(relaxation=0.0)
     with pytest.raises(ValueError):
         SolveConfig(relaxation=1.5)
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolveConfig(max_iterations=0)
 
 
 def test_zero_nonlinearity_one_step():
