@@ -10,6 +10,7 @@ import numpy as np
 
 from .grid import GridSpec, as_point
 from .integrals import Integrand, noise_integrator
+from .kernels import check_budget
 
 # re-exported: bench/layers.py traces the integrator classes it finds on this module
 from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401
@@ -27,6 +28,17 @@ __all__ = [
 ]
 
 
+def _check_plan(n_list, M: int, significance: float) -> None:
+    """Refuse an n list that is empty or not strictly increasing, fewer than
+    100 replicates per n, or a significance level outside (0, 1)."""
+    if len(n_list) == 0 or list(n_list) != sorted(set(n_list)):
+        raise ValueError("n_list must be non-empty and strictly increasing")
+    if M < 100:
+        raise ValueError("need at least 100 replicates per n")
+    if not 0 < significance < 1:
+        raise ValueError("significance must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class DiagConfig:
     """Configuration for the statistical diagnostics."""
@@ -42,14 +54,9 @@ class DiagConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(self.n_list))
-        if not self.n_list or list(self.n_list) != sorted(set(self.n_list)):
-            raise ValueError("n_list must be non-empty and strictly increasing")
-        if self.M < 100:
-            raise ValueError("need at least 100 replicates per n")
+        _check_plan(self.n_list, self.M, self.significance)
         if self.m < 2:
             raise ValueError("moment order m must be >= 2")
-        if not 0 < self.significance < 1:
-            raise ValueError("significance must lie in (0, 1)")
         if self.q < 1:
             raise ValueError("integrability index q must be >= 1")
         if self.projections < 1:
@@ -188,11 +195,11 @@ def fdd_test(
 
 def _lp_norm(g: Integrand, grid: GridSpec, p: float, quad: QuadSpec) -> float:
     """||g||_p over D by the composite midpoint rule on the refined grid."""
-    mids = [
-        (np.arange(quad.r * nb) + 0.5) * (t / (quad.r * nb))
-        for nb, t in zip(grid.N, grid.T)
-    ]
-    vol = float(np.prod([t / (quad.r * nb) for nb, t in zip(grid.N, grid.T)]))
+    cells = [quad.r * nb for nb in grid.N]
+    nodes = np.prod(cells, dtype=float)
+    check_budget(nodes, f"norm quadrature would need {nodes:.0f} integrand values")
+    mids = [(np.arange(k) + 0.5) * (t / k) for k, t in zip(cells, grid.T)]
+    vol = float(np.prod([t / k for k, t in zip(cells, grid.T)]))
     vals = g.evaluator(np.zeros((1, grid.d)), mids)[0].ravel()
     return float(np.sum(np.abs(vals) ** p * vol) ** (1.0 / p))
 

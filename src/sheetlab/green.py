@@ -17,6 +17,7 @@ import numpy as np
 
 from .grid import GridField, GridSpec, as_point
 from .integrals import Integrand
+from .kernels import check_budget
 from .quadrature import QuadSpec, row_outer, tensor_points
 from .rng import RngStream
 from . import stats
@@ -54,6 +55,8 @@ class GreenSeries:
             object.__setattr__(self, "kmax", 64 if self.d == 2 else 32)
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
+        modes = self.kmax**self.d
+        check_budget(modes, f"Green mode tensor would need {modes} modes")
 
     @property
     def modes(self) -> np.ndarray:

@@ -7,12 +7,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
 from .grid import GridSpec, as_point
 from .kernels import (
     KS_BLOCK,
-    BudgetExceededError,
     _draw_innovations,
+    check_budget,
     ks_midpoints,
     ks_parity_bits,
     ks_rule,
@@ -133,17 +132,13 @@ def _refined_axes(edges, r: int):
 def _budgeted_points(xs, ncells: int) -> np.ndarray:
     """xs as an (npts, d) array, once an (npts, ncells) weight matrix fits the budget.
 
-    ncells counts the cells or quadrature nodes per x. The budget is
-    kernels.DEFAULT_MAX_CELLS entries, read at call time and checked before
-    any integrand is evaluated or any weight is allocated.
+    ncells counts the cells or quadrature nodes per x. The budget is checked
+    before any integrand is evaluated or any weight is allocated.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     entries = xs.shape[0] * ncells
-    if entries > kernels.DEFAULT_MAX_CELLS:
-        raise BudgetExceededError(
-            f"weight matrix of shape ({xs.shape[0]}, {ncells}) would need {8 * entries} "
-            f"bytes (> budget of {kernels.DEFAULT_MAX_CELLS} entries)"
-        )
+    shape = (xs.shape[0], ncells)
+    check_budget(entries, f"weight matrix of shape {shape} would need {8 * entries} bytes")
     return xs
 
 
@@ -205,16 +200,12 @@ class DonskerIntegrator:
         """Values at xs for a stack of realizations, shape (M, npts).
 
         rng is one RngStream whose generator draws all M innovation rows, or,
-        with M omitted, a list of streams drawing one row each. Refuses, before
-        drawing, more than kernels.DEFAULT_MAX_CELLS innovations in all.
+        with M omitted, a list of streams drawing one row each. The whole
+        innovation block is checked against the budget before drawing.
         """
         ncells = int(np.prod(self.cell_shape))
         total = (len(rng) if M is None else M) * ncells
-        if total > kernels.DEFAULT_MAX_CELLS:
-            raise BudgetExceededError(
-                f"Donsker innovation block would need {total} innovations "
-                f"(> budget {kernels.DEFAULT_MAX_CELLS})"
-            )
+        check_budget(total, f"Donsker innovation block would need {total} innovations")
         if M is None:
             Z = np.empty((len(rng), ncells))
             for row, s in zip(Z, rng):

@@ -21,6 +21,7 @@ __all__ = [
     "DonskerField",
     "PoissonField",
     "INNOVATION_LAWS",
+    "check_budget",
     "sample_donsker",
     "donsker_eval",
     "sample_kac_stroock",
@@ -35,12 +36,22 @@ __all__ = [
 
 INNOVATION_LAWS = ("standard-normal", "rademacher", "centered-uniform")
 
-# refuse to materialize innovation arrays beyond this many entries by default
+# the most entries check_budget lets any one array grow to
 DEFAULT_MAX_CELLS = 50_000_000
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when a sampling request would exceed the memory budget."""
+
+
+def check_budget(entries, need: str) -> None:
+    """Refuse an array of more than DEFAULT_MAX_CELLS entries before it is allocated.
+
+    need names it, e.g. "Donsker field would need 256 innovations". The budget
+    is read at call time: rebinding kernels.DEFAULT_MAX_CELLS changes it for all.
+    """
+    if entries > DEFAULT_MAX_CELLS:
+        raise BudgetExceededError(f"{need} (> budget of {DEFAULT_MAX_CELLS} entries)")
 
 
 @dataclass
@@ -89,18 +100,12 @@ def sample_donsker(
     law: str = "standard-normal",
     rng: RngStream | None = None,
 ) -> DonskerField:
-    """Draw i.i.d. innovations for every multi-index covering D at scale 1/n.
-
-    Refuses more than kernels.DEFAULT_MAX_CELLS innovations, read at call time.
-    """
+    """Draw i.i.d. innovations for every multi-index covering D at scale 1/n."""
     if n < 1:
         raise ValueError("Donsker scale n must be >= 1")
     shape = tuple(int(np.ceil(n * t)) for t in grid.T)
     total = int(np.prod(shape))
-    if total > DEFAULT_MAX_CELLS:
-        raise BudgetExceededError(
-            f"Donsker field would need {total} innovations (> budget {DEFAULT_MAX_CELLS})"
-        )
+    check_budget(total, f"Donsker field would need {total} innovations")
     gen = rng.generator() if rng is not None else np.random.default_rng()
     Z = _draw_innovations(gen, law, shape)
     return DonskerField(n=int(n), T=grid.T, Z=Z)
@@ -124,8 +129,10 @@ def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream | None = None) -
     """Homogeneous Poisson point process of intensity n on D."""
     if n <= 0:
         raise ValueError("Kac-Stroock intensity n must be positive")
-    gen = rng.generator() if rng is not None else np.random.default_rng()
     volume = float(np.prod(grid.T))
+    expected = n * volume * grid.d
+    check_budget(expected, f"Kac-Stroock field would need about {expected:.0f} point coordinates")
+    gen = rng.generator() if rng is not None else np.random.default_rng()
     count = int(gen.poisson(n * volume))
     pts = gen.uniform(0.0, 1.0, size=(count, grid.d)) * np.asarray(grid.T)
     return PoissonField(n=float(n), grid=grid, points=pts)
@@ -235,8 +242,7 @@ def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
     contracted with one overlap matrix |cell_j cap [0, a_p]| per axis. Donsker
     fields integrate exactly on their cells of side 1/n. Kac-Stroock fields take
     their midpoint values on the ks_rule sub-cells, kept up to the one that
-    straddles max a_i, and refuse a sign grid of more than
-    kernels.DEFAULT_MAX_CELLS cells.
+    straddles max a_i, within the budget of check_budget.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != f.d:
@@ -248,10 +254,7 @@ def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
         cells, widths = ks_rule(f.grid, f.n, quad.r)
         m = [min(k, int(np.ceil(a.max(initial=0.0) / w))) for k, a, w in zip(cells, axes, widths)]
         kept = np.prod(m, dtype=float)
-        if kept > DEFAULT_MAX_CELLS:
-            raise BudgetExceededError(
-                f"Kac-Stroock sign grid would need {kept:.0f} cells (> budget {DEFAULT_MAX_CELLS})"
-            )
+        check_budget(kept, f"Kac-Stroock sign grid would need {kept:.0f} cells")
         scale, vals = 1.0, ks_values_on_grid(f, ks_midpoints(m, widths))
         edges = [np.arange(k + 1) * w for k, w in zip(m, widths)]
     else:

@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convergence import ConvergenceReport
+from .convergence import ConvergenceReport, _check_plan
 from .grid import GridField, GridSpec
 from .integrals import noise_integrator
 from .green import (
@@ -20,7 +20,7 @@ from .green import (
     lambda_sup,
     poincare_constant,
 )
-from .quadrature import QuadSpec
+from .quadrature import QuadSpec, tensor_points
 from .rng import RngStream
 from . import stats
 
@@ -261,7 +261,8 @@ def psi_continuity_check(
 class SpdeSampler:
     """Replicate sampler for mild-solution fields under a chosen noise driver.
 
-    Precomputes the Green-kernel quadrature weights at the grid nodes, the
+    Precomputes the Green-kernel quadrature weights at the interior grid
+    nodes (K(x, .) vanishes on the boundary, where eta is 0), the
     solver gate and int K g once.  Replicates are then solved in blocks of
     SOLVE_BLOCK: each replicate draws its noise from its own stream, the
     block's noise is applied at once (one matrix product for the Donsker and
@@ -294,19 +295,15 @@ class SpdeSampler:
             # ceil(n T_i) cells per axis
             quad = QuadSpec(r=1, rho=1e-3)
         self.quad = quad
-        kernel = green_integrand(gs)
-        self._integ = noise_integrator(family, kernel, grid.node_points(), grid, n, quad)
         self._Kg = k_apply(gs, g).values
+        interior = tensor_points([grid.axis_nodes(i)[1:-1] for i in range(grid.d)])
+        self._integ = noise_integrator(family, green_integrand(gs), interior, grid, n, quad)
 
     def _noise_block(self, streams) -> np.ndarray:
         """eta at the grid nodes for one replicate per stream, shape (len(streams), *node_shape)."""
-        eta = self._integ.replicates(streams).reshape((len(streams),) + self.grid.node_shape)
-        # the Green kernel vanishes for boundary x; enforce exactly
-        for axis in range(self.grid.d):
-            sl = [slice(None)] * (self.grid.d + 1)
-            for edge in (0, -1):
-                sl[axis + 1] = edge
-                eta[tuple(sl)] = 0.0
+        eta = np.zeros((len(streams),) + self.grid.node_shape)
+        inner = eta[(slice(None),) + (slice(1, -1),) * self.grid.d]
+        inner[...] = self._integ.replicates(streams).reshape(inner.shape)
         return eta
 
     def sample_noise_field(self, rng: RngStream) -> GridField:
@@ -344,10 +341,7 @@ def solution_convergence_report(
     For each n, M replicate solutions are evaluated at the probe points and
     compared per probe with M sheet-driven solutions.
     """
-    if len(n_list) == 0:
-        raise ValueError("n_list must be non-empty")
-    if M < 100:
-        raise ValueError("need at least 100 replicates per n")
+    _check_plan(n_list, M, significance)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     grid = g.grid
     probe_idx = [grid.node_index(p) for p in probes]

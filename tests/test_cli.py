@@ -263,19 +263,21 @@ def test_readme_commands_exit_ok(tmp_path):
 
 @pytest.mark.parametrize("family", ["donsker", "kac-stroock", "sheet"])
 def test_weight_budget_refusal(tmp_path, monkeypatch, capsys, family):
-    # 25 nodes x 64 cells (donsker, kac-stroock at n=8) or 16 cells (sheet)
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 25 * 16 - 1)
+    # 9 interior nodes x 64 cells (donsker, kac-stroock at n=8) or 16 cells
+    # (sheet); kmax 8 keeps the 64-mode Green series under the budget
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 9 * 16 - 1)
     code = main(
         [
             "poisson-solve",
             "--family", family,
             "--n", "8",
             "--grid-n", "4",
+            "--kmax", "8",
             "--report-dir", str(tmp_path),
         ]
     )
     assert code == EXIT_REFUSED
-    assert "weight matrix of shape (25, " in capsys.readouterr().err
+    assert "weight matrix of shape (9, " in capsys.readouterr().err
 
 
 def test_strict_verdict_failure(tmp_path):
@@ -370,6 +372,9 @@ def test_poisson_solve_artifacts(tmp_path):
         (["poisson-solve", "--max-iterations", "0"], EXIT_CONFIG, "max_iterations must be >= 1"),
         (["green-table", "--x", "0.5,0.5;0.2,0.2", "--grid-n", "4"], EXIT_CONFIG,
          "green-table takes one point, got 2"),
+        (["spde-compare", "--n-list", "16,4"], EXIT_CONFIG, "strictly increasing"),
+        (["spde-compare", "--n-list", "4,4"], EXIT_CONFIG, "strictly increasing"),
+        (["spde-compare", "--significance", "0"], EXIT_CONFIG, "significance must lie in (0, 1)"),
     ],
 )
 def test_refused_run_writes_nothing(tmp_path, capsys, argv, code, message):

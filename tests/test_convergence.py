@@ -16,9 +16,11 @@ from sheetlab import (
     tightness_modulus_probe,
     variance_convergence_report,
 )
+from sheetlab import kernels
 from sheetlab.green import GreenSeries
 from sheetlab.grid import GridField
 from sheetlab.integrals import FAMILIES, Integrand
+from sheetlab.kernels import BudgetExceededError
 from sheetlab.solver import SpdeSampler, nonlinearity_preset
 
 
@@ -89,6 +91,18 @@ def test_moment_probe_rejects_zero_norm():
     cfg = DiagConfig()
     with pytest.raises(ValueError):
         moment_bound_probe(zero, "donsker", GridSpec(d=1, T=1.0, N=4), cfg, RngStream(0))
+
+
+def test_norm_quadrature_budget(monkeypatch):
+    # r = 4 on an 8 x 8 grid: the norm's midpoint rule has 32^2 = 1024 nodes
+    grid, cfg = GridSpec(d=2, T=1.0, N=8), DiagConfig(quad=QuadSpec(r=4))
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 1023)
+    with pytest.raises(BudgetExceededError, match="norm quadrature would need 1024"):
+        moment_bound_probe(_ones_integrand(), "donsker", grid, cfg, RngStream(0))
+    with pytest.raises(BudgetExceededError, match="norm quadrature would need 1024"):
+        variance_convergence_report(
+            indicator_integrand(), "donsker", grid, (0.5, 0.5), cfg, RngStream(0)
+        )
 
 
 def test_moment_probe_donsker_ratio_exactly_one():

@@ -1,4 +1,5 @@
-"""Every exported name resolves: module __all__ lists and the top-level package."""
+"""Every exported name resolves: module __all__ lists and the top-level package.
+Only kernels.check_budget reads the memory budget."""
 
 import ast
 import importlib
@@ -30,3 +31,34 @@ def test_top_level_exports_resolve():
                 if not hasattr(sheetlab, alias.name) or alias.name not in mod.__all__:
                     stale.append(f"{node.module}.{alias.name}")
     assert stale == []
+
+
+def _budget_readers(tree, module):
+    """(module, enclosing function or None) for each name of DEFAULT_MAX_CELLS in tree."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        named = (
+            (isinstance(node, ast.Name) and node.id == "DEFAULT_MAX_CELLS")
+            or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_MAX_CELLS")
+            or (isinstance(node, ast.alias) and node.name == "DEFAULT_MAX_CELLS")
+        )
+        if named:
+            sites.append((module, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_only_check_budget_reads_the_budget():
+    # besides check_budget, only the definition in kernels; an import of the
+    # name would bind its value once and miss a later rebinding
+    sites = []
+    for path in sorted(Path(sheetlab.__file__).parent.glob("*.py")):
+        sites += _budget_readers(ast.parse(path.read_text()), path.stem)
+    assert ("kernels", "check_budget") in sites
+    assert [s for s in sites if s != ("kernels", "check_budget")] == [("kernels", None)]

@@ -21,6 +21,7 @@ from sheetlab import (
     lambda_sup,
     poincare_constant,
 )
+from sheetlab import kernels
 from sheetlab.grid import GridField
 from sheetlab.green import (
     POINT_CHUNK,
@@ -40,6 +41,7 @@ from sheetlab.green import (
     sine_synthesis,
     walk_on_spheres_exit,
 )
+from sheetlab.kernels import BudgetExceededError
 from sheetlab.quadrature import tensor_points
 from sheetlab.solver import SpdeSampler, nonlinearity_preset
 
@@ -51,6 +53,18 @@ def test_series_defaults():
         GreenSeries(d=1)
     with pytest.raises(ValueError):
         GreenSeries(d=2, kmax=-4)
+
+
+def test_series_mode_tensor_budget(monkeypatch):
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10**3 - 1)
+    with pytest.raises(BudgetExceededError, match="would need 1000 modes"):
+        GreenSeries(d=3, kmax=10)
+    # the tail estimate's series has 4 kmax modes per axis
+    gs = GreenSeries(d=2, kmax=8)
+    with pytest.raises(BudgetExceededError, match="would need 1024 modes"):
+        green_tail_estimate(gs, (0.5, 0.5), (0.25, 0.25))
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10**3)
+    assert GreenSeries(d=3, kmax=10).kmax == 10
 
 
 def test_symmetry_exact():

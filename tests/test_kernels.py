@@ -50,6 +50,25 @@ def test_donsker_budget_read_at_call_time(monkeypatch):
         sample_donsker(GridSpec(d=2, T=1.0, N=4), 16)
 
 
+def test_kac_stroock_budget_refused_before_generator(monkeypatch):
+    # intensity 100 on the unit square: about 100 points, 200 coordinates
+    class Stream:
+        drawn = False
+
+        def generator(self):
+            Stream.drawn = True
+            return np.random.default_rng(0)
+
+    grid = GridSpec(d=2, T=1.0, N=4)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 199)
+    with pytest.raises(BudgetExceededError, match="about 200 point coordinates"):
+        sample_kac_stroock(grid, 100.0, Stream())
+    assert not Stream.drawn
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 200)
+    assert sample_kac_stroock(grid, 100.0, Stream()).points.shape[1] == 2
+    assert Stream.drawn
+
+
 def test_rademacher_moments():
     grid = GridSpec(d=1, T=1.0, N=1)
     fld = sample_donsker(grid, 100_000, law="rademacher", rng=RngStream(5))
