@@ -44,6 +44,7 @@ from .integrals import FAMILIES, Integrand, indicator_integrand
 from .kernels import (
     INNOVATION_LAWS,
     BudgetExceededError,
+    ks_sign_cells,
     sample_donsker,
     sample_kac_stroock,
     zeta_on_axes,
@@ -196,12 +197,14 @@ def _run_simulate(cfg: dict, outdir: str) -> None:
     _sheet_at_grid_scale(cfg)
     grid = GridSpec(d=int(cfg["d"]), T=1.0, N=int(cfg["grid_n"]))
     rng = RngStream(int(cfg["seed"]))
+    axes = [grid.axis_nodes(i) for i in range(grid.d)]
+    quad = QuadSpec(r=int(cfg["r"]))
     if cfg["family"] == "kac-stroock":
+        ks_sign_cells(grid, float(cfg["n"]), axes, quad.r)  # refused before any point is drawn
         kern = sample_kac_stroock(grid, float(cfg["n"]), rng)
     else:
         kern = sample_donsker(grid, int(cfg["n"]), cfg["law"], rng)
-    axes = [grid.axis_nodes(i) for i in range(grid.d)]
-    field = GridField(grid, zeta_on_axes(kern, axes, QuadSpec(r=int(cfg["r"]))))
+    field = GridField(grid, zeta_on_axes(kern, axes, quad))
     header = [f"x{i+1}" for i in range(grid.d)] + ["value"]
     _write_csv(os.path.join(outdir, "field.csv"), header, _field_csv_rows(field))
 

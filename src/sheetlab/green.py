@@ -101,9 +101,13 @@ class HolderEstimate:
 @lru_cache(maxsize=16)
 def _lam_tensor(d: int, kmax: int) -> np.ndarray:
     """Eigenvalues pi^2 |k|^2 on {1..kmax}^d; cached, so read-only."""
-    k = np.arange(1, kmax + 1, dtype=float)
-    grids = np.meshgrid(*([k] * d), indexing="ij")
-    lam = np.pi**2 * sum(g**2 for g in grids)
+    # |k|^2 summed axis by axis through broadcasting, in the order of
+    # k_1^2 + k_2^2 + ...: the result is the only kmax^d-sized array built
+    k2 = np.arange(1, kmax + 1, dtype=float) ** 2
+    lam = k2.reshape((-1,) + (1,) * (d - 1))
+    for i in range(1, d):
+        lam = lam + k2.reshape((-1,) + (1,) * (d - 1 - i))
+    lam *= np.pi**2
     lam.flags.writeable = False
     return lam
 

@@ -236,10 +236,11 @@ class KacStroockIntegrator:
         self.grid = grid
         self.n = float(n)
         cells, widths = ks_rule(grid, self.n, quad.r)
-        xs = _budgeted_points(xs, int(np.prod(cells)))
+        ncells = int(np.prod(cells))
+        xs = _budgeted_points(xs, ncells)
         self.xs = xs
         self.mids = ks_midpoints(cells, widths)
-        W = _eval_matrix(f, xs, self.mids, quad.rho).reshape(xs.shape[0], -1)
+        W = _eval_matrix(f, xs, self.mids, quad.rho).reshape(xs.shape[0], ncells)
         # scaled in place: no second weight-sized array
         W *= ks_scale(self.n, self.mids).reshape(-1)
         W *= float(np.prod(widths))

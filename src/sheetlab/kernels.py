@@ -28,6 +28,7 @@ __all__ = [
     "kac_stroock_eval",
     "ks_rule",
     "ks_midpoints",
+    "ks_sign_cells",
     "ks_parity_bits",
     "ks_scale",
     "zeta_on_axes",
@@ -146,6 +147,20 @@ def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:
     return cells, [t / k for k, t in zip(cells, grid.T)]
 
 
+def ks_sign_cells(grid: GridSpec, n: float, axes, r: int) -> tuple:
+    """Sub-cells per axis of the Kac-Stroock sign grid that zeta_on_axes keeps for
+    axes, and their widths: the ks_rule cells up to the one that straddles max a_i.
+
+    It depends on no Poisson point, so a sign grid over the budget of
+    check_budget is refused before any point is drawn.
+    """
+    cells, widths = ks_rule(grid, n, r)
+    m = [min(k, int(np.ceil(np.max(a, initial=0.0) / w))) for k, a, w in zip(cells, axes, widths)]
+    kept = np.prod(m, dtype=float)
+    check_budget(kept, f"Kac-Stroock sign grid would need {kept:.0f} cells")
+    return m, widths
+
+
 def ks_midpoints(cells, widths) -> list:
     """Midpoints of the first cells[i] sub-cells of width widths[i] on each axis."""
     return [(np.arange(k) + 0.5) * w for k, w in zip(cells, widths)]
@@ -241,8 +256,7 @@ def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
     theta_n is constant on the cells of a tensor grid, so zeta is its cell values
     contracted with one overlap matrix |cell_j cap [0, a_p]| per axis. Donsker
     fields integrate exactly on their cells of side 1/n. Kac-Stroock fields take
-    their midpoint values on the ks_rule sub-cells, kept up to the one that
-    straddles max a_i, within the budget of check_budget.
+    their midpoint values on the ks_sign_cells sub-cells.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != f.d:
@@ -251,10 +265,7 @@ def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
         scale, vals = f.n ** (f.d / 2.0), f.Z
         edges = [np.minimum(np.arange(k + 1) / f.n, t) for k, t in zip(f.Z.shape, f.T)]
     elif isinstance(f, PoissonField):
-        cells, widths = ks_rule(f.grid, f.n, quad.r)
-        m = [min(k, int(np.ceil(a.max(initial=0.0) / w))) for k, a, w in zip(cells, axes, widths)]
-        kept = np.prod(m, dtype=float)
-        check_budget(kept, f"Kac-Stroock sign grid would need {kept:.0f} cells")
+        m, widths = ks_sign_cells(f.grid, f.n, axes, quad.r)
         scale, vals = 1.0, ks_values_on_grid(f, ks_midpoints(m, widths))
         edges = [np.arange(k + 1) * w for k, w in zip(m, widths)]
     else:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
+# numpy loads numpy.random lazily; importing it here puts that cost at start-up,
+# not inside a command's first draw
+from numpy.random import Generator, SeedSequence, default_rng
 
 __all__ = ["RngStream"]
 
@@ -21,11 +23,9 @@ class RngStream:
     stream_id: int = 0
     _path: tuple = field(default=(), repr=False)
 
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id, *self._path)
-        )
-        return np.random.default_rng(ss)
+    def generator(self) -> Generator:
+        ss = SeedSequence(entropy=self.seed, spawn_key=(self.stream_id, *self._path))
+        return default_rng(ss)
 
     def substream(self, k: int) -> "RngStream":
         return RngStream(self.seed, self.stream_id, self._path + (int(k),))

@@ -2,12 +2,15 @@
 
 ``ks_2samp`` and ``linregress`` give the numbers of
 ``scipy.stats.ks_2samp(a, b, method="asymp")`` and ``scipy.stats.linregress``
-for the fields sheetlab reads (the KS p-value to 1e-12 relative, the rest bit
-for bit) without importing ``scipy.stats``, which costs about a second per
-process. The p-value is the survival function of the two-sided one-sample
-Kolmogorov distribution at ``n = round(n1 n2 / (n1 + n2))``, computed by the
-algorithm of Simard & L'Ecuyer, "Computing the two-sided Kolmogorov-Smirnov
-distribution", J. Stat. Softw. 39(11), 2011.
+for the fields sheetlab reads (the KS p-value to 1e-12 relative where it is a
+normal double, the rest bit for bit) without importing scipy, which costs
+about 0.3 s and 19 MB per process. The p-value is the survival function of
+the two-sided one-sample Kolmogorov distribution at
+``n = round(n1 n2 / (n1 + n2))``, computed by the algorithm of Simard &
+L'Ecuyer, "Computing the two-sided Kolmogorov-Smirnov distribution",
+J. Stat. Softw. 39(11), 2011. Where that algorithm takes
+``scipy.special.smirnov``, ``smirnov`` below sums the exact one-sided formula
+of Birnbaum & Tingey, Ann. Math. Stat. 22, 1951.
 """
 
 # The survival function below is a port of the branches of
@@ -44,13 +47,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import smirnov
 
 __all__ = ["KsResult", "LinregressResult", "ks_2samp", "linregress"]
 
 _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)
 _EM128 = np.ldexp(np.longdouble(1), -_E128)
+
+# above this n, scipy.special.smirnov takes an asymptotic form, and so does smirnov
+_SMIRNOV_EXACT_MAX_N = 1_000_000
 
 _SQRT2PI = np.sqrt(2 * np.pi)
 _LOG_2PI = np.log(2 * np.pi)
@@ -145,6 +150,45 @@ def _kolmogn_sf(n: int, x) -> float:
 
 def _clip(p):
     return np.clip(p, 0.0, 1.0)
+
+
+def smirnov(n: int, x) -> float:
+    """Pr(D_n^+ >= x) for the one-sided one-sample KS statistic D_n^+.
+
+    The Birnbaum-Tingey sum over j = 0, ..., floor(n (1 - x)) of
+    C(n, j) x (x + j/n)^(j-1) (1 - x - j/n)^(n-j), whose terms are all positive:
+    it is summed in long double, in log space with the largest term factored
+    out, so that nothing overflows and p-values far below 1e-300 keep their
+    digits. log C(n, j) is a running sum of log((n - j + 1)/j), which does not
+    cancel as a difference of log-gamma values does, with its rounding errors
+    added back so that it stays exact to about 1e-15 up to n = 10^6. A last
+    term whose 1 - x - j/n rounds to zero or below is 0 and is dropped. Above
+    _SMIRNOV_EXACT_MAX_N it is exp(-(6 n x + 1)^2 / (18 n)), as in scipy.
+    """
+    if np.isnan(x):
+        return np.nan
+    if x <= 0.0:
+        return 1.0
+    if x >= 1.0:
+        return 0.0
+    if n > _SMIRNOV_EXACT_MAX_N:
+        return np.exp(-((6 * n * x + 1) ** 2) / (18 * n))
+    j = np.arange(int(n * (1 - x)) + 1)
+    steps = np.zeros(j.size, dtype=np.longdouble)
+    steps[1:] = np.log((n + 1 - j[1:]) / j[1:].astype(np.longdouble))
+    sums = np.cumsum(steps)
+    # the rounding error of each addition, exact by TwoSum, summed apart
+    prev = np.concatenate(([0], sums[:-1]))
+    back = sums - prev
+    log_binom = sums + np.cumsum((prev - (sums - back)) + (steps - back))
+    x = np.longdouble(x)
+    jn = j / np.longdouble(n)
+    rest = 1 - x - jn
+    keep = rest > 0
+    j, jn, rest, log_binom = j[keep], jn[keep], rest[keep], log_binom[keep]
+    logs = log_binom + np.log(x) + (j - 1) * np.log(x + jn) + (n - j) * np.log(rest)
+    top = np.max(logs)
+    return np.float64(np.exp(top) * np.sum(np.exp(logs - top)))
 
 
 def _log_nfactorial_div_n_pow_n(n):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheetlab import GridSpec, RngStream, __version__, kernels, sample_donsker, zeta_on_axes
+from sheetlab import GridSpec, RngStream, __version__, cli, kernels, sample_donsker, zeta_on_axes
 from sheetlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, EXIT_VERDICT, main
 
 
@@ -217,6 +217,26 @@ def test_kac_stroock_sign_grid_refusal(tmp_path, monkeypatch, capsys):
     )
     assert code == EXIT_REFUSED
     assert "sign grid would need 4096 cells" in capsys.readouterr().err
+
+
+def test_kac_stroock_sign_grid_refused_before_the_draw(tmp_path, monkeypatch, capsys):
+    # the sign grid at n = 10^6 and grid-n 4 needs (4 * 10^6)^2 cells: refused
+    # before the 2 * 10^6 point coordinates (within the budget) are drawn
+    def never(*_):
+        raise AssertionError("Poisson points drawn before the sign grid was refused")
+
+    monkeypatch.setattr(cli, "sample_kac_stroock", never)
+    code = main(
+        [
+            "simulate",
+            "--family", "kac-stroock",
+            "--n", "1000000",
+            "--grid-n", "4",
+            "--report-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_REFUSED
+    assert "Kac-Stroock sign grid would need 16000000000000 cells" in capsys.readouterr().err
 
 
 def test_donsker_innovation_block_refusal(tmp_path, monkeypatch, capsys):

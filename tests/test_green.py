@@ -459,6 +459,22 @@ def test_cached_spectral_tensors_are_read_only():
             arr[0] = 1.0
 
 
+@pytest.mark.parametrize("d, kmax", [(1, 9), (2, 17), (3, 64)])
+def test_lam_tensor_matches_meshgrid_sum_and_builds_one_array(d, kmax):
+    k = np.arange(1, kmax + 1, dtype=float)
+    want = np.pi**2 * sum(g**2 for g in np.meshgrid(*([k] * d), indexing="ij"))
+    tracemalloc.start()
+    try:
+        got = _lam_tensor.__wrapped__(d, kmax)  # uncached, so the build is traced
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    # d grids and their squares would be several times the result: at d = 3,
+    # kmax = 128 that transient was 80 MB
+    assert peak < 1.25 * want.nbytes + 2**16
+
+
 def test_k_apply_inverts_discrete_laplacian():
     """-Laplace(k_apply phi) = phi + O(h^2) at interior nodes."""
     gs = GreenSeries(d=2, kmax=4)

@@ -450,6 +450,13 @@ def test_kac_stroock_replicates_over_several_chunks():
         integ.apply(fields[:65])
 
 
+def test_no_points_give_an_empty_stack():
+    grid = GridSpec(d=2, T=1.0, N=4)
+    for family in ("donsker", "kac-stroock", "sheet"):
+        integ = noise_integrator(family, indicator_integrand(), np.empty((0, 2)), grid, 8)
+        assert integ.replicates(RngStream(46), 3).shape == (3, 0)
+
+
 def _never_evaluated(oracles) -> Integrand:
     """Integrand whose evaluator and given oracles all fail the test when called."""
 
