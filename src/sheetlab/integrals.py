@@ -37,6 +37,10 @@ FAMILIES = ("donsker", "kac-stroock", "sheet")
 # against them stays on one BLAS thread
 KS_CHUNK = 2048
 
+# innovations per drawn row block in DonskerIntegrator.replicates (2 MiB of
+# doubles): the (M, cells) innovation matrix is never held at once
+DRAW_BLOCK = 1 << 18
+
 
 @dataclass
 class Integrand:
@@ -200,19 +204,33 @@ class DonskerIntegrator:
         """Values at xs for a stack of realizations, shape (M, npts).
 
         rng is one RngStream whose generator draws all M innovation rows, or,
-        with M omitted, a list of streams drawing one row each. The whole
-        innovation block is checked against the budget before drawing.
+        with M omitted, a list of streams drawing one row each. Rows are drawn
+        and applied in blocks of about DRAW_BLOCK innovations, so one generator
+        gives the same innovations in the same order as a single (M, cells)
+        draw without holding them all. The M * cells innovations are still
+        checked against the budget before any is drawn.
         """
+        streams = list(rng) if M is None else None
+        M = len(streams) if M is None else M
         ncells = int(np.prod(self.cell_shape))
-        total = (len(rng) if M is None else M) * ncells
+        total = M * ncells
         check_budget(total, f"Donsker innovation block would need {total} innovations")
-        if M is None:
-            Z = np.empty((len(rng), ncells))
-            for row, s in zip(Z, rng):
+        gen = rng.generator() if streams is None else None
+
+        def draw(lo, hi):
+            if gen is not None:
+                return _draw_innovations(gen, self.law, (hi - lo, ncells))
+            Z = np.empty((hi - lo, ncells))
+            for row, s in zip(Z, streams[lo:hi]):
                 row[:] = _draw_innovations(s.generator(), self.law, ncells)
-        else:
-            Z = _draw_innovations(rng.generator(), self.law, (M, ncells))
-        return self.apply_innovations(Z)
+            return Z
+
+        rows = max(1, DRAW_BLOCK // max(ncells, 1))
+        out = np.empty((M, self.weights.shape[0]))
+        for lo in range(0, M, rows):
+            # the block is a temporary: freed before the next one is drawn
+            out[lo : lo + rows] = self.apply_innovations(draw(lo, min(lo + rows, M)))
+        return out
 
     def second_moment(self) -> np.ndarray:
         """Exact E[X(x)^2] = s^2 sum_k w_k(x)^2 (unit-variance innovations)."""

@@ -40,8 +40,8 @@ __all__ = [
 # safety factor absorbing grid-maximum underestimation of sup ||K(x,.)||_2
 GATE_INFLATION = 1.05
 
-# replicates solved together by SpdeSampler.sample_solutions; keeps a Donsker
-# innovation block at n=64, d=2 to 2 MiB
+# replicates solved together by SpdeSampler.sample_solutions; at n=64, d=2 a
+# block's Donsker innovations are one integrals.DRAW_BLOCK (2 MiB)
 SOLVE_BLOCK = 64
 
 
@@ -347,8 +347,13 @@ def solution_convergence_report(
     probe_idx = [grid.node_index(p) for p in probes]
 
     def solution_values(sampler: SpdeSampler, stream: RngStream) -> np.ndarray:
-        results = sampler.sample_solutions(stream.split(M))
-        return np.array([[r.u.values[idx] for idx in probe_idx] for r in results])
+        # solved a block at a time; only each solution's probe values are kept
+        streams = stream.split(M)
+        vals = np.empty((M, len(probe_idx)))
+        for lo in range(0, M, SOLVE_BLOCK):
+            results = sampler.sample_solutions(streams[lo : lo + SOLVE_BLOCK])
+            vals[lo : lo + SOLVE_BLOCK] = [[r.u.values[idx] for idx in probe_idx] for r in results]
+        return vals
 
     target_sampler = SpdeSampler("sheet", None, g, F, gs, cfg, quad)
     target = solution_values(target_sampler, rng.substream(0))

@@ -240,7 +240,7 @@ def test_kac_stroock_sign_grid_refused_before_the_draw(tmp_path, monkeypatch, ca
 
 
 def test_donsker_innovation_block_refusal(tmp_path, monkeypatch, capsys):
-    # the variance report's first n (4, d=2) draws 1000 rows of 16 innovations at once
+    # the variance report's first n (4, d=2) needs 1000 rows of 16 innovations
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 1000)
     out = tmp_path / "run"
     code = main(

@@ -1,5 +1,6 @@
 """Random-field integrals X_n and their Wiener-integral limits."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from sheetlab import (
     zeta_on_axes,
 )
 from sheetlab.integrals import (
+    DRAW_BLOCK,
     KS_CHUNK,
     DonskerIntegrator,
     Integrand,
@@ -28,6 +30,7 @@ from sheetlab.integrals import (
 from sheetlab import integrals, kernels
 from sheetlab.green import GreenSeries, _lam_tensor, _sine_matrix, green_eval, green_integrand
 from sheetlab.kernels import (
+    INNOVATION_LAWS,
     BudgetExceededError,
     PoissonField,
     ks_midpoints,
@@ -502,6 +505,69 @@ def test_donsker_innovation_block_budget(monkeypatch):
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 64)
     assert integ.replicates(RngStream(45), 10).shape == (10, 3)
     assert integ.replicates(RngStream(45).split(10)).shape == (10, 3)
+
+
+def _donsker_case(law, d, n, seed):
+    xs = RngStream(seed).substream(1).generator().uniform(0.05, 0.95, size=(3, d))
+    return DonskerIntegrator(indicator_integrand(), xs, n, (1.0,) * d, law=law)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    law=st.sampled_from(INNOVATION_LAWS),
+    d=st.sampled_from([1, 2, 3]),
+    n=st.integers(1, 20),
+    block=st.sampled_from([DRAW_BLOCK, 64, 5]),
+    count=st.sampled_from(["one", "one block", "blocks"]),
+    extra=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+)
+def test_donsker_row_blocks_match_one_draw(law, d, n, block, count, extra, seed):
+    """Row blocks drawn from one generator are the innovations of one
+    (M, cells) draw; the per-block products agree with the one-shot product
+    to rounding (OpenBLAS picks its kernel by the block's size)."""
+    integ = _donsker_case(law, d, n, seed)
+    ncells = n**d
+    rows = max(1, block // ncells)
+    M = {"one": 1, "one block": rows, "blocks": (2 + extra % 2) * rows + extra % rows}[count]
+    with mock.patch.object(integrals, "DRAW_BLOCK", block):
+        got = integ.replicates(RngStream(seed), M)
+    Z = kernels._draw_innovations(RngStream(seed).generator(), law, (M, ncells))
+    ref = integ.scale * (Z @ integ.weights.T)
+    assert got.shape == (M, 3)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    law=st.sampled_from(INNOVATION_LAWS),
+    d=st.sampled_from([1, 2, 3]),
+    n=st.integers(1, 6),
+    block=st.sampled_from([DRAW_BLOCK, 64, 5]),
+    M=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_donsker_stream_list_draws_one_row_per_stream(law, d, n, block, M, seed):
+    integ = _donsker_case(law, d, n, seed)
+    streams = RngStream(seed).split(M)
+    with mock.patch.object(integrals, "DRAW_BLOCK", block):
+        got = integ.replicates(streams)
+    Z = np.stack([kernels._draw_innovations(s.generator(), law, n**d) for s in streams])
+    ref = integ.scale * (Z @ integ.weights.T)
+    assert got.shape == (M, 3)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_donsker_replicates_never_hold_all_innovations():
+    # field-law's Donsker report at n = 64: 5000 x 4096 innovations, 156 MiB at once
+    integ = DonskerIntegrator(indicator_integrand(), np.full((5, 2), 0.5), 64, (1.0, 1.0))
+    tracemalloc.start()
+    try:
+        integ.replicates(RngStream(1), 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("oracles, per_cell", [((), 4), (("cell_integral",), 1)])
