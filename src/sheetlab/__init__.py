@@ -22,6 +22,7 @@ from .convergence import (
     fdd_test,
     moment_bound_probe,
     tightness_modulus_probe,
+    solution_convergence_report,
     variance_convergence_report,
 )
 from .green import (
@@ -43,7 +44,6 @@ from .solver import (
     SolveResult,
     psi_continuity_check,
     residual,
-    solution_convergence_report,
     solve_contraction,
 )
 

@@ -29,6 +29,7 @@ from .convergence import (
     DiagConfig,
     fdd_test,
     moment_bound_probe,
+    solution_convergence_report,
     tightness_modulus_probe,
     variance_convergence_report,
 )
@@ -56,7 +57,6 @@ from .solver import (
     SolveConfig,
     SpdeSampler,
     nonlinearity_preset,
-    solution_convergence_report,
 )
 
 EXIT_OK = 0

@@ -1,14 +1,15 @@
-"""Statistical diagnostics: FDD convergence, moment bounds, tightness modulus, variances."""
+"""Statistical diagnostics: FDD and solution-law convergence, moment bounds,
+tightness modulus, variances."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .grid import GridSpec, as_point
+from .grid import GridField, GridSpec, as_point
+from .green import GreenSeries
 from .integrals import Integrand, noise_integrator
 from .kernels import check_budget
 
@@ -16,6 +17,7 @@ from .kernels import check_budget
 from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401
 from .quadrature import QuadSpec
 from .rng import RngStream
+from .solver import SOLVE_BLOCK, Nonlinearity, SolveConfig, SpdeSampler
 from . import stats
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "moment_bound_probe",
     "tightness_modulus_probe",
     "variance_convergence_report",
+    "solution_convergence_report",
 ]
 
 
@@ -122,6 +125,26 @@ def _unit_directions(count: int, dim: int, gen: np.random.Generator) -> np.ndarr
     return dirs
 
 
+def _ks_row(n, samples, target, significance: float, key: str) -> dict:
+    """One per_n row: a two-sample KS test of each column of samples against
+    the same column of target, and the fraction rejected at significance.
+
+    key names the KS statistics, which the fdd and the solution reports store
+    as "ks_statistics" and "ks_distances".
+    """
+    pvals, ks = [], []
+    for k in range(samples.shape[1]):
+        res = stats.ks_2samp(samples[:, k], target[:, k])
+        pvals.append(float(res.pvalue))
+        ks.append(float(res.statistic))
+    return {
+        "n": int(n),
+        "p_values": pvals,
+        key: ks,
+        "rejection_fraction": float(np.mean(np.array(pvals) < significance)),
+    }
+
+
 def fdd_test(
     f: Integrand,
     family: str,
@@ -145,27 +168,16 @@ def fdd_test(
         raise ValueError("asymptotic two-sample KS needs M >= 1000")
     gen = rng.substream(0).generator()
     dirs = _unit_directions(cfg.projections, probes.shape[0], gen)
-    target = noise_integrator("sheet", f, probes, grid, None, cfg.quad).replicates(
+    limit = noise_integrator("sheet", f, probes, grid, None, cfg.quad).replicates(
         rng.substream(1), cfg.M
     )
+    target = np.column_stack([limit @ a for a in dirs])
     per_n = []
     for j, n in enumerate(cfg.n_list):
         integ = noise_integrator(family, f, probes, grid, n, cfg.quad, cfg.law)
         Xn = integ.replicates(rng.substream(2 + j), cfg.M)
-        pvals, ks = [], []
-        for a in dirs:
-            res = stats.ks_2samp(Xn @ a, target @ a)
-            pvals.append(float(res.pvalue))
-            ks.append(float(res.statistic))
-        rej = float(np.mean(np.array(pvals) < cfg.significance))
-        per_n.append(
-            {
-                "n": int(n),
-                "p_values": pvals,
-                "ks_statistics": ks,
-                "rejection_fraction": rej,
-            }
-        )
+        proj = np.column_stack([Xn @ a for a in dirs])
+        per_n.append(_ks_row(n, proj, target, cfg.significance, "ks_statistics"))
     accept_threshold = 0.8
     final = per_n[-1]
     verdicts = {
@@ -363,6 +375,67 @@ def variance_convergence_report(
             "n_list": list(cfg.n_list),
             "M": cfg.M,
             "target": target,
+        },
+        per_n=per_n,
+        verdicts=verdicts,
+    )
+
+
+def solution_convergence_report(
+    family: str,
+    n_list,
+    probes,
+    M: int,
+    g: GridField,
+    F: Nonlinearity,
+    gs: GreenSeries,
+    cfg: SolveConfig = SolveConfig(),
+    rng: RngStream = RngStream(0),
+    significance: float = 0.01,
+    quad: QuadSpec = QuadSpec(r=1, rho=1e-3),
+) -> ConvergenceReport:
+    """Two-sample KS comparison of u_n against the sheet-driven solution law.
+
+    For each n, M replicate solutions are evaluated at the probe points and
+    compared per probe with M sheet-driven solutions.
+    """
+    _check_plan(n_list, M, significance)
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    grid = g.grid
+    probe_idx = [grid.node_index(p) for p in probes]
+
+    def solution_values(sampler: SpdeSampler, stream: RngStream) -> np.ndarray:
+        # solved a block at a time; only each solution's probe values are kept
+        streams = stream.split(M)
+        vals = np.empty((M, len(probe_idx)))
+        for lo in range(0, M, SOLVE_BLOCK):
+            results = sampler.sample_solutions(streams[lo : lo + SOLVE_BLOCK])
+            vals[lo : lo + SOLVE_BLOCK] = [[r.u.values[idx] for idx in probe_idx] for r in results]
+        return vals
+
+    target = solution_values(SpdeSampler("sheet", None, g, F, gs, cfg, quad), rng.substream(0))
+    per_n = []
+    for j, n in enumerate(n_list):
+        vals = solution_values(SpdeSampler(family, n, g, F, gs, cfg, quad), rng.substream(1 + j))
+        per_n.append(_ks_row(n, vals, target, significance, "ks_distances"))
+    first, last = per_n[0], per_n[-1]
+    improved = np.mean(
+        [lf <= ff for lf, ff in zip(last["ks_distances"], first["ks_distances"])]
+    )
+    majority = float(np.mean(np.array(last["p_values"]) >= significance))
+    verdicts = {
+        "ks_distance_improves": {"ok": bool(improved >= 0.8), "threshold": 0.8, "value": float(improved)},
+        "final_n_majority_accepted": {"ok": bool(majority > 0.5), "threshold": 0.5, "value": majority},
+    }
+    return ConvergenceReport(
+        name="solution_convergence_report",
+        config={
+            "family": family,
+            "n_list": [int(n) for n in n_list],
+            "M": M,
+            "probes": probes.tolist(),
+            "significance": significance,
+            "grid": grid.to_dict(),
         },
         per_n=per_n,
         verdicts=verdicts,

@@ -58,10 +58,6 @@ class GreenSeries:
         modes = self.kmax**self.d
         check_budget(modes, f"Green mode tensor would need {modes} modes")
 
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(1, self.kmax + 1)
-
 
 @dataclass(frozen=True)
 class WosConfig:

@@ -106,7 +106,9 @@ def restrict(f: Integrand, x) -> Integrand:
 
 def _eval_matrix(f: Integrand, xs: np.ndarray, axes, rho: float) -> np.ndarray:
     """f(x_i, .) on the tensor grid of axes, shape (npts, m_1, ..., m_d),
-    zeroed inside the exclusion ball."""
+    zeroed inside the exclusion ball, which a singular f needs (rho > 0)."""
+    if f.singular and rho <= 0:
+        raise ValueError("singular integrand requires exclusion radius rho > 0")
     F = np.asarray(f.evaluator(xs, axes), dtype=float)
     if f.singular:
         d2 = 0.0
@@ -146,6 +148,12 @@ def _budgeted_points(xs, ncells: int) -> np.ndarray:
     return xs
 
 
+def _replicate_values(M: int, npts: int) -> np.ndarray:
+    """The uninitialised (M, npts) array of replicate values, once it fits the budget."""
+    check_budget(M * npts, f"replicate values of shape {(M, npts)} would need {8 * M * npts} bytes")
+    return np.empty((M, npts))
+
+
 class DonskerIntegrator:
     """Precomputed weights for X(x) = s sum_k Z_k w_k(x) with i.i.d. innovations Z_k.
 
@@ -168,7 +176,6 @@ class DonskerIntegrator:
             n = int(n)
             edges = [np.minimum(np.arange(int(np.ceil(n * t)) + 1) / n, t) for t in T]
             self.scale = n ** (len(edges) / 2.0)
-        self.n = n
         self.d = len(edges)
         self.law = law
         shape = tuple(len(e) - 1 for e in edges)
@@ -177,12 +184,9 @@ class DonskerIntegrator:
         # the quadrature fallback evaluates f at r^d nodes per cell
         nodes = ncells if f.cell_integral is not None else ncells * quad.r**self.d
         xs = _budgeted_points(xs, nodes)
-        self.xs = xs
         if f.cell_integral is not None:
             W = np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], ncells)
         else:
-            if f.singular and quad.rho <= 0:
-                raise ValueError("singular integrand requires exclusion radius rho > 0")
             mids, widths = _refined_axes(edges, quad.r)
             wt = widths[0]
             for v in widths[1:]:
@@ -207,14 +211,14 @@ class DonskerIntegrator:
         with M omitted, a list of streams drawing one row each. Rows are drawn
         and applied in blocks of about DRAW_BLOCK innovations, so one generator
         gives the same innovations in the same order as a single (M, cells)
-        draw without holding them all. The M * cells innovations are still
-        checked against the budget before any is drawn.
+        draw without holding them all. A block holds at most
+        max(DRAW_BLOCK, cells) innovations, and the weights budget the cells;
+        the (M, npts) values are checked against the budget before any draw.
         """
         streams = list(rng) if M is None else None
         M = len(streams) if M is None else M
+        out = _replicate_values(M, self.weights.shape[0])
         ncells = int(np.prod(self.cell_shape))
-        total = M * ncells
-        check_budget(total, f"Donsker innovation block would need {total} innovations")
         gen = rng.generator() if streams is None else None
 
         def draw(lo, hi):
@@ -226,7 +230,6 @@ class DonskerIntegrator:
             return Z
 
         rows = max(1, DRAW_BLOCK // max(ncells, 1))
-        out = np.empty((M, self.weights.shape[0]))
         for lo in range(0, M, rows):
             # the block is a temporary: freed before the next one is drawn
             out[lo : lo + rows] = self.apply_innovations(draw(lo, min(lo + rows, M)))
@@ -249,14 +252,11 @@ class KacStroockIntegrator:
     """
 
     def __init__(self, f: Integrand, xs, grid: GridSpec, n: float, quad: QuadSpec = QuadSpec()):
-        if f.singular and quad.rho <= 0:
-            raise ValueError("singular integrand requires exclusion radius rho > 0")
         self.grid = grid
         self.n = float(n)
         cells, widths = ks_rule(grid, self.n, quad.r)
         ncells = int(np.prod(cells))
         xs = _budgeted_points(xs, ncells)
-        self.xs = xs
         self.mids = ks_midpoints(cells, widths)
         W = _eval_matrix(f, xs, self.mids, quad.rho).reshape(xs.shape[0], ncells)
         # scaled in place: no second weight-sized array
@@ -283,10 +283,11 @@ class KacStroockIntegrator:
 
         One Poisson field per stream: the M substreams of the RngStream rng,
         or, with M omitted, each stream of the list rng. Fields are drawn and
-        integrated in blocks of KS_BLOCK streams, in stream order.
+        integrated in blocks of KS_BLOCK streams, in stream order. The (M, npts)
+        values are checked against the budget before rng is split.
         """
-        streams = list(rng if M is None else rng.split(M))
-        out = np.empty((len(streams), self.weights.shape[0]))
+        out = _replicate_values(len(rng) if M is None else M, self.weights.shape[0])
+        streams = list(rng) if M is None else rng.split(M)
         for start in range(0, len(streams), KS_BLOCK):
             block = streams[start : start + KS_BLOCK]
             fields = [sample_kac_stroock(self.grid, self.n, s) for s in block]

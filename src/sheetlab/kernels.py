@@ -178,8 +178,7 @@ def kac_stroock_eval(f: PoissonField, x) -> float:
     for i in range(f.d):
         if p[i] < 0 or p[i] > f.T[i]:
             raise ValueError(f"coordinate {p[i]} outside [0, {f.T[i]}]")
-    expo = _ks_prefactor_exponent(f.d)
-    pref = 1.0 if expo == 0.0 else float(np.prod(p)) ** expo
+    pref = float(np.prod(p)) ** _ks_prefactor_exponent(f.d)
     count = int(np.sum(np.all(f.points <= p, axis=1))) if f.points.size else 0
     return float(f.n ** (f.d / 2.0) * pref * (-1) ** count)
 
@@ -235,8 +234,6 @@ def ks_scale(n: float, mid_axes) -> np.ndarray:
     grid of midpoints."""
     d = len(mid_axes)
     expo = _ks_prefactor_exponent(d)
-    if expo == 0.0:
-        return np.full(tuple(len(m) for m in mid_axes), n ** (d / 2.0))
     vecs = [np.power(m, expo) for m in mid_axes]
     pref = vecs[0]
     for v in vecs[1:]:

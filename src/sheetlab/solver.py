@@ -9,7 +9,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convergence import ConvergenceReport, _check_plan
 from .grid import GridField, GridSpec
 from .integrals import noise_integrator
 from .green import (
@@ -22,7 +21,6 @@ from .green import (
 )
 from .quadrature import QuadSpec, tensor_points
 from .rng import RngStream
-from . import stats
 
 __all__ = [
     "Nonlinearity",
@@ -33,7 +31,6 @@ __all__ = [
     "residual",
     "psi_continuity_check",
     "SpdeSampler",
-    "solution_convergence_report",
     "nonlinearity_preset",
 ]
 
@@ -278,23 +275,17 @@ class SpdeSampler:
         F: Nonlinearity,
         gs: GreenSeries,
         cfg: SolveConfig = SolveConfig(),
-        quad: QuadSpec | None = None,
+        # r = 1 suffices: Donsker and the sheet integrate the Green kernel's
+        # exact cell integrals, and Kac-Stroock's rule already has at least
+        # ceil(n T_i) cells per axis
+        quad: QuadSpec = QuadSpec(r=1, rho=1e-3),
     ):
-        self.family = family
-        self.n = n
-        self.g = g
         self.F = F
         self.gs = gs
         self.cfg = cfg
         grid = g.grid
         self.grid = grid
         self.gate = _check_gate(gs, grid, F, cfg)
-        if quad is None:
-            # r = 1 suffices: Donsker and the sheet integrate the Green kernel's
-            # exact cell integrals, and Kac-Stroock's rule already has at least
-            # ceil(n T_i) cells per axis
-            quad = QuadSpec(r=1, rho=1e-3)
-        self.quad = quad
         self._Kg = k_apply(gs, g).values
         interior = tensor_points([grid.axis_nodes(i)[1:-1] for i in range(grid.d)])
         self._integ = noise_integrator(family, green_integrand(gs), interior, grid, n, quad)
@@ -322,77 +313,3 @@ class SpdeSampler:
     def sample_solution(self, rng: RngStream) -> SolveResult:
         return self.sample_solutions([rng])[0]
 
-
-def solution_convergence_report(
-    family: str,
-    n_list,
-    probes,
-    M: int,
-    g: GridField,
-    F: Nonlinearity,
-    gs: GreenSeries,
-    cfg: SolveConfig = SolveConfig(),
-    rng: RngStream = RngStream(0),
-    significance: float = 0.01,
-    quad: QuadSpec | None = None,
-) -> ConvergenceReport:
-    """Two-sample KS comparison of u_n against the sheet-driven solution law.
-
-    For each n, M replicate solutions are evaluated at the probe points and
-    compared per probe with M sheet-driven solutions.
-    """
-    _check_plan(n_list, M, significance)
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    grid = g.grid
-    probe_idx = [grid.node_index(p) for p in probes]
-
-    def solution_values(sampler: SpdeSampler, stream: RngStream) -> np.ndarray:
-        # solved a block at a time; only each solution's probe values are kept
-        streams = stream.split(M)
-        vals = np.empty((M, len(probe_idx)))
-        for lo in range(0, M, SOLVE_BLOCK):
-            results = sampler.sample_solutions(streams[lo : lo + SOLVE_BLOCK])
-            vals[lo : lo + SOLVE_BLOCK] = [[r.u.values[idx] for idx in probe_idx] for r in results]
-        return vals
-
-    target_sampler = SpdeSampler("sheet", None, g, F, gs, cfg, quad)
-    target = solution_values(target_sampler, rng.substream(0))
-    per_n = []
-    for j, n in enumerate(n_list):
-        sampler = SpdeSampler(family, n, g, F, gs, cfg, quad)
-        vals = solution_values(sampler, rng.substream(1 + j))
-        pvals, dists = [], []
-        for k in range(len(probe_idx)):
-            res = stats.ks_2samp(vals[:, k], target[:, k])
-            pvals.append(float(res.pvalue))
-            dists.append(float(res.statistic))
-        per_n.append(
-            {
-                "n": int(n),
-                "p_values": pvals,
-                "ks_distances": dists,
-                "rejection_fraction": float(np.mean(np.array(pvals) < significance)),
-            }
-        )
-    first, last = per_n[0], per_n[-1]
-    improved = np.mean(
-        [lf <= ff for lf, ff in zip(last["ks_distances"], first["ks_distances"])]
-    )
-    majority = float(np.mean(np.array(last["p_values"]) >= significance))
-    verdicts = {
-        "ks_distance_improves": {"ok": bool(improved >= 0.8), "threshold": 0.8, "value": float(improved)},
-        "final_n_majority_accepted": {"ok": bool(majority > 0.5), "threshold": 0.5, "value": majority},
-    }
-    return ConvergenceReport(
-        name="solution_convergence_report",
-        config={
-            "family": family,
-            "n_list": [int(n) for n in n_list],
-            "M": M,
-            "probes": probes.tolist(),
-            "significance": significance,
-            "grid": grid.to_dict(),
-        },
-        per_n=per_n,
-        verdicts=verdicts,
-    )

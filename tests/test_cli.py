@@ -240,22 +240,24 @@ def test_kac_stroock_sign_grid_refused_before_the_draw(tmp_path, monkeypatch, ca
 
 
 def test_donsker_innovation_block_refusal(tmp_path, monkeypatch, capsys):
-    # the variance report's first n (4, d=2) needs 1000 rows of 16 innovations
+    # the variance report draws 1000 rows of 16 innovations (n = 4, d = 2) and
+    # holds only their 1000 x 1 probe values: the draws stream past a budget of
+    # 1000, and values above a budget of 999 are refused
+    argv = [
+        "convergence-report",
+        "--diagnostic", "variance",
+        "--family", "donsker",
+        "--n", "4,8",
+        "--grid-n", "4",
+        "--M", "1000",
+    ]
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 1000)
+    assert main(argv + ["--report-dir", str(tmp_path / "ok")]) in (EXIT_OK, EXIT_VERDICT)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 999)
     out = tmp_path / "run"
-    code = main(
-        [
-            "convergence-report",
-            "--diagnostic", "variance",
-            "--family", "donsker",
-            "--n", "4,8",
-            "--grid-n", "4",
-            "--M", "1000",
-            "--report-dir", str(out),
-        ]
-    )
+    code = main(argv + ["--report-dir", str(out)])
     assert code == EXIT_REFUSED
-    assert "innovation block would need 16000 innovations" in capsys.readouterr().err
+    assert "replicate values of shape (1000, 1) would need 8000 bytes" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

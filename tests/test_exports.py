@@ -1,5 +1,6 @@
 """Every exported name resolves: module __all__ lists and the top-level package.
-Only kernels.check_budget reads the memory budget."""
+Only kernels.check_budget reads the memory budget, solver imports no report
+layer, and only convergence._ks_row runs a KS test."""
 
 import ast
 import importlib
@@ -33,19 +34,17 @@ def test_top_level_exports_resolve():
     assert stale == []
 
 
-def _budget_readers(tree, module):
-    """(module, enclosing function or None) for each name of DEFAULT_MAX_CELLS in tree."""
+SOURCES = sorted(Path(sheetlab.__file__).parent.glob("*.py"))
+
+
+def _sites(tree, module, named):
+    """(module, enclosing function or None) for each node of tree that named accepts."""
     sites = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        named = (
-            (isinstance(node, ast.Name) and node.id == "DEFAULT_MAX_CELLS")
-            or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_MAX_CELLS")
-            or (isinstance(node, ast.alias) and node.name == "DEFAULT_MAX_CELLS")
-        )
-        if named:
+        if named(node):
             sites.append((module, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -54,11 +53,56 @@ def _budget_readers(tree, module):
     return sites
 
 
+def _names_budget(node):
+    return (
+        (isinstance(node, ast.Name) and node.id == "DEFAULT_MAX_CELLS")
+        or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_MAX_CELLS")
+        or (isinstance(node, ast.alias) and node.name == "DEFAULT_MAX_CELLS")
+    )
+
+
 def test_only_check_budget_reads_the_budget():
     # besides check_budget, only the definition in kernels; an import of the
     # name would bind its value once and miss a later rebinding
     sites = []
-    for path in sorted(Path(sheetlab.__file__).parent.glob("*.py")):
-        sites += _budget_readers(ast.parse(path.read_text()), path.stem)
+    for path in SOURCES:
+        sites += _sites(ast.parse(path.read_text()), path.stem, _names_budget)
     assert ("kernels", "check_budget") in sites
     assert [s for s in sites if s != ("kernels", "check_budget")] == [("kernels", None)]
+
+
+def _sheetlab_imports(tree) -> set:
+    """The sheetlab modules that tree imports, relatively or by full name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["sheetlab" if node.level else "", node.module]))
+            names = [module] + [f"{module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found |= {n.split(".")[1] for n in names if n.startswith("sheetlab.")}
+    return found
+
+
+def test_solver_imports_no_report_layer():
+    # the reports call the numerics, never the other way round
+    solver = Path(sheetlab.__file__).parent / "solver.py"
+    assert _sheetlab_imports(ast.parse(solver.read_text())) & {"convergence", "stats"} == set()
+
+
+def _calls_ks_2samp(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "ks_2samp") or (
+        isinstance(func, ast.Attribute) and func.attr == "ks_2samp"
+    )
+
+
+def test_one_ks_step_serves_every_report():
+    sites = []
+    for path in SOURCES:
+        sites += _sites(ast.parse(path.read_text()), path.stem, _calls_ks_2samp)
+    assert sites == [("convergence", "_ks_row")]

@@ -493,18 +493,37 @@ class _NeverDrawn:
     def generator(self):
         raise AssertionError("innovations drawn before the budget check")
 
+    def split(self, count):
+        raise AssertionError("streams split before the budget check")
+
 
 def test_donsker_innovation_block_budget(monkeypatch):
-    # 10 rows of 64 innovations, drawn from one stream or from one stream per row
+    # 10 rows of 64 innovations stream past a budget of 639 entries, from one
+    # stream or from one stream per row: only the (10, 3) values are held
     integ = DonskerIntegrator(indicator_integrand(), np.full((3, 2), 0.5), 8, (1.0, 1.0))
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 64 - 1)
-    with pytest.raises(BudgetExceededError, match="would need 640 innovations"):
-        integ.replicates(_NeverDrawn(), 10)
-    with pytest.raises(BudgetExceededError, match="would need 640 innovations"):
-        integ.replicates([_NeverDrawn()] * 10)
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 64)
     assert integ.replicates(RngStream(45), 10).shape == (10, 3)
     assert integ.replicates(RngStream(45).split(10)).shape == (10, 3)
+    # values above the budget are refused before any innovation is drawn
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 3 - 1)
+    with pytest.raises(BudgetExceededError, match=r"shape \(10, 3\) would need 240 bytes"):
+        integ.replicates(_NeverDrawn(), 10)
+    with pytest.raises(BudgetExceededError, match=r"shape \(10, 3\) would need 240 bytes"):
+        integ.replicates([_NeverDrawn()] * 10)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 3)
+    assert integ.replicates(RngStream(45), 10).shape == (10, 3)
+
+
+def test_kac_stroock_replicate_values_budget(monkeypatch):
+    # (5, 2) values: refused before the stream is split or any field drawn
+    integ = KacStroockIntegrator(indicator_integrand(), np.full((2, 2), 0.5), GridSpec(d=2, N=4), 4.0)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 5 * 2 - 1)
+    with pytest.raises(BudgetExceededError, match=r"shape \(5, 2\) would need 80 bytes"):
+        integ.replicates(_NeverDrawn(), 5)
+    with pytest.raises(BudgetExceededError, match=r"shape \(5, 2\) would need 80 bytes"):
+        integ.replicates([_NeverDrawn()] * 5)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 5 * 2)
+    assert integ.replicates(RngStream(46), 5).shape == (5, 2)
 
 
 def _donsker_case(law, d, n, seed):
