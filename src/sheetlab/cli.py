@@ -2,11 +2,13 @@
 
 Every run resolves its configuration from built-in defaults, an optional JSON
 config file, and explicit command-line flags (flags win). Each subcommand is
-one entry of ``_SUBCOMMANDS``: its defaults and its runner. ``main`` checks
-the family and the innovation law, calls the runner, writes the runner's
-report (report.json, report.csv) if it returns one, and writes manifest.json,
-echoing the resolved configuration plus the package version, last. Artifacts
-are written only by runs that exit 0 or 3; a refused run writes no file.
+one entry of ``_SUBCOMMANDS``: its defaults and its runner. A runner takes
+the resolved configuration, writes nothing and returns its files by name.
+``main`` checks the family and the innovation law, calls the runner, creates
+the output directory, writes the runner's files through ``_write`` and then
+manifest.json, echoing the resolved configuration plus the package version.
+This module alone decides the artifact format. Artifacts are written only by
+runs that exit 0 or 3; a refused run creates no file and no directory.
 
 Exit codes: 0 success, 2 config error, 3 statistical verdict failure under
 --strict, 4 resource refusal (innovation, weight-matrix or sign-grid budget, or contraction gate).
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -116,29 +119,42 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _write_manifest(outdir: str, subcommand: str, cfg: dict) -> None:
-    manifest = {
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": cfg,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_csv(path: str, header: list, rows) -> None:
+def _write(path: str, content) -> None:
+    """The one artifact writer. A .json name takes a JSON-able object; a .csv
+    name takes a (header, rows, line_end) table."""
+    if path.endswith(".json"):
+        with open(path, "w") as fh:
+            json.dump(content, fh, indent=2, default=_jsonable)
+        return
+    header, rows, line_end = content
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=line_end)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _field_csv_rows(field: GridField):
+def _field_table(field: GridField, name: str):
+    """A node per row: the coordinates x1..xd, then the value column name."""
     grid = field.grid
-    pts = grid.node_points()
-    vals = field.values.ravel()
-    return [list(p) + [v] for p, v in zip(pts, vals)]
+    header = [f"x{i+1}" for i in range(grid.d)] + [name]
+    rows = [list(p) + [v] for p, v in zip(grid.node_points(), field.values.ravel())]
+    return header, rows, "\r\n"
+
+
+def _report_files(report: ConvergenceReport) -> dict:
+    """report.json, and report.csv: the per_n rows' scalar columns, sorted."""
+    rows = report.per_n
+    keys = sorted({k for row in rows for k in row if np.isscalar(row[k]) or row[k] is None})
+    table = [[str(row.get(k, "")) for k in keys] for row in rows]
+    return {"report.json": asdict(report), "report.csv": (keys, table, "\n")}
 
 
 def _load_g_field(spec_text: str, grid: GridSpec) -> GridField:
@@ -184,17 +200,19 @@ SIMULATE_DEFAULTS = {
 }
 
 
-def _sheet_at_grid_scale(cfg: dict) -> None:
+def _sheet_at_grid_scale(subcommand: str, cfg: dict) -> None:
     """The Brownian sheet is the Donsker field at n = N with standard-normal
-    innovations: set n and law to that, so that the manifest records them."""
-    if cfg["family"] == "sheet":
+    innovations. Record that law in every subcommand that has one, and n = N
+    where n is one scale (simulate, poisson-solve), not a report's n list."""
+    if cfg.get("family") != "sheet":
+        return
+    if "law" in cfg:
+        cfg["law"] = "standard-normal"
+    if subcommand in ("simulate", "poisson-solve"):
         cfg["n"] = cfg["grid_n"]
-        if "law" in cfg:
-            cfg["law"] = "standard-normal"
 
 
-def _run_simulate(cfg: dict, outdir: str) -> None:
-    _sheet_at_grid_scale(cfg)
+def _run_simulate(cfg: dict) -> dict:
     grid = GridSpec(d=int(cfg["d"]), T=1.0, N=int(cfg["grid_n"]))
     rng = RngStream(int(cfg["seed"]))
     axes = [grid.axis_nodes(i) for i in range(grid.d)]
@@ -205,8 +223,7 @@ def _run_simulate(cfg: dict, outdir: str) -> None:
     else:
         kern = sample_donsker(grid, int(cfg["n"]), cfg["law"], rng)
     field = GridField(grid, zeta_on_axes(kern, axes, quad))
-    header = [f"x{i+1}" for i in range(grid.d)] + ["value"]
-    _write_csv(os.path.join(outdir, "field.csv"), header, _field_csv_rows(field))
+    return {"field.csv": _field_table(field, "value")}
 
 
 REPORT_DEFAULTS = {
@@ -227,7 +244,11 @@ REPORT_DEFAULTS = {
 }
 
 
-def _run_convergence_report(cfg: dict, outdir: str) -> ConvergenceReport:
+def _run_convergence_report(cfg: dict) -> dict:
+    return _report_files(_convergence_report(cfg))
+
+
+def _convergence_report(cfg: dict) -> ConvergenceReport:
     d = int(cfg["d"])
     grid = GridSpec(d=d, T=1.0, N=int(cfg["grid_n"]))
     diag = DiagConfig(
@@ -272,7 +293,7 @@ GREEN_DEFAULTS = {
 }
 
 
-def _run_green_table(cfg: dict, outdir: str) -> None:
+def _run_green_table(cfg: dict) -> dict:
     d = int(cfg["d"])
     m = int(cfg["grid_n"])
     grid = GridSpec(d=d, T=1.0, N=m)
@@ -285,7 +306,6 @@ def _run_green_table(cfg: dict, outdir: str) -> None:
     table = green_on_axes(gs, x, axes)
     header = [f"y{i+1}" for i in range(d)] + ["K"]
     rows = [list(p) + [v] for p, v in zip(tensor_points(axes), table.ravel())]
-    _write_csv(os.path.join(outdir, "green.csv"), header, rows)
     norms = {
         "x": x.tolist(),
         "kmax": gs.kmax,
@@ -293,8 +313,7 @@ def _run_green_table(cfg: dict, outdir: str) -> None:
         "lambda_sup_on_grid": lambda_sup(gs, grid),
         "poincare_constant": poincare_constant(gs),
     }
-    with open(os.path.join(outdir, "norms.json"), "w") as fh:
-        json.dump(norms, fh, indent=2)
+    return {"green.csv": (header, rows, "\r\n"), "norms.json": norms}
 
 
 SOLVE_DEFAULTS = {
@@ -325,18 +344,17 @@ def _spde_problem(cfg: dict):
     return grid, gs, F, _load_g_field(cfg["g"], grid)
 
 
-def _run_poisson_solve(cfg: dict, outdir: str) -> None:
-    _sheet_at_grid_scale(cfg)
-    grid, gs, F, g = _spde_problem(cfg)
+def _run_poisson_solve(cfg: dict) -> dict:
+    _, gs, F, g = _spde_problem(cfg)
     solve_cfg = SolveConfig(
         tolerance=float(cfg["tolerance"]), max_iterations=int(cfg["max_iterations"])
     )
     quad = QuadSpec(r=int(cfg["r"]), rho=float(cfg["rho"]))
     sampler = SpdeSampler(cfg["family"], cfg["n"], g, F, gs, solve_cfg, quad)
     result = sampler.sample_solution(RngStream(int(cfg["seed"])))
-    header = [f"x{i+1}" for i in range(grid.d)] + ["u"]
-    _write_csv(os.path.join(outdir, "solution.csv"), header, _field_csv_rows(result.u))
-    result.to_json(os.path.join(outdir, "solve.json"))
+    # solve.json: every field of the result but the solution u itself
+    solve = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "u"}
+    return {"solution.csv": _field_table(result.u, "u"), "solve.json": solve}
 
 
 COMPARE_DEFAULTS = {
@@ -357,9 +375,9 @@ COMPARE_DEFAULTS = {
 }
 
 
-def _run_spde_compare(cfg: dict, outdir: str) -> ConvergenceReport:
+def _run_spde_compare(cfg: dict) -> dict:
     grid, gs, F, g = _spde_problem(cfg)
-    return solution_convergence_report(
+    report = solution_convergence_report(
         cfg["family"],
         _parse_int_list(cfg["n_list"]),
         _parse_probes(cfg["probes"], grid.d),
@@ -372,12 +390,12 @@ def _run_spde_compare(cfg: dict, outdir: str) -> ConvergenceReport:
         significance=float(cfg["significance"]),
         quad=QuadSpec(r=int(cfg["r"]), rho=float(cfg["rho"])),
     )
+    return _report_files(report)
 
 
 # -------------------------------------------------------------------- parser
 
-# name -> (defaults, runner); a runner writes its own data files and returns
-# None, or returns a report that main writes
+# name -> (defaults, runner); a runner returns {file name: content} for _write
 _SUBCOMMANDS = {
     "simulate": (SIMULATE_DEFAULTS, _run_simulate),
     "convergence-report": (REPORT_DEFAULTS, _run_convergence_report),
@@ -421,19 +439,24 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"field {key!r}: unknown value {cfg[key]!r}; choose one of {allowed}"
                 )
-        os.makedirs(outdir, exist_ok=True)
-        report = runner(cfg, outdir)
+        _sheet_at_grid_scale(args.subcommand, cfg)
+        files = runner(cfg)
         code = EXIT_OK
-        if report is not None:
-            report.to_json(os.path.join(outdir, "report.json"))
-            report.to_csv(os.path.join(outdir, "report.csv"))
-            if args.strict and not report.passed():
-                failed = {k: v for k, v in report.verdicts.items() if not v["ok"]}
-                print("verdict failure:", failed)
-                code = EXIT_VERDICT
-        _write_manifest(
-            outdir, args.subcommand, {**cfg, "report_dir": outdir, "strict": args.strict}
-        )
+        # the verdicts of the report.json about to be written decide exit 3
+        verdicts = files.get("report.json", {}).get("verdicts", {})
+        failed = {k: v for k, v in verdicts.items() if not v["ok"]}
+        if args.strict and failed:
+            print("verdict failure:", failed)
+            code = EXIT_VERDICT
+        files["manifest.json"] = {
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "config": {**cfg, "report_dir": outdir, "strict": args.strict},
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        }
+        os.makedirs(outdir, exist_ok=True)
+        for name, content in files.items():  # manifest.json last
+            _write(os.path.join(outdir, name), content)
         return code
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,7 +3,6 @@ tightness modulus, variances."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,44 +75,12 @@ class ConvergenceReport:
     verdicts: dict
     extra: dict = field(default_factory=dict)
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "name": self.name,
-                    "config": self.config,
-                    "per_n": self.per_n,
-                    "verdicts": self.verdicts,
-                    "extra": self.extra,
-                },
-                fh,
-                indent=2,
-                default=_jsonable,
-            )
-
-    def to_csv(self, path) -> None:
-        rows = self.per_n
-        if not rows:
-            return
-        keys = sorted({k for row in rows for k in row if np.isscalar(row[k]) or row[k] is None})
-        with open(path, "w") as fh:
-            fh.write(",".join(keys) + "\n")
-            for row in rows:
-                fh.write(",".join(str(row.get(k, "")) for k in keys) + "\n")
-
     def passed(self) -> bool:
         return all(v["ok"] for v in self.verdicts.values())
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _unit_directions(count: int, dim: int, gen: np.random.Generator) -> np.ndarray:
+    check_budget(count * dim, f"directions of shape {(count, dim)} would need {8 * count * dim} bytes")
     dirs = np.empty((count, dim))
     i = 0
     while i < count:
@@ -125,16 +92,17 @@ def _unit_directions(count: int, dim: int, gen: np.random.Generator) -> np.ndarr
     return dirs
 
 
-def _ks_row(n, samples, target, significance: float, key: str) -> dict:
-    """One per_n row: a two-sample KS test of each column of samples against
-    the same column of target, and the fraction rejected at significance.
+def _ks_row(n, pairs, significance: float, key: str) -> dict:
+    """One per_n row: a two-sample KS test of each (sample, target) pair, and
+    the fraction rejected at significance. pairs may be a generator, so that
+    only one pair is held at a time.
 
     key names the KS statistics, which the fdd and the solution reports store
     as "ks_statistics" and "ks_distances".
     """
     pvals, ks = [], []
-    for k in range(samples.shape[1]):
-        res = stats.ks_2samp(samples[:, k], target[:, k])
+    for sample, target in pairs:
+        res = stats.ks_2samp(sample, target)
         pvals.append(float(res.pvalue))
         ks.append(float(res.statistic))
     return {
@@ -171,13 +139,12 @@ def fdd_test(
     limit = noise_integrator("sheet", f, probes, grid, None, cfg.quad).replicates(
         rng.substream(1), cfg.M
     )
-    target = np.column_stack([limit @ a for a in dirs])
     per_n = []
     for j, n in enumerate(cfg.n_list):
         integ = noise_integrator(family, f, probes, grid, n, cfg.quad, cfg.law)
         Xn = integ.replicates(rng.substream(2 + j), cfg.M)
-        proj = np.column_stack([Xn @ a for a in dirs])
-        per_n.append(_ks_row(n, proj, target, cfg.significance, "ks_statistics"))
+        pairs = ((Xn @ a, limit @ a) for a in dirs)
+        per_n.append(_ks_row(n, pairs, cfg.significance, "ks_statistics"))
     accept_threshold = 0.8
     final = per_n[-1]
     verdicts = {
@@ -417,7 +384,7 @@ def solution_convergence_report(
     per_n = []
     for j, n in enumerate(n_list):
         vals = solution_values(SpdeSampler(family, n, g, F, gs, cfg, quad), rng.substream(1 + j))
-        per_n.append(_ks_row(n, vals, target, significance, "ks_distances"))
+        per_n.append(_ks_row(n, zip(vals.T, target.T), significance, "ks_distances"))
     first, last = per_n[0], per_n[-1]
     improved = np.mean(
         [lf <= ff for lf, ff in zip(last["ks_distances"], first["ks_distances"])]

@@ -3,7 +3,6 @@ u + int_D K(.,y) F(u(y)) dy = int_D K(.,y) g(y) dy + eta."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -96,20 +95,6 @@ class SolveResult:
     converged: bool
     contraction_ratios: list
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "iterations": self.iterations,
-                    "final_residual": self.final_residual,
-                    "converged": self.converged,
-                    "contraction_ratios": self.contraction_ratios,
-                    "diagnostics": self.diagnostics,
-                },
-                fh,
-                indent=2,
-            )
 
 
 def _sup_residual(u: np.ndarray, KFu: np.ndarray, Kg: np.ndarray, eta: np.ndarray, d: int):

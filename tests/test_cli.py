@@ -121,6 +121,50 @@ def test_variance_report_rejects_several_probes(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_sheet_records_the_law_it_draws(tmp_path):
+    # the sheet draws standard normals whatever --law says; every record says so
+    argv = [
+        "convergence-report",
+        "--diagnostic", "fdd",
+        "--family", "sheet",
+        "--n", "4,8",
+        "--grid-n", "4",
+        "--M", "1000",
+    ]
+    rade, normal = tmp_path / "rademacher", tmp_path / "normal"
+    assert main(argv + ["--law", "rademacher", "--report-dir", str(rade)]) == EXIT_OK
+    assert main(argv + ["--law", "standard-normal", "--report-dir", str(normal)]) == EXIT_OK
+    assert _read_json(rade / "manifest.json")["config"]["law"] == "standard-normal"
+    report = _read_json(rade / "report.json")
+    assert report["config"]["law"] == "standard-normal"
+    assert report["per_n"] == _read_json(normal / "report.json")["per_n"]
+
+
+def test_artifact_serialization(tmp_path):
+    # report.csv ends its lines in "\n"; field.csv and solution.csv are csv
+    # tables with "\r\n", as bench/reference pins them
+    runs = {
+        "report": ["convergence-report", "--diagnostic", "moment"],
+        "field": ["simulate", "--grid-n", "4"],
+        "solution": ["poisson-solve", "--grid-n", "4"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--report-dir", str(tmp_path / name)]) == EXIT_OK
+    report = _read_json(tmp_path / "report" / "report.json")
+    assert list(report) == ["name", "config", "per_n", "verdicts", "extra"]
+    assert report["name"] == "moment_bound_probe"
+    assert report["verdicts"]["ratios_bounded"]["ok"] is True
+    table = (tmp_path / "report" / "report.csv").read_bytes()
+    assert table.split(b"\n")[0] == b"exact,moment,moment_se,n,ratio"
+    assert table.endswith(b"\n") and b"\r" not in table
+    for path in (tmp_path / "field" / "field.csv", tmp_path / "solution" / "solution.csv"):
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[-1] == b"" and not any(b"\n" in line for line in lines), path
+    assert list(_read_json(tmp_path / "solution" / "solve.json")) == [
+        "iterations", "final_residual", "converged", "contraction_ratios", "diagnostics"
+    ]
+
+
 def test_g_csv_blank_lines_ignored(tmp_path):
     nodes = GridSpec(d=2, T=1.0, N=4).node_points()
     rows = [f"{a},{b},{1.0 + a - b}" for a, b in nodes]
@@ -258,7 +302,27 @@ def test_donsker_innovation_block_refusal(tmp_path, monkeypatch, capsys):
     code = main(argv + ["--report-dir", str(out)])
     assert code == EXIT_REFUSED
     assert "replicate values of shape (1000, 1) would need 8000 bytes" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_fdd_directions_refused_before_the_draw(tmp_path, monkeypatch, capsys):
+    # 3 probes: the (1000, 3) replicate values fit a budget of 3000 entries,
+    # the (1001, 3) projection directions do not
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3000)
+    out = tmp_path / "run"
+    code = main(
+        [
+            "convergence-report",
+            "--diagnostic", "fdd",
+            "--projections", "1001",
+            "--n", "4",
+            "--grid-n", "4",
+            "--report-dir", str(out),
+        ]
+    )
+    assert code == EXIT_REFUSED
+    assert "directions of shape (1001, 3) would need 24024 bytes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _readme_commands():
@@ -403,4 +467,4 @@ def test_refused_run_writes_nothing(tmp_path, capsys, argv, code, message):
     out = tmp_path / "run"
     assert main(argv + ["--report-dir", str(out)]) == code
     assert message in capsys.readouterr().err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()

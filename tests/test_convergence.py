@@ -1,7 +1,5 @@
 """Statistical diagnostics: FDD tests, moment bounds, tightness, variance."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -172,18 +170,3 @@ def test_variance_report_indicator_at_corner():
     )
     assert rep.config["target"] == pytest.approx(1.0)
     assert rep.passed()
-
-
-def test_report_serialization(tmp_path):
-    grid = GridSpec(d=1, T=1.0, N=4)
-    cfg = DiagConfig(n_list=(4,), m=2)
-    rep = moment_bound_probe(_ones_integrand(), "donsker", grid, cfg, RngStream(47))
-    jpath = tmp_path / "report.json"
-    cpath = tmp_path / "report.csv"
-    rep.to_json(jpath)
-    rep.to_csv(cpath)
-    data = json.loads(jpath.read_text())
-    assert data["name"] == "moment_bound_probe"
-    assert data["verdicts"]["ratios_bounded"]["ok"] is True
-    header = cpath.read_text().splitlines()[0].split(",")
-    assert "ratio" in header and "n" in header

@@ -1,6 +1,6 @@
 """Every exported name resolves: module __all__ lists and the top-level package.
 Only kernels.check_budget reads the memory budget, solver imports no report
-layer, and only convergence._ks_row runs a KS test."""
+layer, only convergence._ks_row runs a KS test, and only cli touches files."""
 
 import ast
 import importlib
@@ -106,3 +106,26 @@ def test_one_ks_step_serves_every_report():
     for path in SOURCES:
         sites += _sites(ast.parse(path.read_text()), path.stem, _calls_ks_2samp)
     assert sites == [("convergence", "_ks_row")]
+
+
+def _touches_files(node):
+    """An import of json or csv, or a call of open."""
+    if isinstance(node, ast.Import):
+        return any(a.name in ("json", "csv") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and node.module in ("json", "csv")
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == "open") or (
+            isinstance(func, ast.Attribute) and func.attr == "open"
+        )
+    return False
+
+
+def test_only_cli_touches_files():
+    # the runners return their files and cli.main writes them; the artifact
+    # format lives in cli alone
+    sites = []
+    for path in SOURCES:
+        sites += _sites(ast.parse(path.read_text()), path.stem, _touches_files)
+    assert {module for module, _ in sites} == {"cli"}
