@@ -11,7 +11,8 @@ This module alone decides the artifact format. Artifacts are written only by
 runs that exit 0 or 3; a refused run creates no file and no directory.
 
 Exit codes: 0 success, 2 config error, 3 statistical verdict failure under
---strict, 4 resource refusal (innovation, weight-matrix or sign-grid budget, or contraction gate).
+--strict, 4 resource refusal (innovation, Donsker-lattice, weight-matrix or
+sign-grid budget, or contraction gate).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .integrals import FAMILIES, Integrand, indicator_integrand
 from .kernels import (
     INNOVATION_LAWS,
     BudgetExceededError,
-    ks_sign_cells,
+    ks_rule,
     sample_donsker,
     sample_kac_stroock,
     zeta_on_axes,
@@ -218,7 +219,7 @@ def _run_simulate(cfg: dict) -> dict:
     axes = [grid.axis_nodes(i) for i in range(grid.d)]
     quad = QuadSpec(r=int(cfg["r"]))
     if cfg["family"] == "kac-stroock":
-        ks_sign_cells(grid, float(cfg["n"]), axes, quad.r)  # refused before any point is drawn
+        ks_rule(grid, float(cfg["n"]), quad.r)  # refused before any point is drawn
         kern = sample_kac_stroock(grid, float(cfg["n"]), rng)
     else:
         kern = sample_donsker(grid, int(cfg["n"]), cfg["law"], rng)

@@ -262,11 +262,11 @@ def tightness_modulus_probe(
     dists = [float(np.sum(np.abs(x - z))) for x, z in pts]
     if len({round(np.log(max(t, 1e-300)), 12) for t in dists if t > 0}) < 3:
         raise ValueError("tightness probe needs pairs at >= 3 distinct distances")
+    if 0.0 in dists:
+        raise ValueError("pairs with x = z are not admissible")
     log_d, log_m, rows = [], [], []
     for j, n in enumerate(cfg.n_list):
         for i, ((x, z), dist) in enumerate(zip(pts, dists)):
-            if dist == 0.0:
-                raise ValueError("pairs with x = z are not admissible")
             integ = noise_integrator(family, f, [x, z], grid, n, cfg.quad, cfg.law)
             vals = integ.replicates(rng.substream(j * len(pts) + i), cfg.M)
             moment = float(np.mean(np.abs(vals[:, 0] - vals[:, 1]) ** cfg.m))

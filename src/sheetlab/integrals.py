@@ -7,11 +7,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridSpec, as_point
+from .grid import GridSpec
 from .kernels import (
     KS_BLOCK,
     _draw_innovations,
     check_budget,
+    donsker_edges,
     ks_midpoints,
     ks_parity_bits,
     ks_rule,
@@ -23,7 +24,6 @@ from .quadrature import QuadSpec, row_outer
 __all__ = [
     "Integrand",
     "indicator_integrand",
-    "restrict",
     "DonskerIntegrator",
     "KacStroockIntegrator",
     "FAMILIES",
@@ -81,29 +81,6 @@ def indicator_integrand() -> Integrand:
     return Integrand(evaluator=ev, cell_integral=ci)
 
 
-def restrict(f: Integrand, x) -> Integrand:
-    """Indicator-wrapped integrand I_{[0,x]}(y) f(., y)."""
-    xr = as_point(x)
-
-    def ev(xs, axes):
-        # f is evaluated only on the sub-grid inside [0, x]
-        inside = [np.asarray(a) <= xr[i] for i, a in enumerate(axes)]
-        vals = np.zeros((len(xs),) + tuple(m.size for m in inside))
-        if all(m.any() for m in inside):
-            sub = [np.asarray(a)[m] for a, m in zip(axes, inside)]
-            vals[(slice(None),) + np.ix_(*inside)] = f.evaluator(xs, sub)
-        return vals
-
-    ci = None
-    if f.cell_integral is not None:
-
-        def ci(xs, edges):
-            clipped = [np.clip(e, 0.0, xr[i]) for i, e in enumerate(edges)]
-            return f.cell_integral(xs, clipped)
-
-    return Integrand(evaluator=ev, smoothness=f.smoothness, cell_integral=ci)
-
-
 def _eval_matrix(f: Integrand, xs: np.ndarray, axes, rho: float) -> np.ndarray:
     """f(x_i, .) on the tensor grid of axes, shape (npts, m_1, ..., m_d),
     zeroed inside the exclusion ball, which a singular f needs (rho > 0)."""
@@ -157,25 +134,25 @@ def _replicate_values(M: int, npts: int) -> np.ndarray:
 class DonskerIntegrator:
     """Precomputed weights for X(x) = s sum_k Z_k w_k(x) with i.i.d. innovations Z_k.
 
-    w_k(x) = int_{cell_k cap D} f(x, y) dy, evaluated once per x and reused
-    across kernel realizations.  With an integer n the cells have side 1/n on
-    D = [0, T] and s = n^{d/2}: the Donsker kernel.  With n = None, T is a
-    GridSpec whose own cells are used and s = cell_volume^{-1/2}, so that
-    s Z_k w_k = (w_k / cell_volume) (sqrt(cell_volume) Z_k) is the discrete
-    Wiener integral against the Brownian sheet's cell increments.
+    w_k(x) = int_{cell_k} f(x, y) dy over the tensor cells of the per-axis
+    edges, evaluated once per x and reused across kernel realizations;
+    s = scale. noise_integrator passes the donsker_edges lattice with
+    s = n^{d/2} (the Donsker kernel), or the grid's own cells with
+    s = cell_volume^{-1/2}, so that s Z_k w_k = (w_k / cell_volume)
+    (sqrt(cell_volume) Z_k) is the discrete Wiener integral against the
+    Brownian sheet's cell increments.
     """
 
     def __init__(
-        self, f: Integrand, xs, n, T, quad: QuadSpec = QuadSpec(), law: str = "standard-normal"
+        self,
+        f: Integrand,
+        xs,
+        edges,
+        scale: float,
+        quad: QuadSpec = QuadSpec(),
+        law: str = "standard-normal",
     ):
-        if n is None:
-            # T is a GridSpec; ceil(n T) would miscount its cells when T is not a multiple of 1/n
-            edges = [T.axis_nodes(i) for i in range(T.d)]
-            self.scale = T.cell_volume**-0.5
-        else:
-            n = int(n)
-            edges = [np.minimum(np.arange(int(np.ceil(n * t)) + 1) / n, t) for t in T]
-            self.scale = n ** (len(edges) / 2.0)
+        self.scale = scale
         self.d = len(edges)
         self.law = law
         shape = tuple(len(e) - 1 for e in edges)
@@ -312,10 +289,13 @@ def noise_integrator(
     standard-normal innovations (n and law unused).
     """
     if family == "donsker":
-        return DonskerIntegrator(f, xs, int(n), grid.T, quad, law)
+        n = int(n)
+        return DonskerIntegrator(f, xs, donsker_edges(n, grid.T), n ** (grid.d / 2.0), quad, law)
     if family == "kac-stroock":
         return KacStroockIntegrator(f, xs, grid, float(n), quad)
     if family == "sheet":
-        return DonskerIntegrator(f, xs, None, grid, quad)
+        # the grid's own cells: ceil(n T) would miscount them when T is not a multiple of 1/n
+        nodes = [grid.axis_nodes(i) for i in range(grid.d)]
+        return DonskerIntegrator(f, xs, nodes, grid.cell_volume**-0.5, quad)
     raise ValueError(f"unknown noise family {family!r}; choose one of {FAMILIES}")
 

@@ -23,12 +23,12 @@ __all__ = [
     "INNOVATION_LAWS",
     "check_budget",
     "sample_donsker",
+    "donsker_edges",
     "donsker_eval",
     "sample_kac_stroock",
     "kac_stroock_eval",
     "ks_rule",
     "ks_midpoints",
-    "ks_sign_cells",
     "ks_parity_bits",
     "ks_scale",
     "zeta_on_axes",
@@ -112,6 +112,19 @@ def sample_donsker(
     return DonskerField(n=int(n), T=grid.T, Z=Z)
 
 
+def donsker_edges(n: int, T) -> list:
+    """Cell edges per axis of the Donsker lattice on D = [0, T]: min(j / n, T_i)
+    for j <= ceil(n T_i), so the last cell on each axis ends at T_i.
+
+    A lattice of more cells than the budget of check_budget is refused before
+    any edge is built.
+    """
+    shape = [int(np.ceil(n * t)) for t in T]
+    cells = np.prod(shape, dtype=float)
+    check_budget(cells, f"Donsker lattice would need {cells:.0f} cells")
+    return [np.minimum(np.arange(k + 1) / n, t) for k, t in zip(shape, T)]
+
+
 def donsker_eval(f: DonskerField, x) -> float:
     """Kernel value n^{d/2} Z_k at the unique k with nx in [k-1, k)."""
     p = as_point(x)
@@ -142,27 +155,19 @@ def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream | None = None) -
 def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:
     """Sub-cells per axis and their widths in the Kac-Stroock midpoint rule: the
     grid's N_i cells, floored at ceil(n T_i) so that the rule resolves the noise
-    scale, each split r-fold."""
+    scale, each split r-fold.
+
+    The rule depends on no Poisson point, so a sign grid over the budget of
+    check_budget is refused before any point is drawn.
+    """
     cells = [r * max(nb, int(np.ceil(n * t))) for nb, t in zip(grid.N, grid.T)]
+    total = np.prod(cells, dtype=float)
+    check_budget(total, f"Kac-Stroock sign grid would need {total:.0f} cells")
     return cells, [t / k for k, t in zip(cells, grid.T)]
 
 
-def ks_sign_cells(grid: GridSpec, n: float, axes, r: int) -> tuple:
-    """Sub-cells per axis of the Kac-Stroock sign grid that zeta_on_axes keeps for
-    axes, and their widths: the ks_rule cells up to the one that straddles max a_i.
-
-    It depends on no Poisson point, so a sign grid over the budget of
-    check_budget is refused before any point is drawn.
-    """
-    cells, widths = ks_rule(grid, n, r)
-    m = [min(k, int(np.ceil(np.max(a, initial=0.0) / w))) for k, a, w in zip(cells, axes, widths)]
-    kept = np.prod(m, dtype=float)
-    check_budget(kept, f"Kac-Stroock sign grid would need {kept:.0f} cells")
-    return m, widths
-
-
 def ks_midpoints(cells, widths) -> list:
-    """Midpoints of the first cells[i] sub-cells of width widths[i] on each axis."""
+    """Midpoints of the cells[i] sub-cells of width widths[i] on each axis."""
     return [(np.arange(k) + 0.5) * w for k, w in zip(cells, widths)]
 
 
@@ -252,19 +257,20 @@ def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
 
     theta_n is constant on the cells of a tensor grid, so zeta is its cell values
     contracted with one overlap matrix |cell_j cap [0, a_p]| per axis. Donsker
-    fields integrate exactly on their cells of side 1/n. Kac-Stroock fields take
-    their midpoint values on the ks_sign_cells sub-cells.
+    fields integrate exactly on the donsker_edges lattice. Kac-Stroock fields
+    take their midpoint values on the ks_rule sub-cells, as KacStroockIntegrator
+    does.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != f.d:
         raise ValueError("dimension mismatch")
     if isinstance(f, DonskerField):
         scale, vals = f.n ** (f.d / 2.0), f.Z
-        edges = [np.minimum(np.arange(k + 1) / f.n, t) for k, t in zip(f.Z.shape, f.T)]
+        edges = donsker_edges(f.n, f.T)
     elif isinstance(f, PoissonField):
-        m, widths = ks_sign_cells(f.grid, f.n, axes, quad.r)
-        scale, vals = 1.0, ks_values_on_grid(f, ks_midpoints(m, widths))
-        edges = [np.arange(k + 1) * w for k, w in zip(m, widths)]
+        cells, widths = ks_rule(f.grid, f.n, quad.r)
+        scale, vals = 1.0, ks_values_on_grid(f, ks_midpoints(cells, widths))
+        edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
     else:
         raise TypeError(f"unsupported kernel field type {type(f)!r}")
     for a, e in zip(axes, edges):

@@ -14,7 +14,7 @@ from sheetlab import (
     tightness_modulus_probe,
     variance_convergence_report,
 )
-from sheetlab import kernels
+from sheetlab import convergence, kernels
 from sheetlab.green import GreenSeries
 from sheetlab.grid import GridField
 from sheetlab.integrals import FAMILIES, Integrand
@@ -136,6 +136,22 @@ def test_tightness_rejects_equal_pairs():
             cfg,
             RngStream(0),
         )
+
+
+def test_tightness_rejects_equal_pairs_before_any_integrator(monkeypatch):
+    # three distinct distances, then a zero-distance fourth pair
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("integrator built before the pairs were checked")
+
+    monkeypatch.setattr(convergence, "noise_integrator", counted)
+    pairs = [((0.1,), (0.2,)), ((0.1,), (0.3,)), ((0.1,), (0.5,)), ((0.4,), (0.4,))]
+    grid, cfg = GridSpec(d=1, T=1.0, N=8), DiagConfig()
+    with pytest.raises(ValueError, match="x = z"):
+        tightness_modulus_probe(indicator_integrand(), "donsker", grid, pairs, cfg, RngStream(0))
+    assert calls == []
 
 
 def test_probes_outside_domain_rejected():

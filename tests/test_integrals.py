@@ -25,7 +25,6 @@ from sheetlab.integrals import (
     _eval_matrix,
     _refined_axes,
     noise_integrator,
-    restrict,
 )
 from sheetlab import integrals, kernels
 from sheetlab.green import GreenSeries, _lam_tensor, _sine_matrix, green_eval, green_integrand
@@ -33,13 +32,14 @@ from sheetlab.kernels import (
     INNOVATION_LAWS,
     BudgetExceededError,
     PoissonField,
+    donsker_edges,
     ks_midpoints,
     ks_rule,
     ks_scale,
     sample_donsker,
     sample_kac_stroock,
 )
-from sheetlab.quadrature import row_outer, tensor_points
+from sheetlab.quadrature import tensor_points
 
 
 def _on_axes(ev):
@@ -74,7 +74,7 @@ def test_indicator_reduces_to_zeta_donsker():
     fld = sample_donsker(grid, 4, rng=RngStream(31))
     f = indicator_integrand()
     for x in [(0.3, 0.9), (0.5, 0.5), (1.0, 1.0)]:
-        got = _one_draw("donsker", restrict(f, x), [x], grid, 4, RngStream(31))[0]
+        got = _one_draw("donsker", f, [x], grid, 4, RngStream(31))[0]
         assert got == pytest.approx(zeta(fld, x), abs=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_indicator_reduces_to_zeta_kac_stroock(n):
     fld = sample_kac_stroock(grid, float(n), RngStream(32))
     quad = QuadSpec(r=8)
     x = (0.5, 0.75)
-    f = restrict(indicator_integrand(), x)
+    f = indicator_integrand()
     got = _one_draw("kac-stroock", f, [x], grid, n, RngStream(32), quad)
     assert got[0] == pytest.approx(zeta(fld, x, quad), rel=1e-13)
 
@@ -132,30 +132,9 @@ def test_donsker_quadrature_matches_per_x_loop(d):
 
     xs = RngStream(42).generator().uniform(0.0, 1.0, size=(5, d))
     f = Integrand(_on_axes(ev))
-    got = DonskerIntegrator(f, xs, 3, (1.0,) * d, QuadSpec(r=3)).weights
+    edges = donsker_edges(3, (1.0,) * d)
+    got = DonskerIntegrator(f, xs, edges, 3 ** (d / 2.0), QuadSpec(r=3)).weights
     np.testing.assert_array_equal(got, _former_quadrature_weights(f, xs, 3, d, 3))
-
-
-def test_wrapped_equals_restricted():
-    # restrict(f, x) against f times the indicator of [0, x], written out
-    grid = GridSpec(d=2, T=1.0, N=4)
-    f = _smooth_integrand()
-    x = (0.6, 0.8)
-
-    def masked(xs, axes):
-        inside = row_outer([(np.asarray(a) <= c)[None].astype(float) for a, c in zip(axes, x)])
-        return f.evaluator(xs, axes) * inside
-
-    quad = QuadSpec(r=16)
-    a = _one_draw("donsker", restrict(f, x), [x], grid, 8, RngStream(34), quad)[0]
-    b = _one_draw("donsker", Integrand(masked), [x], grid, 8, RngStream(34), quad)[0]
-    assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_restricted_at_origin_is_zero():
-    grid = GridSpec(d=2, T=1.0, N=4)
-    f = restrict(_smooth_integrand(), (0.0, 0.0))
-    assert _one_draw("donsker", f, [(0.0, 0.0)], grid, 4, RngStream(35))[0] == 0.0
 
 
 def test_piecewise_constant_factorizes_through_zeta():
@@ -181,7 +160,7 @@ def test_piecewise_constant_factorizes_through_zeta():
 def test_donsker_integrator_second_moment_exact():
     # for the indicator, E[X_n(x)^2] = n^d sum w_k^2 with w_k the overlap volumes
     f = indicator_integrand()
-    integ = DonskerIntegrator(f, [np.array([0.5])], 4, (1.0,))
+    integ = DonskerIntegrator(f, [np.array([0.5])], donsker_edges(4, (1.0,)), 4**0.5)
     assert integ.second_moment()[0] == pytest.approx(0.5)
 
 
@@ -189,7 +168,7 @@ def test_singular_integrand_requires_rho():
     f = Integrand(_on_axes(_ones), smoothness="singular-diagonal")
     grid = GridSpec(d=2, T=1.0, N=4)
     with pytest.raises(ValueError):
-        DonskerIntegrator(f, [np.zeros(2)], 4, grid.T, QuadSpec(r=2, rho=0.0))
+        DonskerIntegrator(f, [np.zeros(2)], donsker_edges(4, grid.T), 4.0, QuadSpec(r=2, rho=0.0))
     with pytest.raises(ValueError):
         KacStroockIntegrator(f, [np.zeros(2)], grid, 4.0, QuadSpec(r=2, rho=0.0))
 
@@ -199,7 +178,7 @@ def test_quadrature_excludes_ball_around_x_for_singular_integrand():
     f = Integrand(_on_axes(_ones), smoothness="singular-diagonal")
     quad = QuadSpec(r=4, rho=0.1)
     xs = np.array([[0.5], [0.0]])
-    W = DonskerIntegrator(f, xs, 2, (1.0,), quad).weights
+    W = DonskerIntegrator(f, xs, donsker_edges(2, (1.0,)), 2**0.5, quad).weights
     np.testing.assert_array_equal(W, [[0.375, 0.375], [0.375, 0.5]])
     ks = KacStroockIntegrator(f, xs, GridSpec(d=1, T=1.0, N=2), 2.0, quad)
     fmat = ks.weights / (ks_scale(2.0, ks.mids).ravel() / 8)
@@ -211,7 +190,7 @@ def test_quadrature_excludes_ball_around_x_in_two_dimensions():
     f = Integrand(_on_axes(_ones), smoothness="singular-diagonal")
     quad = QuadSpec(r=4, rho=0.3)
     xs = np.array([[0.3, 0.1], [0.9, 0.45]])
-    W = DonskerIntegrator(f, xs, 2, (1.0, 0.5), quad).weights
+    W = DonskerIntegrator(f, xs, donsker_edges(2, (1.0, 0.5)), 2.0, quad).weights
     pts = tensor_points([(np.arange(8) + 0.5) / 8, (np.arange(4) + 0.5) / 8])
     first_cell = pts[:, 0] < 0.5
     for x, w in zip(xs, W):
@@ -346,7 +325,7 @@ def test_sheet_is_donsker_at_dyadic_n_equals_grid_n(kind, d, N):
     the last bits."""
     f, xs, grid = _sheet_case(kind, d, N, 1.0, 44)
     sheet = noise_integrator("sheet", f, xs, grid, None, QuadSpec(r=1, rho=1e-3))
-    donsker = DonskerIntegrator(f, xs, N, grid.T)
+    donsker = DonskerIntegrator(f, xs, donsker_edges(N, grid.T), N ** (d / 2.0))
     np.testing.assert_array_equal(sheet.weights, donsker.weights)
     np.testing.assert_array_equal(
         sheet.replicates(RngStream(44), 50), donsker.replicates(RngStream(44), 50)
@@ -477,7 +456,7 @@ def test_weight_budget_checked_before_any_evaluation(monkeypatch, oracles):
     f = _never_evaluated(oracles)
     shape = r"\(3, 64\)"
     with pytest.raises(BudgetExceededError, match=rf"{shape} would need 1536 bytes"):
-        DonskerIntegrator(f, xs, 8, grid.T)
+        DonskerIntegrator(f, xs, donsker_edges(8, grid.T), 8.0)
     with pytest.raises(BudgetExceededError, match=shape):
         KacStroockIntegrator(f, xs, grid, 8.0)
     with pytest.raises(BudgetExceededError, match=shape):
@@ -485,7 +464,7 @@ def test_weight_budget_checked_before_any_evaluation(monkeypatch, oracles):
     # at exactly the budget the weights are built
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64)
     ones = Integrand(_on_axes(_ones))
-    assert DonskerIntegrator(ones, xs, 8, grid.T).weights.shape == (3, 64)
+    assert DonskerIntegrator(ones, xs, donsker_edges(8, grid.T), 8.0).weights.shape == (3, 64)
     assert KacStroockIntegrator(ones, xs, grid, 8.0).weights.shape == (3, 64)
 
 
@@ -500,7 +479,9 @@ class _NeverDrawn:
 def test_donsker_innovation_block_budget(monkeypatch):
     # 10 rows of 64 innovations stream past a budget of 639 entries, from one
     # stream or from one stream per row: only the (10, 3) values are held
-    integ = DonskerIntegrator(indicator_integrand(), np.full((3, 2), 0.5), 8, (1.0, 1.0))
+    integ = DonskerIntegrator(
+        indicator_integrand(), np.full((3, 2), 0.5), donsker_edges(8, (1.0, 1.0)), 8.0
+    )
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 64 - 1)
     assert integ.replicates(RngStream(45), 10).shape == (10, 3)
     assert integ.replicates(RngStream(45).split(10)).shape == (10, 3)
@@ -528,7 +509,9 @@ def test_kac_stroock_replicate_values_budget(monkeypatch):
 
 def _donsker_case(law, d, n, seed):
     xs = RngStream(seed).substream(1).generator().uniform(0.05, 0.95, size=(3, d))
-    return DonskerIntegrator(indicator_integrand(), xs, n, (1.0,) * d, law=law)
+    return DonskerIntegrator(
+        indicator_integrand(), xs, donsker_edges(n, (1.0,) * d), n ** (d / 2.0), law=law
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -579,7 +562,9 @@ def test_donsker_stream_list_draws_one_row_per_stream(law, d, n, block, M, seed)
 
 def test_donsker_replicates_never_hold_all_innovations():
     # field-law's Donsker report at n = 64: 5000 x 4096 innovations, 156 MiB at once
-    integ = DonskerIntegrator(indicator_integrand(), np.full((5, 2), 0.5), 64, (1.0, 1.0))
+    integ = DonskerIntegrator(
+        indicator_integrand(), np.full((5, 2), 0.5), donsker_edges(64, (1.0, 1.0)), 64.0
+    )
     tracemalloc.start()
     try:
         integ.replicates(RngStream(1), 5000)
@@ -589,6 +574,20 @@ def test_donsker_replicates_never_hold_all_innovations():
     assert peak < 8 * 2**20
 
 
+def test_donsker_lattice_refused_before_any_edge():
+    # n = 2.5e6 on the unit square: 6.25e12 cells, refused before the
+    # 2 x 2.5e6 edges (40 MB) are built
+    grid = GridSpec(d=2, T=1.0, N=4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="Donsker lattice would need 6250000000000 cells"):
+            noise_integrator("donsker", indicator_integrand(), [(0.5, 0.5)], grid, 2_500_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("oracles, per_cell", [((), 4), (("cell_integral",), 1)])
 def test_donsker_budget_counts_quadrature_nodes(monkeypatch, oracles, per_cell):
     # at r = 2 in d = 2 the quadrature fallback evaluates f at 4 nodes per cell
@@ -596,30 +595,10 @@ def test_donsker_budget_counts_quadrature_nodes(monkeypatch, oracles, per_cell):
     xs = np.full((3, 2), 0.5)
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 * per_cell - 1)
     with pytest.raises(BudgetExceededError, match=rf"\(3, {64 * per_cell}\)"):
-        DonskerIntegrator(_never_evaluated(oracles), xs, 8, (1.0, 1.0), quad)
+        DonskerIntegrator(_never_evaluated(oracles), xs, donsker_edges(8, (1.0, 1.0)), 8.0, quad)
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 * per_cell)
     ones = Integrand(_on_axes(_ones))
     if oracles:
         ones.cell_integral = lambda xs, edges: np.ones((len(xs), 8, 8))
-    assert DonskerIntegrator(ones, xs, 8, (1.0, 1.0), quad).weights.shape == (3, 64)
-
-
-def test_restrict_evaluates_only_inside_box():
-    axes = [np.linspace(0.1, 1.0, 10), np.linspace(0.0, 0.9, 7)]
-    base = _smooth_integrand()
-    seen = []
-
-    def ev(xs, sub):
-        seen.append(sub)
-        return base.evaluator(xs, sub)
-
-    xs = np.array([[0.2, 0.3], [0.9, 0.1]])
-    for x in [(0.55, 0.3), (1.0, 0.9), (0.05, 0.5)]:
-        seen.clear()
-        got = restrict(Integrand(ev), x).evaluator(xs, axes)
-        for sub in seen:
-            assert all(np.all(a <= c) for a, c in zip(sub, x))
-        inside = np.multiply.outer(axes[0] <= x[0], axes[1] <= x[1])
-        np.testing.assert_array_equal(got, np.where(inside, base.evaluator(xs, axes), 0.0))
-    # no axis value of the first axis lies in [0, 0.05]: f is not called at all
-    assert seen == []
+    edges = donsker_edges(8, (1.0, 1.0))
+    assert DonskerIntegrator(ones, xs, edges, 8.0, quad).weights.shape == (3, 64)

@@ -23,6 +23,7 @@ from sheetlab.kernels import (
     BudgetExceededError,
     DonskerField,
     PoissonField,
+    donsker_edges,
     ks_parity_bits,
     ks_scale,
     ks_values_on_grid,
@@ -252,14 +253,21 @@ def test_zeta_kac_stroock_closed_form_empty():
 
 
 def test_zeta_kac_stroock_sign_grid_budget(monkeypatch):
-    # N=4, n=16, r=2: the rule has 2 * 16 = 32 cells per axis, 16 x 24 inside [0, x]
+    # N=4, n=16, r=2: the rule has 2 * 16 = 32 sub-cells per axis, all of them
+    # valued whatever x is
     fld = sample_kac_stroock(GridSpec(d=2, T=1.0, N=4), 16.0, RngStream(8))
     x, quad = (0.5, 0.75), QuadSpec(r=2)
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 16 * 24 - 1)
-    with pytest.raises(BudgetExceededError, match="384 cells"):
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 32 * 32 - 1)
+    with pytest.raises(BudgetExceededError, match="1024 cells"):
         zeta(fld, x, quad)
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 16 * 24)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 32 * 32)
     assert np.isfinite(zeta(fld, x, quad))
+
+
+def test_donsker_edges_end_at_T():
+    edges = donsker_edges(3, (1.0, 0.7))
+    np.testing.assert_array_equal(edges[0], [0.0, 1 / 3, 2 / 3, 1.0])
+    np.testing.assert_array_equal(edges[1], [0.0, 1 / 3, 2 / 3, 0.7])
 
 
 def test_zeta_rejects_mismatch():
