@@ -11,8 +11,8 @@ This module alone decides the artifact format. Artifacts are written only by
 runs that exit 0 or 3; a refused run creates no file and no directory.
 
 Exit codes: 0 success, 2 config error, 3 statistical verdict failure under
---strict, 4 resource refusal (innovation, Donsker-lattice, weight-matrix or
-sign-grid budget, or contraction gate).
+--strict, 4 resource refusal (node-grid, innovation, Donsker-lattice,
+weight-matrix, noise-stack or sign-grid budget, or contraction gate).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -49,6 +50,7 @@ from .integrals import FAMILIES, Integrand, indicator_integrand
 from .kernels import (
     INNOVATION_LAWS,
     BudgetExceededError,
+    check_budget,
     ks_rule,
     sample_donsker,
     sample_kac_stroock,
@@ -95,6 +97,20 @@ def _parse_probes(text, d: int) -> np.ndarray:
     if pts.shape[1] != d:
         raise ConfigError(f"field 'probes': points have {pts.shape[1]} coords, d={d}")
     return pts
+
+
+def _diagonal_points(d: int, *coords) -> list:
+    """The default probes: the point (c, ..., c) in R^d for each c of coords."""
+    return [[c] * d for c in coords]
+
+
+def _node_grid(cfg: dict) -> GridSpec:
+    """The grid of cfg's d and grid_n on the unit cube, once its (grid_n + 1)^d
+    node values fit the budget: refused before any node array exists."""
+    grid = GridSpec(d=int(cfg["d"]), T=1.0, N=int(cfg["grid_n"]))
+    nodes = math.prod(grid.node_shape)
+    check_budget(nodes, f"node grid of shape {grid.node_shape} would need {nodes} values")
+    return grid
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -214,7 +230,7 @@ def _sheet_at_grid_scale(subcommand: str, cfg: dict) -> None:
 
 
 def _run_simulate(cfg: dict) -> dict:
-    grid = GridSpec(d=int(cfg["d"]), T=1.0, N=int(cfg["grid_n"]))
+    grid = _node_grid(cfg)
     rng = RngStream(int(cfg["seed"]))
     axes = [grid.axis_nodes(i) for i in range(grid.d)]
     quad = QuadSpec(r=int(cfg["r"]))
@@ -266,16 +282,14 @@ def _convergence_report(cfg: dict) -> ConvergenceReport:
     f = indicator_integrand()
     kind = cfg["diagnostic"]
     if kind == "fdd":
-        probes = cfg["probes"] or ";".join(
-            ",".join(str(c) for c in p) for p in [[0.25] * d, [0.5] * d, [0.75] * d]
-        )
-        return fdd_test(f, cfg["family"], grid, _parse_probes(probes, d), diag, rng)
+        probes = _parse_probes(cfg["probes"] or _diagonal_points(d, 0.25, 0.5, 0.75), d)
+        return fdd_test(f, cfg["family"], grid, probes, diag, rng)
     if kind == "moment":
         # the moment probe integrates a function of y alone; use g == 1 on D
         ones = Integrand(lambda xs, axes: np.ones((len(xs),) + tuple(len(a) for a in axes)))
         return moment_bound_probe(ones, cfg["family"], grid, diag, rng)
     if kind == "variance":
-        pts = _parse_probes(cfg["probes"] or ",".join(["0.75"] * d), d)
+        pts = _parse_probes(cfg["probes"] or _diagonal_points(d, 0.75), d)
         if len(pts) != 1:
             raise ConfigError(f"field 'probes': variance takes one point, got {len(pts)}")
         return variance_convergence_report(f, cfg["family"], grid, pts[0], diag, rng)
@@ -295,11 +309,10 @@ GREEN_DEFAULTS = {
 
 
 def _run_green_table(cfg: dict) -> dict:
-    d = int(cfg["d"])
-    m = int(cfg["grid_n"])
-    grid = GridSpec(d=d, T=1.0, N=m)
+    grid = _node_grid(cfg)
+    d, m = grid.d, grid.N[0]
     gs = GreenSeries(d=d, kmax=int(cfg["kmax"]))
-    pts = _parse_probes(cfg["x"] or ",".join(["0.5"] * d), d)
+    pts = _parse_probes(cfg["x"] or _diagonal_points(d, 0.5), d)
     if len(pts) != 1:
         raise ConfigError(f"field 'x': green-table takes one point, got {len(pts)}")
     x = grid.point_in_domain(pts[0])
@@ -335,9 +348,8 @@ SOLVE_DEFAULTS = {
 
 def _spde_problem(cfg: dict):
     """(grid, Green series, nonlinearity F, source field g) of an SPDE subcommand."""
-    d = int(cfg["d"])
-    grid = GridSpec(d=d, T=1.0, N=int(cfg["grid_n"]))
-    gs = GreenSeries(d=d, kmax=int(cfg["kmax"]))
+    grid = _node_grid(cfg)
+    gs = GreenSeries(d=grid.d, kmax=int(cfg["kmax"]))
     try:
         F = nonlinearity_preset(cfg["F"])
     except ValueError as exc:
@@ -364,7 +376,7 @@ COMPARE_DEFAULTS = {
     "grid_n": 16,
     "n_list": "4,16,64",
     "M": 500,
-    "probes": "0.25,0.25;0.5,0.5;0.75,0.75",
+    "probes": "",
     "F": "zero",
     "g": "constant:1.0",
     "kmax": 0,
@@ -378,19 +390,16 @@ COMPARE_DEFAULTS = {
 
 def _run_spde_compare(cfg: dict) -> dict:
     grid, gs, F, g = _spde_problem(cfg)
-    report = solution_convergence_report(
-        cfg["family"],
-        _parse_int_list(cfg["n_list"]),
-        _parse_probes(cfg["probes"], grid.d),
-        int(cfg["M"]),
-        g,
-        F,
-        gs,
-        cfg=SolveConfig(tolerance=float(cfg["tolerance"])),
-        rng=RngStream(int(cfg["seed"])),
+    diag = DiagConfig(
+        n_list=_parse_int_list(cfg["n_list"]),
+        M=int(cfg["M"]),
         significance=float(cfg["significance"]),
         quad=QuadSpec(r=int(cfg["r"]), rho=float(cfg["rho"])),
     )
+    probes = _parse_probes(cfg["probes"] or _diagonal_points(grid.d, 0.25, 0.5, 0.75), grid.d)
+    solve = SolveConfig(tolerance=float(cfg["tolerance"]))
+    rng = RngStream(int(cfg["seed"]))
+    report = solution_convergence_report(cfg["family"], probes, g, F, gs, diag, rng, solve)
     return _report_files(report)
 
 

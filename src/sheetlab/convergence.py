@@ -16,7 +16,7 @@ from .kernels import check_budget
 from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401
 from .quadrature import QuadSpec
 from .rng import RngStream
-from .solver import SOLVE_BLOCK, Nonlinearity, SolveConfig, SpdeSampler
+from .solver import Nonlinearity, SolveConfig, SpdeSampler
 from . import stats
 
 __all__ = [
@@ -30,20 +30,11 @@ __all__ = [
 ]
 
 
-def _check_plan(n_list, M: int, significance: float) -> None:
-    """Refuse an n list that is empty or not strictly increasing, fewer than
-    100 replicates per n, or a significance level outside (0, 1)."""
-    if len(n_list) == 0 or list(n_list) != sorted(set(n_list)):
-        raise ValueError("n_list must be non-empty and strictly increasing")
-    if M < 100:
-        raise ValueError("need at least 100 replicates per n")
-    if not 0 < significance < 1:
-        raise ValueError("significance must lie in (0, 1)")
-
-
 @dataclass(frozen=True)
 class DiagConfig:
-    """Configuration for the statistical diagnostics."""
+    """The plan of every report: the n list, M replicates per n, the moment
+    order m and integrability index q, the KS significance, the Cramer-Wold
+    projections, the innovation law and the quadrature."""
 
     n_list: tuple = (4, 16, 64)
     M: int = 1000
@@ -56,7 +47,12 @@ class DiagConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(self.n_list))
-        _check_plan(self.n_list, self.M, self.significance)
+        if len(self.n_list) == 0 or list(self.n_list) != sorted(set(self.n_list)):
+            raise ValueError("n_list must be non-empty and strictly increasing")
+        if self.M < 100:
+            raise ValueError("need at least 100 replicates per n")
+        if not 0 < self.significance < 1:
+            raise ValueError("significance must lie in (0, 1)")
         if self.m < 2:
             raise ValueError("moment order m must be >= 2")
         if self.q < 1:
@@ -192,8 +188,9 @@ def moment_bound_probe(
 ) -> ConvergenceReport:
     """Estimate E|int g theta_n|^m / ||g||_{2q}^m per n and check boundedness.
 
-    For Donsker kernels at m = 2 the moment is computed exactly from the
-    quadrature weights (unit-variance innovations); otherwise Monte Carlo.
+    At m = 2 the moment is exact wherever the integrator computes it
+    (second_moment: the Donsker and sheet weights, unit-variance innovations);
+    otherwise Monte Carlo.
     """
     norm = _lp_norm(g, grid, 2.0 * cfg.q, cfg.quad)
     if norm == 0.0:
@@ -202,7 +199,7 @@ def moment_bound_probe(
     per_n = []
     for j, n in enumerate(cfg.n_list):
         integ = noise_integrator(family, g, [x0], grid, n, cfg.quad, cfg.law)
-        if family == "donsker" and cfg.m == 2:
+        if cfg.m == 2 and hasattr(integ, "second_moment"):
             moment = float(integ.second_moment()[0])
             se = 0.0
             exact = True
@@ -350,46 +347,40 @@ def variance_convergence_report(
 
 def solution_convergence_report(
     family: str,
-    n_list,
     probes,
-    M: int,
     g: GridField,
     F: Nonlinearity,
     gs: GreenSeries,
-    cfg: SolveConfig = SolveConfig(),
-    rng: RngStream = RngStream(0),
-    significance: float = 0.01,
-    quad: QuadSpec = QuadSpec(r=1, rho=1e-3),
+    cfg: DiagConfig,
+    rng: RngStream,
+    solve: SolveConfig = SolveConfig(),
 ) -> ConvergenceReport:
     """Two-sample KS comparison of u_n against the sheet-driven solution law.
 
-    For each n, M replicate solutions are evaluated at the probe points and
-    compared per probe with M sheet-driven solutions.
+    For each n of cfg.n_list, cfg.M replicate solutions are evaluated at the
+    probe points and compared per probe with cfg.M sheet-driven solutions.
+    The noise is integrated with cfg.quad and standard-normal innovations.
     """
-    _check_plan(n_list, M, significance)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     grid = g.grid
     probe_idx = [grid.node_index(p) for p in probes]
 
-    def solution_values(sampler: SpdeSampler, stream: RngStream) -> np.ndarray:
-        # solved a block at a time; only each solution's probe values are kept
-        streams = stream.split(M)
-        vals = np.empty((M, len(probe_idx)))
-        for lo in range(0, M, SOLVE_BLOCK):
-            results = sampler.sample_solutions(streams[lo : lo + SOLVE_BLOCK])
-            vals[lo : lo + SOLVE_BLOCK] = [[r.u.values[idx] for idx in probe_idx] for r in results]
-        return vals
+    def solution_values(family: str, n, stream: RngStream) -> np.ndarray:
+        # solutions arrive a block at a time; only their probe values are kept
+        sampler = SpdeSampler(family, n, g, F, gs, solve, cfg.quad)
+        solves = sampler.sample_solutions(stream.substream(k) for k in range(cfg.M))
+        return np.array([[r.u.values[idx] for idx in probe_idx] for r in solves])
 
-    target = solution_values(SpdeSampler("sheet", None, g, F, gs, cfg, quad), rng.substream(0))
+    target = solution_values("sheet", None, rng.substream(0))
     per_n = []
-    for j, n in enumerate(n_list):
-        vals = solution_values(SpdeSampler(family, n, g, F, gs, cfg, quad), rng.substream(1 + j))
-        per_n.append(_ks_row(n, zip(vals.T, target.T), significance, "ks_distances"))
+    for j, n in enumerate(cfg.n_list):
+        vals = solution_values(family, n, rng.substream(1 + j))
+        per_n.append(_ks_row(n, zip(vals.T, target.T), cfg.significance, "ks_distances"))
     first, last = per_n[0], per_n[-1]
     improved = np.mean(
         [lf <= ff for lf, ff in zip(last["ks_distances"], first["ks_distances"])]
     )
-    majority = float(np.mean(np.array(last["p_values"]) >= significance))
+    majority = float(np.mean(np.array(last["p_values"]) >= cfg.significance))
     verdicts = {
         "ks_distance_improves": {"ok": bool(improved >= 0.8), "threshold": 0.8, "value": float(improved)},
         "final_n_majority_accepted": {"ok": bool(majority > 0.5), "threshold": 0.5, "value": majority},
@@ -398,10 +389,10 @@ def solution_convergence_report(
         name="solution_convergence_report",
         config={
             "family": family,
-            "n_list": [int(n) for n in n_list],
-            "M": M,
+            "n_list": list(cfg.n_list),
+            "M": cfg.M,
             "probes": probes.tolist(),
-            "significance": significance,
+            "significance": cfg.significance,
             "grid": grid.to_dict(),
         },
         per_n=per_n,

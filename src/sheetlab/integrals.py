@@ -258,17 +258,20 @@ class KacStroockIntegrator:
     def replicates(self, rng, M: Optional[int] = None) -> np.ndarray:
         """Values at xs for a stack of realizations, shape (M, npts).
 
-        One Poisson field per stream: the M substreams of the RngStream rng,
-        or, with M omitted, each stream of the list rng. Fields are drawn and
-        integrated in blocks of KS_BLOCK streams, in stream order. The (M, npts)
-        values are checked against the budget before rng is split.
+        One Poisson field per stream: the substreams 0..M-1 of the RngStream
+        rng, or, with M omitted, each stream of the list rng. Fields are drawn
+        and integrated in blocks of KS_BLOCK streams, in stream order, and a
+        substream is made only when its block is drawn. The (M, npts) values
+        are checked against the budget before any field is drawn.
         """
+        if M is None:
+            rng = list(rng)
         out = _replicate_values(len(rng) if M is None else M, self.weights.shape[0])
-        streams = list(rng) if M is None else rng.split(M)
-        for start in range(0, len(streams), KS_BLOCK):
-            block = streams[start : start + KS_BLOCK]
-            fields = [sample_kac_stroock(self.grid, self.n, s) for s in block]
-            out[start : start + len(block)] = self.apply(fields)
+        stream = rng.__getitem__ if M is None else rng.substream
+        for start in range(0, len(out), KS_BLOCK):
+            stop = min(start + KS_BLOCK, len(out))
+            fields = [sample_kac_stroock(self.grid, self.n, stream(k)) for k in range(start, stop)]
+            out[start:stop] = self.apply(fields)
         return out
 
 

@@ -4,12 +4,14 @@ u + int_D K(.,y) F(u(y)) dy = int_D K(.,y) g(y) dy + eta."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
 
 from .grid import GridField, GridSpec
 from .integrals import noise_integrator
+from .kernels import check_budget
 from .green import (
     GreenSeries,
     green_integrand,
@@ -276,8 +278,12 @@ class SpdeSampler:
         self._integ = noise_integrator(family, green_integrand(gs), interior, grid, n, quad)
 
     def _noise_block(self, streams) -> np.ndarray:
-        """eta at the grid nodes for one replicate per stream, shape (len(streams), *node_shape)."""
-        eta = np.zeros((len(streams),) + self.grid.node_shape)
+        """eta at the grid nodes for one replicate per stream, shape
+        (len(streams), *node_shape), refused over the budget before allocation."""
+        shape = (len(streams),) + self.grid.node_shape
+        entries = int(np.prod(shape))
+        check_budget(entries, f"noise stack of shape {shape} would need {8 * entries} bytes")
+        eta = np.zeros(shape)
         inner = eta[(slice(None),) + (slice(1, -1),) * self.grid.d]
         inner[...] = self._integ.replicates(streams).reshape(inner.shape)
         return eta
@@ -286,15 +292,14 @@ class SpdeSampler:
         """One realization of eta(x) = int_D K(x,y) (noise)(dy) at the grid nodes."""
         return GridField(self.grid, self._noise_block([rng])[0])
 
-    def sample_solutions(self, streams) -> list:
-        """One solve per stream, in order; replicate i depends only on streams[i]."""
-        streams = list(streams)
-        out = []
-        for lo in range(0, len(streams), SOLVE_BLOCK):
-            eta = self._noise_block(streams[lo : lo + SOLVE_BLOCK])
-            out += _solve_stack(self.F, self._Kg, eta, self.gs, self.grid, self.gate, self.cfg)
-        return out
+    def sample_solutions(self, streams):
+        """Yield one solve per stream, in order; replicate i depends only on the
+        i-th stream. streams may be any iterable, even a lazy one: it is read and
+        solved one SOLVE_BLOCK at a time."""
+        streams = iter(streams)
+        while block := list(islice(streams, SOLVE_BLOCK)):
+            eta = self._noise_block(block)
+            yield from _solve_stack(self.F, self._Kg, eta, self.gs, self.grid, self.gate, self.cfg)
 
     def sample_solution(self, rng: RngStream) -> SolveResult:
-        return self.sample_solutions([rng])[0]
-
+        return next(self.sample_solutions([rng]))

@@ -310,7 +310,6 @@ def test_criterion_12_end_to_end():
     g = GridField(grid, np.ones(grid.node_shape))
     F = nonlinearity_preset("tanh:1.0")
     probes = [(0.25, 0.25), (0.5, 0.25), (0.5, 0.5), (0.75, 0.5), (0.75, 0.75)]
-    rep = solution_convergence_report(
-        "donsker", (4, 16, 64), probes, 2000, g, F, gs, rng=RngStream(1105)
-    )
+    cfg = DiagConfig(n_list=(4, 16, 64), M=2000, significance=0.01, quad=QuadSpec(r=1, rho=1e-3))
+    rep = solution_convergence_report("donsker", probes, g, F, gs, cfg, RngStream(1105))
     _report(12, "end-to-end solution law", rep.passed())

@@ -325,6 +325,50 @@ def test_fdd_directions_refused_before_the_draw(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_spde_compare_default_probes_follow_d(tmp_path):
+    # no --probes: the points (c, c, c) for c = 0.25, 0.5, 0.75, nodes of the grid
+    out = tmp_path / "run"
+    argv = ["spde-compare", "--d", "3", "--grid-n", "4", "--n-list", "2,4", "--M", "100"]
+    assert main(argv + ["--report-dir", str(out)]) == EXIT_OK
+    assert _read_json(out / "report.json")["config"]["probes"] == [[c] * 3 for c in (0.25, 0.5, 0.75)]
+    assert _read_json(out / "manifest.json")["config"]["probes"] == ""
+
+
+def test_sheet_moments_are_exact(tmp_path):
+    # the sheet integrator computes its second moment from its weights
+    argv = ["convergence-report", "--diagnostic", "moment", "--family", "sheet",
+            "--grid-n", "12", "--n", "3,5,10", "--M", "1000", "--report-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    rows = _read_json(tmp_path / "report.json")["per_n"]
+    assert [(row["exact"], row["moment_se"]) for row in rows] == [(True, 0.0)] * 3
+    assert [row["ratio"] for row in rows] == pytest.approx([1.0] * 3, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "2"],
+        ["green-table", "--kmax", "8"],
+        ["poisson-solve", "--family", "donsker", "--n", "2", "--kmax", "8"],
+        ["spde-compare", "--n-list", "2,4", "--M", "100", "--kmax", "8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_node_grid_refused_before_any_node_array(tmp_path, monkeypatch, capsys, argv):
+    # 41 x 41 = 1681 node values over a budget of 1000, refused before g or
+    # any other node array is built
+    def never(*_):
+        raise AssertionError("a node array was built before the node grid was refused")
+
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 1000)
+    monkeypatch.setattr(cli, "_load_g_field", never)
+    out = tmp_path / "run"
+    code = main(argv + ["--d", "2", "--grid-n", "40", "--report-dir", str(out)])
+    assert code == EXIT_REFUSED
+    assert "node grid of shape (41, 41) would need 1681 values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _readme_commands():
     """The sheetlab command lines of README.md's command block, as argument lists."""
     readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,6 +1,7 @@
 """Every exported name resolves: module __all__ lists and the top-level package.
 Only kernels.check_budget reads the memory budget, solver imports no report
-layer, only convergence._ks_row runs a KS test, and only cli touches files."""
+layer, the reports name no noise family and no solver block, only
+convergence._ks_row runs a KS test, and only cli touches files."""
 
 import ast
 import importlib
@@ -90,6 +91,26 @@ def test_solver_imports_no_report_layer():
     # the reports call the numerics, never the other way round
     solver = Path(sheetlab.__file__).parent / "solver.py"
     assert _sheetlab_imports(ast.parse(solver.read_text())) & {"convergence", "stats"} == set()
+
+
+def test_reports_name_no_family_and_no_solve_block():
+    # the family dispatch lives in integrals.noise_integrator, the blocking of
+    # solves in SpdeSampler.sample_solutions
+    from sheetlab.integrals import FAMILIES
+
+    tree = ast.parse((Path(sheetlab.__file__).parent / "convergence.py").read_text())
+    compared = [
+        c.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for c in [node.left, *node.comparators]
+        if isinstance(c, ast.Constant) and c.value in FAMILIES
+    ]
+    assert compared == []
+    imported = {
+        a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names
+    }
+    assert "SOLVE_BLOCK" not in imported
 
 
 def _calls_ks_2samp(node):

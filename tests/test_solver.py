@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from sheetlab import (
+    DiagConfig,
     GreenSeries,
     GridSpec,
     Nonlinearity,
+    QuadSpec,
     RngStream,
     SolveConfig,
     k_apply,
@@ -16,7 +18,10 @@ from sheetlab import (
     solution_convergence_report,
     solve_contraction,
 )
+from sheetlab import kernels
 from sheetlab.grid import GridField
+from sheetlab.integrals import KacStroockIntegrator, indicator_integrand
+from sheetlab.kernels import KS_BLOCK, BudgetExceededError
 from sheetlab.green import k_apply_stack, sine_synthesis
 from sheetlab.solver import (
     SOLVE_BLOCK,
@@ -254,7 +259,7 @@ def test_sample_solutions_match_single_solves(family, n, spec, relaxation, max_i
     streams = RngStream(84).split(2 * B + 3)
     ref = [solve_contraction(F, g, sampler.sample_noise_field(s), GS, cfg) for s in streams]
     for M in (1, B - 1, B, B + 1, 2 * B + 3):
-        got = sampler.sample_solutions(streams[:M])
+        got = list(sampler.sample_solutions(streams[:M]))
         assert len(got) == M
         for res, want in zip(got, ref):
             assert res.iterations == want.iterations
@@ -277,13 +282,12 @@ def test_solution_report_null_case():
     g = GridField(GRID, np.ones(GRID.node_shape))
     rep = solution_convergence_report(
         "sheet",
-        (1, 2),
         [(0.25, 0.25), (0.5, 0.5), (0.75, 0.75)],
-        300,
         g,
         nonlinearity_preset("zero"),
         GS,
-        rng=RngStream(83),
+        DiagConfig(n_list=(1, 2), M=300, significance=0.01, quad=QuadSpec(r=1, rho=1e-3)),
+        RngStream(83),
     )
     final = rep.per_n[-1]
     # same law on both sides: most probes accepted
@@ -291,9 +295,29 @@ def test_solution_report_null_case():
     assert rep.passed()
 
 
-def test_solution_report_rejects_empty_n_list():
+def test_noise_stack_refused_before_allocation(monkeypatch):
+    # a block of 64 noise fields on the 13 x 13 nodes holds 10816 values
     g = GridField(GRID, np.ones(GRID.node_shape))
-    with pytest.raises(ValueError, match="non-empty"):
-        solution_convergence_report(
-            "donsker", [], [(0.5, 0.5)], 300, g, nonlinearity_preset("zero"), GS
-        )
+    sampler = SpdeSampler("sheet", None, g, nonlinearity_preset("zero"), GS)
+    streams = [RngStream(86).substream(k) for k in range(SOLVE_BLOCK)]
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", SOLVE_BLOCK * 13 * 13 - 1)
+    assert len(list(sampler.sample_solutions(streams[:-1]))) == SOLVE_BLOCK - 1
+    with pytest.raises(BudgetExceededError, match=r"noise stack of shape \(64, 13, 13\)"):
+        list(sampler.sample_solutions(streams))
+
+
+def test_no_stream_list_is_built(monkeypatch):
+    # the solution report and the Kac-Stroock replicates make each substream
+    # when its block is drawn, never a list of all M of them
+    def never(*_):
+        raise AssertionError("RngStream.split called")
+
+    monkeypatch.setattr(RngStream, "split", never)
+    integ = KacStroockIntegrator(indicator_integrand(), [(0.5, 0.5)], GRID, 4.0)
+    assert integ.replicates(RngStream(87), KS_BLOCK + 1).shape == (KS_BLOCK + 1, 1)
+    g = GridField(GRID, np.ones(GRID.node_shape))
+    cfg = DiagConfig(n_list=(2,), M=100, quad=QuadSpec(r=1, rho=1e-3))
+    rep = solution_convergence_report(
+        "kac-stroock", [(0.5, 0.5)], g, nonlinearity_preset("zero"), GS, cfg, RngStream(88)
+    )
+    assert [row["n"] for row in rep.per_n] == [2]
