@@ -104,6 +104,13 @@ def _diagonal_points(d: int, *coords) -> list:
     return [[c] * d for c in coords]
 
 
+def _nearest_interior_node(c: float, n: int) -> float:
+    """The interior node j/n of [0, 1] nearest to c. A tie goes toward 1/2,
+    so 1 - c snaps to 1 minus c's node; c = 1/2 at odd n takes the node below."""
+    j = math.floor(c * n + 0.5) if c < 0.5 else math.ceil(c * n - 0.5)
+    return min(max(j, 1), n - 1) / n
+
+
 def _node_grid(cfg: dict) -> GridSpec:
     """The grid of cfg's d and grid_n on the unit cube, once its (grid_n + 1)^d
     node values fit the budget: refused before any node array exists."""
@@ -396,7 +403,10 @@ def _run_spde_compare(cfg: dict) -> dict:
         significance=float(cfg["significance"]),
         quad=QuadSpec(r=int(cfg["r"]), rho=float(cfg["rho"])),
     )
-    probes = _parse_probes(cfg["probes"] or _diagonal_points(grid.d, 0.25, 0.5, 0.75), grid.d)
+    # the default probes snap to grid nodes, without duplicates: a grid_n
+    # divisible by 4 keeps c = 0.25, 0.5, 0.75 exactly
+    coords = dict.fromkeys(_nearest_interior_node(c, grid.N[0]) for c in (0.25, 0.5, 0.75))
+    probes = _parse_probes(cfg["probes"] or _diagonal_points(grid.d, *coords), grid.d)
     solve = SolveConfig(tolerance=float(cfg["tolerance"]))
     rng = RngStream(int(cfg["seed"]))
     report = solution_convergence_report(cfg["family"], probes, g, F, gs, diag, rng, solve)

@@ -359,8 +359,11 @@ def solution_convergence_report(
 
     For each n of cfg.n_list, cfg.M replicate solutions are evaluated at the
     probe points and compared per probe with cfg.M sheet-driven solutions.
-    The noise is integrated with cfg.quad and standard-normal innovations.
+    The noise is integrated with cfg.quad and standard-normal innovations;
+    any other cfg.law is refused.
     """
+    if cfg.law != "standard-normal":
+        raise ValueError(f"the solution report draws standard-normal innovations, not {cfg.law!r}")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     grid = g.grid
     probe_idx = [grid.node_index(p) for p in probes]

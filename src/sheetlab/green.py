@@ -208,12 +208,12 @@ def free_space_green(d: int, r) -> np.ndarray:
     raise ValueError("free-space kernel supported for d in {2, 3}")
 
 
-def _distance_to_boundary(pos: np.ndarray) -> np.ndarray:
-    """Distance of each row of pos (walks, d) to the cube's boundary, one column at a time."""
-    r = np.minimum(pos[:, 0], 1.0 - pos[:, 0])
-    for i in range(1, pos.shape[1]):
-        r = np.minimum(r, pos[:, i])
-        r = np.minimum(r, 1.0 - pos[:, i])
+def _distance_to_boundary(rows: np.ndarray) -> np.ndarray:
+    """Distance of each walk to the cube's boundary, from its axis rows (d, walks)."""
+    r = np.minimum(rows[0], 1.0 - rows[0])
+    for row in rows[1:]:
+        np.minimum(r, row, out=r)
+        np.minimum(r, 1.0 - row, out=r)
     return r
 
 
@@ -233,23 +233,25 @@ def walk_on_spheres_exit(x, cfg: WosConfig, rng: RngStream) -> np.ndarray:
     """Brownian exit points from (0,1)^d via walk-on-spheres, shape (walks, d).
 
     Only the live walks are stepped: a walk within delta of the boundary is
-    written out once and dropped. Each step draws one direction per live walk,
-    in ascending walk order. Raises WalkTruncationError when walks are still
-    live after cfg.max_steps steps.
+    written out once and dropped. The live walks are kept axis-major, one
+    contiguous row per axis, and dropped by `take` on the kept indices. Each
+    step draws one direction per live walk, in ascending walk order. Raises
+    WalkTruncationError when walks are still live after cfg.max_steps steps.
     """
     xp = as_point(x)
     d = xp.size
     gen = rng.generator()
     pos = np.empty((cfg.walks, d))
     idx = np.arange(cfg.walks)
-    live = np.tile(xp, (cfg.walks, 1))
+    live = np.repeat(xp[:, None], cfg.walks, axis=1)  # (d, live walks)
     for step in range(cfg.max_steps + 1):
         r = _distance_to_boundary(live)
         captured = r < cfg.delta
         if np.any(captured):
-            pos[idx[captured]] = live[captured]
-            keep = ~captured
-            idx, live, r = idx[keep], live[keep], r[keep]
+            out = np.flatnonzero(captured)
+            pos[idx.take(out)] = live.take(out, axis=1).T
+            keep = np.flatnonzero(~captured)
+            idx, live, r = idx.take(keep), live.take(keep, axis=1), r.take(keep)
         if idx.size == 0 or step == cfg.max_steps:
             break
         dirs = gen.standard_normal((idx.size, d))
@@ -257,8 +259,11 @@ def walk_on_spheres_exit(x, cfg: WosConfig, rng: RngStream) -> np.ndarray:
         norm2 = dirs[:, 0] * dirs[:, 0]
         for i in range(1, d):
             norm2 += dirs[:, i] * dirs[:, i]
-        dirs /= np.sqrt(norm2)[:, None]
-        live += r[:, None] * dirs
+        norm = np.sqrt(norm2)
+        # per element the same quotient, product and sum as the row-major
+        # `live += r[:, None] * (dirs / norm[:, None])`, so the bits match
+        for i in range(d):
+            live[i] += r * (dirs[:, i] / norm)
     if idx.size:
         raise WalkTruncationError(
             f"{idx.size} of {cfg.walks} walks still active after max_steps={cfg.max_steps}"

@@ -334,6 +334,18 @@ def test_spde_compare_default_probes_follow_d(tmp_path):
     assert _read_json(out / "manifest.json")["config"]["probes"] == ""
 
 
+@pytest.mark.parametrize(
+    "grid_n, nodes", [(6, (2, 3, 4)), (10, (3, 5, 7)), (5, (1, 2, 4)), (3, (1, 2)), (2, (1,))]
+)
+def test_spde_compare_default_probes_snap_to_nodes(tmp_path, grid_n, nodes):
+    # c = 0.25, 0.5, 0.75 move to the nearest interior node j / grid_n, ties
+    # toward 1/2, and a node reached twice is probed once
+    out = tmp_path / "run"
+    argv = ["spde-compare", "--grid-n", str(grid_n), "--n-list", "2,4", "--M", "100", "--kmax", "8"]
+    assert main(argv + ["--report-dir", str(out)]) == EXIT_OK
+    assert _read_json(out / "report.json")["config"]["probes"] == [[j / grid_n] * 2 for j in nodes]
+
+
 def test_sheet_moments_are_exact(tmp_path):
     # the sheet integrator computes its second moment from its weights
     argv = ["convergence-report", "--diagnostic", "moment", "--family", "sheet",

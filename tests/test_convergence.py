@@ -84,6 +84,22 @@ def test_unknown_family_is_one_error():
     assert str(FAMILIES) in str(fdd.value)
 
 
+@pytest.mark.parametrize("law", ["rademacher", "centered-uniform"])
+def test_solution_report_refuses_a_law_it_cannot_draw(monkeypatch, law):
+    # SpdeSampler draws standard normals only: refused before any sampler exists
+    def no_sampler(*args, **kwargs):
+        raise AssertionError("a sampler was built")
+
+    monkeypatch.setattr(convergence, "SpdeSampler", no_sampler)
+    grid = GridSpec(d=2, T=1.0, N=4)
+    cfg = DiagConfig(n_list=(2, 4), M=100, law=law)
+    with pytest.raises(ValueError, match=f"standard-normal innovations, not '{law}'"):
+        convergence.solution_convergence_report(
+            "donsker", [(0.5, 0.5)], GridField.zeros(grid), nonlinearity_preset("zero"),
+            GreenSeries(d=2, kmax=4), cfg, RngStream(0),
+        )
+
+
 def test_moment_probe_rejects_zero_norm():
     zero = Integrand(lambda xs, axes: np.zeros((len(xs),) + tuple(len(a) for a in axes)))
     cfg = DiagConfig()

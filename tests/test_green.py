@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sheetlab import (
@@ -314,23 +314,31 @@ def _wos_exit_reference(x, cfg, rng):
 @settings(max_examples=80, deadline=None)
 @given(
     d=st.sampled_from([2, 3]),
-    data=st.data(),
+    coords=st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3),
     walks=st.integers(1, 300),
     delta=st.sampled_from([1e-6, 1e-4, 1e-2, 0.1, 0.3]),
     max_steps=st.integers(1, 60),
     seed=st.integers(0, 2**16),
 )
-def test_compacted_walk_on_spheres_matches_reference(d, data, walks, delta, max_steps, seed):
-    """Exit points equal the uncompacted loop bit for bit, and the walk is
-    refused exactly when that loop would have snapped live walks to a face."""
-    x = data.draw(st.lists(st.floats(0.01, 0.99), min_size=d, max_size=d))
+# thousands of walks from criterion 6's first start points, so that steps
+# capture many walks at once: run to the end, and refused at a step cap
+@example(d=2, coords=[0.3, 0.4, 0.5], walks=4000, delta=1e-4, max_steps=10_000, seed=606)
+@example(d=3, coords=[0.3, 0.4, 0.5], walks=4000, delta=1e-4, max_steps=10_000, seed=606)
+@example(d=3, coords=[0.3, 0.4, 0.5], walks=3000, delta=1e-4, max_steps=40, seed=607)
+def test_compacted_walk_on_spheres_matches_reference(d, coords, walks, delta, max_steps, seed):
+    """Exit points equal the uncompacted loop bit for bit, as a C-contiguous
+    (walks, d) array, and the walk is refused exactly when that loop would
+    have snapped live walks to a face. The start point is coords[:d]."""
+    x = coords[:d]
     cfg = WosConfig(walks=walks, delta=delta, max_steps=max_steps)
     ref, snapped = _wos_exit_reference(x, cfg, RngStream(seed))
     if snapped:
         with pytest.raises(WalkTruncationError, match=f"^{snapped} of {walks} walks"):
             walk_on_spheres_exit(x, cfg, RngStream(seed))
     else:
-        np.testing.assert_array_equal(walk_on_spheres_exit(x, cfg, RngStream(seed)), ref)
+        exits = walk_on_spheres_exit(x, cfg, RngStream(seed))
+        assert exits.shape == (walks, d) and exits.flags.c_contiguous
+        np.testing.assert_array_equal(exits, ref)
 
 
 def test_mc_cross_validates_series_d2():
