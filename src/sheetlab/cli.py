@@ -288,6 +288,8 @@ def _convergence_report(cfg: dict) -> ConvergenceReport:
     rng = RngStream(int(cfg["seed"]))
     f = indicator_integrand()
     kind = cfg["diagnostic"]
+    if cfg["probes"] and kind in ("moment", "tightness"):
+        raise ConfigError(f"field 'probes': {kind} uses fixed points and takes no probes")
     if kind == "fdd":
         probes = _parse_probes(cfg["probes"] or _diagonal_points(d, 0.25, 0.5, 0.75), d)
         return fdd_test(f, cfg["family"], grid, probes, diag, rng)

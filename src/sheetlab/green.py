@@ -94,9 +94,8 @@ class HolderEstimate:
     r_squared: float
 
 
-@lru_cache(maxsize=16)
 def _lam_tensor(d: int, kmax: int) -> np.ndarray:
-    """Eigenvalues pi^2 |k|^2 on {1..kmax}^d; cached, so read-only."""
+    """Eigenvalues pi^2 |k|^2 on {1..kmax}^d, a fresh array on every call."""
     # |k|^2 summed axis by axis through broadcasting, in the order of
     # k_1^2 + k_2^2 + ...: the result is the only kmax^d-sized array built
     k2 = np.arange(1, kmax + 1, dtype=float) ** 2
@@ -104,7 +103,6 @@ def _lam_tensor(d: int, kmax: int) -> np.ndarray:
     for i in range(1, d):
         lam = lam + k2.reshape((-1,) + (1,) * (d - 1 - i))
     lam *= np.pi**2
-    lam.flags.writeable = False
     return lam
 
 
@@ -160,7 +158,8 @@ def green_eval(gs: GreenSeries, x, y) -> float:
     """Series value sum_{k <= kmax} lambda_k^{-1} e_k(x) e_k(y)."""
     xp, yp = _series_point(gs, x), _series_point(gs, y)
     # symmetric per-axis products keep green_eval(x, y) == green_eval(y, x) exactly
-    out = 1.0 / _lam_tensor(gs.d, gs.kmax)
+    out = _lam_tensor(gs.d, gs.kmax)
+    np.divide(1.0, out, out=out)
     for i in range(gs.d):
         axis = _sine_matrix(np.array([xp[i]]), gs.kmax)[0] * _sine_matrix(
             np.array([yp[i]]), gs.kmax

@@ -192,20 +192,6 @@ def kac_stroock_eval(f: PoissonField, x) -> float:
 KS_BLOCK = 64
 
 
-def _midpoint_cells(mids: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.searchsorted(mids, x, side="left") for the midpoints mids[j] = (j + 1/2) w.
-
-    floor(x / w + 1/2) is never below that index (w = 2 mids[0] exactly), and
-    one above it only when x is on or just below a midpoint, so one comparison
-    with the midpoint below makes it exact: a coordinate on a midpoint gets that
-    midpoint's index, and one past the last midpoint gets len(mids).
-    """
-    j = np.clip(np.floor(x / (2.0 * mids[0]) + 0.5), 0, len(mids)).astype(np.intp)
-    below = np.concatenate(([-np.inf], mids))  # below[j] = mids[j - 1]
-    j -= below[j] >= x
-    return j
-
-
 def ks_parity_bits(point_sets, mid_axes) -> np.ndarray:
     """N(y) mod 2 on the tensor grid of midpoints for up to KS_BLOCK point sets.
 
@@ -224,7 +210,7 @@ def ks_parity_bits(point_sets, mid_axes) -> np.ndarray:
         return bits
     pts = np.concatenate(point_sets)
     owner = np.repeat(np.arange(len(point_sets), dtype=np.uint64), counts)
-    idx = [_midpoint_cells(mids, pts[:, i]) for i, mids in enumerate(mid_axes)]
+    idx = [np.searchsorted(mids, pts[:, i], side="left") for i, mids in enumerate(mid_axes)]
     keep = np.all([j < k for j, k in zip(idx, shape)], axis=0)
     flat = np.ravel_multi_index(tuple(j[keep] for j in idx), shape)
     # ufunc.at toggles a cell once per point; fancy-index ^= would drop repeats

@@ -517,6 +517,10 @@ def test_poisson_solve_artifacts(tmp_path):
         (["spde-compare", "--n-list", "16,4"], EXIT_CONFIG, "strictly increasing"),
         (["spde-compare", "--n-list", "4,4"], EXIT_CONFIG, "strictly increasing"),
         (["spde-compare", "--significance", "0"], EXIT_CONFIG, "significance must lie in (0, 1)"),
+        (["convergence-report", "--diagnostic", "moment", "--probes", "0.1,0.1;0.2,0.2"],
+         EXIT_CONFIG, "field 'probes': moment uses fixed points"),
+        (["convergence-report", "--diagnostic", "tightness", "--probes", "0.1,0.1"],
+         EXIT_CONFIG, "field 'probes': tightness uses fixed points"),
     ],
 )
 def test_refused_run_writes_nothing(tmp_path, capsys, argv, code, message):

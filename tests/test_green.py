@@ -462,7 +462,7 @@ def test_k_apply_stack_matches_per_field(d, data, kmax_offset, batch, seed):
 
 
 def test_cached_spectral_tensors_are_read_only():
-    for arr in (_lam_tensor(2, 5), *_interior_sine_bases(8, 5)):
+    for arr in _interior_sine_bases(8, 5):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -473,7 +473,7 @@ def test_lam_tensor_matches_meshgrid_sum_and_builds_one_array(d, kmax):
     want = np.pi**2 * sum(g**2 for g in np.meshgrid(*([k] * d), indexing="ij"))
     tracemalloc.start()
     try:
-        got = _lam_tensor.__wrapped__(d, kmax)  # uncached, so the build is traced
+        got = _lam_tensor(d, kmax)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -481,6 +481,20 @@ def test_lam_tensor_matches_meshgrid_sum_and_builds_one_array(d, kmax):
     # d grids and their squares would be several times the result: at d = 3,
     # kmax = 128 that transient was 80 MB
     assert peak < 1.25 * want.nbytes + 2**16
+
+
+def test_green_eval_keeps_no_mode_tensor():
+    # the kmax^d eigenvalue tensor is built once per call, inverted in place
+    # and freed on return
+    gs = GreenSeries(d=3, kmax=144)
+    tracemalloc.start()
+    try:
+        green_eval(gs, (0.3, 0.4, 0.5), (0.6, 0.7, 0.4))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert peak < 1.25 * 144**3 * 8
 
 
 def test_k_apply_inverts_discrete_laplacian():

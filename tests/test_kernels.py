@@ -22,6 +22,7 @@ from sheetlab import (
 from sheetlab.kernels import (
     BudgetExceededError,
     DonskerField,
+    KS_BLOCK,
     PoissonField,
     donsker_edges,
     ks_parity_bits,
@@ -169,18 +170,21 @@ def _brute_parity(points, mid_axes):
     on_mids=st.lists(st.integers(0, 599), max_size=30),
     scaled=st.lists(st.floats(-0.5, 2.0), max_size=30),
 )
-def test_midpoint_cells_match_searchsorted(cells, T, on_mids, scaled):
-    """The arithmetic cell index equals searchsorted(side="left") on the rule's
-    midpoints: on midpoints and next to them, at 0 and T, and past the last one."""
+def test_ks_parity_bits_count_points_on_and_past_midpoints(cells, T, on_mids, scaled):
+    """Each point, a set of its own, is counted at every midpoint at or above it:
+    on midpoints and next to them, at 0 and T, and past the last midpoint."""
     mids = kernels.ks_midpoints([cells], [T / cells])[0]
     on = mids[np.array(on_mids, dtype=int) % cells]
     x = np.concatenate(
         [[0.0, T, np.nextafter(T, np.inf), 2.0 * T, mids[-1]], on,
          np.nextafter(on, -np.inf), np.nextafter(on, np.inf), np.array(scaled) * T]
     )
-    np.testing.assert_array_equal(
-        kernels._midpoint_cells(mids, x), np.searchsorted(mids, x, side="left")
-    )
+    for lo in range(0, len(x), KS_BLOCK):
+        sets = [x[i : i + 1, None] for i in range(lo, min(lo + KS_BLOCK, len(x)))]
+        bits = ks_parity_bits(sets, [mids])
+        for b, pts in enumerate(sets):
+            own = (bits >> np.uint64(b)) & np.uint64(1)
+            np.testing.assert_array_equal(own, _brute_parity(pts, [mids]))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
