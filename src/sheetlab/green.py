@@ -18,7 +18,7 @@ import numpy as np
 from .grid import GridField, GridSpec, as_point
 from .integrals import Integrand
 from .kernels import check_budget
-from .quadrature import QuadSpec, row_outer, tensor_points
+from .quadrature import QuadSpec, contract_axes, row_outer, tensor_points
 from .rng import RngStream
 from . import stats
 
@@ -112,60 +112,46 @@ def _sine_matrix(pts: np.ndarray, kmax: int) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(np.outer(pts, k) * np.pi)
 
 
-def _series_point(gs: GreenSeries, x) -> np.ndarray:
-    """x as a point of the series' domain: exactly gs.d coordinates."""
-    p = as_point(x)
-    if p.size != gs.d:
-        raise ValueError(f"expected a point with {gs.d} coordinates, got {p.size}")
-    return p
+def _series_points(gs: GreenSeries, xs) -> np.ndarray:
+    """xs as (n, d) points of [0, 1]^d: outside it the odd, 2-periodic series would reflect them."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if xs.ndim != 2 or xs.shape[1] != gs.d:
+        raise ValueError(f"expected points with {gs.d} coordinates, got shape {xs.shape}")
+    if np.any(xs < 0.0) or np.any(xs > 1.0):
+        raise ValueError(f"points must lie in the unit cube [0, 1]^{gs.d}, got {xs.tolist()}")
+    return xs
 
 
 def _x_modes(gs: GreenSeries, xs) -> np.ndarray:
     """e_k(x) / lambda_k for each point of xs (n, d): shape (n, kmax, ..., kmax)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if xs.ndim != 2 or xs.shape[1] != gs.d:
-        raise ValueError(f"expected points with {gs.d} coordinates, got shape {xs.shape}")
+    xs = _series_points(gs, xs)
     modes = row_outer([_sine_matrix(xs[:, i], gs.kmax) for i in range(gs.d)])
     return modes / _lam_tensor(gs.d, gs.kmax)
 
 
-def _contract(coef: np.ndarray, mats) -> np.ndarray:
-    """Contract a stack (n, kmax, ..., kmax) of mode tensors with one matrix
-    (pts_i, kmax) per axis: shape (n, pts_1, ..., pts_d)."""
-    out = coef
-    for V in mats:
-        out = np.tensordot(out, V, axes=([1], [1]))
-    return out
-
-
 def _contract_x_modes(gs: GreenSeries, xs, mats) -> np.ndarray:
-    """_contract(_x_modes(gs, xs), mats) over blocks of x points.
+    """The mode tensors _x_modes(gs, xs) contracted with one matrix (kmax, pts_i)
+    per axis, over blocks of x points: shape (n, pts_1, ..., pts_d).
 
     A block holds max(1, POINT_CHUNK * kmax // kmax^d) points, so no mode
     tensor exceeds POINT_CHUNK * kmax doubles.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if len(mats) != gs.d:
-        raise ValueError(f"expected {gs.d} per-axis arrays, got {len(mats)}")
     block = max(1, POINT_CHUNK * gs.kmax // gs.kmax**gs.d)
-    out = np.empty((xs.shape[0],) + tuple(M.shape[0] for M in mats))
+    out = np.empty((xs.shape[0],) + tuple(M.shape[1] for M in mats))
     for lo in range(0, xs.shape[0], block):
-        out[lo : lo + block] = _contract(_x_modes(gs, xs[lo : lo + block]), mats)
+        out[lo : lo + block] = contract_axes(_x_modes(gs, xs[lo : lo + block]), mats)
     return out
 
 
 def green_eval(gs: GreenSeries, x, y) -> float:
     """Series value sum_{k <= kmax} lambda_k^{-1} e_k(x) e_k(y)."""
-    xp, yp = _series_point(gs, x), _series_point(gs, y)
+    xp, yp = _series_points(gs, [x]).T, _series_points(gs, [y]).T
     # symmetric per-axis products keep green_eval(x, y) == green_eval(y, x) exactly
-    out = _lam_tensor(gs.d, gs.kmax)
-    np.divide(1.0, out, out=out)
-    for i in range(gs.d):
-        axis = _sine_matrix(np.array([xp[i]]), gs.kmax)[0] * _sine_matrix(
-            np.array([yp[i]]), gs.kmax
-        )[0]
-        out = np.tensordot(out, axis, axes=([0], [0]))
-    return float(out)
+    inv = _lam_tensor(gs.d, gs.kmax)
+    np.divide(1.0, inv, out=inv)
+    cols = [(_sine_matrix(a, gs.kmax) * _sine_matrix(b, gs.kmax)).T for a, b in zip(xp, yp)]
+    return float(contract_axes(inv[None], cols).item())
 
 
 def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
@@ -194,7 +180,7 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
 
 def green_on_axes(gs: GreenSeries, x, axes) -> np.ndarray:
     """K(x, .) on a tensor grid given by per-axis coordinate arrays."""
-    return _contract_x_modes(gs, [x], [_sine_matrix(np.asarray(a), gs.kmax) for a in axes])[0]
+    return _contract_x_modes(gs, [x], [_sine_matrix(np.asarray(a), gs.kmax).T for a in axes])[0]
 
 
 def free_space_green(d: int, r) -> np.ndarray:
@@ -302,21 +288,23 @@ def green_tail_estimate(gs: GreenSeries, x, y) -> float:
 
 def green_l2_norm(gs: GreenSeries, x) -> float:
     """||K(x,.)||_2 via Parseval: sqrt(sum lambda_k^{-2} e_k(x)^2)."""
-    axes = [np.array([c]) for c in _series_point(gs, x)]
-    return float(green_l2_norm_on_axes(gs, axes).ravel()[0])
+    return float(green_l2_norm_on_axes(gs, _series_points(gs, [x]).T).item())
 
 
 def green_l2_norm_on_axes(gs: GreenSeries, axes) -> np.ndarray:
     """||K(x,.)||_2 on a tensor grid of x points, one axis array per dimension."""
-    lam2 = _lam_tensor(gs.d, gs.kmax) ** 2
-    mats = [_sine_matrix(np.asarray(a), gs.kmax) ** 2 for a in axes]
-    return np.sqrt(_contract((1.0 / lam2)[None], mats)[0])
+    # lambda_k^{-2} in the one kmax^d array
+    inv = _lam_tensor(gs.d, gs.kmax)
+    inv *= inv
+    np.divide(1.0, inv, out=inv)
+    mats = [_sine_matrix(np.asarray(a), gs.kmax).T ** 2 for a in axes]
+    return np.sqrt(contract_axes(inv[None], mats)[0])
 
 
 def lambda_sup(gs: GreenSeries, grid: GridSpec) -> float:
     """Grid maximum of ||K(x,.)||_2 (a lower bound of the true supremum)."""
-    if grid.d != gs.d:
-        raise ValueError("grid dimension must match the series dimension")
+    if any(abs(t - 1.0) > 1e-12 for t in grid.T):
+        raise ValueError("lambda_sup requires the unit cube T = (1,...,1)")
     axes = [grid.axis_nodes(i) for i in range(grid.d)]
     return float(np.max(green_l2_norm_on_axes(gs, axes)))
 
@@ -352,31 +340,16 @@ def _check_sine_grid(gs: GreenSeries, grid: GridSpec) -> int:
     return kuse
 
 
-def _contract_first_axis(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Contract axis 1 of a stack x (B, a, *rest) with M (a, k): shape (B, *rest, k).
-
-    np.matmul makes one BLAS call per stacked field, shaped as for a lone
-    field, so a field's result does not depend on what else is in the stack.
-    """
-    B, a, rest = x.shape[0], x.shape[1], x.shape[2:]
-    rows = np.moveaxis(x, 1, -1).reshape(B, -1, a)
-    return np.matmul(rows, M).reshape((B,) + rest + (M.shape[1],))
-
-
 def _analysis(values: np.ndarray, grid: GridSpec, kuse: int) -> np.ndarray:
     """Sine coefficients of a stack (B, *node_shape) of fields: shape (B, kuse, ..., kuse)."""
-    coef = values[(slice(None),) + tuple(slice(1, -1) for _ in range(grid.d))]
-    for i in range(grid.d):
-        coef = _contract_first_axis(coef, _interior_sine_bases(grid.N[i], kuse)[0])
-    return coef
+    interior = values[(slice(None),) + tuple(slice(1, -1) for _ in range(grid.d))]
+    return contract_axes(interior, [_interior_sine_bases(n, kuse)[0] for n in grid.N])
 
 
 def _synthesis(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Node values (zero boundary) of a stack (B, kuse, ..., kuse) of coefficient tensors."""
     kuse = coef.shape[-1]
-    out = coef
-    for i in range(grid.d):
-        out = _contract_first_axis(out, _interior_sine_bases(grid.N[i], kuse)[1].T)
+    out = contract_axes(coef, [_interior_sine_bases(n, kuse)[1].T for n in grid.N])
     vals = np.zeros((coef.shape[0],) + grid.node_shape)
     vals[(slice(None),) + tuple(slice(1, -1) for _ in range(grid.d))] = out
     return vals
@@ -423,7 +396,8 @@ def green_integrand(gs: GreenSeries) -> Integrand:
     k = np.arange(1, gs.kmax + 1)
 
     def evaluator(xs, axes):
-        return _contract_x_modes(gs, xs, [_sine_matrix(np.asarray(a), gs.kmax) for a in axes])
+        mats = [_sine_matrix(np.asarray(a), gs.kmax).T for a in axes]
+        return _contract_x_modes(gs, xs, mats)
 
     def cell_integral(xs, edges):
         mats = []
@@ -431,7 +405,7 @@ def green_integrand(gs: GreenSeries) -> Integrand:
             e = np.asarray(e, dtype=float)
             # int_a^b sqrt(2) sin(k pi y) dy = sqrt(2) (cos(k pi a) - cos(k pi b)) / (k pi)
             C = np.sqrt(2.0) * np.cos(np.outer(e, k) * np.pi) / (k * np.pi)
-            mats.append(C[:-1] - C[1:])  # (ncells, kmax)
+            mats.append((C[:-1] - C[1:]).T)  # (kmax, ncells)
         return _contract_x_modes(gs, xs, mats)
 
     return Integrand(evaluator=evaluator, smoothness="singular-diagonal", cell_integral=cell_integral)

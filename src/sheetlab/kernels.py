@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, as_point
-from .quadrature import QuadSpec
+from .quadrature import QuadSpec, contract_axes
 from .rng import RngStream
 
 __all__ = [
@@ -259,10 +259,10 @@ def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
         edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
     else:
         raise TypeError(f"unsupported kernel field type {type(f)!r}")
-    for a, e in zip(axes, edges):
-        overlap = np.clip(np.minimum(a[:, None], e[1:]) - e[:-1], 0.0, None)
-        vals = np.tensordot(vals, overlap, axes=([0], [1]))
-    return scale * vals
+    # each overlap is built (points, cells) and passed as a transposed view: built
+    # (cells, points), a d = 1 field sums in another order and moves in the last bit
+    mats = [np.clip(np.minimum(a[:, None], e[1:]) - e[:-1], 0.0, None) for a, e in zip(axes, edges)]
+    return scale * contract_axes(vals[None], [m.T for m in mats])[0]
 
 
 def zeta(f, x, quad: QuadSpec = QuadSpec()) -> float:

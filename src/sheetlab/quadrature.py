@@ -1,4 +1,4 @@
-"""Composite midpoint quadrature on refined tensor grids."""
+"""Composite midpoint quadrature on refined tensor grids, and the axis-by-axis contraction."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadSpec", "tensor_points", "row_outer"]
+__all__ = ["QuadSpec", "tensor_points", "row_outer", "contract_axes"]
 
 
 @dataclass(frozen=True)
@@ -36,4 +36,23 @@ def row_outer(mats) -> np.ndarray:
     out = mats[0]
     for M in mats[1:]:
         out = out[..., None] * M.reshape((M.shape[0],) + (1,) * (out.ndim - 1) + (M.shape[1],))
+    return out
+
+
+def contract_axes(stack: np.ndarray, mats) -> np.ndarray:
+    """Contract axes 1..d of a stack (B, a_1, ..., a_d) with one matrix (a_i, k_i)
+    per axis: shape (B, k_1, ..., k_d).
+
+    np.matmul makes one BLAS call per stacked field, shaped as for a lone
+    field, so a field's result does not depend on what else is in the stack.
+    """
+    if len(mats) != stack.ndim - 1:
+        raise ValueError(f"expected {stack.ndim - 1} per-axis arrays, got {len(mats)}")
+    out = stack
+    for M in mats:
+        # axis 1 moves last, as rows (B, rest, a_i); k_i comes out last, so the
+        # d steps leave the axes in order
+        B, a, rest = out.shape[0], out.shape[1], out.shape[2:]
+        rows = np.moveaxis(out, 1, -1).reshape(B, -1, a)
+        out = np.matmul(rows, M).reshape((B,) + rest + (M.shape[1],))
     return out

@@ -203,6 +203,41 @@ def test_green_evaluators_reject_wrong_point_dimension():
             f.evaluator(np.array([[0.5, 0.5]]), axes)
 
 
+@pytest.mark.parametrize("bad", [(1.5, 0.5), (0.5, -0.25), (0.3, 1.0 + 1e-9)])
+def test_green_series_refuses_points_outside_the_cube(bad):
+    """The sine series is odd and 2-periodic: outside [0, 1]^d it would return
+    the value at a reflected point, e.g. green_l2_norm at (1.5, 0.5) equals the
+    one at (0.5, 0.5). Boundary points stay valid."""
+    gs = GreenSeries(d=2, kmax=8)
+    f = green_integrand(gs)
+    edges = [np.linspace(0.0, 1.0, 5)] * 2
+    inside = (0.5, 0.5)
+    for x in (bad, (1.0, 0.0)):
+        calls = [
+            lambda: green_eval(gs, x, inside),
+            lambda: green_eval(gs, inside, x),
+            lambda: green_tail_estimate(gs, x, inside),
+            lambda: green_l2_norm(gs, x),
+            lambda: green_values(gs, x, np.full((4, 2), 0.5)),
+            lambda: green_on_axes(gs, x, [np.array([0.5])] * 2),
+            lambda: f.cell_integral(np.array([x]), edges),
+            lambda: f.evaluator(np.array([x]), [np.array([0.5])] * 2),
+        ]
+        for call in calls:
+            if x == bad:
+                with pytest.raises(ValueError, match="unit cube"):
+                    call()
+            else:
+                assert np.all(np.abs(call()) < 1e-12)
+
+
+@pytest.mark.parametrize("T", [2.0, 0.5, (1.0, 1.7)])
+def test_lambda_sup_refuses_grids_off_the_unit_cube(T):
+    # at T = 2 the nodes past 1 reflect back, and the T = 1 value came out
+    with pytest.raises(ValueError, match="unit cube"):
+        lambda_sup(GreenSeries(d=2, kmax=8), GridSpec(d=2, T=T, N=8))
+
+
 @pytest.mark.parametrize("d, kmax", [(2, 64), (3, 32)])
 def test_green_cell_integral_blocks_match_single_rows(d, kmax):
     """Every x-block boundary of the cell oracle against one-row calls."""
@@ -495,6 +530,18 @@ def test_green_eval_keeps_no_mode_tensor():
         tracemalloc.stop()
     assert kept < 2**20
     assert peak < 1.25 * 144**3 * 8
+
+
+def test_lambda_sup_holds_one_mode_tensor():
+    # lambda_k^{-2} is squared and inverted in place: one kmax^d array, not two
+    gs, grid = GreenSeries(d=3, kmax=64), GridSpec(d=3, T=1.0, N=8)
+    tracemalloc.start()
+    try:
+        lambda_sup(gs, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 64**3 * 8
 
 
 def test_k_apply_inverts_discrete_laplacian():
