@@ -20,6 +20,7 @@ from .convergence import (
     ConvergenceReport,
     DiagConfig,
     fdd_test,
+    holder_probe,
     moment_bound_probe,
     tightness_modulus_probe,
     solution_convergence_report,
@@ -33,7 +34,6 @@ from .green import (
     green_integrand,
     green_l2_norm,
     green_mc_estimate,
-    holder_probe,
     k_apply,
     lambda_sup,
     poincare_constant,

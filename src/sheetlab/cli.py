@@ -245,7 +245,7 @@ def _run_simulate(cfg: dict) -> dict:
         ks_rule(grid, float(cfg["n"]), quad.r)  # refused before any point is drawn
         kern = sample_kac_stroock(grid, float(cfg["n"]), rng)
     else:
-        kern = sample_donsker(grid, int(cfg["n"]), cfg["law"], rng)
+        kern = sample_donsker(grid, float(cfg["n"]), cfg["law"], rng)
     field = GridField(grid, zeta_on_axes(kern, axes, quad))
     return {"field.csv": _field_table(field, "value")}
 
@@ -372,7 +372,7 @@ def _run_poisson_solve(cfg: dict) -> dict:
         tolerance=float(cfg["tolerance"]), max_iterations=int(cfg["max_iterations"])
     )
     quad = QuadSpec(r=int(cfg["r"]), rho=float(cfg["rho"]))
-    sampler = SpdeSampler(cfg["family"], cfg["n"], g, F, gs, solve_cfg, quad)
+    sampler = SpdeSampler(cfg["family"], float(cfg["n"]), g, F, gs, solve_cfg, quad)
     result = sampler.sample_solution(RngStream(int(cfg["seed"])))
     # solve.json: every field of the result but the solution u itself
     solve = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "u"}

@@ -1,20 +1,21 @@
 """Statistical diagnostics: FDD and solution-law convergence, moment bounds,
-tightness modulus, variances."""
+tightness modulus, variances, and the Holder exponent of the Green kernel."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import GridField, GridSpec, as_point
-from .green import GreenSeries
+from .green import GreenSeries, green_on_axes
 from .integrals import Integrand, noise_integrator
 from .kernels import check_budget
 
 # re-exported: bench/layers.py traces the integrator classes it finds on this module
 from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401
-from .quadrature import QuadSpec
+from .quadrature import QuadSpec, tensor_points
 from .rng import RngStream
 from .solver import Nonlinearity, SolveConfig, SpdeSampler
 from . import stats
@@ -22,11 +23,13 @@ from . import stats
 __all__ = [
     "DiagConfig",
     "ConvergenceReport",
+    "HolderEstimate",
     "fdd_test",
     "moment_bound_probe",
     "tightness_modulus_probe",
     "variance_convergence_report",
     "solution_convergence_report",
+    "holder_probe",
 ]
 
 
@@ -88,6 +91,31 @@ def _unit_directions(count: int, dim: int, gen: np.random.Generator) -> np.ndarr
     return dirs
 
 
+def _verdict(name: str, value, threshold, ok) -> dict:
+    """The one verdict record, {name: {ok, threshold, value}}."""
+    return {name: {"ok": bool(ok), "threshold": float(threshold), "value": float(value)}}
+
+
+def _mc_moment(vals: np.ndarray, m) -> tuple:
+    """Monte Carlo mean of |X|^m over the replicates vals, and its standard error."""
+    powered = np.abs(vals) ** m
+    return float(powered.mean()), float(powered.std(ddof=1) / np.sqrt(len(vals)))
+
+
+def _check_distances(dists, probe: str) -> None:
+    """Refuse a pair with x = z, then fewer than 3 distinct distances."""
+    if 0.0 in dists:
+        raise ValueError(f"{probe}: pairs with x = z are not admissible")
+    if len(set(np.round(np.log(dists), 12))) < 3:
+        raise ValueError(f"{probe} needs pairs at >= 3 distinct distances")
+
+
+def _slope_fit(dists, values) -> tuple:
+    """Least-squares slope of log values on log dists, and its r^2."""
+    res = stats.linregress(np.log(dists), np.log(values))
+    return float(res.slope), float(res.rvalue**2)
+
+
 def _ks_row(n, pairs, significance: float, key: str) -> dict:
     """One per_n row: a two-sample KS test of each (sample, target) pair, and
     the fraction rejected at significance. pairs may be a generator, so that
@@ -141,15 +169,8 @@ def fdd_test(
         Xn = integ.replicates(rng.substream(2 + j), cfg.M)
         pairs = ((Xn @ a, limit @ a) for a in dirs)
         per_n.append(_ks_row(n, pairs, cfg.significance, "ks_statistics"))
-    accept_threshold = 0.8
-    final = per_n[-1]
-    verdicts = {
-        "final_n_mostly_accepted": {
-            "ok": bool(1.0 - final["rejection_fraction"] >= accept_threshold),
-            "threshold": accept_threshold,
-            "value": 1.0 - final["rejection_fraction"],
-        }
-    }
+    accepted = 1.0 - per_n[-1]["rejection_fraction"]
+    verdicts = _verdict("final_n_mostly_accepted", accepted, 0.8, accepted >= 0.8)
     return ConvergenceReport(
         name="fdd_test",
         config={
@@ -199,16 +220,11 @@ def moment_bound_probe(
     per_n = []
     for j, n in enumerate(cfg.n_list):
         integ = noise_integrator(family, g, [x0], grid, n, cfg.quad, cfg.law)
-        if cfg.m == 2 and hasattr(integ, "second_moment"):
-            moment = float(integ.second_moment()[0])
-            se = 0.0
-            exact = True
+        exact = cfg.m == 2 and hasattr(integ, "second_moment")
+        if exact:
+            moment, se = float(integ.second_moment()[0]), 0.0
         else:
-            vals = integ.replicates(rng.substream(j), cfg.M)[:, 0]
-            powered = np.abs(vals) ** cfg.m
-            moment = float(powered.mean())
-            se = float(powered.std(ddof=1) / np.sqrt(cfg.M))
-            exact = False
+            moment, se = _mc_moment(integ.replicates(rng.substream(j), cfg.M)[:, 0], cfg.m)
         per_n.append(
             {
                 "n": int(n),
@@ -220,14 +236,7 @@ def moment_bound_probe(
         )
     ratios = np.array([row["ratio"] for row in per_n])
     spread = float(ratios.max() / np.median(ratios))
-    bound_factor = 1.5
-    verdicts = {
-        "ratios_bounded": {
-            "ok": bool(spread <= bound_factor),
-            "threshold": bound_factor,
-            "value": spread,
-        }
-    }
+    verdicts = _verdict("ratios_bounded", spread, 1.5, spread <= 1.5)
     return ConvergenceReport(
         name="moment_bound_probe",
         config={
@@ -257,28 +266,16 @@ def tightness_modulus_probe(
     for p in (q for pair in pts for q in pair):
         grid.point_in_domain(p)
     dists = [float(np.sum(np.abs(x - z))) for x, z in pts]
-    if len({round(np.log(max(t, 1e-300)), 12) for t in dists if t > 0}) < 3:
-        raise ValueError("tightness probe needs pairs at >= 3 distinct distances")
-    if 0.0 in dists:
-        raise ValueError("pairs with x = z are not admissible")
-    log_d, log_m, rows = [], [], []
+    _check_distances(dists, "tightness probe")
+    rows = []
     for j, n in enumerate(cfg.n_list):
         for i, ((x, z), dist) in enumerate(zip(pts, dists)):
             integ = noise_integrator(family, f, [x, z], grid, n, cfg.quad, cfg.law)
             vals = integ.replicates(rng.substream(j * len(pts) + i), cfg.M)
-            moment = float(np.mean(np.abs(vals[:, 0] - vals[:, 1]) ** cfg.m))
-            log_d.append(np.log(dist))
-            log_m.append(np.log(moment))
+            moment, _ = _mc_moment(vals[:, 0] - vals[:, 1], cfg.m)
             rows.append({"n": int(n), "distance": dist, "moment": moment})
-    res = stats.linregress(log_d, log_m)
-    slope = float(res.slope)
-    verdicts = {
-        "modulus_exponent_exceeds_dimension": {
-            "ok": bool(slope > grid.d),
-            "threshold": float(grid.d),
-            "value": slope,
-        }
-    }
+    slope, r_squared = _slope_fit([r["distance"] for r in rows], [r["moment"] for r in rows])
+    verdicts = _verdict("modulus_exponent_exceeds_dimension", slope, grid.d, slope > grid.d)
     return ConvergenceReport(
         name="tightness_modulus_probe",
         config={
@@ -290,7 +287,7 @@ def tightness_modulus_probe(
         },
         per_n=rows,
         verdicts=verdicts,
-        extra={"slope": slope, "r_squared": float(res.rvalue**2)},
+        extra={"slope": slope, "r_squared": r_squared},
     )
 
 
@@ -313,23 +310,10 @@ def variance_convergence_report(
     per_n = []
     for j, n in enumerate(cfg.n_list):
         integ = noise_integrator(family, f, [xp], grid, n, cfg.quad, cfg.law)
-        vals = integ.replicates(rng.substream(j), cfg.M)[:, 0]
-        sq = vals**2
-        per_n.append(
-            {
-                "n": int(n),
-                "second_moment": float(sq.mean()),
-                "se": float(sq.std(ddof=1) / np.sqrt(cfg.M)),
-            }
-        )
-    final = per_n[-1]
-    verdicts = {
-        "final_n_matches_l2_limit": {
-            "ok": bool(abs(final["second_moment"] - target) <= 3.0 * final["se"]),
-            "threshold": 3.0 * final["se"],
-            "value": abs(final["second_moment"] - target),
-        }
-    }
+        second, se = _mc_moment(integ.replicates(rng.substream(j), cfg.M)[:, 0], 2)
+        per_n.append({"n": int(n), "second_moment": second, "se": se})
+    gap, bound = abs(second - target), 3.0 * se  # the final n's moment and error
+    verdicts = _verdict("final_n_matches_l2_limit", gap, bound, gap <= bound)
     return ConvergenceReport(
         name="variance_convergence_report",
         config={
@@ -385,8 +369,8 @@ def solution_convergence_report(
     )
     majority = float(np.mean(np.array(last["p_values"]) >= cfg.significance))
     verdicts = {
-        "ks_distance_improves": {"ok": bool(improved >= 0.8), "threshold": 0.8, "value": float(improved)},
-        "final_n_majority_accepted": {"ok": bool(majority > 0.5), "threshold": 0.5, "value": majority},
+        **_verdict("ks_distance_improves", improved, 0.8, improved >= 0.8),
+        **_verdict("final_n_majority_accepted", majority, 0.5, majority > 0.5),
     }
     return ConvergenceReport(
         name="solution_convergence_report",
@@ -400,4 +384,49 @@ def solution_convergence_report(
         },
         per_n=per_n,
         verdicts=verdicts,
+    )
+
+
+@dataclass
+class HolderEstimate:
+    """Log-log regression of ||K(x,.) - K(z,.)||_alpha against |x - z|."""
+
+    alpha: float
+    distances: np.ndarray
+    norms: np.ndarray
+    beta: float
+    r_squared: float
+
+
+def _alpha_window_check(d: int, alpha: float) -> None:
+    if d == 2 and alpha <= 2:
+        warnings.warn(f"alpha={alpha} outside the proven window alpha > 2 for d=2")
+    if d == 3 and not (2 < alpha < 2.25):
+        warnings.warn(f"alpha={alpha} outside the proven window 2 < alpha < 9/4 for d=3")
+
+
+def holder_probe(
+    gs: GreenSeries, alpha: float, pairs, quad: QuadSpec = QuadSpec(r=256, rho=1e-3)
+) -> HolderEstimate:
+    """Estimate beta in ||K(x,.) - K(z,.)||_alpha <= C |x-z|^beta by log-log regression."""
+    _alpha_window_check(gs.d, alpha)
+    if quad.rho <= 0:
+        raise ValueError("holder_probe requires a positive exclusion radius")
+    pts = [(as_point(x), as_point(z)) for x, z in pairs]
+    dists = [float(np.linalg.norm(x - z)) for x, z in pts]
+    _check_distances(dists, "holder_probe")
+    mids = [(np.arange(quad.r) + 0.5) / quad.r] * gs.d
+    vol = (1.0 / quad.r) ** gs.d
+    nodes = tensor_points(mids)
+    norms = []
+    for x, z in pts:
+        kx = green_on_axes(gs, x, mids).ravel()
+        kz = green_on_axes(gs, z, mids).ravel()
+        mask = (np.linalg.norm(nodes - x, axis=1) > quad.rho) & (
+            np.linalg.norm(nodes - z, axis=1) > quad.rho
+        )
+        norms.append(float(np.sum(np.abs(kx - kz)[mask] ** alpha * vol) ** (1.0 / alpha)))
+    beta, r_squared = _slope_fit(dists, norms)
+    return HolderEstimate(
+        alpha=alpha, distances=np.array(dists), norms=np.array(norms), beta=beta, r_squared=r_squared
     )

@@ -9,7 +9,6 @@ kernel G.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,15 +17,13 @@ import numpy as np
 from .grid import GridField, GridSpec, as_point
 from .integrals import Integrand
 from .kernels import check_budget
-from .quadrature import QuadSpec, contract_axes, row_outer, tensor_points
+from .quadrature import contract_axes, row_outer
 from .rng import RngStream
-from . import stats
 
 __all__ = [
     "GreenSeries",
     "WosConfig",
     "WalkTruncationError",
-    "HolderEstimate",
     "green_eval",
     "green_mc_estimate",
     "green_tail_estimate",
@@ -35,7 +32,6 @@ __all__ = [
     "poincare_constant",
     "k_apply",
     "k_apply_stack",
-    "holder_probe",
     "green_integrand",
     "free_space_green",
 ]
@@ -83,17 +79,6 @@ class WalkTruncationError(RuntimeError):
 POINT_CHUNK = 8192
 
 
-@dataclass
-class HolderEstimate:
-    """Log-log regression of ||K(x,.) - K(z,.)||_alpha against |x - z|."""
-
-    alpha: float
-    distances: np.ndarray
-    norms: np.ndarray
-    beta: float
-    r_squared: float
-
-
 def _lam_tensor(d: int, kmax: int) -> np.ndarray:
     """Eigenvalues pi^2 |k|^2 on {1..kmax}^d, a fresh array on every call."""
     # |k|^2 summed axis by axis through broadcasting, in the order of
@@ -112,14 +97,20 @@ def _sine_matrix(pts: np.ndarray, kmax: int) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(np.outer(pts, k) * np.pi)
 
 
+def _unit_coords(a, what: str) -> np.ndarray:
+    """a as floats in [0, 1]: outside it the odd, 2-periodic series would reflect them."""
+    a = np.asarray(a, dtype=float)
+    if np.any(a < 0.0) or np.any(a > 1.0):
+        raise ValueError(f"{what} must lie in the unit cube, got {a[(a < 0.0) | (a > 1.0)][0]}")
+    return a
+
+
 def _series_points(gs: GreenSeries, xs) -> np.ndarray:
-    """xs as (n, d) points of [0, 1]^d: outside it the odd, 2-periodic series would reflect them."""
+    """xs as (n, d) points of [0, 1]^d."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.ndim != 2 or xs.shape[1] != gs.d:
         raise ValueError(f"expected points with {gs.d} coordinates, got shape {xs.shape}")
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
-        raise ValueError(f"points must lie in the unit cube [0, 1]^{gs.d}, got {xs.tolist()}")
-    return xs
+    return _unit_coords(xs, "points")
 
 
 def _x_modes(gs: GreenSeries, xs) -> np.ndarray:
@@ -159,6 +150,7 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != gs.d:
         raise ValueError(f"Y must have shape (m, {gs.d}), got {Y.shape}")
+    _unit_coords(Y, "y points")
     coef = _x_modes(gs, [x])[0].reshape(gs.kmax, -1)
     out = np.empty(Y.shape[0])
     for lo in range(0, Y.shape[0], POINT_CHUNK):
@@ -180,7 +172,8 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
 
 def green_on_axes(gs: GreenSeries, x, axes) -> np.ndarray:
     """K(x, .) on a tensor grid given by per-axis coordinate arrays."""
-    return _contract_x_modes(gs, [x], [_sine_matrix(np.asarray(a), gs.kmax).T for a in axes])[0]
+    mats = [_sine_matrix(_unit_coords(a, "y axes"), gs.kmax).T for a in axes]
+    return _contract_x_modes(gs, [x], mats)[0]
 
 
 def free_space_green(d: int, r) -> np.ndarray:
@@ -396,59 +389,16 @@ def green_integrand(gs: GreenSeries) -> Integrand:
     k = np.arange(1, gs.kmax + 1)
 
     def evaluator(xs, axes):
-        mats = [_sine_matrix(np.asarray(a), gs.kmax).T for a in axes]
+        mats = [_sine_matrix(_unit_coords(a, "y axes"), gs.kmax).T for a in axes]
         return _contract_x_modes(gs, xs, mats)
 
     def cell_integral(xs, edges):
         mats = []
         for e in edges:
-            e = np.asarray(e, dtype=float)
+            e = _unit_coords(e, "cell edges")
             # int_a^b sqrt(2) sin(k pi y) dy = sqrt(2) (cos(k pi a) - cos(k pi b)) / (k pi)
             C = np.sqrt(2.0) * np.cos(np.outer(e, k) * np.pi) / (k * np.pi)
             mats.append((C[:-1] - C[1:]).T)  # (kmax, ncells)
         return _contract_x_modes(gs, xs, mats)
 
     return Integrand(evaluator=evaluator, smoothness="singular-diagonal", cell_integral=cell_integral)
-
-
-def _alpha_window_check(d: int, alpha: float) -> None:
-    if d == 2 and alpha <= 2:
-        warnings.warn(f"alpha={alpha} outside the proven window alpha > 2 for d=2")
-    if d == 3 and not (2 < alpha < 2.25):
-        warnings.warn(f"alpha={alpha} outside the proven window 2 < alpha < 9/4 for d=3")
-
-
-def holder_probe(
-    gs: GreenSeries, alpha: float, pairs, quad: QuadSpec = QuadSpec(r=256, rho=1e-3)
-) -> HolderEstimate:
-    """Estimate beta in ||K(x,.) - K(z,.)||_alpha <= C |x-z|^beta by log-log regression."""
-    _alpha_window_check(gs.d, alpha)
-    if quad.rho <= 0:
-        raise ValueError("holder_probe requires a positive exclusion radius")
-    mids = [(np.arange(quad.r) + 0.5) / quad.r] * gs.d
-    vol = (1.0 / quad.r) ** gs.d
-    pts = tensor_points(mids)
-    dists, norms = [], []
-    for x, z in pairs:
-        xp, zp = as_point(x), as_point(z)
-        dist = float(np.linalg.norm(xp - zp))
-        if dist == 0.0:
-            continue
-        kx = green_on_axes(gs, xp, mids).ravel()
-        kz = green_on_axes(gs, zp, mids).ravel()
-        mask = (np.linalg.norm(pts - xp, axis=1) > quad.rho) & (
-            np.linalg.norm(pts - zp, axis=1) > quad.rho
-        )
-        norm = float(np.sum(np.abs(kx - kz)[mask] ** alpha * vol) ** (1.0 / alpha))
-        dists.append(dist)
-        norms.append(norm)
-    if len(set(np.round(np.log(dists), 12))) < 3:
-        raise ValueError("holder_probe needs pairs at >= 3 distinct distances")
-    res = stats.linregress(np.log(dists), np.log(norms))
-    return HolderEstimate(
-        alpha=alpha,
-        distances=np.array(dists),
-        norms=np.array(norms),
-        beta=float(res.slope),
-        r_squared=float(res.rvalue**2),
-    )

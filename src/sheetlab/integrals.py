@@ -10,6 +10,7 @@ import numpy as np
 from .grid import GridSpec
 from .kernels import (
     KS_BLOCK,
+    _donsker_scale,
     _draw_innovations,
     check_budget,
     donsker_edges,
@@ -292,7 +293,7 @@ def noise_integrator(
     standard-normal innovations (n and law unused).
     """
     if family == "donsker":
-        n = int(n)
+        n = _donsker_scale(n)
         return DonskerIntegrator(f, xs, donsker_edges(n, grid.T), n ** (grid.d / 2.0), quad, law)
     if family == "kac-stroock":
         return KacStroockIntegrator(f, xs, grid, float(n), quad)

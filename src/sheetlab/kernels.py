@@ -95,6 +95,15 @@ def _draw_innovations(rng: np.random.Generator, law: str, shape) -> np.ndarray:
     raise ValueError(f"unsupported innovation law {law!r}; choose one of {INNOVATION_LAWS}")
 
 
+def _donsker_scale(n) -> int:
+    """The Donsker scale n as an int: the lattice has n cells per unit length."""
+    if n < 1:
+        raise ValueError("Donsker scale n must be >= 1")
+    if not float(n).is_integer():
+        raise ValueError(f"Donsker scale n must be a whole number, got {n}")
+    return int(n)
+
+
 def sample_donsker(
     grid: GridSpec,
     n: int,
@@ -102,14 +111,13 @@ def sample_donsker(
     rng: RngStream | None = None,
 ) -> DonskerField:
     """Draw i.i.d. innovations for every multi-index covering D at scale 1/n."""
-    if n < 1:
-        raise ValueError("Donsker scale n must be >= 1")
+    n = _donsker_scale(n)
     shape = tuple(int(np.ceil(n * t)) for t in grid.T)
     total = int(np.prod(shape))
     check_budget(total, f"Donsker field would need {total} innovations")
     gen = rng.generator() if rng is not None else np.random.default_rng()
     Z = _draw_innovations(gen, law, shape)
-    return DonskerField(n=int(n), T=grid.T, Z=Z)
+    return DonskerField(n=n, T=grid.T, Z=Z)
 
 
 def donsker_edges(n: int, T) -> list:

@@ -202,6 +202,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 1 + 5  # header + 5 nodes in d=1 with N=4
 
 
+def test_config_file_non_whole_donsker_n_is_config_error(tmp_path, capsys):
+    # a JSON number reaches the sampler unparsed: 4.5 must not run as n = 4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4.5, "grid_n": 4, "d": 1}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--report-dir", str(out)]) == EXIT_CONFIG
+    assert "whole number, got 4.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_field_is_config_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_field": 1}))
@@ -521,6 +531,8 @@ def test_poisson_solve_artifacts(tmp_path):
          EXIT_CONFIG, "field 'probes': moment uses fixed points"),
         (["convergence-report", "--diagnostic", "tightness", "--probes", "0.1,0.1"],
          EXIT_CONFIG, "field 'probes': tightness uses fixed points"),
+        (["poisson-solve", "--family", "donsker", "--n", "4.5"], EXIT_CONFIG,
+         "Donsker scale n must be a whole number, got 4.5"),
     ],
 )
 def test_refused_run_writes_nothing(tmp_path, capsys, argv, code, message):

@@ -9,6 +9,7 @@ from sheetlab import (
     QuadSpec,
     RngStream,
     fdd_test,
+    holder_probe,
     indicator_integrand,
     moment_bound_probe,
     tightness_modulus_probe,
@@ -168,6 +169,13 @@ def test_tightness_rejects_equal_pairs_before_any_integrator(monkeypatch):
     with pytest.raises(ValueError, match="x = z"):
         tightness_modulus_probe(indicator_integrand(), "donsker", grid, pairs, cfg, RngStream(0))
     assert calls == []
+
+
+def test_holder_probe_refuses_equal_pairs():
+    # three distinct distances, then a zero-distance fourth pair: refused, not skipped
+    pairs = [((0.4, 0.5), (0.4 + t, 0.5)) for t in (0.05, 0.1, 0.2)] + [((0.4, 0.5), (0.4, 0.5))]
+    with pytest.raises(ValueError, match="x = z"):
+        holder_probe(GreenSeries(d=2, kmax=8), 2.5, pairs, QuadSpec(r=16, rho=1e-2))
 
 
 def test_probes_outside_domain_rejected():

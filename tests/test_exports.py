@@ -1,7 +1,8 @@
 """Every exported name resolves: module __all__ lists and the top-level package.
 Only kernels.check_budget reads the memory budget, solver imports no report
-layer, the reports name no noise family and no solver block, only
-convergence._ks_row runs a KS test, and only cli touches files."""
+layer, the reports name no noise family and no solver block, only convergence
+imports stats, each statistic of the reports is written once (the KS step, the
+slope fit, the verdict record), and only cli touches files."""
 
 import ast
 import importlib
@@ -54,6 +55,14 @@ def _sites(tree, module, named):
     return sites
 
 
+def _all_sites(named):
+    """_sites over every module of the package."""
+    sites = []
+    for path in SOURCES:
+        sites += _sites(ast.parse(path.read_text()), path.stem, named)
+    return sites
+
+
 def _names_budget(node):
     return (
         (isinstance(node, ast.Name) and node.id == "DEFAULT_MAX_CELLS")
@@ -65,9 +74,7 @@ def _names_budget(node):
 def test_only_check_budget_reads_the_budget():
     # besides check_budget, only the definition in kernels; an import of the
     # name would bind its value once and miss a later rebinding
-    sites = []
-    for path in SOURCES:
-        sites += _sites(ast.parse(path.read_text()), path.stem, _names_budget)
+    sites = _all_sites(_names_budget)
     assert ("kernels", "check_budget") in sites
     assert [s for s in sites if s != ("kernels", "check_budget")] == [("kernels", None)]
 
@@ -113,20 +120,41 @@ def test_reports_name_no_family_and_no_solve_block():
     assert "SOLVE_BLOCK" not in imported
 
 
-def _calls_ks_2samp(node):
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    return (isinstance(func, ast.Name) and func.id == "ks_2samp") or (
-        isinstance(func, ast.Attribute) and func.attr == "ks_2samp"
-    )
+def _calls(name):
+    """A predicate accepting a call of name, bare or as an attribute."""
+
+    def named(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name
+        )
+
+    return named
 
 
 def test_one_ks_step_serves_every_report():
-    sites = []
-    for path in SOURCES:
-        sites += _sites(ast.parse(path.read_text()), path.stem, _calls_ks_2samp)
-    assert sites == [("convergence", "_ks_row")]
+    assert _all_sites(_calls("ks_2samp")) == [("convergence", "_ks_row")]
+
+
+def test_one_slope_fit_serves_both_slope_probes():
+    assert _all_sites(_calls("linregress")) == [("convergence", "_slope_fit")]
+
+
+def test_only_convergence_imports_stats():
+    importers = [p.stem for p in SOURCES if "stats" in _sheetlab_imports(ast.parse(p.read_text()))]
+    assert importers == ["convergence"]
+
+
+def _builds_verdict(node):
+    return isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.Constant) and k.value == "threshold" for k in node.keys
+    )
+
+
+def test_one_verdict_record():
+    assert _all_sites(_builds_verdict) == [("convergence", "_verdict")]
 
 
 def _touches_files(node):
@@ -146,7 +174,5 @@ def _touches_files(node):
 def test_only_cli_touches_files():
     # the runners return their files and cli.main writes them; the artifact
     # format lives in cli alone
-    sites = []
-    for path in SOURCES:
-        sites += _sites(ast.parse(path.read_text()), path.stem, _touches_files)
+    sites = _all_sites(_touches_files)
     assert {module for module, _ in sites} == {"cli"}

@@ -207,7 +207,8 @@ def test_green_evaluators_reject_wrong_point_dimension():
 def test_green_series_refuses_points_outside_the_cube(bad):
     """The sine series is odd and 2-periodic: outside [0, 1]^d it would return
     the value at a reflected point, e.g. green_l2_norm at (1.5, 0.5) equals the
-    one at (0.5, 0.5). Boundary points stay valid."""
+    one at (0.5, 0.5). That holds on the y side too, where the cell oracle
+    takes a zero-width cell at y. Boundary points stay valid."""
     gs = GreenSeries(d=2, kmax=8)
     f = green_integrand(gs)
     edges = [np.linspace(0.0, 1.0, 5)] * 2
@@ -222,6 +223,10 @@ def test_green_series_refuses_points_outside_the_cube(bad):
             lambda: green_on_axes(gs, x, [np.array([0.5])] * 2),
             lambda: f.cell_integral(np.array([x]), edges),
             lambda: f.evaluator(np.array([x]), [np.array([0.5])] * 2),
+            lambda: green_values(gs, inside, np.array([x])),
+            lambda: green_on_axes(gs, inside, [np.array([c]) for c in x]),
+            lambda: f.evaluator(np.array([inside]), [np.array([c]) for c in x]),
+            lambda: f.cell_integral(np.array([inside]), [np.array([c, c]) for c in x]),
         ]
         for call in calls:
             if x == bad:

@@ -574,6 +574,13 @@ def test_donsker_replicates_never_hold_all_innovations():
     assert peak < 8 * 2**20
 
 
+def test_donsker_integrator_refuses_a_non_whole_scale():
+    # int(4.5) would build the n = 4 weights under the name n = 4.5
+    grid = GridSpec(d=2, T=1.0, N=4)
+    with pytest.raises(ValueError, match="whole number, got 4.5"):
+        noise_integrator("donsker", indicator_integrand(), [(0.5, 0.5)], grid, 4.5)
+
+
 def test_donsker_lattice_refused_before_any_edge():
     # n = 2.5e6 on the unit square: 6.25e12 cells, refused before the
     # 2 x 2.5e6 edges (40 MB) are built

@@ -41,6 +41,13 @@ def test_donsker_innovation_counts():
     assert sample_donsker(GridSpec(d=1, T=(1.3,), N=1), 4).Z.shape == (6,)
 
 
+def test_donsker_scale_must_be_whole():
+    # ceil(4.5) = 5 cells per axis would be drawn under a field that records n = 4
+    with pytest.raises(ValueError, match="whole number, got 4.5"):
+        sample_donsker(GridSpec(d=1, T=1.0, N=4), 4.5)
+    assert sample_donsker(GridSpec(d=1, T=1.0, N=4), 4.0).n == 4
+
+
 def test_donsker_budget_refusal():
     with pytest.raises(BudgetExceededError):
         sample_donsker(GridSpec(d=2, T=1.0, N=1), 10_000)
