@@ -380,25 +380,51 @@ def k_apply(gs: GreenSeries, phi: GridField) -> GridField:
     return GridField(phi.grid, k_apply_stack(gs, phi.values, phi.grid))
 
 
+def _cell_moments(e, kmax: int) -> np.ndarray:
+    """int_{e_j}^{e_{j+1}} sqrt(2) sin(k pi y) dy for the cells of one axis's
+    edges e and k = 1..kmax: shape (cells, kmax)."""
+    e = _unit_coords(e, "cell edges")
+    k = np.arange(1, kmax + 1)
+    # sqrt(2) (cos(k pi a) - cos(k pi b)) / (k pi)
+    C = np.sqrt(2.0) * np.cos(np.outer(e, k) * np.pi) / (k * np.pi)
+    return C[:-1] - C[1:]
+
+
 def green_integrand(gs: GreenSeries) -> Integrand:
     """The Green kernel K(x, .) as a singular-diagonal integrand.
 
     Carries an exact cell-integral oracle built from the sine antiderivatives,
-    so Donsker integration against it is exact for the truncated series.
+    so Donsker integration against it is exact for the truncated series, and
+    the cell map of the same integrals in mode space.
     """
-    k = np.arange(1, gs.kmax + 1)
 
     def evaluator(xs, axes):
         mats = [_sine_matrix(_unit_coords(a, "y axes"), gs.kmax).T for a in axes]
         return _contract_x_modes(gs, xs, mats)
 
     def cell_integral(xs, edges):
-        mats = []
-        for e in edges:
-            e = _unit_coords(e, "cell edges")
-            # int_a^b sqrt(2) sin(k pi y) dy = sqrt(2) (cos(k pi a) - cos(k pi b)) / (k pi)
-            C = np.sqrt(2.0) * np.cos(np.outer(e, k) * np.pi) / (k * np.pi)
-            mats.append((C[:-1] - C[1:]).T)  # (kmax, ncells)
-        return _contract_x_modes(gs, xs, mats)
+        return _contract_x_modes(gs, xs, [_cell_moments(e, gs.kmax).T for e in edges])
 
-    return Integrand(evaluator=evaluator, smoothness="singular-diagonal", cell_integral=cell_integral)
+    def cell_map(xs, edges):
+        # sum_c Z_c int_c K(x, y) dy = sum_k e_k(x) lambda_k^{-1} (Z x_1 M_1 ... x_d M_d)_k
+        # with the cell moments M_i: contract, divide, synthesise at x
+        xs = _series_points(gs, xs)
+        moments = [_cell_moments(e, gs.kmax) for e in edges]
+        lam = _lam_tensor(gs.d, gs.kmax)
+        # sines once per distinct coordinate on each axis, gathered per point
+        uniq, inv = zip(*(np.unique(xs[:, i], return_inverse=True) for i in range(gs.d)))
+        sines = [_sine_matrix(u, gs.kmax).T for u in uniq]
+
+        def apply(Z):
+            coef = contract_axes(Z, moments)
+            coef /= lam
+            return contract_axes(coef, sines)[(slice(None),) + inv]
+
+        return apply, gs.kmax**gs.d
+
+    return Integrand(
+        evaluator=evaluator,
+        smoothness="singular-diagonal",
+        cell_integral=cell_integral,
+        cell_map=cell_map,
+    )

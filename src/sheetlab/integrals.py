@@ -52,7 +52,11 @@ class Integrand:
     shape (n, m_1, ..., m_d).  cell_integral, when supplied, takes (xs, edges)
     with per-axis edge arrays and returns, with shape (n, *cells), the exact
     integrals of f(x_i, .) over the tensor-product cells; the Donsker path
-    then integrates exactly.
+    then integrates exactly. cell_map, when supplied, takes the same
+    (xs, edges) and returns (apply, modes): apply maps a block of cell
+    innovations Z of shape (B, *cells) to sum_c Z_c int_c f(x_i, y) dy, shape
+    (B, n), through B * modes coefficients and without the (n, cells)
+    weights; DonskerIntegrator then applies it in place of weights.
     singular-diagonal integrands are finite for x != y and require a positive
     exclusion radius in quadrature.
     """
@@ -60,6 +64,7 @@ class Integrand:
     evaluator: Callable
     smoothness: str = "smooth"
     cell_integral: Optional[Callable] = None
+    cell_map: Optional[Callable] = None
 
     @property
     def singular(self) -> bool:
@@ -132,16 +137,43 @@ def _replicate_values(M: int, npts: int) -> np.ndarray:
     return np.empty((M, npts))
 
 
+def _cell_weights(f: Integrand, xs, edges, quad: QuadSpec) -> np.ndarray:
+    """The (npts, cells) weights int_{cell_k} f(x, y) dy over the tensor cells of
+    edges: the cell_integral oracle when f has one, else the r-fold midpoint rule.
+    Budgeted before f is evaluated."""
+    shape = tuple(len(e) - 1 for e in edges)
+    ncells = int(np.prod(shape))
+    # the quadrature fallback evaluates f at r^d nodes per cell
+    nodes = ncells if f.cell_integral is not None else ncells * quad.r ** len(edges)
+    xs = _budgeted_points(xs, nodes)
+    if f.cell_integral is not None:
+        return np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], ncells)
+    mids, widths = _refined_axes(edges, quad.r)
+    wt = widths[0]
+    for v in widths[1:]:
+        wt = np.multiply.outer(wt, v)
+    W = _eval_matrix(f, xs, mids, quad.rho) * wt
+    # aggregate r^d sub-cells back onto the cells
+    for axis in range(len(edges)):
+        new = list(W.shape)
+        new[axis + 1 : axis + 2] = [shape[axis], quad.r]
+        W = W.reshape(new).sum(axis=axis + 2)
+    return W.reshape(xs.shape[0], ncells)
+
+
 class DonskerIntegrator:
-    """Precomputed weights for X(x) = s sum_k Z_k w_k(x) with i.i.d. innovations Z_k.
+    """X(x) = s sum_k Z_k w_k(x) with i.i.d. innovations Z_k.
 
     w_k(x) = int_{cell_k} f(x, y) dy over the tensor cells of the per-axis
-    edges, evaluated once per x and reused across kernel realizations;
-    s = scale. noise_integrator passes the donsker_edges lattice with
+    edges; s = scale. noise_integrator passes the donsker_edges lattice with
     s = n^{d/2} (the Donsker kernel), or the grid's own cells with
     s = cell_volume^{-1/2}, so that s Z_k w_k = (w_k / cell_volume)
     (sqrt(cell_volume) Z_k) is the discrete Wiener integral against the
     Brownian sheet's cell increments.
+
+    When f supplies a cell_map, the innovations go through it and no weight
+    matrix is held (the mode route); otherwise the (npts, cells) weights are
+    built once and reused across kernel realizations (the dense route).
     """
 
     def __init__(
@@ -154,49 +186,53 @@ class DonskerIntegrator:
         law: str = "standard-normal",
     ):
         self.scale = scale
-        self.d = len(edges)
         self.law = law
-        shape = tuple(len(e) - 1 for e in edges)
-        self.cell_shape = shape
-        ncells = int(np.prod(shape))
-        # the quadrature fallback evaluates f at r^d nodes per cell
-        nodes = ncells if f.cell_integral is not None else ncells * quad.r**self.d
-        xs = _budgeted_points(xs, nodes)
-        if f.cell_integral is not None:
-            W = np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], ncells)
+        self.cell_shape = tuple(len(e) - 1 for e in edges)
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        self.npts = xs.shape[0]
+        self._oracle = (f, xs, edges, quad)
+        if f.cell_map is not None:
+            self._map, self.modes = f.cell_map(xs, edges)
+            self._weights = None
         else:
-            mids, widths = _refined_axes(edges, quad.r)
-            wt = widths[0]
-            for v in widths[1:]:
-                wt = np.multiply.outer(wt, v)
-            W = _eval_matrix(f, xs, mids, quad.rho) * wt
-            # aggregate r^d sub-cells back onto the cells
-            for axis in range(self.d):
-                new = list(W.shape)
-                new[axis + 1 : axis + 2] = [shape[axis], quad.r]
-                W = W.reshape(new).sum(axis=axis + 2)
-            W = W.reshape(xs.shape[0], ncells)
-        self.weights = W
+            self._map, self.modes = None, 0
+            self._weights = _cell_weights(f, xs, edges, quad)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (npts, cells) weights: held on the dense route, built anew from
+        the integrand on each access on the mode route."""
+        return self._weights if self._weights is not None else _cell_weights(*self._oracle)
 
     def apply_innovations(self, Z: np.ndarray) -> np.ndarray:
         """Batch apply: Z of shape (M, ncells) -> values of shape (M, npts)."""
-        return self.scale * (Z @ self.weights.T)
+        if self._map is not None:
+            return self.scale * self._map(Z.reshape((-1,) + self.cell_shape))
+        return self.scale * (Z @ self._weights.T)
 
     def replicates(self, rng, M: Optional[int] = None) -> np.ndarray:
         """Values at xs for a stack of realizations, shape (M, npts).
 
         rng is one RngStream whose generator draws all M innovation rows, or,
         with M omitted, a list of streams drawing one row each. Rows are drawn
-        and applied in blocks of about DRAW_BLOCK innovations, so one generator
-        gives the same innovations in the same order as a single (M, cells)
-        draw without holding them all. A block holds at most
-        max(DRAW_BLOCK, cells) innovations, and the weights budget the cells;
-        the (M, npts) values are checked against the budget before any draw.
+        and applied in blocks of about DRAW_BLOCK innovations (or mode
+        coefficients, if more), so one generator gives the same innovations in
+        the same order as a single (M, cells) draw without holding them all.
+        The (M, npts) values are checked against the budget before any draw.
+        On the dense route the weights budget the cells; on the mode route the
+        first block's innovations and coefficients are checked before it is drawn.
         """
         streams = list(rng) if M is None else None
         M = len(streams) if M is None else M
-        out = _replicate_values(M, self.weights.shape[0])
+        out = _replicate_values(M, self.npts)
         ncells = int(np.prod(self.cell_shape))
+        rows = max(1, DRAW_BLOCK // max(ncells, self.modes, 1))
+        if self._map is not None:
+            B = min(rows, M)
+            for what, shape in (("innovation block", (B,) + self.cell_shape),
+                                ("mode coefficients", (B, self.modes))):
+                entries = int(np.prod(shape))
+                check_budget(entries, f"{what} of shape {shape} would need {8 * entries} bytes")
         gen = rng.generator() if streams is None else None
 
         def draw(lo, hi):
@@ -207,7 +243,6 @@ class DonskerIntegrator:
                 row[:] = _draw_innovations(s.generator(), self.law, ncells)
             return Z
 
-        rows = max(1, DRAW_BLOCK // max(ncells, 1))
         for lo in range(0, M, rows):
             # the block is a temporary: freed before the next one is drawn
             out[lo : lo + rows] = self.apply_innovations(draw(lo, min(lo + rows, M)))

@@ -9,6 +9,7 @@ family approximates the Brownian sheet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,17 +148,24 @@ def donsker_eval(f: DonskerField, x) -> float:
     return float(f.n ** (f.d / 2.0) * f.Z[tuple(idx)])
 
 
+def _ks_intensity(n) -> float:
+    """The Kac-Stroock intensity n as a float, once it is finite and positive."""
+    n = float(n)
+    if not (math.isfinite(n) and n > 0):
+        raise ValueError(f"Kac-Stroock intensity n must be finite and positive, got {n}")
+    return n
+
+
 def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream | None = None) -> PoissonField:
     """Homogeneous Poisson point process of intensity n on D."""
-    if n <= 0:
-        raise ValueError("Kac-Stroock intensity n must be positive")
+    n = _ks_intensity(n)
     volume = float(np.prod(grid.T))
     expected = n * volume * grid.d
     check_budget(expected, f"Kac-Stroock field would need about {expected:.0f} point coordinates")
     gen = rng.generator() if rng is not None else np.random.default_rng()
     count = int(gen.poisson(n * volume))
     pts = gen.uniform(0.0, 1.0, size=(count, grid.d)) * np.asarray(grid.T)
-    return PoissonField(n=float(n), grid=grid, points=pts)
+    return PoissonField(n=n, grid=grid, points=pts)
 
 
 def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:
@@ -168,6 +176,7 @@ def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:
     The rule depends on no Poisson point, so a sign grid over the budget of
     check_budget is refused before any point is drawn.
     """
+    n = _ks_intensity(n)
     cells = [r * max(nb, int(np.ceil(n * t))) for nb, t in zip(grid.N, grid.T)]
     total = np.prod(cells, dtype=float)
     check_budget(total, f"Kac-Stroock sign grid would need {total:.0f} cells")

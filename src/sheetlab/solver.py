@@ -245,13 +245,15 @@ def psi_continuity_check(
 class SpdeSampler:
     """Replicate sampler for mild-solution fields under a chosen noise driver.
 
-    Precomputes the Green-kernel quadrature weights at the interior grid
-    nodes (K(x, .) vanishes on the boundary, where eta is 0), the
-    solver gate and int K g once.  Replicates are then solved in blocks of
-    SOLVE_BLOCK: each replicate draws its noise from its own stream, the
-    block's noise is applied at once (one matrix product for the Donsker and
-    sheet drivers, one packed parity grid for Kac-Stroock), and one
-    fixed-point iteration runs over the whole block.
+    Precomputes the Green-kernel noise integrator at the interior grid nodes
+    (K(x, .) vanishes on the boundary, where eta is 0), the solver gate and
+    int K g once.  Replicates are then solved in blocks of SOLVE_BLOCK: each
+    replicate draws its noise from its own stream, the block's noise is
+    integrated at once, and one fixed-point iteration runs over the whole
+    block.  The Donsker and sheet drivers take the Green kernel's mode route
+    (per-axis cell moments, 1 / lambda, node sines; one BLAS call per field,
+    so a block's noise equals lone fields bit for bit); Kac-Stroock takes one
+    packed parity grid.
     """
 
     def __init__(

@@ -293,6 +293,17 @@ def test_kac_stroock_sign_grid_refused_before_the_draw(tmp_path, monkeypatch, ca
     assert "Kac-Stroock sign grid would need 16000000000000 cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["inf", "nan"])
+def test_kac_stroock_intensity_refused_up_front(tmp_path, capsys, n):
+    # checked before ks_rule, whose int(ceil(n T)) raised an OverflowError at
+    # inf and a message that named no field at nan
+    out = tmp_path / "run"
+    code = main(["simulate", "--family", "kac-stroock", "--n", n, "--report-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"Kac-Stroock intensity n must be finite and positive, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_donsker_innovation_block_refusal(tmp_path, monkeypatch, capsys):
     # the variance report draws 1000 rows of 16 innovations (n = 4, d = 2) and
     # holds only their 1000 x 1 probe values: the draws stream past a budget of
@@ -413,23 +424,31 @@ def test_readme_commands_exit_ok(tmp_path):
         assert (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("family", ["donsker", "kac-stroock", "sheet"])
-def test_weight_budget_refusal(tmp_path, monkeypatch, capsys, family):
-    # 9 interior nodes x 64 cells (donsker, kac-stroock at n=8) or 16 cells
-    # (sheet); kmax 8 keeps the 64-mode Green series under the budget
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 9 * 16 - 1)
-    code = main(
-        [
-            "poisson-solve",
-            "--family", family,
-            "--n", "8",
-            "--grid-n", "4",
-            "--kmax", "8",
-            "--report-dir", str(tmp_path),
-        ]
-    )
+@pytest.mark.parametrize(
+    "family, argv, budget, message",
+    [
+        # 9 interior nodes x 64 rule cells at n = 8; kmax 8 keeps the 64-mode
+        # Green series under the budget
+        pytest.param("kac-stroock", ["poisson-solve", "--n", "8", "--kmax", "8"], 9 * 16 - 1,
+                     "weight matrix of shape (9, ", id="kac-stroock"),
+        # donsker and sheet build no weight matrix: the mode route refuses a
+        # 64-replicate block's 64 x 64 innovations at n = 8 (kmax 4: 16 modes;
+        # the sheet target's 64 x 16 innovations pass) ...
+        pytest.param("donsker", ["spde-compare", "--n-list", "8", "--M", "100", "--kmax", "4"],
+                     64 * 64 - 1, "innovation block of shape (64, 8, 8) would need 32768 bytes",
+                     id="donsker"),
+        # ... or the 64 x 64 mode coefficients of a block of 16 cells at kmax 8
+        pytest.param("sheet", ["spde-compare", "--M", "100", "--kmax", "8"], 64 * 64 - 1,
+                     "mode coefficients of shape (64, 64) would need 32768 bytes", id="sheet"),
+    ],
+)
+def test_weight_budget_refusal(tmp_path, monkeypatch, capsys, family, argv, budget, message):
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", budget)
+    out = tmp_path / "run"
+    code = main(argv + ["--family", family, "--grid-n", "4", "--report-dir", str(out)])
     assert code == EXIT_REFUSED
-    assert "weight matrix of shape (9, " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_strict_verdict_failure(tmp_path):

@@ -307,7 +307,9 @@ def test_sheet_driver_matches_former_sheet_integrator(kind, d, N, T, seed):
     assert np.max(np.abs(var - ref_var)) <= 1e-12 * np.max(ref_var)
 
 
-@pytest.mark.parametrize("kind", ["indicator", "smooth", "green"])
+# the Green kernel takes the mode route, which sums in another order than the
+# former integrator's product: test_green_mode_route_matches_dense_weights
+@pytest.mark.parametrize("kind", ["indicator", "smooth"])
 def test_sheet_driver_bit_identical_on_dyadic_grid(kind):
     f, xs, grid = _sheet_case(kind, 2, 16, 1.0, 41)
     integ = noise_integrator("sheet", f, xs, grid, None, QuadSpec(r=1, rho=1e-3))
@@ -330,6 +332,63 @@ def test_sheet_is_donsker_at_dyadic_n_equals_grid_n(kind, d, N):
     np.testing.assert_array_equal(
         sheet.replicates(RngStream(44), 50), donsker.replicates(RngStream(44), 50)
     )
+
+
+@pytest.mark.parametrize(
+    "d, N, kmax, n",
+    [(2, 16, 64, n) for n in (4, 10, 64, "sheet")] + [(3, 8, 32, 4), (3, 8, 32, 16)],
+)
+def test_green_mode_route_matches_dense_weights(d, N, kmax, n):
+    """Green noise at the interior nodes through the cell moments, 1 / lambda
+    and the node sines agrees with the dense cell_integral weights within 1e-14
+    of the largest value, and the sheet's second moment keeps the dense bits."""
+    grid = GridSpec(d=d, T=1.0, N=N)
+    xs = tensor_points([grid.axis_nodes(i)[1:-1] for i in range(d)])
+    f = green_integrand(GreenSeries(d=d, kmax=kmax))
+    if n == "sheet":
+        integ = noise_integrator("sheet", f, xs, grid, None)
+        cv = grid.cell_volume
+        F = f.cell_integral(xs, [grid.axis_nodes(i) for i in range(d)]).reshape(len(xs), -1) / cv
+        np.testing.assert_array_equal(integ.second_moment(), np.sum(F**2, axis=1) * cv)
+    else:
+        integ = noise_integrator("donsker", f, xs, grid, n)
+    assert integ.modes == kmax**d
+    ncells = int(np.prod(integ.cell_shape))
+    got = integ.replicates(RngStream(47), 20)
+    Z = kernels._draw_innovations(RngStream(47).generator(), "standard-normal", (20, ncells))
+    ref = integ.scale * (Z @ integ.weights.T)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_green_cell_map_gathers_scattered_points(d):
+    # points off any tensor grid, two sharing a coordinate, one on the boundary
+    gs = GreenSeries(d=d, kmax=8)
+    xs = RngStream(48).generator().uniform(0.0, 1.0, size=(7, d))
+    xs[1, 0], xs[2, :] = xs[0, 0], 1.0
+    edges = donsker_edges(5, (1.0,) * d)
+    apply, modes = green_integrand(gs).cell_map(xs, edges)
+    assert modes == 8**d
+    Z = RngStream(49).generator().standard_normal((4,) + (5,) * d)
+    W = green_integrand(gs).cell_integral(xs, edges).reshape(7, -1)
+    ref = Z.reshape(4, -1) @ W.T
+    got = apply(Z)
+    assert got.shape == (4, 7)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_green_mode_route_coefficients_budgeted(monkeypatch):
+    # 16 sheet cells, kmax 8: 3 rows hold 48 innovations and 3 x 64 mode
+    # coefficients; a budget of 191 refuses the coefficients before any draw
+    grid = GridSpec(d=2, T=1.0, N=4)
+    f = green_integrand(GreenSeries(d=2, kmax=8))
+    integ = noise_integrator("sheet", f, [(0.5, 0.5)], grid, None)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 - 1)
+    refusal = r"mode coefficients of shape \(3, 64\) would need 1536 bytes"
+    with pytest.raises(BudgetExceededError, match=refusal):
+        integ.replicates(_NeverDrawn(), 3)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64)
+    assert integ.replicates(RngStream(50), 3).shape == (3, 1)
 
 
 def _former_ks_values(f, xs, grid, n, quad, fields):

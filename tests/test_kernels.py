@@ -26,6 +26,7 @@ from sheetlab.kernels import (
     PoissonField,
     donsker_edges,
     ks_parity_bits,
+    ks_rule,
     ks_scale,
     ks_values_on_grid,
 )
@@ -57,6 +58,15 @@ def test_donsker_budget_read_at_call_time(monkeypatch):
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10)
     with pytest.raises(BudgetExceededError, match="256 innovations"):
         sample_donsker(GridSpec(d=2, T=1.0, N=4), 16)
+
+
+@pytest.mark.parametrize("n", [0.0, -1.0, np.inf, np.nan])
+def test_kac_stroock_intensity_finite_and_positive(n):
+    grid = GridSpec(d=2, T=1.0, N=4)
+    with pytest.raises(ValueError, match=f"intensity n must be finite and positive, got {n}"):
+        ks_rule(grid, n, 1)
+    with pytest.raises(ValueError, match=f"intensity n must be finite and positive, got {n}"):
+        sample_kac_stroock(grid, n, RngStream(0))
 
 
 def test_kac_stroock_budget_refused_before_generator(monkeypatch):

@@ -1,5 +1,7 @@
 """Fixed-point solvers and mild-solution sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,8 +250,10 @@ DRIVERS = [("donsker", 8), ("kac-stroock", 8), ("sheet", None)]
 @pytest.mark.parametrize("max_iterations", [200, 6])
 def test_sample_solutions_match_single_solves(family, n, spec, relaxation, max_iterations):
     """Block solves reproduce one solve_contraction per replicate substream:
-    the same iterations and verdict, values within 1e-12 of the sup norm
-    (the block's noise product sums in another order than a lone one)."""
+    the same iterations and verdict, and the same values bit for bit for the
+    Donsker and sheet drivers, whose block noise equals lone noise fields.
+    Kac-Stroock values agree within 1e-12 of the sup norm (a block's parity
+    product sums in another order than a lone one)."""
     g = GridField(GRID, np.ones(GRID.node_shape))
     F = nonlinearity_preset(spec)
     # 6 stops some replicates unconverged
@@ -264,8 +268,49 @@ def test_sample_solutions_match_single_solves(family, n, spec, relaxation, max_i
         for res, want in zip(got, ref):
             assert res.iterations == want.iterations
             assert res.converged == want.converged
-            tol = 1e-12 * np.max(np.abs(want.u.values))
-            np.testing.assert_allclose(res.u.values, want.u.values, rtol=0, atol=tol)
+            if family == "kac-stroock":
+                tol = 1e-12 * np.max(np.abs(want.u.values))
+                np.testing.assert_allclose(res.u.values, want.u.values, rtol=0, atol=tol)
+            else:
+                np.testing.assert_array_equal(res.u.values, want.u.values)
+
+
+def test_block_noise_equals_lone_noise_fields():
+    g = GridField(GRID, np.ones(GRID.node_shape))
+    streams = RngStream(89).split(SOLVE_BLOCK + 3)
+    for family, n in (("donsker", 8), ("donsker", 5), ("sheet", None)):
+        sampler = SpdeSampler(family, n, g, nonlinearity_preset("zero"), GS)
+        lone = np.stack([sampler.sample_noise_field(s).values for s in streams])
+        for block in (slice(0, SOLVE_BLOCK), slice(SOLVE_BLOCK, None)):
+            np.testing.assert_array_equal(sampler._noise_block(streams[block]), lone[block])
+
+
+def test_sheet_noise_is_donsker_noise_at_dyadic_n():
+    # on a dyadic grid the sheet's cells and scale are the Donsker lattice's at n = N
+    grid = GridSpec(d=2, T=1.0, N=16)
+    g = GridField(grid, np.ones(grid.node_shape))
+    gs, F = GreenSeries(d=2, kmax=16), nonlinearity_preset("zero")
+    sheet = SpdeSampler("sheet", None, g, F, gs)
+    donsker = SpdeSampler("donsker", 16, g, F, gs)
+    streams = RngStream(90).split(5)
+    np.testing.assert_array_equal(sheet._noise_block(streams), donsker._noise_block(streams))
+
+
+def test_d3_mode_route_sampler_memory_bounded():
+    # d = 3, N = 16, n = 32: dense Green weights would need 3375 x 32768 entries
+    # (885 MB, over the budget); the mode route holds per-axis matrices and one
+    # row block of innovations and mode coefficients at a time
+    grid = GridSpec(d=3, T=1.0, N=16)
+    g = GridField(grid, np.ones(grid.node_shape))
+    tracemalloc.start()
+    try:
+        sampler = SpdeSampler("donsker", 32, g, nonlinearity_preset("zero"), GreenSeries(d=3))
+        eta = sampler._noise_block(RngStream(91).split(SOLVE_BLOCK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eta.shape == (SOLVE_BLOCK,) + grid.node_shape
+    assert peak < 20 * 2**20, peak
 
 
 def test_linear_case_decomposition():
