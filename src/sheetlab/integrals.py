@@ -12,6 +12,7 @@ from .kernels import (
     KS_BLOCK,
     _donsker_scale,
     _draw_innovations,
+    cell_overlaps,
     check_budget,
     donsker_edges,
     ks_midpoints,
@@ -20,7 +21,7 @@ from .kernels import (
     ks_scale,
     sample_kac_stroock,
 )
-from .quadrature import QuadSpec, row_outer
+from .quadrature import QuadSpec, contract_axes, row_outer
 
 __all__ = [
     "Integrand",
@@ -56,7 +57,8 @@ class Integrand:
     (xs, edges) and returns (apply, modes): apply maps a block of cell
     innovations Z of shape (B, *cells) to sum_c Z_c int_c f(x_i, y) dy, shape
     (B, n), through B * modes coefficients and without the (n, cells)
-    weights; DonskerIntegrator then applies it in place of weights.
+    weights. Its cost grows with the product, over the axes, of the number
+    of distinct coordinates of xs: tensor grids are cheap, scattered points not.
     singular-diagonal integrands are finite for x != y and require a positive
     exclusion radius in quadrature.
     """
@@ -80,11 +82,19 @@ def indicator_integrand() -> Integrand:
 
     def ci(xs, edges):
         xs = np.asarray(xs, dtype=float)
-        # per x, the overlap of each cell's axis interval with [0, x_i]
-        lens = [np.diff(np.clip(e, 0.0, xs[:, i : i + 1]), axis=1) for i, e in enumerate(edges)]
-        return row_outer(lens)
+        return row_outer([cell_overlaps(xs[:, i], e) for i, e in enumerate(edges)])
 
-    return Integrand(evaluator=ev, cell_integral=ci)
+    def cm(xs, edges):
+        # zeta_on_axes at the distinct coordinates on each axis, gathered per point
+        uniq, inv = zip(*(np.unique(xs[:, i], return_inverse=True) for i in range(xs.shape[1])))
+        mats = [cell_overlaps(u, e).T for u, e in zip(uniq, edges)]
+
+        def apply(Z):
+            return contract_axes(Z, mats)[(slice(None),) + inv]
+
+        return apply, int(np.prod([len(u) for u in uniq]))
+
+    return Integrand(evaluator=ev, cell_integral=ci, cell_map=cm)
 
 
 def _eval_matrix(f: Integrand, xs: np.ndarray, axes, rho: float) -> np.ndarray:
@@ -171,9 +181,8 @@ class DonskerIntegrator:
     (sqrt(cell_volume) Z_k) is the discrete Wiener integral against the
     Brownian sheet's cell increments.
 
-    When f supplies a cell_map, the innovations go through it and no weight
-    matrix is held (the mode route); otherwise the (npts, cells) weights are
-    built once and reused across kernel realizations (the dense route).
+    The innovations go through f's cell_map, which holds no weight matrix, or,
+    for an f without one, through its (npts, cells) weights, built once.
     """
 
     def __init__(
@@ -193,22 +202,18 @@ class DonskerIntegrator:
         self._oracle = (f, xs, edges, quad)
         if f.cell_map is not None:
             self._map, self.modes = f.cell_map(xs, edges)
-            self._weights = None
         else:
-            self._map, self.modes = None, 0
-            self._weights = _cell_weights(f, xs, edges, quad)
+            W = _cell_weights(f, xs, edges, quad)
+            self._map, self.modes = (lambda Z: Z.reshape(len(Z), -1) @ W.T), 0
 
     @property
     def weights(self) -> np.ndarray:
-        """The (npts, cells) weights: held on the dense route, built anew from
-        the integrand on each access on the mode route."""
-        return self._weights if self._weights is not None else _cell_weights(*self._oracle)
+        """The (npts, cells) weights, built anew from the integrand on each access."""
+        return _cell_weights(*self._oracle)
 
     def apply_innovations(self, Z: np.ndarray) -> np.ndarray:
         """Batch apply: Z of shape (M, ncells) -> values of shape (M, npts)."""
-        if self._map is not None:
-            return self.scale * self._map(Z.reshape((-1,) + self.cell_shape))
-        return self.scale * (Z @ self._weights.T)
+        return self.scale * self._map(Z.reshape((-1,) + self.cell_shape))
 
     def replicates(self, rng, M: Optional[int] = None) -> np.ndarray:
         """Values at xs for a stack of realizations, shape (M, npts).
@@ -218,21 +223,19 @@ class DonskerIntegrator:
         and applied in blocks of about DRAW_BLOCK innovations (or mode
         coefficients, if more), so one generator gives the same innovations in
         the same order as a single (M, cells) draw without holding them all.
-        The (M, npts) values are checked against the budget before any draw.
-        On the dense route the weights budget the cells; on the mode route the
-        first block's innovations and coefficients are checked before it is drawn.
+        The (M, npts) values, then the first block's innovations and mode
+        coefficients, are checked against the budget before any draw.
         """
         streams = list(rng) if M is None else None
         M = len(streams) if M is None else M
         out = _replicate_values(M, self.npts)
         ncells = int(np.prod(self.cell_shape))
         rows = max(1, DRAW_BLOCK // max(ncells, self.modes, 1))
-        if self._map is not None:
-            B = min(rows, M)
-            for what, shape in (("innovation block", (B,) + self.cell_shape),
-                                ("mode coefficients", (B, self.modes))):
-                entries = int(np.prod(shape))
-                check_budget(entries, f"{what} of shape {shape} would need {8 * entries} bytes")
+        B = min(rows, M)
+        for what, shape in (("innovation block", (B,) + self.cell_shape),
+                            ("mode coefficients", (B, self.modes))):
+            entries = int(np.prod(shape))
+            check_budget(entries, f"{what} of shape {shape} would need {8 * entries} bytes")
         gen = rng.generator() if streams is None else None
 
         def draw(lo, hi):

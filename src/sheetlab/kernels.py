@@ -32,6 +32,7 @@ __all__ = [
     "ks_midpoints",
     "ks_parity_bits",
     "ks_scale",
+    "cell_overlaps",
     "zeta_on_axes",
     "zeta",
 ]
@@ -254,6 +255,12 @@ def ks_values_on_grid(f: PoissonField, mid_axes) -> np.ndarray:
     return ks_scale(f.n, mid_axes) * (1.0 - 2.0 * (ks_parity_bits([f.points], mid_axes) & 1))
 
 
+def cell_overlaps(a, e) -> np.ndarray:
+    """|[e_j, e_{j+1}] cap [0, a_p]| for the coordinates a and the cell edges e
+    (from 0 up) of one axis: shape (len(a), cells)."""
+    return np.clip(np.minimum(np.asarray(a, dtype=float)[:, None], e[1:]) - e[:-1], 0.0, None)
+
+
 def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
     """zeta_n(x) = int_{[0,x]} theta_n(y) dy at every point of the tensor grid of
     axes, shape (len(a_1), ..., len(a_d)).
@@ -278,8 +285,7 @@ def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
         raise TypeError(f"unsupported kernel field type {type(f)!r}")
     # each overlap is built (points, cells) and passed as a transposed view: built
     # (cells, points), a d = 1 field sums in another order and moves in the last bit
-    mats = [np.clip(np.minimum(a[:, None], e[1:]) - e[:-1], 0.0, None) for a, e in zip(axes, edges)]
-    return scale * contract_axes(vals[None], [m.T for m in mats])[0]
+    return scale * contract_axes(vals[None], [cell_overlaps(a, e).T for a, e in zip(axes, edges)])[0]
 
 
 def zeta(f, x, quad: QuadSpec = QuadSpec()) -> float:

@@ -305,25 +305,29 @@ def test_kac_stroock_intensity_refused_up_front(tmp_path, capsys, n):
 
 
 def test_donsker_innovation_block_refusal(tmp_path, monkeypatch, capsys):
-    # the variance report draws 1000 rows of 16 innovations (n = 4, d = 2) and
-    # holds only their 1000 x 1 probe values: the draws stream past a budget of
-    # 1000, and values above a budget of 999 are refused
+    # the variance report draws its 1000 rows of 64 innovations (n = 8, d = 2)
+    # as one block: a budget of one block runs, one entry less is refused before
+    # the block is drawn, and values above a budget of 999 are refused
     argv = [
         "convergence-report",
         "--diagnostic", "variance",
         "--family", "donsker",
-        "--n", "4,8",
+        "--n", "8",
         "--grid-n", "4",
         "--M", "1000",
     ]
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 1000)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 1000 * 64)
     assert main(argv + ["--report-dir", str(tmp_path / "ok")]) in (EXIT_OK, EXIT_VERDICT)
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 999)
-    out = tmp_path / "run"
-    code = main(argv + ["--report-dir", str(out)])
-    assert code == EXIT_REFUSED
-    assert "replicate values of shape (1000, 1) would need 8000 bytes" in capsys.readouterr().err
-    assert not out.exists()
+    for budget, refusal in (
+        (1000 * 64 - 1, "innovation block of shape (1000, 8, 8) would need 512000 bytes"),
+        (999, "replicate values of shape (1000, 1) would need 8000 bytes"),
+    ):
+        monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", budget)
+        out = tmp_path / f"run-{budget}"
+        code = main(argv + ["--report-dir", str(out)])
+        assert code == EXIT_REFUSED
+        assert refusal in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_fdd_directions_refused_before_the_draw(tmp_path, monkeypatch, capsys):

@@ -307,9 +307,9 @@ def test_sheet_driver_matches_former_sheet_integrator(kind, d, N, T, seed):
     assert np.max(np.abs(var - ref_var)) <= 1e-12 * np.max(ref_var)
 
 
-# the Green kernel takes the mode route, which sums in another order than the
-# former integrator's product: test_green_mode_route_matches_dense_weights
-@pytest.mark.parametrize("kind", ["indicator", "smooth"])
+# the indicator and Green kernels take their cell maps, which sum in another
+# order than the former integrator's product: test_green_mode_route_matches_dense_weights
+@pytest.mark.parametrize("kind", ["smooth"])
 def test_sheet_driver_bit_identical_on_dyadic_grid(kind):
     f, xs, grid = _sheet_case(kind, 2, 16, 1.0, 41)
     integ = noise_integrator("sheet", f, xs, grid, None, QuadSpec(r=1, rho=1e-3))
@@ -334,17 +334,23 @@ def test_sheet_is_donsker_at_dyadic_n_equals_grid_n(kind, d, N):
     )
 
 
+_MODE_CASES = [(2, 16, 64, n) for n in (4, 10, 64, "sheet")] + [(3, 8, 32, 4), (3, 8, 32, 16)]
+
+
 @pytest.mark.parametrize(
-    "d, N, kmax, n",
-    [(2, 16, 64, n) for n in (4, 10, 64, "sheet")] + [(3, 8, 32, 4), (3, 8, 32, 16)],
+    "kind, d, N, kmax, n",
+    [pytest.param("green", *case, id="-".join(map(str, case))) for case in _MODE_CASES]
+    + [pytest.param("indicator", d, N, None, n, id=f"indicator-{d}-{N}-{n}")
+       for d, N, _, n in _MODE_CASES],
 )
-def test_green_mode_route_matches_dense_weights(d, N, kmax, n):
+def test_green_mode_route_matches_dense_weights(kind, d, N, kmax, n):
     """Green noise at the interior nodes through the cell moments, 1 / lambda
-    and the node sines agrees with the dense cell_integral weights within 1e-14
-    of the largest value, and the sheet's second moment keeps the dense bits."""
+    and the node sines, and indicator noise through the nodes' cell overlaps,
+    agree with the dense cell_integral weights within 1e-14 of the largest
+    value, and the sheet's second moment keeps the dense bits."""
     grid = GridSpec(d=d, T=1.0, N=N)
     xs = tensor_points([grid.axis_nodes(i)[1:-1] for i in range(d)])
-    f = green_integrand(GreenSeries(d=d, kmax=kmax))
+    f = green_integrand(GreenSeries(d=d, kmax=kmax)) if kind == "green" else indicator_integrand()
     if n == "sheet":
         integ = noise_integrator("sheet", f, xs, grid, None)
         cv = grid.cell_volume
@@ -352,12 +358,35 @@ def test_green_mode_route_matches_dense_weights(d, N, kmax, n):
         np.testing.assert_array_equal(integ.second_moment(), np.sum(F**2, axis=1) * cv)
     else:
         integ = noise_integrator("donsker", f, xs, grid, n)
-    assert integ.modes == kmax**d
+    assert integ.modes == (kmax**d if kind == "green" else len(xs))
     ncells = int(np.prod(integ.cell_shape))
     got = integ.replicates(RngStream(47), 20)
     Z = kernels._draw_innovations(RngStream(47).generator(), "standard-normal", (20, ncells))
     ref = integ.scale * (Z @ integ.weights.T)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("T", [1.0, 0.28, 1.7])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_donsker_indicator_replicate_is_zeta_on_axes(d, T, seed):
+    # one replicate at the grid nodes is simulate's zeta_n, bit for bit
+    grid = GridSpec(d=d, T=T, N=8)
+    axes = [grid.axis_nodes(i) for i in range(d)]
+    integ = noise_integrator("donsker", indicator_integrand(), tensor_points(axes), grid, 4)
+    want = zeta_on_axes(sample_donsker(grid, 4, rng=RngStream(seed)), axes).ravel()
+    np.testing.assert_array_equal(integ.replicates(RngStream(seed), 1)[0], want)
+
+
+def test_donsker_indicator_block_is_its_rows_one_at_a_time():
+    # one BLAS call per field, shaped as for a lone field: a block of 64 fields
+    # at the 17 x 17 nodes is the same fields applied one at a time
+    grid = GridSpec(d=2, T=1.0, N=16)
+    xs = tensor_points([grid.axis_nodes(i) for i in range(2)])
+    integ = noise_integrator("donsker", indicator_integrand(), xs, grid, 64)
+    Z = kernels._draw_innovations(RngStream(51).generator(), "standard-normal", (64, 64 * 64))
+    rows = np.concatenate([integ.apply_innovations(z[None]) for z in Z])
+    np.testing.assert_array_equal(integ.apply_innovations(Z), rows)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -536,22 +565,27 @@ class _NeverDrawn:
 
 
 def test_donsker_innovation_block_budget(monkeypatch):
-    # 10 rows of 64 innovations stream past a budget of 639 entries, from one
-    # stream or from one stream per row: only the (10, 3) values are held
+    # 10 rows of 64 innovations are one block: a budget of 640 entries draws
+    # it, from one stream or from one stream per row
     integ = DonskerIntegrator(
         indicator_integrand(), np.full((3, 2), 0.5), donsker_edges(8, (1.0, 1.0)), 8.0
     )
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 64 - 1)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 64)
     assert integ.replicates(RngStream(45), 10).shape == (10, 3)
     assert integ.replicates(RngStream(45).split(10)).shape == (10, 3)
-    # values above the budget are refused before any innovation is drawn
+    # one entry less refuses the block before any innovation is drawn
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 64 - 1)
+    block = r"innovation block of shape \(10, 8, 8\) would need 5120 bytes"
+    with pytest.raises(BudgetExceededError, match=block):
+        integ.replicates(_NeverDrawn(), 10)
+    with pytest.raises(BudgetExceededError, match=block):
+        integ.replicates([_NeverDrawn()] * 10)
+    # values above the budget are refused first
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 3 - 1)
     with pytest.raises(BudgetExceededError, match=r"shape \(10, 3\) would need 240 bytes"):
         integ.replicates(_NeverDrawn(), 10)
     with pytest.raises(BudgetExceededError, match=r"shape \(10, 3\) would need 240 bytes"):
         integ.replicates([_NeverDrawn()] * 10)
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10 * 3)
-    assert integ.replicates(RngStream(45), 10).shape == (10, 3)
 
 
 def test_kac_stroock_replicate_values_budget(monkeypatch):
