@@ -11,8 +11,9 @@ This module alone decides the artifact format. Artifacts are written only by
 runs that exit 0 or 3; a refused run creates no file and no directory.
 
 Exit codes: 0 success, 2 config error, 3 statistical verdict failure under
---strict, 4 resource refusal (node-grid, innovation, Donsker-lattice,
-weight-matrix, noise-stack or sign-grid budget, or contraction gate).
+--strict, 4 resource refusal (node-grid, innovation or cell-value block,
+Donsker-lattice, weight-matrix, noise-stack or sign-grid budget, or
+contraction gate).
 """
 
 from __future__ import annotations
@@ -46,16 +47,8 @@ from .green import (
     lambda_sup,
     poincare_constant,
 )
-from .integrals import FAMILIES, Integrand, indicator_integrand
-from .kernels import (
-    INNOVATION_LAWS,
-    BudgetExceededError,
-    check_budget,
-    ks_rule,
-    sample_donsker,
-    sample_kac_stroock,
-    zeta_on_axes,
-)
+from .integrals import FAMILIES, Integrand, indicator_integrand, noise_integrator
+from .kernels import INNOVATION_LAWS, BudgetExceededError, check_budget
 from .quadrature import QuadSpec, tensor_points
 from .rng import RngStream
 from .solver import (
@@ -183,13 +176,13 @@ def _report_files(report: ConvergenceReport) -> dict:
 
 def _load_g_field(spec_text: str, grid: GridSpec) -> GridField:
     """Forcing presets 'zero' and 'constant:<c>', or 'csv:<path>' with one
-    value per grid node in C-order (last column of each row)."""
+    value per grid node in C-order (last column of each row); every value finite."""
     if spec_text == "zero":
         return GridField.zeros(grid)
     kind, _, arg = str(spec_text).partition(":")
     if kind == "constant":
-        return GridField(grid, np.full(grid.node_shape, float(arg)))
-    if kind == "csv":
+        vals = np.full(grid.node_shape, float(arg))
+    elif kind == "csv":
         with open(arg) as fh:
             rows = [r for r in csv.reader(fh) if r]
         body = rows[1:] if rows and not _is_float(rows[0][-1]) else rows
@@ -199,8 +192,11 @@ def _load_g_field(spec_text: str, grid: GridSpec) -> GridField:
                 f"field 'g': csv has {vals.size} values, grid has "
                 f"{int(np.prod(grid.node_shape))} nodes"
             )
-        return GridField(grid, vals)
-    raise ConfigError(f"field 'g': unknown preset {spec_text!r}")
+    else:
+        raise ConfigError(f"field 'g': unknown preset {spec_text!r}")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"field 'g': values must be finite, got {vals[~np.isfinite(vals)][0]}")
+    return GridField(grid, vals)
 
 
 def _is_float(tok: str) -> bool:
@@ -238,15 +234,11 @@ def _sheet_at_grid_scale(subcommand: str, cfg: dict) -> None:
 
 def _run_simulate(cfg: dict) -> dict:
     grid = _node_grid(cfg)
-    rng = RngStream(int(cfg["seed"]))
-    axes = [grid.axis_nodes(i) for i in range(grid.d)]
-    quad = QuadSpec(r=int(cfg["r"]))
-    if cfg["family"] == "kac-stroock":
-        ks_rule(grid, float(cfg["n"]), quad.r)  # refused before any point is drawn
-        kern = sample_kac_stroock(grid, float(cfg["n"]), rng)
-    else:
-        kern = sample_donsker(grid, float(cfg["n"]), cfg["law"], rng)
-    field = GridField(grid, zeta_on_axes(kern, axes, quad))
+    integ = noise_integrator(
+        cfg["family"], indicator_integrand(), grid.node_points(), grid, float(cfg["n"]),
+        QuadSpec(r=int(cfg["r"])), cfg["law"],
+    )
+    field = GridField(grid, integ.replicates([RngStream(int(cfg["seed"]))])[0])
     return {"field.csv": _field_table(field, "value")}
 
 

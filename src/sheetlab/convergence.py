@@ -11,7 +11,7 @@ import numpy as np
 from .grid import GridField, GridSpec, as_point
 from .green import GreenSeries, green_on_axes
 from .integrals import Integrand, noise_integrator
-from .kernels import check_budget
+from .kernels import check_budget, check_shape_budget
 
 # re-exported: bench/layers.py traces the integrator classes it finds on this module
 from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401
@@ -79,7 +79,7 @@ class ConvergenceReport:
 
 
 def _unit_directions(count: int, dim: int, gen: np.random.Generator) -> np.ndarray:
-    check_budget(count * dim, f"directions of shape {(count, dim)} would need {8 * count * dim} bytes")
+    check_shape_budget("directions", (count, dim))
     dirs = np.empty((count, dim))
     i = 0
     while i < count:

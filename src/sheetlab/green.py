@@ -17,7 +17,7 @@ import numpy as np
 from .grid import GridField, GridSpec, as_point
 from .integrals import Integrand
 from .kernels import check_budget
-from .quadrature import contract_axes, row_outer
+from .quadrature import contract_axes, distinct_coordinates, row_outer
 from .rng import RngStream
 
 __all__ = [
@@ -156,7 +156,7 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
     for lo in range(0, Y.shape[0], POINT_CHUNK):
         block = Y[lo : lo + POINT_CHUNK]
         # sines once per distinct coordinate of the block, gathered per point
-        uniq, inv = zip(*(np.unique(block[:, i], return_inverse=True) for i in range(gs.d)))
+        uniq, inv = distinct_coordinates(block)
         mats = [_sine_matrix(u, gs.kmax) for u in uniq]
         # the first mode axis by one GEMM on the distinct rows, the others by
         # products and row sums. numpy sends a one-row product to GEMV, which
@@ -412,7 +412,7 @@ def green_integrand(gs: GreenSeries) -> Integrand:
         moments = [_cell_moments(e, gs.kmax) for e in edges]
         lam = _lam_tensor(gs.d, gs.kmax)
         # sines once per distinct coordinate on each axis, gathered per point
-        uniq, inv = zip(*(np.unique(xs[:, i], return_inverse=True) for i in range(gs.d)))
+        uniq, inv = distinct_coordinates(xs)
         sines = [_sine_matrix(u, gs.kmax).T for u in uniq]
 
         def apply(Z):

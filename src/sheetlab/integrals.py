@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -13,15 +14,16 @@ from .kernels import (
     _donsker_scale,
     _draw_innovations,
     cell_overlaps,
-    check_budget,
+    check_shape_budget,
     donsker_edges,
+    ks_edges,
     ks_midpoints,
     ks_parity_bits,
     ks_rule,
     ks_scale,
     sample_kac_stroock,
 )
-from .quadrature import QuadSpec, contract_axes, row_outer
+from .quadrature import QuadSpec, contract_axes, distinct_coordinates, row_outer
 
 __all__ = [
     "Integrand",
@@ -33,11 +35,6 @@ __all__ = [
 ]
 
 FAMILIES = ("donsker", "kac-stroock", "sheet")
-
-# rule cells per unpacked sign chunk in KacStroockIntegrator.apply: a block's
-# 2048 x 64 float signs (1 MiB) stay in cache, and the GEMM of a few points
-# against them stays on one BLAS thread
-KS_CHUNK = 2048
 
 # innovations per drawn row block in DonskerIntegrator.replicates (2 MiB of
 # doubles): the (M, cells) innovation matrix is never held at once
@@ -86,7 +83,7 @@ def indicator_integrand() -> Integrand:
 
     def cm(xs, edges):
         # zeta_on_axes at the distinct coordinates on each axis, gathered per point
-        uniq, inv = zip(*(np.unique(xs[:, i], return_inverse=True) for i in range(xs.shape[1])))
+        uniq, inv = distinct_coordinates(xs)
         mats = [cell_overlaps(u, e).T for u, e in zip(uniq, edges)]
 
         def apply(Z):
@@ -128,25 +125,6 @@ def _refined_axes(edges, r: int):
     return mids, widths
 
 
-def _budgeted_points(xs, ncells: int) -> np.ndarray:
-    """xs as an (npts, d) array, once an (npts, ncells) weight matrix fits the budget.
-
-    ncells counts the cells or quadrature nodes per x. The budget is checked
-    before any integrand is evaluated or any weight is allocated.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    entries = xs.shape[0] * ncells
-    shape = (xs.shape[0], ncells)
-    check_budget(entries, f"weight matrix of shape {shape} would need {8 * entries} bytes")
-    return xs
-
-
-def _replicate_values(M: int, npts: int) -> np.ndarray:
-    """The uninitialised (M, npts) array of replicate values, once it fits the budget."""
-    check_budget(M * npts, f"replicate values of shape {(M, npts)} would need {8 * M * npts} bytes")
-    return np.empty((M, npts))
-
-
 def _cell_weights(f: Integrand, xs, edges, quad: QuadSpec) -> np.ndarray:
     """The (npts, cells) weights int_{cell_k} f(x, y) dy over the tensor cells of
     edges: the cell_integral oracle when f has one, else the r-fold midpoint rule.
@@ -155,7 +133,8 @@ def _cell_weights(f: Integrand, xs, edges, quad: QuadSpec) -> np.ndarray:
     ncells = int(np.prod(shape))
     # the quadrature fallback evaluates f at r^d nodes per cell
     nodes = ncells if f.cell_integral is not None else ncells * quad.r ** len(edges)
-    xs = _budgeted_points(xs, nodes)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    check_shape_budget("weight matrix", (xs.shape[0], nodes))
     if f.cell_integral is not None:
         return np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], ncells)
     mids, widths = _refined_axes(edges, quad.r)
@@ -171,31 +150,20 @@ def _cell_weights(f: Integrand, xs, edges, quad: QuadSpec) -> np.ndarray:
     return W.reshape(xs.shape[0], ncells)
 
 
-class DonskerIntegrator:
-    """X(x) = s sum_k Z_k w_k(x) with i.i.d. innovations Z_k.
+class _CellIntegrator:
+    """X(x) = s sum_k v_k w_k(x) for the values v_k that a noise field takes on
+    the tensor cells of the per-axis edges, with w_k(x) = int_{cell_k} f(x, y) dy
+    and s = scale.
 
-    w_k(x) = int_{cell_k} f(x, y) dy over the tensor cells of the per-axis
-    edges; s = scale. noise_integrator passes the donsker_edges lattice with
-    s = n^{d/2} (the Donsker kernel), or the grid's own cells with
-    s = cell_volume^{-1/2}, so that s Z_k w_k = (w_k / cell_volume)
-    (sqrt(cell_volume) Z_k) is the discrete Wiener integral against the
-    Brownian sheet's cell increments.
-
-    The innovations go through f's cell_map, which holds no weight matrix, or,
-    for an f without one, through its (npts, cells) weights, built once.
+    The cell values go through f's cell_map, which holds no weight matrix, or,
+    for an f without one, through its (npts, cells) weights, built once. A
+    subclass draws them: _block_values(rng, streams) maps (lo, hi) to the values
+    at xs of fields lo..hi-1, for blocks of _rows fields applied as
+    (_applied, *cells) arrays named _block_name.
     """
 
-    def __init__(
-        self,
-        f: Integrand,
-        xs,
-        edges,
-        scale: float,
-        quad: QuadSpec = QuadSpec(),
-        law: str = "standard-normal",
-    ):
+    def __init__(self, f: Integrand, xs, edges, scale: float, quad: QuadSpec):
         self.scale = scale
-        self.law = law
         self.cell_shape = tuple(len(e) - 1 for e in edges)
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         self.npts = xs.shape[0]
@@ -212,106 +180,123 @@ class DonskerIntegrator:
         return _cell_weights(*self._oracle)
 
     def apply_innovations(self, Z: np.ndarray) -> np.ndarray:
-        """Batch apply: Z of shape (M, ncells) -> values of shape (M, npts)."""
+        """Batch apply: cell values Z of shape (M, ncells) -> values of shape (M, npts)."""
         return self.scale * self._map(Z.reshape((-1,) + self.cell_shape))
 
     def replicates(self, rng, M: Optional[int] = None) -> np.ndarray:
         """Values at xs for a stack of realizations, shape (M, npts).
 
-        rng is one RngStream whose generator draws all M innovation rows, or,
-        with M omitted, a list of streams drawing one row each. Rows are drawn
-        and applied in blocks of about DRAW_BLOCK innovations (or mode
-        coefficients, if more), so one generator gives the same innovations in
-        the same order as a single (M, cells) draw without holding them all.
-        The (M, npts) values, then the first block's innovations and mode
-        coefficients, are checked against the budget before any draw.
+        rng is one RngStream that draws all M fields, or, with M omitted, a
+        list of streams drawing one field each. Fields are drawn in blocks of
+        _rows and applied _applied at a time, so the (M, cells) values are never
+        held at once. The (M, npts) values, then the first block's cell values
+        and mode coefficients, are checked against the budget before any draw.
         """
         streams = list(rng) if M is None else None
         M = len(streams) if M is None else M
-        out = _replicate_values(M, self.npts)
-        ncells = int(np.prod(self.cell_shape))
-        rows = max(1, DRAW_BLOCK // max(ncells, self.modes, 1))
-        B = min(rows, M)
-        for what, shape in (("innovation block", (B,) + self.cell_shape),
-                            ("mode coefficients", (B, self.modes))):
-            entries = int(np.prod(shape))
-            check_budget(entries, f"{what} of shape {shape} would need {8 * entries} bytes")
+        check_shape_budget("replicate values", (M, self.npts))
+        out = np.empty((M, self.npts))
+        B = min(self._applied, M)
+        check_shape_budget(self._block_name, (B,) + self.cell_shape)
+        check_shape_budget("mode coefficients", (B, self.modes))
+        values = self._block_values(rng, streams)
+        for lo in range(0, M, self._rows):
+            out[lo : lo + self._rows] = values(lo, min(lo + self._rows, M))
+        return out
+
+
+class DonskerIntegrator(_CellIntegrator):
+    """X(x) = s sum_k Z_k w_k(x) with i.i.d. innovations Z_k.
+
+    w_k(x) = int_{cell_k} f(x, y) dy over the tensor cells of the per-axis
+    edges; s = scale. noise_integrator passes the donsker_edges lattice with
+    s = n^{d/2} (the Donsker kernel), or the grid's own cells with
+    s = cell_volume^{-1/2}, so that s Z_k w_k = (w_k / cell_volume)
+    (sqrt(cell_volume) Z_k) is the discrete Wiener integral against the
+    Brownian sheet's cell increments.
+
+    Innovation rows are drawn and applied in blocks of about DRAW_BLOCK
+    innovations (or mode coefficients, if more), so one generator gives the
+    same innovations in the same order as a single (M, cells) draw.
+    """
+
+    _block_name = "innovation block"
+
+    def __init__(
+        self,
+        f: Integrand,
+        xs,
+        edges,
+        scale: float,
+        quad: QuadSpec = QuadSpec(),
+        law: str = "standard-normal",
+    ):
+        super().__init__(f, xs, edges, scale, quad)
+        self.law = law
+        self._rows = self._applied = max(1, DRAW_BLOCK // max(math.prod(self.cell_shape), self.modes, 1))
+
+    def _block_values(self, rng, streams):
+        ncells = math.prod(self.cell_shape)
         gen = rng.generator() if streams is None else None
 
-        def draw(lo, hi):
+        def values(lo, hi):
             if gen is not None:
-                return _draw_innovations(gen, self.law, (hi - lo, ncells))
-            Z = np.empty((hi - lo, ncells))
-            for row, s in zip(Z, streams[lo:hi]):
-                row[:] = _draw_innovations(s.generator(), self.law, ncells)
-            return Z
+                Z = _draw_innovations(gen, self.law, (hi - lo, ncells))
+            else:
+                Z = np.empty((hi - lo, ncells))
+                for row, s in zip(Z, streams[lo:hi]):
+                    row[:] = _draw_innovations(s.generator(), self.law, ncells)
+            return self.apply_innovations(Z)
 
-        for lo in range(0, M, rows):
-            # the block is a temporary: freed before the next one is drawn
-            out[lo : lo + rows] = self.apply_innovations(draw(lo, min(lo + rows, M)))
-        return out
+        return values
 
     def second_moment(self) -> np.ndarray:
         """Exact E[X(x)^2] = s^2 sum_k w_k(x)^2 (unit-variance innovations)."""
         return self.scale**2 * np.sum(self.weights**2, axis=1)
 
 
-class KacStroockIntegrator:
-    """Precomputed midpoint rule for Kac-Stroock integrals.
+class KacStroockIntegrator(_CellIntegrator):
+    """X(x) = sum_c theta_n(mid_c) int_c f(x, y) dy over the ks_rule sub-cells c.
 
-    The integration grid is the field's grid refined r-fold per axis with a
-    floor of ceil(n T_i) base cells, so the rule resolves the sign staircase
-    at the noise scale. On the rule's midpoints
-    X(x) = sum_c w_c(x) (-1)^{N(mid_c)} = total(x) - 2 sum_{c : N(mid_c) odd} w_c(x),
-    with weights w_c(x) = f(x, mid_c) n^{d/2} (prod mid_c)^{(d-1)/2} |c| shared by
-    every field, so KS_BLOCK fields are integrated from one packed parity grid.
+    The rule refines the field's grid r-fold per axis with a floor of
+    ceil(n T_i) base cells, so that it resolves the sign staircase at the noise
+    scale; theta_n takes its value at each sub-cell's midpoint, as in
+    zeta_on_axes. f is integrated over the sub-cells by its cell_map, or,
+    without one, by the midpoint rule at r = 1. The fields of a block of
+    KS_BLOCK streams share one packed parity grid and are applied eight at a time.
     """
+
+    _rows, _applied, _block_name = KS_BLOCK, 8, "cell value block"
 
     def __init__(self, f: Integrand, xs, grid: GridSpec, n: float, quad: QuadSpec = QuadSpec()):
         self.grid = grid
         self.n = float(n)
         cells, widths = ks_rule(grid, self.n, quad.r)
-        ncells = int(np.prod(cells))
-        xs = _budgeted_points(xs, ncells)
         self.mids = ks_midpoints(cells, widths)
-        W = _eval_matrix(f, xs, self.mids, quad.rho).reshape(xs.shape[0], ncells)
-        # scaled in place: no second weight-sized array
-        W *= ks_scale(self.n, self.mids).reshape(-1)
-        W *= float(np.prod(widths))
-        self.weights = W
-        self.total = W.sum(axis=1)
+        super().__init__(f, xs, ks_edges(cells, widths), 1.0, QuadSpec(r=1, rho=quad.rho))
 
-    def apply(self, fields) -> np.ndarray:
-        """Values at xs for up to KS_BLOCK Poisson fields, shape (len(fields), npts)."""
-        B = len(fields)
-        bits = ks_parity_bits([fld.points for fld in fields], self.mids).reshape(-1)
-        # little-endian bytes, so that bit b of a cell is unpacked as column b
-        packed = bits.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        odd = np.zeros((self.weights.shape[0], B))
-        for start in range(0, packed.shape[0], KS_CHUNK):
-            chunk = slice(start, start + KS_CHUNK)
-            signs = np.unpackbits(packed[chunk], axis=1, count=B, bitorder="little")
-            odd += self.weights[:, chunk] @ signs.astype(float)
-        return (self.total[:, None] - 2.0 * odd).T
+    def _block_values(self, rng, streams):
+        """One field per stream: the substreams of rng, or each stream of the
+        list, made only when its block is drawn."""
+        stream = rng.substream if streams is None else streams.__getitem__
 
-    def replicates(self, rng, M: Optional[int] = None) -> np.ndarray:
-        """Values at xs for a stack of realizations, shape (M, npts).
+        def values(lo, hi):
+            fields = [sample_kac_stroock(self.grid, self.n, stream(k)) for k in range(lo, hi)]
+            bits = ks_parity_bits([fld.points for fld in fields], self.mids).reshape(-1)
+            out = np.empty((hi - lo, self.npts))
+            for j in range(0, hi - lo, self._applied):
+                # theta = ks_scale * (-1)^N, as ks_values_on_grid forms it: the
+                # parity of field b, bit b of bits, shifted to bit 63 flips the
+                # sign bit of the scale (an exact negation). The scale is made
+                # anew for each sub-block, so it is not held beside theta
+                b = np.arange(j, min(j + self._applied, hi - lo), dtype=np.uint64)
+                theta = np.right_shift(bits, b[:, None])
+                theta <<= np.uint64(63)
+                theta ^= ks_scale(self.n, self.mids).reshape(-1).view(np.uint64)
+                out[j : j + len(b)] = self.apply_innovations(theta.view(np.float64))
+            return out
 
-        One Poisson field per stream: the substreams 0..M-1 of the RngStream
-        rng, or, with M omitted, each stream of the list rng. Fields are drawn
-        and integrated in blocks of KS_BLOCK streams, in stream order, and a
-        substream is made only when its block is drawn. The (M, npts) values
-        are checked against the budget before any field is drawn.
-        """
-        if M is None:
-            rng = list(rng)
-        out = _replicate_values(len(rng) if M is None else M, self.weights.shape[0])
-        stream = rng.__getitem__ if M is None else rng.substream
-        for start in range(0, len(out), KS_BLOCK):
-            stop = min(start + KS_BLOCK, len(out))
-            fields = [sample_kac_stroock(self.grid, self.n, stream(k)) for k in range(start, stop)]
-            out[start:stop] = self.apply(fields)
-        return out
+        return values
 
 
 def noise_integrator(

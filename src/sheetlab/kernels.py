@@ -23,6 +23,7 @@ __all__ = [
     "PoissonField",
     "INNOVATION_LAWS",
     "check_budget",
+    "check_shape_budget",
     "sample_donsker",
     "donsker_edges",
     "donsker_eval",
@@ -30,6 +31,7 @@ __all__ = [
     "kac_stroock_eval",
     "ks_rule",
     "ks_midpoints",
+    "ks_edges",
     "ks_parity_bits",
     "ks_scale",
     "cell_overlaps",
@@ -55,6 +57,12 @@ def check_budget(entries, need: str) -> None:
     """
     if entries > DEFAULT_MAX_CELLS:
         raise BudgetExceededError(f"{need} (> budget of {DEFAULT_MAX_CELLS} entries)")
+
+
+def check_shape_budget(name: str, shape) -> None:
+    """check_budget for a float64 array: "<name> of shape <shape> would need <bytes> bytes"."""
+    entries = math.prod(shape)
+    check_budget(entries, f"{name} of shape {shape} would need {8 * entries} bytes")
 
 
 @dataclass
@@ -160,7 +168,7 @@ def _ks_intensity(n) -> float:
 def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream | None = None) -> PoissonField:
     """Homogeneous Poisson point process of intensity n on D."""
     n = _ks_intensity(n)
-    volume = float(np.prod(grid.T))
+    volume = math.prod(grid.T)  # np.prod's product, without its cost on every field
     expected = n * volume * grid.d
     check_budget(expected, f"Kac-Stroock field would need about {expected:.0f} point coordinates")
     gen = rng.generator() if rng is not None else np.random.default_rng()
@@ -189,6 +197,11 @@ def ks_midpoints(cells, widths) -> list:
     return [(np.arange(k) + 0.5) * w for k, w in zip(cells, widths)]
 
 
+def ks_edges(cells, widths) -> list:
+    """Edges j widths[i], j = 0..cells[i], of the sub-cells on each axis."""
+    return [np.arange(k + 1) * w for k, w in zip(cells, widths)]
+
+
 def _ks_prefactor_exponent(d: int) -> float:
     return (d - 1) / 2.0
 
@@ -206,7 +219,7 @@ def kac_stroock_eval(f: PoissonField, x) -> float:
     return float(f.n ** (f.d / 2.0) * pref * (-1) ** count)
 
 
-# point sets per packed parity grid: one bit of a uint64 each
+# point sets per packed parity grid: one bit of an unsigned integer each
 KS_BLOCK = 64
 
 
@@ -214,25 +227,27 @@ def ks_parity_bits(point_sets, mid_axes) -> np.ndarray:
     """N(y) mod 2 on the tensor grid of midpoints for up to KS_BLOCK point sets.
 
     mid_axes are uniform midpoints (j + 1/2) w per axis, as ks_midpoints gives.
-    Bit b of each uint64 entry is the parity for point_sets[b]. A point's cell on
-    axis i is the first midpoint at or above its coordinate; points past the last
-    midpoint are dropped. One XOR scatter of per-cell toggles and one cumulative
-    XOR per axis give every parity at once.
+    Bit b of each entry, the narrowest unsigned integer with a bit per set, is
+    the parity for point_sets[b]. A point's cell on axis i is the first midpoint
+    at or above its coordinate; points past the last midpoint are dropped. One
+    XOR scatter of per-cell toggles and one cumulative XOR per axis give every
+    parity at once.
     """
     if len(point_sets) > KS_BLOCK:
         raise ValueError(f"at most {KS_BLOCK} point sets per parity grid, got {len(point_sets)}")
     shape = tuple(len(m) for m in mid_axes)
-    bits = np.zeros(shape, dtype=np.uint64)
+    kind = np.min_scalar_type((1 << len(point_sets)) - 1).type
+    bits = np.zeros(shape, dtype=kind)
     counts = [len(p) for p in point_sets]
     if not sum(counts) or not bits.size:
         return bits
     pts = np.concatenate(point_sets)
-    owner = np.repeat(np.arange(len(point_sets), dtype=np.uint64), counts)
+    owner = np.repeat(np.arange(len(point_sets), dtype=kind), counts)
     idx = [np.searchsorted(mids, pts[:, i], side="left") for i, mids in enumerate(mid_axes)]
     keep = np.all([j < k for j, k in zip(idx, shape)], axis=0)
     flat = np.ravel_multi_index(tuple(j[keep] for j in idx), shape)
     # ufunc.at toggles a cell once per point; fancy-index ^= would drop repeats
-    np.bitwise_xor.at(bits.reshape(-1), flat, np.left_shift(np.uint64(1), owner[keep]))
+    np.bitwise_xor.at(bits.reshape(-1), flat, np.left_shift(kind(1), owner[keep]))
     for axis in range(len(shape)):
         np.bitwise_xor.accumulate(bits, axis=axis, out=bits)
     return bits
@@ -247,7 +262,7 @@ def ks_scale(n: float, mid_axes) -> np.ndarray:
     pref = vecs[0]
     for v in vecs[1:]:
         pref = np.multiply.outer(pref, v)
-    return n ** (d / 2.0) * pref
+    return np.multiply(pref, n ** (d / 2.0), out=pref)  # in place: pref is a fresh array
 
 
 def ks_values_on_grid(f: PoissonField, mid_axes) -> np.ndarray:
@@ -280,7 +295,7 @@ def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
     elif isinstance(f, PoissonField):
         cells, widths = ks_rule(f.grid, f.n, quad.r)
         scale, vals = 1.0, ks_values_on_grid(f, ks_midpoints(cells, widths))
-        edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
+        edges = ks_edges(cells, widths)
     else:
         raise TypeError(f"unsupported kernel field type {type(f)!r}")
     # each overlap is built (points, cells) and passed as a transposed view: built

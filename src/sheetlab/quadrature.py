@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadSpec", "tensor_points", "row_outer", "contract_axes"]
+__all__ = ["QuadSpec", "tensor_points", "row_outer", "distinct_coordinates", "contract_axes"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,12 @@ def row_outer(mats) -> np.ndarray:
     for M in mats[1:]:
         out = out[..., None] * M.reshape((M.shape[0],) + (1,) * (out.ndim - 1) + (M.shape[1],))
     return out
+
+
+def distinct_coordinates(xs) -> tuple:
+    """(uniq, inv) for points xs of shape (n, d): per axis, the sorted distinct
+    coordinates and the index of each point's coordinate among them."""
+    return tuple(zip(*(np.unique(xs[:, i], return_inverse=True) for i in range(xs.shape[1]))))
 
 
 def contract_axes(stack: np.ndarray, mats) -> np.ndarray:

@@ -3,6 +3,7 @@ u + int_D K(.,y) F(u(y)) dy = int_D K(.,y) g(y) dy + eta."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Optional
@@ -11,7 +12,7 @@ import numpy as np
 
 from .grid import GridField, GridSpec
 from .integrals import noise_integrator
-from .kernels import check_budget
+from .kernels import check_shape_budget
 from .green import (
     GreenSeries,
     green_integrand,
@@ -61,17 +62,18 @@ class Nonlinearity:
 
 
 def nonlinearity_preset(spec: str) -> Nonlinearity:
-    """Presets: 'zero', 'linear:<c>', 'tanh:<scale>'."""
+    """Presets: 'zero', 'linear:<c>', 'tanh:<scale>', with a finite parameter."""
     if spec == "zero":
         return Nonlinearity(lambda u: np.zeros_like(u), lipschitz=0.0, bound=0.0)
     kind, _, arg = spec.partition(":")
+    if kind not in ("linear", "tanh"):
+        raise ValueError(f"unknown nonlinearity preset {spec!r}")
+    c = float(arg)
+    if not math.isfinite(c):
+        raise ValueError(f"nonlinearity parameter must be finite, got {c}")
     if kind == "linear":
-        c = float(arg)
         return Nonlinearity(lambda u: c * u, lipschitz=abs(c))
-    if kind == "tanh":
-        s = float(arg)
-        return Nonlinearity(lambda u: np.tanh(s * u), lipschitz=abs(s), bound=1.0)
-    raise ValueError(f"unknown nonlinearity preset {spec!r}")
+    return Nonlinearity(lambda u: np.tanh(c * u), lipschitz=abs(c), bound=1.0)
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def _check_gate(gs: GreenSeries, grid: GridSpec, F: Nonlinearity, cfg: SolveConf
     L = F.lipschitz
     if cfg.relaxation == 1.0:
         lam = lambda_sup(gs, grid)
-        if GATE_INFLATION * lam * L >= 1.0:
+        if not GATE_INFLATION * lam * L < 1.0:  # a NaN product fails too
             raise GateError(
                 f"contraction gate failed: {GATE_INFLATION} * Lambda({lam:.4g}) * L({L:.4g}) >= 1"
             )
@@ -136,7 +138,7 @@ def _check_gate(gs: GreenSeries, grid: GridSpec, F: Nonlinearity, cfg: SolveConf
     if F.bound is None:
         raise ValueError("a relaxation below 1 requires a bounded nonlinearity")
     a = poincare_constant(gs)
-    if L >= a:
+    if not L < a:
         raise GateError(f"monotonicity gate failed: L({L:.4g}) >= a({a:.4g})")
     return {"gate": L / a}
 
@@ -250,10 +252,10 @@ class SpdeSampler:
     int K g once.  Replicates are then solved in blocks of SOLVE_BLOCK: each
     replicate draws its noise from its own stream, the block's noise is
     integrated at once, and one fixed-point iteration runs over the whole
-    block.  The Donsker and sheet drivers take the Green kernel's mode route
-    (per-axis cell moments, 1 / lambda, node sines; one BLAS call per field,
-    so a block's noise equals lone fields bit for bit); Kac-Stroock takes one
-    packed parity grid.
+    block.  Every driver takes the Green kernel's mode route (per-axis cell
+    moments, 1 / lambda, node sines; one BLAS call per field, so a block's
+    noise equals lone fields bit for bit); Kac-Stroock's cell values come
+    from one packed parity grid per block.
     """
 
     def __init__(
@@ -283,8 +285,7 @@ class SpdeSampler:
         """eta at the grid nodes for one replicate per stream, shape
         (len(streams), *node_shape), refused over the budget before allocation."""
         shape = (len(streams),) + self.grid.node_shape
-        entries = int(np.prod(shape))
-        check_budget(entries, f"noise stack of shape {shape} would need {8 * entries} bytes")
+        check_shape_budget("noise stack", shape)
         eta = np.zeros(shape)
         inner = eta[(slice(None),) + (slice(1, -1),) * self.grid.d]
         inner[...] = self._integ.replicates(streams).reshape(inner.shape)

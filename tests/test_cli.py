@@ -6,7 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheetlab import GridSpec, RngStream, __version__, cli, kernels, sample_donsker, zeta_on_axes
+from sheetlab import (
+    GridSpec,
+    QuadSpec,
+    RngStream,
+    __version__,
+    cli,
+    integrals,
+    kernels,
+    sample_donsker,
+    sample_kac_stroock,
+    zeta_on_axes,
+)
 from sheetlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, EXIT_VERDICT, main
 
 
@@ -63,27 +74,37 @@ def test_simulate_deterministic_artifacts(tmp_path):
 
 
 def test_simulate_sheet_is_donsker_at_grid_scale(tmp_path):
-    code = main(
-        [
-            "simulate",
-            "--family", "sheet",
-            "--d", "3",
-            "--grid-n", "4",
-            "--n", "3",
-            "--law", "rademacher",
-            "--seed", "5",
-            "--report-dir", str(tmp_path),
-        ]
-    )
-    assert code == EXIT_OK
-    # --n and --law do not apply to the sheet; the manifest records what was drawn
-    config = _read_json(tmp_path / "manifest.json")["config"]
-    assert (config["n"], config["law"]) == ("4", "standard-normal")
-    got = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)[:, -1].reshape((5,) * 3)
+    # simulate integrates the indicator through noise_integrator; for every family
+    # its field is zeta_on_axes of the field that the seed draws, bit for bit
     grid = GridSpec(d=3, T=1.0, N=4)
-    want = zeta_on_axes(sample_donsker(grid, 4, rng=RngStream(5)), [grid.axis_nodes(0)] * 3)
-    np.testing.assert_array_equal(got, want)
-    assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0) and np.all(got[:, :, 0] == 0.0)
+    axes = [grid.axis_nodes(0)] * 3
+    for family in ("sheet", "donsker", "kac-stroock"):
+        out = tmp_path / family
+        code = main(
+            [
+                "simulate",
+                "--family", family,
+                "--d", "3",
+                "--grid-n", "4",
+                "--n", "3",
+                "--law", "rademacher",
+                "--seed", "5",
+                "--report-dir", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        got = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)[:, -1].reshape((5,) * 3)
+        config = _read_json(out / "manifest.json")["config"]
+        if family == "sheet":
+            # --n and --law do not apply to the sheet; the manifest records what was drawn
+            assert (config["n"], config["law"]) == ("4", "standard-normal")
+            want = zeta_on_axes(sample_donsker(grid, 4, rng=RngStream(5)), axes)
+        elif family == "donsker":
+            want = zeta_on_axes(sample_donsker(grid, 3, "rademacher", RngStream(5)), axes)
+        else:
+            want = zeta_on_axes(sample_kac_stroock(grid, 3.0, RngStream(5)), axes, QuadSpec(r=4))
+        np.testing.assert_array_equal(got, want)
+        assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0) and np.all(got[:, :, 0] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -187,6 +208,17 @@ def test_g_csv_blank_lines_ignored(tmp_path):
     ).read_bytes()
 
 
+def test_g_csv_non_finite_value_refused(tmp_path, capsys):
+    nodes = GridSpec(d=2, T=1.0, N=4).node_points()
+    path = tmp_path / "g.csv"
+    path.write_text("\n".join(f"{a},{b},{'nan' if a == b == 0.5 else 1.0}" for a, b in nodes) + "\n")
+    out = tmp_path / "run"
+    code = main(["poisson-solve", "--grid-n", "4", "--g", f"csv:{path}", "--report-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert "field 'g': values must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "sheet", "d": 1, "grid_n": 16, "seed": 5}))
@@ -279,18 +311,20 @@ def test_kac_stroock_sign_grid_refused_before_the_draw(tmp_path, monkeypatch, ca
     def never(*_):
         raise AssertionError("Poisson points drawn before the sign grid was refused")
 
-    monkeypatch.setattr(cli, "sample_kac_stroock", never)
+    monkeypatch.setattr(integrals, "sample_kac_stroock", never)
+    out = tmp_path / "run"
     code = main(
         [
             "simulate",
             "--family", "kac-stroock",
             "--n", "1000000",
             "--grid-n", "4",
-            "--report-dir", str(tmp_path),
+            "--report-dir", str(out),
         ]
     )
     assert code == EXIT_REFUSED
     assert "Kac-Stroock sign grid would need 16000000000000 cells" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", ["inf", "nan"])
@@ -431,12 +465,14 @@ def test_readme_commands_exit_ok(tmp_path):
 @pytest.mark.parametrize(
     "family, argv, budget, message",
     [
-        # 9 interior nodes x 64 rule cells at n = 8; kmax 8 keeps the 64-mode
-        # Green series under the budget
-        pytest.param("kac-stroock", ["poisson-solve", "--n", "8", "--kmax", "8"], 9 * 16 - 1,
-                     "weight matrix of shape (9, ", id="kac-stroock"),
-        # donsker and sheet build no weight matrix: the mode route refuses a
-        # 64-replicate block's 64 x 64 innovations at n = 8 (kmax 4: 16 modes;
+        # no family builds a weight matrix: Kac-Stroock refuses the 8 fields of
+        # one parity byte, 8 x 256 rule cells at n = 16 (the sheet target's
+        # 64 x 16 innovations and the 16 x 16 sign grid pass) ...
+        pytest.param("kac-stroock", ["spde-compare", "--n-list", "16", "--M", "100", "--kmax", "4"],
+                     8 * 256 - 1, "cell value block of shape (8, 16, 16) would need 16384 bytes",
+                     id="kac-stroock"),
+        # ... the Donsker mode route refuses a 64-replicate block's 64 x 64
+        # innovations at n = 8 (kmax 4: 16 modes;
         # the sheet target's 64 x 16 innovations pass) ...
         pytest.param("donsker", ["spde-compare", "--n-list", "8", "--M", "100", "--kmax", "4"],
                      64 * 64 - 1, "innovation block of shape (64, 8, 8) would need 32768 bytes",
@@ -556,6 +592,17 @@ def test_poisson_solve_artifacts(tmp_path):
          EXIT_CONFIG, "field 'probes': tightness uses fixed points"),
         (["poisson-solve", "--family", "donsker", "--n", "4.5"], EXIT_CONFIG,
          "Donsker scale n must be a whole number, got 4.5"),
+        # a non-finite F or g ran 200 iterations to a NaN solution; nan passed the gate
+        (["poisson-solve", "--F", "tanh:nan"], EXIT_CONFIG,
+         "field 'F': nonlinearity parameter must be finite, got nan"),
+        (["poisson-solve", "--F", "linear:nan"], EXIT_CONFIG,
+         "field 'F': nonlinearity parameter must be finite, got nan"),
+        (["poisson-solve", "--g", "constant:nan"], EXIT_CONFIG,
+         "field 'g': values must be finite, got nan"),
+        (["poisson-solve", "--g", "constant:inf"], EXIT_CONFIG,
+         "field 'g': values must be finite, got inf"),
+        (["spde-compare", "--F", "tanh:inf"], EXIT_CONFIG,
+         "field 'F': nonlinearity parameter must be finite, got inf"),
     ],
 )
 def test_refused_run_writes_nothing(tmp_path, capsys, argv, code, message):

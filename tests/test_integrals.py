@@ -18,7 +18,6 @@ from sheetlab import (
 )
 from sheetlab.integrals import (
     DRAW_BLOCK,
-    KS_CHUNK,
     DonskerIntegrator,
     Integrand,
     KacStroockIntegrator,
@@ -35,7 +34,6 @@ from sheetlab.kernels import (
     donsker_edges,
     ks_midpoints,
     ks_rule,
-    ks_scale,
     sample_donsker,
     sample_kac_stroock,
 )
@@ -80,14 +78,15 @@ def test_indicator_reduces_to_zeta_donsker():
 
 @pytest.mark.parametrize("n", [4, 64, 256])
 def test_indicator_reduces_to_zeta_kac_stroock(n):
-    # x lies on sub-cell boundaries of the one Kac-Stroock rule, so both sum the same cells
+    # (0.5, 0.75) lies on sub-cell edges of the one Kac-Stroock rule; the other
+    # two points do not, and both integrate the indicator over the cut cells exactly
     grid = GridSpec(d=2, T=1.0, N=4)
     fld = sample_kac_stroock(grid, float(n), RngStream(32))
     quad = QuadSpec(r=8)
-    x = (0.5, 0.75)
     f = indicator_integrand()
-    got = _one_draw("kac-stroock", f, [x], grid, n, RngStream(32), quad)
-    assert got[0] == pytest.approx(zeta(fld, x, quad), rel=1e-13)
+    for x in [(0.5, 0.75), (0.3, 0.3), (0.33, 0.71)]:
+        got = _one_draw("kac-stroock", f, [x], grid, n, RngStream(32), quad)
+        assert got[0] == pytest.approx(zeta(fld, x, quad), rel=1e-13)
 
 
 def test_donsker_oracle_matches_brute_force():
@@ -180,9 +179,9 @@ def test_quadrature_excludes_ball_around_x_for_singular_integrand():
     xs = np.array([[0.5], [0.0]])
     W = DonskerIntegrator(f, xs, donsker_edges(2, (1.0,)), 2**0.5, quad).weights
     np.testing.assert_array_equal(W, [[0.375, 0.375], [0.375, 0.5]])
+    # Kac-Stroock: the midpoint rule at r = 1 on the rule's 8 sub-cells of width 1/8
     ks = KacStroockIntegrator(f, xs, GridSpec(d=1, T=1.0, N=2), 2.0, quad)
-    fmat = ks.weights / (ks_scale(2.0, ks.mids).ravel() / 8)
-    np.testing.assert_array_equal(fmat, [[1, 1, 1, 0, 0, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1, 1]])
+    np.testing.assert_array_equal(8 * ks.weights, [[1, 1, 1, 0, 0, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1, 1]])
 
 
 def test_quadrature_excludes_ball_around_x_in_two_dimensions():
@@ -420,13 +419,18 @@ def test_green_mode_route_coefficients_budgeted(monkeypatch):
     assert integ.replicates(RngStream(50), 3).shape == (3, 1)
 
 
-def _former_ks_values(f, xs, grid, n, quad, fields):
-    """Kac-Stroock values by the former dense per-field rule: the integrand on the
-    rule's midpoints against theta_n there, counted by cumulative sums, times the
-    cell volume; shape (len(fields), npts)."""
+def _ks_reference(f, xs, grid, n, quad, fields):
+    """Kac-Stroock values sum_c theta_n(mid_c) int_c f(x, y) dy over the rule's
+    sub-cells c, with theta_n's parity counted by cumulative sums and int_c f
+    from f's cell_integral oracle, or, without one, f at mid_c times |c|;
+    shape (len(fields), npts)."""
     cells, widths = ks_rule(grid, n, quad.r)
     mids = ks_midpoints(cells, widths)
-    fmat = _eval_matrix(f, xs, mids, quad.rho).reshape(len(xs), -1)
+    if f.cell_integral is not None:
+        edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
+        wmat = f.cell_integral(xs, edges).reshape(len(xs), -1)
+    else:
+        wmat = _eval_matrix(f, xs, mids, quad.rho).reshape(len(xs), -1) * np.prod(widths)
     d = grid.d
     pref = n ** (d / 2.0) * np.prod(np.meshgrid(*mids, indexing="ij"), axis=0) ** ((d - 1) / 2)
     out = []
@@ -438,7 +442,7 @@ def _former_ks_values(f, xs, grid, n, quad, fields):
         for axis in range(d):
             np.cumsum(counts, axis=axis, out=counts)
         theta = pref * (1.0 - 2.0 * (counts & 1))
-        out.append(fmat @ theta.ravel() * np.prod(widths))
+        out.append(wmat @ theta.ravel())
     return np.array(out)
 
 
@@ -484,40 +488,48 @@ def _ks_case(kind, d, N, seed):
     n=st.integers(1, 8),
     r=st.integers(1, 3),
     M=st.sampled_from([1, 63, 64, 65, 129]),
-    chunk=st.sampled_from([KS_CHUNK, 64, 5]),
     seed=st.integers(0, 2**16),
 )
-def test_kac_stroock_replicates_match_former_dense_rule(kind, d, N, n, r, M, chunk, seed):
+def test_kac_stroock_replicates_match_former_dense_rule(kind, d, N, n, r, M, seed):
     if kind == "green":
         d = max(d, 2)
     f, xs, grid = _ks_case(kind, d, N, seed)
     quad = QuadSpec(r=r, rho=1e-3)
     integ = KacStroockIntegrator(f, xs, grid, float(n), quad)
     sample = _crafted_sampler(xs[0], r)
-    with mock.patch.object(integrals, "sample_kac_stroock", sample), mock.patch.object(
-        integrals, "KS_CHUNK", chunk
-    ):
+    with mock.patch.object(integrals, "sample_kac_stroock", sample):
         got = integ.replicates(RngStream(seed), M)
     fields = [sample(grid, n, s) for s in RngStream(seed).split(M)]
-    ref = _former_ks_values(f, xs, grid, float(n), quad, fields)
+    ref = _ks_reference(f, xs, grid, float(n), quad, fields)
     assert got.shape == (M, 3)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_kac_stroock_replicates_over_several_chunks():
-    # the field-law rule at n = 64: 128^2 sub-cells
+    # the field-law rule at n = 64: 128^2 sub-cells, 129 fields in three parity grids
     grid = GridSpec(d=2, T=1.0, N=32)
     xs = np.array([[0.25, 0.25], [0.5, 0.5], [0.75, 0.75]])
     f, quad = indicator_integrand(), QuadSpec(r=2)
     integ = KacStroockIntegrator(f, xs, grid, 64.0, quad)
-    assert integ.weights.shape[1] > KS_CHUNK
+    assert integ.cell_shape == (128, 128)
     got = integ.replicates(RngStream(43), 129)
-    fields = [sample_kac_stroock(grid, 64.0, s) for s in RngStream(43).split(129)]
-    ref = _former_ks_values(f, xs, grid, 64.0, quad, fields)
+    streams = RngStream(43).split(129)
+    ref = _ks_reference(f, xs, grid, 64.0, quad, [sample_kac_stroock(grid, 64.0, s) for s in streams])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    np.testing.assert_array_equal(integ.apply(fields[64:128]), got[64:128])
-    with pytest.raises(ValueError, match="at most 64"):
-        integ.apply(fields[:65])
+    # a stream list draws the same fields in blocks of its own
+    np.testing.assert_array_equal(integ.replicates(streams[64:128]), got[64:128])
+
+
+@pytest.mark.parametrize("kind, d", [("indicator", 1), ("indicator", 2), ("indicator", 3),
+                                     ("green", 2), ("green", 3)])
+def test_kac_stroock_block_is_its_fields_one_at_a_time(kind, d):
+    # 70 fields: a full parity grid, then one of 6 fields (a partial byte);
+    # each cell map contracts every field by its own BLAS calls
+    f, xs, grid = _ks_case(kind, d, 3, 47)
+    integ = KacStroockIntegrator(f, xs, grid, 6.0, QuadSpec(r=2, rho=1e-3))
+    got = integ.replicates(RngStream(47), 70)
+    for k in range(70):
+        np.testing.assert_array_equal(got[k], integ.replicates([RngStream(47).substream(k)])[0])
 
 
 def test_no_points_give_an_empty_stack():
@@ -589,14 +601,17 @@ def test_donsker_innovation_block_budget(monkeypatch):
 
 
 def test_kac_stroock_replicate_values_budget(monkeypatch):
-    # (5, 2) values: refused before the stream is split or any field drawn
+    # the (5, 2) values, then the 5 fields of the first parity byte on the
+    # 4 x 4 rule cells: each refused before any substream is made or field drawn
     integ = KacStroockIntegrator(indicator_integrand(), np.full((2, 2), 0.5), GridSpec(d=2, N=4), 4.0)
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 5 * 2 - 1)
-    with pytest.raises(BudgetExceededError, match=r"shape \(5, 2\) would need 80 bytes"):
-        integ.replicates(_NeverDrawn(), 5)
-    with pytest.raises(BudgetExceededError, match=r"shape \(5, 2\) would need 80 bytes"):
-        integ.replicates([_NeverDrawn()] * 5)
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 5 * 2)
+    for budget, refusal in ((5 * 2 - 1, r"replicate values of shape \(5, 2\) would need 80 bytes"),
+                            (5 * 16 - 1, r"cell value block of shape \(5, 4, 4\) would need 640 bytes")):
+        monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", budget)
+        with pytest.raises(BudgetExceededError, match=refusal):
+            integ.replicates(_NeverDrawn(), 5)
+        with pytest.raises(BudgetExceededError, match=refusal):
+            integ.replicates([_NeverDrawn()] * 5)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 5 * 16)
     assert integ.replicates(RngStream(46), 5).shape == (5, 2)
 
 
