@@ -47,7 +47,7 @@ from .green import (
     lambda_sup,
     poincare_constant,
 )
-from .integrals import FAMILIES, Integrand, indicator_integrand, noise_integrator
+from .integrals import FAMILIES, indicator_integrand, noise_integrator
 from .kernels import INNOVATION_LAWS, BudgetExceededError, check_budget
 from .quadrature import QuadSpec, tensor_points
 from .rng import RngStream
@@ -286,9 +286,8 @@ def _convergence_report(cfg: dict) -> ConvergenceReport:
         probes = _parse_probes(cfg["probes"] or _diagonal_points(d, 0.25, 0.5, 0.75), d)
         return fdd_test(f, cfg["family"], grid, probes, diag, rng)
     if kind == "moment":
-        # the moment probe integrates a function of y alone; use g == 1 on D
-        ones = Integrand(lambda xs, axes: np.ones((len(xs),) + tuple(len(a) for a in axes)))
-        return moment_bound_probe(ones, cfg["family"], grid, diag, rng)
+        # the moment probe integrates at x = T, where the indicator is g = 1 on D
+        return moment_bound_probe(f, cfg["family"], grid, diag, rng)
     if kind == "variance":
         pts = _parse_probes(cfg["probes"] or _diagonal_points(d, 0.75), d)
         if len(pts) != 1:

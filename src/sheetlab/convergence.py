@@ -15,7 +15,7 @@ from .kernels import check_budget, check_shape_budget
 
 # re-exported: bench/layers.py traces the integrator classes it finds on this module
 from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401
-from .quadrature import QuadSpec, tensor_points
+from .quadrature import QuadSpec, row_outer, tensor_points
 from .rng import RngStream
 from .solver import Nonlinearity, SolveConfig, SpdeSampler
 from . import stats
@@ -49,7 +49,10 @@ class DiagConfig:
     quad: QuadSpec = field(default_factory=QuadSpec)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(self.n_list))
+        # a whole n is an int, any other (a Kac-Stroock intensity) a float, so
+        # that every report row writes n as it was run
+        n_list = tuple(int(n) if float(n).is_integer() else float(n) for n in self.n_list)
+        object.__setattr__(self, "n_list", n_list)
         if len(self.n_list) == 0 or list(self.n_list) != sorted(set(self.n_list)):
             raise ValueError("n_list must be non-empty and strictly increasing")
         if self.M < 100:
@@ -130,7 +133,7 @@ def _ks_row(n, pairs, significance: float, key: str) -> dict:
         pvals.append(float(res.pvalue))
         ks.append(float(res.statistic))
     return {
-        "n": int(n),
+        "n": n,
         "p_values": pvals,
         key: ks,
         "rejection_fraction": float(np.mean(np.array(pvals) < significance)),
@@ -189,15 +192,31 @@ def fdd_test(
     )
 
 
-def _lp_norm(g: Integrand, grid: GridSpec, p: float, quad: QuadSpec) -> float:
-    """||g||_p over D by the composite midpoint rule on the refined grid."""
-    cells = [quad.r * nb for nb in grid.N]
-    nodes = np.prod(cells, dtype=float)
+def _lp_norm(values, grid: GridSpec, p: float, r: int, x) -> float:
+    """||g||_p over D by the composite midpoint rule on the r-refined grid,
+    with the cell that holds x_i split at x_i on each axis, so that a g that
+    jumps at x (the indicator of [0, x]) has no cell across its jump.
+
+    values(axes) gives g on the tensor grid of the per-axis midpoints.
+    """
+    cuts = []
+    for nb, t, c in zip(grid.N, grid.T, x):
+        k = r * nb
+        h = t / k
+        j = min(int(c / h), k - 1)
+        cuts.append((k, h, j, j * h, c, t if j == k - 1 else (j + 1) * h))
+    nodes = np.prod([k + (lo < c < hi) for k, _, _, lo, c, hi in cuts], dtype=float)
     check_budget(nodes, f"norm quadrature would need {nodes:.0f} integrand values")
-    mids = [(np.arange(k) + 0.5) * (t / k) for k, t in zip(cells, grid.T)]
-    vol = float(np.prod([t / k for k, t in zip(cells, grid.T)]))
-    vals = g.evaluator(np.zeros((1, grid.d)), mids)[0].ravel()
-    return float(np.sum(np.abs(vals) ** p * vol) ** (1.0 / p))
+    mids, widths = [], []
+    for k, h, j, lo, c, hi in cuts:
+        mid, width = (np.arange(k) + 0.5) * h, np.full(k, h)
+        if lo < c < hi:
+            mid = np.concatenate([mid[:j], [(lo + c) / 2, (c + hi) / 2], mid[j + 1 :]])
+            width = np.concatenate([width[:j], [c - lo, hi - c], width[j + 1 :]])
+        mids.append(mid)
+        widths.append(width[None])
+    vol = row_outer(widths)[0]
+    return float(np.sum(np.abs(values(mids)) ** p * vol) ** (1.0 / p))
 
 
 def moment_bound_probe(
@@ -211,12 +230,13 @@ def moment_bound_probe(
 
     At m = 2 the moment is exact wherever the integrator computes it
     (second_moment: the Donsker and sheet weights, unit-variance innovations);
-    otherwise Monte Carlo.
+    otherwise Monte Carlo. g is integrated at x0 = T, the upper corner of D,
+    so a g of y alone and the indicator of [0, T] (g = 1 on D) are the same.
     """
-    norm = _lp_norm(g, grid, 2.0 * cfg.q, cfg.quad)
+    x0 = np.array(grid.T, dtype=float)
+    norm = _lp_norm(lambda axes: g.evaluator(x0[None], axes)[0], grid, 2.0 * cfg.q, cfg.quad.r, x0)
     if norm == 0.0:
         raise ValueError("moment_bound_probe requires ||g||_{2q} > 0")
-    x0 = np.zeros(grid.d)
     per_n = []
     for j, n in enumerate(cfg.n_list):
         integ = noise_integrator(family, g, [x0], grid, n, cfg.quad, cfg.law)
@@ -227,7 +247,7 @@ def moment_bound_probe(
             moment, se = _mc_moment(integ.replicates(rng.substream(j), cfg.M)[:, 0], cfg.m)
         per_n.append(
             {
-                "n": int(n),
+                "n": n,
                 "moment": moment,
                 "moment_se": se,
                 "ratio": moment / norm**cfg.m,
@@ -273,7 +293,7 @@ def tightness_modulus_probe(
             integ = noise_integrator(family, f, [x, z], grid, n, cfg.quad, cfg.law)
             vals = integ.replicates(rng.substream(j * len(pts) + i), cfg.M)
             moment, _ = _mc_moment(vals[:, 0] - vals[:, 1], cfg.m)
-            rows.append({"n": int(n), "distance": dist, "moment": moment})
+            rows.append({"n": n, "distance": dist, "moment": moment})
     slope, r_squared = _slope_fit([r["distance"] for r in rows], [r["moment"] for r in rows])
     verdicts = _verdict("modulus_exponent_exceeds_dimension", slope, grid.d, slope > grid.d)
     return ConvergenceReport(
@@ -302,16 +322,12 @@ def variance_convergence_report(
     """Check E[X_n(x)^2] -> int_D f^2(x,y) dy across the n list."""
     grid.point_in_domain(x)
     xp = as_point(x)
-
-    def fsq(xs, axes):
-        return f.evaluator(np.broadcast_to(xp, (len(xs), xp.size)), axes) ** 2
-
-    target = _lp_norm(Integrand(fsq), grid, 1.0, cfg.quad)
+    target = _lp_norm(lambda axes: f.evaluator(xp[None], axes)[0] ** 2, grid, 1.0, cfg.quad.r, xp)
     per_n = []
     for j, n in enumerate(cfg.n_list):
         integ = noise_integrator(family, f, [xp], grid, n, cfg.quad, cfg.law)
         second, se = _mc_moment(integ.replicates(rng.substream(j), cfg.M)[:, 0], 2)
-        per_n.append({"n": int(n), "second_moment": second, "se": se})
+        per_n.append({"n": n, "second_moment": second, "se": se})
     gap, bound = abs(second - target), 3.0 * se  # the final n's moment and error
     verdicts = _verdict("final_n_matches_l2_limit", gap, bound, gap <= bound)
     return ConvergenceReport(

@@ -171,9 +171,9 @@ def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
 
 
 def green_on_axes(gs: GreenSeries, x, axes) -> np.ndarray:
-    """K(x, .) on a tensor grid given by per-axis coordinate arrays."""
-    mats = [_sine_matrix(_unit_coords(a, "y axes"), gs.kmax).T for a in axes]
-    return _contract_x_modes(gs, [x], mats)[0]
+    """K(x, .) on a tensor grid given by per-axis coordinate arrays: the
+    evaluator of green_integrand at the one point x."""
+    return green_integrand(gs).evaluator([x], axes)[0]
 
 
 def free_space_green(d: int, r) -> np.ndarray:
@@ -391,11 +391,11 @@ def _cell_moments(e, kmax: int) -> np.ndarray:
 
 
 def green_integrand(gs: GreenSeries) -> Integrand:
-    """The Green kernel K(x, .) as a singular-diagonal integrand.
+    """The Green kernel K(x, .) as an integrand.
 
-    Carries an exact cell-integral oracle built from the sine antiderivatives,
-    so Donsker integration against it is exact for the truncated series, and
-    the cell map of the same integrals in mode space.
+    Its cell integrals come from the sine antiderivatives, so every integral
+    against it is exact for the truncated series, and its cell map takes the
+    same integrals in mode space.
     """
 
     def evaluator(xs, axes):
@@ -422,9 +422,4 @@ def green_integrand(gs: GreenSeries) -> Integrand:
 
         return apply, gs.kmax**gs.d
 
-    return Integrand(
-        evaluator=evaluator,
-        smoothness="singular-diagonal",
-        cell_integral=cell_integral,
-        cell_map=cell_map,
-    )
+    return Integrand(evaluator=evaluator, cell_integral=cell_integral, cell_map=cell_map)

@@ -43,31 +43,23 @@ DRAW_BLOCK = 1 << 18
 
 @dataclass
 class Integrand:
-    """Deterministic integrand f(x, y), evaluated on batches of x and tensor grids of y.
+    """Deterministic integrand f(x, y), integrated exactly over tensor cells.
 
     evaluator(xs, axes) takes xs of shape (n, d) and one 1-d array of y
     coordinates per axis and returns the values f(x_i, y) on the tensor grid,
-    shape (n, m_1, ..., m_d).  cell_integral, when supplied, takes (xs, edges)
-    with per-axis edge arrays and returns, with shape (n, *cells), the exact
-    integrals of f(x_i, .) over the tensor-product cells; the Donsker path
-    then integrates exactly. cell_map, when supplied, takes the same
+    shape (n, m_1, ..., m_d). cell_integral takes (xs, edges) with per-axis
+    edge arrays and returns, with shape (n, *cells), the exact integrals of
+    f(x_i, .) over the tensor-product cells. cell_map takes the same
     (xs, edges) and returns (apply, modes): apply maps a block of cell
-    innovations Z of shape (B, *cells) to sum_c Z_c int_c f(x_i, y) dy, shape
+    values Z of shape (B, *cells) to sum_c Z_c int_c f(x_i, y) dy, shape
     (B, n), through B * modes coefficients and without the (n, cells)
     weights. Its cost grows with the product, over the axes, of the number
     of distinct coordinates of xs: tensor grids are cheap, scattered points not.
-    singular-diagonal integrands are finite for x != y and require a positive
-    exclusion radius in quadrature.
     """
 
     evaluator: Callable
-    smoothness: str = "smooth"
-    cell_integral: Optional[Callable] = None
-    cell_map: Optional[Callable] = None
-
-    @property
-    def singular(self) -> bool:
-        return self.smoothness == "singular-diagonal"
+    cell_integral: Callable
+    cell_map: Callable
 
 
 def indicator_integrand() -> Integrand:
@@ -94,90 +86,32 @@ def indicator_integrand() -> Integrand:
     return Integrand(evaluator=ev, cell_integral=ci, cell_map=cm)
 
 
-def _eval_matrix(f: Integrand, xs: np.ndarray, axes, rho: float) -> np.ndarray:
-    """f(x_i, .) on the tensor grid of axes, shape (npts, m_1, ..., m_d),
-    zeroed inside the exclusion ball, which a singular f needs (rho > 0)."""
-    if f.singular and rho <= 0:
-        raise ValueError("singular integrand requires exclusion radius rho > 0")
-    F = np.asarray(f.evaluator(xs, axes), dtype=float)
-    if f.singular:
-        d2 = 0.0
-        for i, a in enumerate(axes):
-            shape = [1] * len(axes)
-            shape[i] = len(a)
-            d2 = d2 + ((xs[:, i : i + 1] - a) ** 2).reshape([xs.shape[0]] + shape)
-        F = np.where(d2 > rho**2, F, 0.0)
-    return F
-
-
-def _refined_axes(edges, r: int):
-    """Split each cell [e_j, e_{j+1}] into r equal sub-cells per axis.
-
-    Returns (mids, widths) per axis; widths are arrays matching mids.
-    """
-    mids, widths = [], []
-    for e in edges:
-        lo = np.repeat(e[:-1], r)
-        w = np.repeat(np.diff(e) / r, r)
-        offs = np.tile(np.arange(r) + 0.5, len(e) - 1)
-        mids.append(lo + offs * w)
-        widths.append(w)
-    return mids, widths
-
-
-def _cell_weights(f: Integrand, xs, edges, quad: QuadSpec) -> np.ndarray:
-    """The (npts, cells) weights int_{cell_k} f(x, y) dy over the tensor cells of
-    edges: the cell_integral oracle when f has one, else the r-fold midpoint rule.
-    Budgeted before f is evaluated."""
-    shape = tuple(len(e) - 1 for e in edges)
-    ncells = int(np.prod(shape))
-    # the quadrature fallback evaluates f at r^d nodes per cell
-    nodes = ncells if f.cell_integral is not None else ncells * quad.r ** len(edges)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    check_shape_budget("weight matrix", (xs.shape[0], nodes))
-    if f.cell_integral is not None:
-        return np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], ncells)
-    mids, widths = _refined_axes(edges, quad.r)
-    wt = widths[0]
-    for v in widths[1:]:
-        wt = np.multiply.outer(wt, v)
-    W = _eval_matrix(f, xs, mids, quad.rho) * wt
-    # aggregate r^d sub-cells back onto the cells
-    for axis in range(len(edges)):
-        new = list(W.shape)
-        new[axis + 1 : axis + 2] = [shape[axis], quad.r]
-        W = W.reshape(new).sum(axis=axis + 2)
-    return W.reshape(xs.shape[0], ncells)
-
-
 class _CellIntegrator:
     """X(x) = s sum_k v_k w_k(x) for the values v_k that a noise field takes on
     the tensor cells of the per-axis edges, with w_k(x) = int_{cell_k} f(x, y) dy
     and s = scale.
 
-    The cell values go through f's cell_map, which holds no weight matrix, or,
-    for an f without one, through its (npts, cells) weights, built once. A
+    The cell values go through f's cell_map, which holds no weight matrix. A
     subclass draws them: _block_values(rng, streams) maps (lo, hi) to the values
     at xs of fields lo..hi-1, for blocks of _rows fields applied as
     (_applied, *cells) arrays named _block_name.
     """
 
-    def __init__(self, f: Integrand, xs, edges, scale: float, quad: QuadSpec):
+    def __init__(self, f: Integrand, xs, edges, scale: float):
         self.scale = scale
         self.cell_shape = tuple(len(e) - 1 for e in edges)
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         self.npts = xs.shape[0]
-        self._oracle = (f, xs, edges, quad)
-        if f.cell_map is not None:
-            self._map, self.modes = f.cell_map(xs, edges)
-        else:
-            W = _cell_weights(f, xs, edges, quad)
-            self._map, self.modes = (lambda Z: Z.reshape(len(Z), -1) @ W.T), 0
+        self._oracle = (f, xs, edges)
+        self._map, self.modes = f.cell_map(xs, edges)
 
     @property
     def weights(self) -> np.ndarray:
-        """The (npts, cells) weights, built anew from the integrand on each access."""
-        return _cell_weights(*self._oracle)
+        """The (npts, cells) weights w_k(x), built anew from f's cell integrals
+        on each access, and budgeted before they are."""
+        f, xs, edges = self._oracle
+        check_shape_budget("weight matrix", (self.npts, math.prod(self.cell_shape)))
+        return np.asarray(f.cell_integral(xs, edges)).reshape(self.npts, -1)
 
     def apply_innovations(self, Z: np.ndarray) -> np.ndarray:
         """Batch apply: cell values Z of shape (M, ncells) -> values of shape (M, npts)."""
@@ -228,10 +162,9 @@ class DonskerIntegrator(_CellIntegrator):
         xs,
         edges,
         scale: float,
-        quad: QuadSpec = QuadSpec(),
         law: str = "standard-normal",
     ):
-        super().__init__(f, xs, edges, scale, quad)
+        super().__init__(f, xs, edges, scale)
         self.law = law
         self._rows = self._applied = max(1, DRAW_BLOCK // max(math.prod(self.cell_shape), self.modes, 1))
 
@@ -261,9 +194,9 @@ class KacStroockIntegrator(_CellIntegrator):
     The rule refines the field's grid r-fold per axis with a floor of
     ceil(n T_i) base cells, so that it resolves the sign staircase at the noise
     scale; theta_n takes its value at each sub-cell's midpoint, as in
-    zeta_on_axes. f is integrated over the sub-cells by its cell_map, or,
-    without one, by the midpoint rule at r = 1. The fields of a block of
-    KS_BLOCK streams share one packed parity grid and are applied eight at a time.
+    zeta_on_axes. f is integrated over the sub-cells exactly, by its
+    cell_map. The fields of a block of KS_BLOCK streams share one packed
+    parity grid and are applied eight at a time.
     """
 
     _rows, _applied, _block_name = KS_BLOCK, 8, "cell value block"
@@ -273,7 +206,7 @@ class KacStroockIntegrator(_CellIntegrator):
         self.n = float(n)
         cells, widths = ks_rule(grid, self.n, quad.r)
         self.mids = ks_midpoints(cells, widths)
-        super().__init__(f, xs, ks_edges(cells, widths), 1.0, QuadSpec(r=1, rho=quad.rho))
+        super().__init__(f, xs, ks_edges(cells, widths), 1.0)
 
     def _block_values(self, rng, streams):
         """One field per stream: the substreams of rng, or each stream of the
@@ -311,18 +244,19 @@ def noise_integrator(
     """The integrator of f against one noise family on grid's domain.
 
     "donsker": the Donsker kernel at scale n with innovation law `law`;
-    "kac-stroock": the Kac-Stroock kernel of intensity n; "sheet": the
-    Brownian sheet, i.e. the Donsker integrator on the grid's own cells with
-    standard-normal innovations (n and law unused).
+    "kac-stroock": the Kac-Stroock kernel of intensity n, on the ks_rule
+    sub-cells refined quad.r-fold; "sheet": the Brownian sheet, i.e. the
+    Donsker integrator on the grid's own cells with standard-normal
+    innovations (n and law unused). Only Kac-Stroock reads quad.
     """
     if family == "donsker":
         n = _donsker_scale(n)
-        return DonskerIntegrator(f, xs, donsker_edges(n, grid.T), n ** (grid.d / 2.0), quad, law)
+        return DonskerIntegrator(f, xs, donsker_edges(n, grid.T), n ** (grid.d / 2.0), law)
     if family == "kac-stroock":
         return KacStroockIntegrator(f, xs, grid, float(n), quad)
     if family == "sheet":
         # the grid's own cells: ceil(n T) would miscount them when T is not a multiple of 1/n
         nodes = [grid.axis_nodes(i) for i in range(grid.d)]
-        return DonskerIntegrator(f, xs, nodes, grid.cell_volume**-0.5, quad)
+        return DonskerIntegrator(f, xs, nodes, grid.cell_volume**-0.5)
     raise ValueError(f"unknown noise family {family!r}; choose one of {FAMILIES}")
 

@@ -1,4 +1,4 @@
-"""Composite midpoint quadrature on refined tensor grids, and the axis-by-axis contraction."""
+"""Quadrature control, tensor grids and the axis-by-axis contraction."""
 
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ __all__ = ["QuadSpec", "tensor_points", "row_outer", "distinct_coordinates", "co
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature control: r sub-cells per axis per grid cell, optional
-    diagonal-exclusion radius rho for singular integrands."""
+    """Quadrature control: r sub-cells per axis per grid cell (the
+    Kac-Stroock rule and the norm quadrature of the reports), and the
+    diagonal-exclusion radius rho of holder_probe."""
 
     r: int = 1
     rho: float = 0.0

@@ -266,10 +266,9 @@ class SpdeSampler:
         F: Nonlinearity,
         gs: GreenSeries,
         cfg: SolveConfig = SolveConfig(),
-        # r = 1 suffices: Donsker and the sheet integrate the Green kernel's
-        # exact cell integrals, and Kac-Stroock's rule already has at least
-        # ceil(n T_i) cells per axis
-        quad: QuadSpec = QuadSpec(r=1, rho=1e-3),
+        # Kac-Stroock's refinement r; r = 1 suffices, since its rule already
+        # has at least ceil(n T_i) cells per axis
+        quad: QuadSpec = QuadSpec(),
     ):
         self.F = F
         self.gs = gs

@@ -43,7 +43,7 @@ from sheetlab.green import (
     grid_sine_coefficients,
     sine_synthesis,
 )
-from sheetlab.integrals import Integrand, noise_integrator
+from sheetlab.integrals import noise_integrator
 from sheetlab.kernels import PoissonField, sample_donsker
 from sheetlab.quadrature import tensor_points
 from sheetlab.solver import SpdeSampler, nonlinearity_preset
@@ -134,7 +134,8 @@ def test_criterion_04_fdd_convergence():
 def test_criterion_05_moment_bound():
     """Donsker m = 2 ratio exactly one across n; Kac-Stroock ratios bounded."""
     grid = GridSpec(d=1, T=1.0, N=4)
-    ones = Integrand(lambda xs, axes: np.ones((len(xs),) + tuple(len(a) for a in axes)))
+    # at x = T the indicator is g = 1 on D
+    ones = indicator_integrand()
     cfg = DiagConfig(n_list=(4, 16, 64), m=2, M=10_000, quad=QuadSpec(r=4))
     rep_d = moment_bound_probe(ones, "donsker", grid, cfg, RngStream(515))
     exact_one = all(

@@ -23,10 +23,6 @@ from sheetlab.kernels import BudgetExceededError
 from sheetlab.solver import SpdeSampler, nonlinearity_preset
 
 
-def _ones_integrand():
-    return Integrand(lambda xs, axes: np.ones((len(xs),) + tuple(len(a) for a in axes)))
-
-
 def test_diagconfig_validation():
     with pytest.raises(ValueError):
         DiagConfig(n_list=(16, 4))
@@ -102,7 +98,15 @@ def test_solution_report_refuses_a_law_it_cannot_draw(monkeypatch, law):
 
 
 def test_moment_probe_rejects_zero_norm():
-    zero = Integrand(lambda xs, axes: np.zeros((len(xs),) + tuple(len(a) for a in axes)))
+    # refused on its norm, before any integrator reaches the oracles
+    def never(*_):
+        raise AssertionError("oracle called before the norm was checked")
+
+    zero = Integrand(
+        evaluator=lambda xs, axes: np.zeros((len(xs),) + tuple(len(a) for a in axes)),
+        cell_integral=never,
+        cell_map=never,
+    )
     cfg = DiagConfig()
     with pytest.raises(ValueError):
         moment_bound_probe(zero, "donsker", GridSpec(d=1, T=1.0, N=4), cfg, RngStream(0))
@@ -113,18 +117,33 @@ def test_norm_quadrature_budget(monkeypatch):
     grid, cfg = GridSpec(d=2, T=1.0, N=8), DiagConfig(quad=QuadSpec(r=4))
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 1023)
     with pytest.raises(BudgetExceededError, match="norm quadrature would need 1024"):
-        moment_bound_probe(_ones_integrand(), "donsker", grid, cfg, RngStream(0))
+        moment_bound_probe(indicator_integrand(), "donsker", grid, cfg, RngStream(0))
     with pytest.raises(BudgetExceededError, match="norm quadrature would need 1024"):
         variance_convergence_report(
             indicator_integrand(), "donsker", grid, (0.5, 0.5), cfg, RngStream(0)
         )
+    # off the refined edges each axis's cell that holds x is split in two: 33^2
+    with pytest.raises(BudgetExceededError, match="norm quadrature would need 1089"):
+        variance_convergence_report(
+            indicator_integrand(), "donsker", grid, (0.33, 0.33), cfg, RngStream(0)
+        )
+
+
+def test_variance_target_off_the_grid_is_the_indicator_volume():
+    # x = (0.33, 0.33) lies inside a cell of the r = 2 refined 16 x 16 grid;
+    # whole sub-cells past x gave 0.11816 against |[0, x]| = 0.1089
+    grid, cfg = GridSpec(d=2, T=1.0, N=16), DiagConfig(n_list=(4,), M=100, quad=QuadSpec(r=2))
+    rep = variance_convergence_report(
+        indicator_integrand(), "donsker", grid, (0.33, 0.33), cfg, RngStream(0)
+    )
+    assert rep.config["target"] == pytest.approx(0.33**2, rel=1e-15, abs=0.0)
 
 
 def test_moment_probe_donsker_ratio_exactly_one():
     # E[zeta_n(1)^2] = 1 for g == 1 in d=1, any n: exact weight arithmetic
     cfg = DiagConfig(n_list=(4, 16, 64), m=2)
     rep = moment_bound_probe(
-        _ones_integrand(), "donsker", GridSpec(d=1, T=1.0, N=4), cfg, RngStream(43)
+        indicator_integrand(), "donsker", GridSpec(d=1, T=1.0, N=4), cfg, RngStream(43)
     )
     for row in rep.per_n:
         assert row["exact"]
@@ -135,10 +154,23 @@ def test_moment_probe_donsker_ratio_exactly_one():
 def test_moment_probe_kac_stroock_bounded():
     cfg = DiagConfig(n_list=(4, 16, 64), m=2, M=2000, quad=QuadSpec(r=4))
     rep = moment_bound_probe(
-        _ones_integrand(), "kac-stroock", GridSpec(d=1, T=1.0, N=4), cfg, RngStream(44)
+        indicator_integrand(), "kac-stroock", GridSpec(d=1, T=1.0, N=4), cfg, RngStream(44)
     )
     assert rep.passed()
     assert rep.verdicts["ratios_bounded"]["value"] <= 1.5
+
+
+def test_report_rows_keep_a_real_kac_stroock_intensity():
+    # a whole n is an int, any other a float: n = 4.5 is not written as 4
+    assert DiagConfig(n_list=(4.0, 16)).n_list == (4, 16)
+    assert all(type(n) is int for n in DiagConfig(n_list=(4.0, 16)).n_list)
+    grid, f = GridSpec(d=1, T=1.0, N=4), indicator_integrand()
+    cfg = DiagConfig(n_list=(4.5, 16.25), M=1000, projections=2)
+    fdd = fdd_test(f, "kac-stroock", grid, [(0.5,)], cfg, RngStream(47))
+    var = variance_convergence_report(f, "kac-stroock", grid, (0.5,), cfg, RngStream(48))
+    for rep in (fdd, var):
+        assert [row["n"] for row in rep.per_n] == [4.5, 16.25]
+        assert rep.config["n_list"] == [4.5, 16.25]
 
 
 def test_tightness_rejects_equal_pairs():

@@ -2,10 +2,13 @@
 Only kernels.check_budget reads the memory budget, solver imports no report
 layer, the reports name no noise family and no solver block, only convergence
 imports stats, each statistic of the reports is written once (the KS step, the
-slope fit, the verdict record), and only cli touches files."""
+slope fit, the verdict record), every integrand reaches the integrators through
+its three required callables, and only cli touches files."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -92,6 +95,18 @@ def _sheetlab_imports(tree) -> set:
             continue
         found |= {n.split(".")[1] for n in names if n.startswith("sheetlab.")}
     return found
+
+
+def test_one_integrand_route():
+    # no evaluator-only integrand and no quadrature fallback: every integrator
+    # applies the cell map and builds its weights from the cell integrals
+    from sheetlab.integrals import DonskerIntegrator, Integrand
+
+    fields = dataclasses.fields(Integrand)
+    assert [f.name for f in fields] == ["evaluator", "cell_integral", "cell_map"]
+    assert all(f.default is dataclasses.MISSING for f in fields)
+    assert all(f.default_factory is dataclasses.MISSING for f in fields)
+    assert "quad" not in inspect.signature(DonskerIntegrator).parameters
 
 
 def test_solver_imports_no_report_layer():

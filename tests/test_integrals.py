@@ -21,8 +21,6 @@ from sheetlab.integrals import (
     DonskerIntegrator,
     Integrand,
     KacStroockIntegrator,
-    _eval_matrix,
-    _refined_axes,
     noise_integrator,
 )
 from sheetlab import integrals, kernels
@@ -40,26 +38,25 @@ from sheetlab.kernels import (
 from sheetlab.quadrature import tensor_points
 
 
-def _on_axes(ev):
-    """A point-list evaluator (xs, Y) -> (n, m) as the tensor-grid evaluator
-    (xs, axes) -> (n, m_1, ..., m_d) that Integrand takes."""
+def _piecewise_constant(knots, gvals):
+    """d = 1, f(x, y) = g_j on (knots_j, knots_{j+1}] whatever x: its cell
+    integrals are differences of the indicator's cell overlaps."""
 
-    def on_axes(xs, axes):
-        shape = (len(xs),) + tuple(len(a) for a in axes)
-        return ev(np.asarray(xs), tensor_points(axes)).reshape(shape)
+    def cell_weights(e):
+        return gvals @ np.diff(kernels.cell_overlaps(knots, e), axis=0)
 
-    return on_axes
+    def ev(xs, axes):
+        idx = np.clip(np.searchsorted(knots, axes[0], side="left") - 1, 0, len(gvals) - 1)
+        return np.tile(gvals[idx], (len(xs), 1))
 
+    def ci(xs, edges):
+        return np.tile(cell_weights(edges[0]), (len(xs), 1))
 
-def _ones(xs, Y):
-    return np.ones((len(xs), len(Y)))
+    def cm(xs, edges):
+        w = cell_weights(edges[0])
+        return (lambda Z: np.repeat((Z @ w)[:, None], len(xs), axis=1)), 1
 
-
-def _smooth_integrand():
-    def ev(xs, Y):
-        return np.tile(np.cos(np.pi * Y[:, 0]) * (1.0 + Y[:, -1]), (len(xs), 1))
-
-    return Integrand(evaluator=_on_axes(ev))
+    return Integrand(evaluator=ev, cell_integral=ci, cell_map=cm)
 
 
 def _one_draw(family, f, xs, grid, n, stream, quad=QuadSpec()):
@@ -93,9 +90,9 @@ def test_donsker_oracle_matches_brute_force():
     grid = GridSpec(d=2, T=1.0, N=2)
     n = 4
     fld = sample_donsker(grid, n, rng=RngStream(33))
-    f = _smooth_integrand()
+    f = green_integrand(GreenSeries(d=2, kmax=8))
     x = np.array([0.4, 0.6])
-    got = _one_draw("donsker", f, [x], grid, n, RngStream(33), QuadSpec(r=32))[0]
+    got = _one_draw("donsker", f, [x], grid, n, RngStream(33))[0]
     # brute force: n^{d/2} sum_k Z_k * (cell integral by dense midpoints)
     m = 40
     total = 0.0
@@ -106,49 +103,14 @@ def test_donsker_oracle_matches_brute_force():
     assert got == pytest.approx(n * total, rel=1e-4)
 
 
-def _former_quadrature_weights(f, xs, n, d, r):
-    """The per-x midpoint-rule weights that the batched Donsker fallback replaced."""
-    edges = [np.minimum(np.arange(n + 1) / n, 1.0)] * d
-    mids, widths = _refined_axes(edges, r)
-    wt = widths[0]
-    for v in widths[1:]:
-        wt = np.multiply.outer(wt, v)
-    rows = []
-    for x in xs:
-        contrib = (f.evaluator(x[None], mids)[0].ravel() * wt.ravel()).reshape((n * r,) * d)
-        for axis in range(d):
-            new = list(contrib.shape)
-            new[axis : axis + 1] = [n, r]
-            contrib = contrib.reshape(new).sum(axis=axis + 1)
-        rows.append(contrib.ravel())
-    return np.array(rows)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_donsker_quadrature_matches_per_x_loop(d):
-    def ev(xs, Y):
-        return np.cos(np.pi * (Y[None, :, 0] - xs[:, :1])) * (1.0 + Y[None, :, -1] * xs[:, -1:])
-
-    xs = RngStream(42).generator().uniform(0.0, 1.0, size=(5, d))
-    f = Integrand(_on_axes(ev))
-    edges = donsker_edges(3, (1.0,) * d)
-    got = DonskerIntegrator(f, xs, edges, 3 ** (d / 2.0), QuadSpec(r=3)).weights
-    np.testing.assert_array_equal(got, _former_quadrature_weights(f, xs, 3, d, 3))
-
-
 def test_piecewise_constant_factorizes_through_zeta():
     # d=1: f(y) = sum g_j I_{(x_{j-1}, x_j]} gives X_n = sum g_j (zeta(x_j) - zeta(x_{j-1}))
     grid = GridSpec(d=1, T=1.0, N=4)
     fld = sample_donsker(grid, 8, rng=RngStream(36))
     knots = np.array([0.0, 0.25, 0.5, 1.0])
     gvals = np.array([2.0, -1.0, 0.5])
-
-    def ev(xs, Y):
-        idx = np.clip(np.searchsorted(knots, Y[:, 0], side="left") - 1, 0, 2)
-        return np.tile(gvals[idx], (len(xs), 1))
-
-    f = Integrand(_on_axes(ev))
-    got = _one_draw("donsker", f, [[0.0]], grid, 8, RngStream(36), QuadSpec(r=8))[0]
+    f = _piecewise_constant(knots, gvals)
+    got = _one_draw("donsker", f, [[0.0]], grid, 8, RngStream(36))[0]
     expect = sum(
         g * (zeta(fld, (b,)) - zeta(fld, (a,)))
         for g, a, b in zip(gvals, knots[:-1], knots[1:])
@@ -163,41 +125,6 @@ def test_donsker_integrator_second_moment_exact():
     assert integ.second_moment()[0] == pytest.approx(0.5)
 
 
-def test_singular_integrand_requires_rho():
-    f = Integrand(_on_axes(_ones), smoothness="singular-diagonal")
-    grid = GridSpec(d=2, T=1.0, N=4)
-    with pytest.raises(ValueError):
-        DonskerIntegrator(f, [np.zeros(2)], donsker_edges(4, grid.T), 4.0, QuadSpec(r=2, rho=0.0))
-    with pytest.raises(ValueError):
-        KacStroockIntegrator(f, [np.zeros(2)], grid, 4.0, QuadSpec(r=2, rho=0.0))
-
-
-def test_quadrature_excludes_ball_around_x_for_singular_integrand():
-    # midpoints (j + 0.5) / 8: within rho = 0.1 of x = 0.5 are 0.4375 and 0.5625, of x = 0 is 0.0625
-    f = Integrand(_on_axes(_ones), smoothness="singular-diagonal")
-    quad = QuadSpec(r=4, rho=0.1)
-    xs = np.array([[0.5], [0.0]])
-    W = DonskerIntegrator(f, xs, donsker_edges(2, (1.0,)), 2**0.5, quad).weights
-    np.testing.assert_array_equal(W, [[0.375, 0.375], [0.375, 0.5]])
-    # Kac-Stroock: the midpoint rule at r = 1 on the rule's 8 sub-cells of width 1/8
-    ks = KacStroockIntegrator(f, xs, GridSpec(d=1, T=1.0, N=2), 2.0, quad)
-    np.testing.assert_array_equal(8 * ks.weights, [[1, 1, 1, 0, 0, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1, 1]])
-
-
-def test_quadrature_excludes_ball_around_x_in_two_dimensions():
-    # T = (1, 0.5), n = 2, r = 4: 2 x 1 cells of 8 x 4 sub-cells of area 1/64
-    f = Integrand(_on_axes(_ones), smoothness="singular-diagonal")
-    quad = QuadSpec(r=4, rho=0.3)
-    xs = np.array([[0.3, 0.1], [0.9, 0.45]])
-    W = DonskerIntegrator(f, xs, donsker_edges(2, (1.0, 0.5)), 2.0, quad).weights
-    pts = tensor_points([(np.arange(8) + 0.5) / 8, (np.arange(4) + 0.5) / 8])
-    first_cell = pts[:, 0] < 0.5
-    for x, w in zip(xs, W):
-        keep = np.sum((pts - x) ** 2, axis=1) > quad.rho**2
-        counts = [np.sum(keep & first_cell), np.sum(keep & ~first_cell)]
-        np.testing.assert_array_equal(w, np.array(counts) / 64)
-
-
 def test_limit_field_matches_sheet_nodes():
     # the sheet integrator of the indicator is zeta of the Donsker field at n = N
     grid = GridSpec(d=2, T=1.0, N=4)
@@ -209,7 +136,7 @@ def test_limit_field_matches_sheet_nodes():
 
 def test_limit_field_variance_isometry():
     grid = GridSpec(d=1, T=1.0, N=8)
-    f = _smooth_integrand()
+    f = _piecewise_constant(np.array([0.0, 0.3, 0.55, 1.0]), np.array([1.5, -0.5, 2.0]))
     x = np.array([0.0])
     integ = noise_integrator("sheet", f, [x], grid, None)
     rng = RngStream(38)
@@ -260,16 +187,11 @@ def test_green_cell_integral_matches_former_per_point_oracle(d):
 
 def _former_sheet(f, xs, grid, rng, M):
     """Replicates and variances of int f(x, y) W(dy) by the arithmetic of the
-    former SheetIntegrator: exact cell averages (or values at the cell centers
-    when f has no cell-integral oracle) against increments sqrt(cv) Z, and the
-    variance sum F^2 cv."""
+    former SheetIntegrator: exact cell averages against increments sqrt(cv) Z,
+    and the variance sum F^2 cv."""
     cv = grid.cell_volume
     edges = [grid.axis_nodes(k) for k in range(grid.d)]
-    if f.cell_integral is not None:
-        F = np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], -1) / cv
-    else:
-        centers = [grid.axis_cell_centers(i) for i in range(grid.d)]
-        F = f.evaluator(xs, centers).reshape(xs.shape[0], -1)
+    F = np.asarray(f.cell_integral(xs, edges)).reshape(xs.shape[0], -1) / cv
     incr = rng.generator().standard_normal((M, F.shape[1])) * np.sqrt(cv)
     return incr @ F.T, np.sum(F**2, axis=1) * cv
 
@@ -280,14 +202,14 @@ def _sheet_case(kind, d, N, T, seed):
         f = green_integrand(GreenSeries(d=d, kmax=6))
     else:
         grid = GridSpec(d=d, T=T, N=N)
-        f = indicator_integrand() if kind == "indicator" else _smooth_integrand()
+        f = indicator_integrand()
     xs = RngStream(seed).substream(1).generator().uniform(0.05, 0.95, size=(3, d)) * grid.T
     return f, xs, grid
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["indicator", "smooth", "green"]),
+    kind=st.sampled_from(["indicator", "green"]),
     d=st.sampled_from([1, 2, 3]),
     N=st.integers(1, 10),
     T=st.sampled_from([1.0, 0.28, 1.7]),
@@ -304,17 +226,6 @@ def test_sheet_driver_matches_former_sheet_integrator(kind, d, N, T, seed):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     var = integ.second_moment()
     assert np.max(np.abs(var - ref_var)) <= 1e-12 * np.max(ref_var)
-
-
-# the indicator and Green kernels take their cell maps, which sum in another
-# order than the former integrator's product: test_green_mode_route_matches_dense_weights
-@pytest.mark.parametrize("kind", ["smooth"])
-def test_sheet_driver_bit_identical_on_dyadic_grid(kind):
-    f, xs, grid = _sheet_case(kind, 2, 16, 1.0, 41)
-    integ = noise_integrator("sheet", f, xs, grid, None, QuadSpec(r=1, rho=1e-3))
-    ref, ref_var = _former_sheet(f, xs, grid, RngStream(41), 200)
-    np.testing.assert_array_equal(integ.replicates(RngStream(41), 200), ref)
-    np.testing.assert_array_equal(integ.second_moment(), ref_var)
 
 
 @pytest.mark.parametrize("kind", ["indicator", "green"])
@@ -422,15 +333,11 @@ def test_green_mode_route_coefficients_budgeted(monkeypatch):
 def _ks_reference(f, xs, grid, n, quad, fields):
     """Kac-Stroock values sum_c theta_n(mid_c) int_c f(x, y) dy over the rule's
     sub-cells c, with theta_n's parity counted by cumulative sums and int_c f
-    from f's cell_integral oracle, or, without one, f at mid_c times |c|;
-    shape (len(fields), npts)."""
+    from f's cell_integral oracle; shape (len(fields), npts)."""
     cells, widths = ks_rule(grid, n, quad.r)
     mids = ks_midpoints(cells, widths)
-    if f.cell_integral is not None:
-        edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
-        wmat = f.cell_integral(xs, edges).reshape(len(xs), -1)
-    else:
-        wmat = _eval_matrix(f, xs, mids, quad.rho).reshape(len(xs), -1) * np.prod(widths)
+    edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
+    wmat = f.cell_integral(xs, edges).reshape(len(xs), -1)
     d = grid.d
     pref = n ** (d / 2.0) * np.prod(np.meshgrid(*mids, indexing="ij"), axis=0) ** ((d - 1) / 2)
     out = []
@@ -472,17 +379,14 @@ def _crafted_sampler(anchor, r):
 
 def _ks_case(kind, d, N, seed):
     grid = GridSpec(d=d, T=(1.0, 0.75, 1.25)[:d] if kind != "green" else 1.0, N=N)
-    if kind == "green":
-        f = green_integrand(GreenSeries(d=d, kmax=6))
-    else:
-        f = indicator_integrand() if kind == "indicator" else _smooth_integrand()
+    f = green_integrand(GreenSeries(d=d, kmax=6)) if kind == "green" else indicator_integrand()
     xs = RngStream(seed).substream(1).generator().uniform(0.05, 0.95, size=(3, d)) * grid.T
     return f, xs, grid
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["indicator", "smooth", "green"]),
+    kind=st.sampled_from(["indicator", "green"]),
     d=st.sampled_from([1, 2, 3]),
     N=st.integers(1, 4),
     n=st.integers(1, 8),
@@ -540,32 +444,40 @@ def test_no_points_give_an_empty_stack():
 
 
 def _never_evaluated(oracles) -> Integrand:
-    """Integrand whose evaluator and given oracles all fail the test when called."""
+    """The indicator, but the given oracles fail the test when called."""
 
     def never(*_):
         raise AssertionError("integrand evaluated before the budget check")
 
-    return Integrand(evaluator=never, **{name: never for name in oracles})
+    f = indicator_integrand()
+    for name in oracles:
+        setattr(f, name, never)
+    return f
 
 
-@pytest.mark.parametrize("oracles", [(), ("cell_integral",)])
+@pytest.mark.parametrize("oracles", [("cell_integral",), ("cell_integral", "evaluator")])
 def test_weight_budget_checked_before_any_evaluation(monkeypatch, oracles):
+    # every integrator is built through the cell map; its (3, 64) weights are
+    # refused before the cell integrals (or the evaluator) are called
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 - 1)
     grid = GridSpec(d=2, T=1.0, N=8)
     xs = np.full((3, 2), 0.5)
     f = _never_evaluated(oracles)
     shape = r"\(3, 64\)"
+    donsker = DonskerIntegrator(f, xs, donsker_edges(8, grid.T), 8.0)
     with pytest.raises(BudgetExceededError, match=rf"{shape} would need 1536 bytes"):
-        DonskerIntegrator(f, xs, donsker_edges(8, grid.T), 8.0)
+        donsker.weights
     with pytest.raises(BudgetExceededError, match=shape):
-        KacStroockIntegrator(f, xs, grid, 8.0)
+        donsker.second_moment()
     with pytest.raises(BudgetExceededError, match=shape):
-        noise_integrator("sheet", f, xs, grid, None)
+        KacStroockIntegrator(f, xs, grid, 8.0).weights
+    with pytest.raises(BudgetExceededError, match=shape):
+        noise_integrator("sheet", f, xs, grid, None).weights
     # at exactly the budget the weights are built
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64)
-    ones = Integrand(_on_axes(_ones))
-    assert DonskerIntegrator(ones, xs, donsker_edges(8, grid.T), 8.0).weights.shape == (3, 64)
-    assert KacStroockIntegrator(ones, xs, grid, 8.0).weights.shape == (3, 64)
+    f = indicator_integrand()
+    assert DonskerIntegrator(f, xs, donsker_edges(8, grid.T), 8.0).weights.shape == (3, 64)
+    assert KacStroockIntegrator(f, xs, grid, 8.0).weights.shape == (3, 64)
 
 
 class _NeverDrawn:
@@ -703,17 +615,19 @@ def test_donsker_lattice_refused_before_any_edge():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("oracles, per_cell", [((), 4), (("cell_integral",), 1)])
-def test_donsker_budget_counts_quadrature_nodes(monkeypatch, oracles, per_cell):
-    # at r = 2 in d = 2 the quadrature fallback evaluates f at 4 nodes per cell
-    quad = QuadSpec(r=2)
+@pytest.mark.parametrize(
+    "oracles, r", [(("cell_integral", "evaluator"), 2), (("cell_integral",), 1)]
+)
+def test_donsker_budget_counts_quadrature_nodes(monkeypatch, oracles, r):
+    # r refines the Kac-Stroock rule alone: at any r the Donsker weights count
+    # one exact cell integral per cell, refused before any is computed
+    quad = QuadSpec(r=r)
+    grid = GridSpec(d=2, T=1.0, N=4)
     xs = np.full((3, 2), 0.5)
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 * per_cell - 1)
-    with pytest.raises(BudgetExceededError, match=rf"\(3, {64 * per_cell}\)"):
-        DonskerIntegrator(_never_evaluated(oracles), xs, donsker_edges(8, (1.0, 1.0)), 8.0, quad)
-    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 * per_cell)
-    ones = Integrand(_on_axes(_ones))
-    if oracles:
-        ones.cell_integral = lambda xs, edges: np.ones((len(xs), 8, 8))
-    edges = donsker_edges(8, (1.0, 1.0))
-    assert DonskerIntegrator(ones, xs, edges, 8.0, quad).weights.shape == (3, 64)
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 - 1)
+    integ = noise_integrator("donsker", _never_evaluated(oracles), xs, grid, 8, quad)
+    with pytest.raises(BudgetExceededError, match=r"\(3, 64\)"):
+        integ.weights
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64)
+    integ = noise_integrator("donsker", indicator_integrand(), xs, grid, 8, quad)
+    assert integ.weights.shape == (3, 64)

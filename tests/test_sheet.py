@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sheetlab import GridSpec, RngStream, sample_donsker, sheet_covariance, zeta_on_axes
-from sheetlab.integrals import Integrand, indicator_integrand, noise_integrator
+from sheetlab.integrals import indicator_integrand, noise_integrator
 from sheetlab.kernels import DonskerField
 
 
@@ -44,8 +44,9 @@ def test_node_values_are_cumulative_sums():
 
 def test_wiener_integral_of_one_is_total_mass():
     grid = GridSpec(d=2, T=1.0, N=4)
-    ones = Integrand(lambda xs, axes: np.ones((len(xs),) + tuple(len(a) for a in axes)))
-    total = noise_integrator("sheet", ones, [np.zeros(2)], grid, None).replicates([RngStream(23)])
+    # the indicator at x = (1, 1) is 1 on D
+    f, x = indicator_integrand(), np.ones(2)
+    total = noise_integrator("sheet", f, [x], grid, None).replicates([RngStream(23)])
     Z = sample_donsker(grid, 4, rng=RngStream(23)).Z
     assert total[0, 0] == pytest.approx(Z.sum() * np.sqrt(grid.cell_volume))
     assert total[0, 0] == pytest.approx(_sheet_at_nodes(grid, RngStream(23))[4, 4])
