@@ -17,7 +17,7 @@ import numpy as np
 from .grid import GridField, GridSpec, as_point
 from .integrals import Integrand
 from .kernels import check_budget
-from .quadrature import contract_axes, distinct_coordinates, row_outer
+from .quadrature import contract_axes, contract_axis, distinct_coordinates, row_outer
 from .rng import RngStream
 
 __all__ = [
@@ -78,17 +78,57 @@ class WalkTruncationError(RuntimeError):
 # kmax * 64 KiB; also bounds every x block's mode tensor to POINT_CHUNK * kmax doubles
 POINT_CHUNK = 8192
 
+# entries per eigenvalue slab in _contract_inv_lam, as integrals.DRAW_BLOCK (2 MiB):
+# a product of 2^18 entries stays on one OpenBLAS thread, one of 2^19 woke a second
+LAM_SLAB = 1 << 18
 
-def _lam_tensor(d: int, kmax: int) -> np.ndarray:
-    """Eigenvalues pi^2 |k|^2 on {1..kmax}^d, a fresh array on every call."""
+
+def _lam_tensor(d: int, kmax: int, planes: slice = slice(None)) -> np.ndarray:
+    """Eigenvalues pi^2 |k|^2 on {1..kmax}^d, a fresh array on every call;
+    `planes` keeps a range of k_2 planes (d >= 2)."""
     # |k|^2 summed axis by axis through broadcasting, in the order of
     # k_1^2 + k_2^2 + ...: the result is the only kmax^d-sized array built
     k2 = np.arange(1, kmax + 1, dtype=float) ** 2
     lam = k2.reshape((-1,) + (1,) * (d - 1))
     for i in range(1, d):
-        lam = lam + k2.reshape((-1,) + (1,) * (d - 1 - i))
+        ki = k2[planes] if i == 1 else k2
+        lam = lam + ki.reshape((-1,) + (1,) * (d - 1 - i))
     lam *= np.pi**2
     return lam
+
+
+def _contract_inv_lam(gs: GreenSeries, p: int, mats) -> np.ndarray:
+    """lambda_k^{-p} on {1..kmax}^d contracted with one matrix (kmax, m_i) per
+    axis: contract_axes(lambda^{-p}[None], mats)[0], shape (m_1, ..., m_d), with
+    the same bits and without the kmax^d tensor.
+
+    The first mode axis is contracted over slabs of whole k_2 planes, each slab
+    a multiple of 4 planes and at most LAM_SLAB entries (unless 4 planes
+    exceed it), built, inverted and handed to BLAS as contract_axes does with
+    the whole tensor; fewer planes per slab move the bits. The other axes are
+    contracted as contract_axes does.
+    """
+    d, kmax = gs.d, gs.kmax
+    if len(mats) != d:
+        raise ValueError(f"expected {d} per-axis arrays, got {len(mats)}")
+    rows_per_plane = kmax ** (d - 2)
+    step = max(4, LAM_SLAB // (kmax * rows_per_plane) // 4 * 4)
+    for lo in range(0, kmax, step):
+        slab = _lam_tensor(d, kmax, slice(lo, lo + step))
+        if p == 2:
+            slab *= slab
+        np.divide(1.0, slab, out=slab)
+        if lo == 0:
+            # allocated after the first slab's build, whose buffers it would add to
+            first = np.empty((kmax * rows_per_plane, mats[0].shape[1]))
+        # rows (k_2, ..., k_d) of a Fortran-ordered view, as in contract_axis
+        rows = np.moveaxis(slab, 0, -1).reshape(-1, kmax)
+        np.matmul(rows, mats[0], out=first[lo * rows_per_plane : (lo + step) * rows_per_plane])
+        del slab, rows  # the next slab is built after this one is freed
+    out = first.reshape((1,) + (kmax,) * (d - 1) + (mats[0].shape[1],))
+    for M in mats[1:]:
+        out = contract_axis(out, M)
+    return out[0]
 
 
 def _sine_matrix(pts: np.ndarray, kmax: int) -> np.ndarray:
@@ -139,10 +179,8 @@ def green_eval(gs: GreenSeries, x, y) -> float:
     """Series value sum_{k <= kmax} lambda_k^{-1} e_k(x) e_k(y)."""
     xp, yp = _series_points(gs, [x]).T, _series_points(gs, [y]).T
     # symmetric per-axis products keep green_eval(x, y) == green_eval(y, x) exactly
-    inv = _lam_tensor(gs.d, gs.kmax)
-    np.divide(1.0, inv, out=inv)
     cols = [(_sine_matrix(a, gs.kmax) * _sine_matrix(b, gs.kmax)).T for a, b in zip(xp, yp)]
-    return float(contract_axes(inv[None], cols).item())
+    return float(_contract_inv_lam(gs, 1, cols).item())
 
 
 def green_values(gs: GreenSeries, x, Y: np.ndarray) -> np.ndarray:
@@ -286,12 +324,8 @@ def green_l2_norm(gs: GreenSeries, x) -> float:
 
 def green_l2_norm_on_axes(gs: GreenSeries, axes) -> np.ndarray:
     """||K(x,.)||_2 on a tensor grid of x points, one axis array per dimension."""
-    # lambda_k^{-2} in the one kmax^d array
-    inv = _lam_tensor(gs.d, gs.kmax)
-    inv *= inv
-    np.divide(1.0, inv, out=inv)
-    mats = [_sine_matrix(np.asarray(a), gs.kmax).T ** 2 for a in axes]
-    return np.sqrt(contract_axes(inv[None], mats)[0])
+    mats = [_sine_matrix(_unit_coords(a, "x axes"), gs.kmax).T ** 2 for a in axes]
+    return np.sqrt(_contract_inv_lam(gs, 2, mats))
 
 
 def lambda_sup(gs: GreenSeries, grid: GridSpec) -> float:

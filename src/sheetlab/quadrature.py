@@ -6,7 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadSpec", "tensor_points", "row_outer", "distinct_coordinates", "contract_axes"]
+__all__ = [
+    "QuadSpec",
+    "tensor_points",
+    "row_outer",
+    "distinct_coordinates",
+    "contract_axes",
+    "contract_axis",
+]
 
 
 @dataclass(frozen=True)
@@ -57,9 +64,17 @@ def contract_axes(stack: np.ndarray, mats) -> np.ndarray:
         raise ValueError(f"expected {stack.ndim - 1} per-axis arrays, got {len(mats)}")
     out = stack
     for M in mats:
-        # axis 1 moves last, as rows (B, rest, a_i); k_i comes out last, so the
-        # d steps leave the axes in order
-        B, a, rest = out.shape[0], out.shape[1], out.shape[2:]
-        rows = np.moveaxis(out, 1, -1).reshape(B, -1, a)
-        out = np.matmul(rows, M).reshape((B,) + rest + (M.shape[1],))
+        out = contract_axis(out, M)
     return out
+
+
+def contract_axis(stack: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """One step of contract_axes: axis 1 of a stack (B, a, *rest) contracted with
+    M (a, k), shape (B, *rest, k).
+
+    Axis 1 moves last, as the rows (B, prod(rest), a) of a Fortran-ordered view;
+    k comes out last, so d steps leave the axes in order.
+    """
+    B, a, rest = stack.shape[0], stack.shape[1], stack.shape[2:]
+    rows = np.moveaxis(stack, 1, -1).reshape(B, -1, a)
+    return np.matmul(rows, M).reshape((B,) + rest + (M.shape[1],))

@@ -1,6 +1,11 @@
 """Dirichlet Green function: series, walk-on-spheres, norms, spectral solve."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from sheetlab import (
     lambda_sup,
     poincare_constant,
 )
+import sheetlab
 from sheetlab import kernels
 from sheetlab.grid import GridField
 from sheetlab.green import (
@@ -219,6 +225,7 @@ def test_green_series_refuses_points_outside_the_cube(bad):
             lambda: green_eval(gs, inside, x),
             lambda: green_tail_estimate(gs, x, inside),
             lambda: green_l2_norm(gs, x),
+            lambda: green_l2_norm_on_axes(gs, [np.array([c]) for c in x]),
             lambda: green_values(gs, x, np.full((4, 2), 0.5)),
             lambda: green_on_axes(gs, x, [np.array([0.5])] * 2),
             lambda: f.cell_integral(np.array([x]), edges),
@@ -524,8 +531,8 @@ def test_lam_tensor_matches_meshgrid_sum_and_builds_one_array(d, kmax):
 
 
 def test_green_eval_keeps_no_mode_tensor():
-    # the kmax^d eigenvalue tensor is built once per call, inverted in place
-    # and freed on return
+    # the eigenvalues are built, inverted and contracted slab by slab, and
+    # freed on return
     gs = GreenSeries(d=3, kmax=144)
     tracemalloc.start()
     try:
@@ -547,6 +554,99 @@ def test_lambda_sup_holds_one_mode_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 64**3 * 8
+
+
+def test_tail_estimate_holds_no_mode_tensor():
+    # the d = 3 tail's series at kmax 128 would be a 16 MiB tensor; its slabs
+    # hold 2^18 entries (2 MiB) at a time
+    gs = GreenSeries(d=3)
+    tracemalloc.start()
+    try:
+        green_tail_estimate(gs, (0.3, 0.4, 0.5), (0.6, 0.7, 0.4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _run_python(code, threads):
+    """stdout of code in a fresh interpreter at OPENBLAS_NUM_THREADS=threads."""
+    src = str(Path(sheetlab.__file__).resolve().parent.parent)
+    rest = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    path = os.pathsep.join([src] + rest)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True).stdout
+
+
+_WHOLE_TENSOR_BITS = """
+    import numpy as np
+    from sheetlab.green import (GreenSeries, _lam_tensor, _sine_matrix, green_eval,
+                                green_l2_norm_on_axes)
+    from sheetlab.quadrature import contract_axes
+
+    def whole_eval(gs, x, y):
+        # green_eval as it was: the whole kmax^d reciprocal, then contract_axes
+        inv = _lam_tensor(gs.d, gs.kmax)
+        np.divide(1.0, inv, out=inv)
+        cols = [(_sine_matrix(np.array([a]), gs.kmax) * _sine_matrix(np.array([b]), gs.kmax)).T
+                for a, b in zip(x, y)]
+        return float(contract_axes(inv[None], cols).item())
+
+    def whole_norm(gs, axes):
+        # green_l2_norm_on_axes as it was: lambda^-2 squared and inverted in place
+        inv = _lam_tensor(gs.d, gs.kmax)
+        inv *= inv
+        np.divide(1.0, inv, out=inv)
+        mats = [_sine_matrix(a, gs.kmax).T ** 2 for a in axes]
+        return np.sqrt(contract_axes(inv[None], mats)[0])
+
+    gen = np.random.default_rng(30)
+    kmaxes = [*range(1, 21), 31, 32, 33, 63, 64, 65, 128]
+    cases = [(d, k) for d in (2, 3) for k in kmaxes] + [(3, 150), (2, 511), (2, 512)]
+    split = [(2, 600), (2, 1031)]  # d = 2 slabs split the rows above kmax 512
+    worst = 0.0
+    for d, k in cases + split:
+        gs = GreenSeries(d=d, kmax=k)
+        pairs = []
+        for _ in range(5):
+            x, y = gen.uniform(0, 1, d), gen.uniform(0, 1, d)
+            pairs.append((green_eval(gs, x, y), whole_eval(gs, x, y)))
+        for n in (1, 3, 15):
+            axes = [gen.uniform(0, 1, n) for _ in range(d)]
+            pairs.append((green_l2_norm_on_axes(gs, axes), whole_norm(gs, axes)))
+        for got, want in pairs:
+            if (d, k) in split:
+                worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+            elif not np.array_equal(got, want):
+                print("differs", d, k, np.shape(want))
+    print("split", worst)
+"""
+
+
+def test_slab_contraction_matches_the_whole_tensor_bit_for_bit():
+    """green_eval and green_l2_norm_on_axes equal the whole-tensor code they
+    replaced, bit for bit, on one BLAS thread (the whole tensor's own bits move
+    with the thread count at d = 3). At d = 3, slabs of 1, 2 or 3 planes did
+    not match, nor slabs not rounded to 4 planes (62 at kmax 65, 11 at 150)."""
+    out = _run_python(_WHOLE_TENSOR_BITS, 1).splitlines()
+    assert out[:-1] == []
+    assert float(out[-1].split()[1]) < 1e-12
+
+
+def test_green_eval_bits_do_not_depend_on_blas_threads():
+    # the whole 150^3 tensor's product woke a second OpenBLAS thread, and one
+    # of these 20 values moved at 2 and at 4 threads
+    code = """
+        import numpy as np
+        from sheetlab.green import GreenSeries, green_eval
+        gs, gen = GreenSeries(d=3, kmax=150), np.random.default_rng(5)
+        for _ in range(20):
+            print(green_eval(gs, gen.uniform(0, 1, 3), gen.uniform(0, 1, 3)).hex())
+    """
+    runs = [_run_python(code, threads) for threads in (1, 2, 4)]
+    assert len(runs[0].split()) == 20
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_k_apply_inverts_discrete_laplacian():
