@@ -3,7 +3,6 @@ diagnostics, and the stochastic Poisson equation on the unit cube."""
 
 from .grid import GridField, GridSpec
 from .rng import RngStream
-from .quadrature import QuadSpec
 from .kernels import (
     DonskerField,
     PoissonField,

@@ -48,8 +48,8 @@ from .green import (
     poincare_constant,
 )
 from .integrals import FAMILIES, indicator_integrand, noise_integrator
-from .kernels import INNOVATION_LAWS, BudgetExceededError, check_budget
-from .quadrature import QuadSpec, tensor_points
+from .kernels import INNOVATION_LAWS, BudgetExceededError, check_budget, whole_number
+from .quadrature import tensor_points
 from .rng import RngStream
 from .solver import (
     GateError,
@@ -66,6 +66,11 @@ EXIT_REFUSED = 4
 
 class ConfigError(ValueError):
     """Configuration problem, reported with the offending field name."""
+
+
+def _int(cfg: dict, key: str, least: int | None = None) -> int:
+    """cfg[key] as an int: a config file's 2.5 is refused, not run as 2."""
+    return whole_number(cfg[key], f"field {key!r}", least)
 
 
 def _parse_int_list(text: str) -> list:
@@ -107,7 +112,7 @@ def _nearest_interior_node(c: float, n: int) -> float:
 def _node_grid(cfg: dict) -> GridSpec:
     """The grid of cfg's d and grid_n on the unit cube, once its (grid_n + 1)^d
     node values fit the budget: refused before any node array exists."""
-    grid = GridSpec(d=int(cfg["d"]), T=1.0, N=int(cfg["grid_n"]))
+    grid = GridSpec(d=_int(cfg, "d"), T=1.0, N=_int(cfg, "grid_n"))
     nodes = math.prod(grid.node_shape)
     check_budget(nodes, f"node grid of shape {grid.node_shape} would need {nodes} values")
     return grid
@@ -236,9 +241,9 @@ def _run_simulate(cfg: dict) -> dict:
     grid = _node_grid(cfg)
     integ = noise_integrator(
         cfg["family"], indicator_integrand(), grid.node_points(), grid, float(cfg["n"]),
-        QuadSpec(r=int(cfg["r"])), cfg["law"],
+        _int(cfg, "r", 1), cfg["law"],
     )
-    field = GridField(grid, integ.replicates([RngStream(int(cfg["seed"]))])[0])
+    field = GridField(grid, integ.replicates([RngStream(_int(cfg, "seed"))])[0])
     return {"field.csv": _field_table(field, "value")}
 
 
@@ -265,19 +270,19 @@ def _run_convergence_report(cfg: dict) -> dict:
 
 
 def _convergence_report(cfg: dict) -> ConvergenceReport:
-    d = int(cfg["d"])
-    grid = GridSpec(d=d, T=1.0, N=int(cfg["grid_n"]))
+    d = _int(cfg, "d")
+    grid = GridSpec(d=d, T=1.0, N=_int(cfg, "grid_n"))
     diag = DiagConfig(
         n_list=tuple(_parse_int_list(cfg["n"])),
-        M=int(cfg["M"]),
-        m=int(cfg["m"]),
+        M=_int(cfg, "M"),
+        m=_int(cfg, "m"),
         q=float(cfg["q"]),
         significance=float(cfg["significance"]),
-        projections=int(cfg["projections"]),
+        projections=_int(cfg, "projections"),
         law=cfg["law"],
-        quad=QuadSpec(r=int(cfg["r"])),
+        r=_int(cfg, "r", 1),
     )
-    rng = RngStream(int(cfg["seed"]))
+    rng = RngStream(_int(cfg, "seed"))
     f = indicator_integrand()
     kind = cfg["diagnostic"]
     if cfg["probes"] and kind in ("moment", "tightness"):
@@ -311,7 +316,7 @@ GREEN_DEFAULTS = {
 def _run_green_table(cfg: dict) -> dict:
     grid = _node_grid(cfg)
     d, m = grid.d, grid.N[0]
-    gs = GreenSeries(d=d, kmax=int(cfg["kmax"]))
+    gs = GreenSeries(d=d, kmax=_int(cfg, "kmax"))
     pts = _parse_probes(cfg["x"] or _diagonal_points(d, 0.5), d)
     if len(pts) != 1:
         raise ConfigError(f"field 'x': green-table takes one point, got {len(pts)}")
@@ -347,9 +352,14 @@ SOLVE_DEFAULTS = {
 
 
 def _spde_problem(cfg: dict):
-    """(grid, Green series, nonlinearity F, source field g) of an SPDE subcommand."""
+    """(grid, Green series, nonlinearity F, source field g) of an SPDE subcommand.
+
+    Its rho, holder_probe's exclusion radius, reaches no computation: the
+    manifest records it, once it is in range."""
+    if float(cfg["rho"]) < 0:
+        raise ConfigError("field 'rho': exclusion radius rho must be >= 0")
     grid = _node_grid(cfg)
-    gs = GreenSeries(d=grid.d, kmax=int(cfg["kmax"]))
+    gs = GreenSeries(d=grid.d, kmax=_int(cfg, "kmax"))
     try:
         F = nonlinearity_preset(cfg["F"])
     except ValueError as exc:
@@ -360,11 +370,10 @@ def _spde_problem(cfg: dict):
 def _run_poisson_solve(cfg: dict) -> dict:
     _, gs, F, g = _spde_problem(cfg)
     solve_cfg = SolveConfig(
-        tolerance=float(cfg["tolerance"]), max_iterations=int(cfg["max_iterations"])
+        tolerance=float(cfg["tolerance"]), max_iterations=_int(cfg, "max_iterations")
     )
-    quad = QuadSpec(r=int(cfg["r"]), rho=float(cfg["rho"]))
-    sampler = SpdeSampler(cfg["family"], float(cfg["n"]), g, F, gs, solve_cfg, quad)
-    result = sampler.sample_solution(RngStream(int(cfg["seed"])))
+    sampler = SpdeSampler(cfg["family"], float(cfg["n"]), g, F, gs, solve_cfg, _int(cfg, "r", 1))
+    result = sampler.sample_solution(RngStream(_int(cfg, "seed")))
     # solve.json: every field of the result but the solution u itself
     solve = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "u"}
     return {"solution.csv": _field_table(result.u, "u"), "solve.json": solve}
@@ -392,16 +401,16 @@ def _run_spde_compare(cfg: dict) -> dict:
     grid, gs, F, g = _spde_problem(cfg)
     diag = DiagConfig(
         n_list=_parse_int_list(cfg["n_list"]),
-        M=int(cfg["M"]),
+        M=_int(cfg, "M"),
         significance=float(cfg["significance"]),
-        quad=QuadSpec(r=int(cfg["r"]), rho=float(cfg["rho"])),
+        r=_int(cfg, "r", 1),
     )
     # the default probes snap to grid nodes, without duplicates: a grid_n
     # divisible by 4 keeps c = 0.25, 0.5, 0.75 exactly
     coords = dict.fromkeys(_nearest_interior_node(c, grid.N[0]) for c in (0.25, 0.5, 0.75))
     probes = _parse_probes(cfg["probes"] or _diagonal_points(grid.d, *coords), grid.d)
     solve = SolveConfig(tolerance=float(cfg["tolerance"]))
-    rng = RngStream(int(cfg["seed"]))
+    rng = RngStream(_int(cfg, "seed"))
     report = solution_convergence_report(cfg["family"], probes, g, F, gs, diag, rng, solve)
     return _report_files(report)
 

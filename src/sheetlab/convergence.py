@@ -11,11 +11,11 @@ import numpy as np
 from .grid import GridField, GridSpec, as_point
 from .green import GreenSeries, green_on_axes
 from .integrals import Integrand, noise_integrator
-from .kernels import check_budget, check_shape_budget
+from .kernels import check_budget, check_shape_budget, whole_number
 
 # re-exported: bench/layers.py traces the integrator classes it finds on this module
 from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401
-from .quadrature import QuadSpec, row_outer, tensor_points
+from .quadrature import row_outer, tensor_points
 from .rng import RngStream
 from .solver import Nonlinearity, SolveConfig, SpdeSampler
 from . import stats
@@ -37,7 +37,8 @@ __all__ = [
 class DiagConfig:
     """The plan of every report: the n list, M replicates per n, the moment
     order m and integrability index q, the KS significance, the Cramer-Wold
-    projections, the innovation law and the quadrature."""
+    projections, the innovation law and the refinement r: of the Kac-Stroock
+    rule, and of the norm quadrature of the moment and variance reports."""
 
     n_list: tuple = (4, 16, 64)
     M: int = 1000
@@ -46,7 +47,7 @@ class DiagConfig:
     significance: float = 0.01
     projections: int = 10
     law: str = "standard-normal"
-    quad: QuadSpec = field(default_factory=QuadSpec)
+    r: int = 1
 
     def __post_init__(self):
         # a whole n is an int, any other (a Kac-Stroock intensity) a float, so
@@ -65,6 +66,7 @@ class DiagConfig:
             raise ValueError("integrability index q must be >= 1")
         if self.projections < 1:
             raise ValueError("projections must be >= 1")
+        object.__setattr__(self, "r", whole_number(self.r, "refinement factor r", 1))
 
 
 @dataclass
@@ -163,12 +165,12 @@ def fdd_test(
         raise ValueError("asymptotic two-sample KS needs M >= 1000")
     gen = rng.substream(0).generator()
     dirs = _unit_directions(cfg.projections, probes.shape[0], gen)
-    limit = noise_integrator("sheet", f, probes, grid, None, cfg.quad).replicates(
+    limit = noise_integrator("sheet", f, probes, grid, None, cfg.r).replicates(
         rng.substream(1), cfg.M
     )
     per_n = []
     for j, n in enumerate(cfg.n_list):
-        integ = noise_integrator(family, f, probes, grid, n, cfg.quad, cfg.law)
+        integ = noise_integrator(family, f, probes, grid, n, cfg.r, cfg.law)
         Xn = integ.replicates(rng.substream(2 + j), cfg.M)
         pairs = ((Xn @ a, limit @ a) for a in dirs)
         per_n.append(_ks_row(n, pairs, cfg.significance, "ks_statistics"))
@@ -234,12 +236,12 @@ def moment_bound_probe(
     so a g of y alone and the indicator of [0, T] (g = 1 on D) are the same.
     """
     x0 = np.array(grid.T, dtype=float)
-    norm = _lp_norm(lambda axes: g.evaluator(x0[None], axes)[0], grid, 2.0 * cfg.q, cfg.quad.r, x0)
+    norm = _lp_norm(lambda axes: g.evaluator(x0[None], axes)[0], grid, 2.0 * cfg.q, cfg.r, x0)
     if norm == 0.0:
         raise ValueError("moment_bound_probe requires ||g||_{2q} > 0")
     per_n = []
     for j, n in enumerate(cfg.n_list):
-        integ = noise_integrator(family, g, [x0], grid, n, cfg.quad, cfg.law)
+        integ = noise_integrator(family, g, [x0], grid, n, cfg.r, cfg.law)
         exact = cfg.m == 2 and hasattr(integ, "second_moment")
         if exact:
             moment, se = float(integ.second_moment()[0]), 0.0
@@ -290,7 +292,7 @@ def tightness_modulus_probe(
     rows = []
     for j, n in enumerate(cfg.n_list):
         for i, ((x, z), dist) in enumerate(zip(pts, dists)):
-            integ = noise_integrator(family, f, [x, z], grid, n, cfg.quad, cfg.law)
+            integ = noise_integrator(family, f, [x, z], grid, n, cfg.r, cfg.law)
             vals = integ.replicates(rng.substream(j * len(pts) + i), cfg.M)
             moment, _ = _mc_moment(vals[:, 0] - vals[:, 1], cfg.m)
             rows.append({"n": n, "distance": dist, "moment": moment})
@@ -322,10 +324,10 @@ def variance_convergence_report(
     """Check E[X_n(x)^2] -> int_D f^2(x,y) dy across the n list."""
     grid.point_in_domain(x)
     xp = as_point(x)
-    target = _lp_norm(lambda axes: f.evaluator(xp[None], axes)[0] ** 2, grid, 1.0, cfg.quad.r, xp)
+    target = _lp_norm(lambda axes: f.evaluator(xp[None], axes)[0] ** 2, grid, 1.0, cfg.r, xp)
     per_n = []
     for j, n in enumerate(cfg.n_list):
-        integ = noise_integrator(family, f, [xp], grid, n, cfg.quad, cfg.law)
+        integ = noise_integrator(family, f, [xp], grid, n, cfg.r, cfg.law)
         second, se = _mc_moment(integ.replicates(rng.substream(j), cfg.M)[:, 0], 2)
         per_n.append({"n": n, "second_moment": second, "se": se})
     gap, bound = abs(second - target), 3.0 * se  # the final n's moment and error
@@ -359,7 +361,7 @@ def solution_convergence_report(
 
     For each n of cfg.n_list, cfg.M replicate solutions are evaluated at the
     probe points and compared per probe with cfg.M sheet-driven solutions.
-    The noise is integrated with cfg.quad and standard-normal innovations;
+    The noise is integrated with cfg.r and standard-normal innovations;
     any other cfg.law is refused.
     """
     if cfg.law != "standard-normal":
@@ -370,7 +372,7 @@ def solution_convergence_report(
 
     def solution_values(family: str, n, stream: RngStream) -> np.ndarray:
         # solutions arrive a block at a time; only their probe values are kept
-        sampler = SpdeSampler(family, n, g, F, gs, solve, cfg.quad)
+        sampler = SpdeSampler(family, n, g, F, gs, solve, cfg.r)
         solves = sampler.sample_solutions(stream.substream(k) for k in range(cfg.M))
         return np.array([[r.u.values[idx] for idx in probe_idx] for r in solves])
 
@@ -422,25 +424,27 @@ def _alpha_window_check(d: int, alpha: float) -> None:
 
 
 def holder_probe(
-    gs: GreenSeries, alpha: float, pairs, quad: QuadSpec = QuadSpec(r=256, rho=1e-3)
+    gs: GreenSeries, alpha: float, pairs, r: int = 256, rho: float = 1e-3
 ) -> HolderEstimate:
-    """Estimate beta in ||K(x,.) - K(z,.)||_alpha <= C |x-z|^beta by log-log regression."""
+    """Estimate beta in ||K(x,.) - K(z,.)||_alpha <= C |x-z|^beta by log-log regression.
+
+    The norm is the midpoint rule on r^d cells of the unit cube, without the
+    midpoints within rho of x or of z, where K is singular."""
     _alpha_window_check(gs.d, alpha)
-    if quad.rho <= 0:
+    r = whole_number(r, "holder_probe's midpoint count r", 1)
+    if rho <= 0:
         raise ValueError("holder_probe requires a positive exclusion radius")
     pts = [(as_point(x), as_point(z)) for x, z in pairs]
     dists = [float(np.linalg.norm(x - z)) for x, z in pts]
     _check_distances(dists, "holder_probe")
-    mids = [(np.arange(quad.r) + 0.5) / quad.r] * gs.d
-    vol = (1.0 / quad.r) ** gs.d
+    mids = [(np.arange(r) + 0.5) / r] * gs.d
+    vol = (1.0 / r) ** gs.d
     nodes = tensor_points(mids)
     norms = []
     for x, z in pts:
         kx = green_on_axes(gs, x, mids).ravel()
         kz = green_on_axes(gs, z, mids).ravel()
-        mask = (np.linalg.norm(nodes - x, axis=1) > quad.rho) & (
-            np.linalg.norm(nodes - z, axis=1) > quad.rho
-        )
+        mask = (np.linalg.norm(nodes - x, axis=1) > rho) & (np.linalg.norm(nodes - z, axis=1) > rho)
         norms.append(float(np.sum(np.abs(kx - kz)[mask] ** alpha * vol) ** (1.0 / alpha)))
     beta, r_squared = _slope_fit(dists, norms)
     return HolderEstimate(

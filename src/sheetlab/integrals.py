@@ -11,7 +11,6 @@ import numpy as np
 from .grid import GridSpec
 from .kernels import (
     KS_BLOCK,
-    _donsker_scale,
     _draw_innovations,
     cell_overlaps,
     check_shape_budget,
@@ -22,8 +21,9 @@ from .kernels import (
     ks_rule,
     ks_scale,
     sample_kac_stroock,
+    whole_number,
 )
-from .quadrature import QuadSpec, contract_axes, distinct_coordinates, row_outer
+from .quadrature import contract_axes, distinct_coordinates, row_outer
 
 __all__ = [
     "Integrand",
@@ -201,10 +201,10 @@ class KacStroockIntegrator(_CellIntegrator):
 
     _rows, _applied, _block_name = KS_BLOCK, 8, "cell value block"
 
-    def __init__(self, f: Integrand, xs, grid: GridSpec, n: float, quad: QuadSpec = QuadSpec()):
+    def __init__(self, f: Integrand, xs, grid: GridSpec, n: float, r: int = 1):
         self.grid = grid
         self.n = float(n)
-        cells, widths = ks_rule(grid, self.n, quad.r)
+        cells, widths = ks_rule(grid, self.n, r)
         self.mids = ks_midpoints(cells, widths)
         super().__init__(f, xs, ks_edges(cells, widths), 1.0)
 
@@ -238,22 +238,22 @@ def noise_integrator(
     xs,
     grid: GridSpec,
     n,
-    quad: QuadSpec = QuadSpec(),
+    r: int = 1,
     law: str = "standard-normal",
 ):
     """The integrator of f against one noise family on grid's domain.
 
     "donsker": the Donsker kernel at scale n with innovation law `law`;
     "kac-stroock": the Kac-Stroock kernel of intensity n, on the ks_rule
-    sub-cells refined quad.r-fold; "sheet": the Brownian sheet, i.e. the
+    sub-cells refined r-fold; "sheet": the Brownian sheet, i.e. the
     Donsker integrator on the grid's own cells with standard-normal
-    innovations (n and law unused). Only Kac-Stroock reads quad.
+    innovations (n and law unused). Only Kac-Stroock reads r.
     """
     if family == "donsker":
-        n = _donsker_scale(n)
+        n = whole_number(n, "Donsker scale n", 1)
         return DonskerIntegrator(f, xs, donsker_edges(n, grid.T), n ** (grid.d / 2.0), law)
     if family == "kac-stroock":
-        return KacStroockIntegrator(f, xs, grid, float(n), quad)
+        return KacStroockIntegrator(f, xs, grid, float(n), r)
     if family == "sheet":
         # the grid's own cells: ceil(n T) would miscount them when T is not a multiple of 1/n
         nodes = [grid.axis_nodes(i) for i in range(grid.d)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, as_point
-from .quadrature import QuadSpec, contract_axes
+from .quadrature import contract_axes
 from .rng import RngStream
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "INNOVATION_LAWS",
     "check_budget",
     "check_shape_budget",
+    "whole_number",
     "sample_donsker",
     "donsker_edges",
     "donsker_eval",
@@ -105,13 +106,14 @@ def _draw_innovations(rng: np.random.Generator, law: str, shape) -> np.ndarray:
     raise ValueError(f"unsupported innovation law {law!r}; choose one of {INNOVATION_LAWS}")
 
 
-def _donsker_scale(n) -> int:
-    """The Donsker scale n as an int: the lattice has n cells per unit length."""
-    if n < 1:
-        raise ValueError("Donsker scale n must be >= 1")
-    if not float(n).is_integer():
-        raise ValueError(f"Donsker scale n must be a whole number, got {n}")
-    return int(n)
+def whole_number(value, name: str, least: int | None = None) -> int:
+    """value as an int, refused unless it is a whole number (and at least least,
+    if given): a float such as 2.5 is never truncated. name leads the message."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    if least is not None and int(value) < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
 
 
 def sample_donsker(
@@ -121,7 +123,7 @@ def sample_donsker(
     rng: RngStream | None = None,
 ) -> DonskerField:
     """Draw i.i.d. innovations for every multi-index covering D at scale 1/n."""
-    n = _donsker_scale(n)
+    n = whole_number(n, "Donsker scale n", 1)
     shape = tuple(int(np.ceil(n * t)) for t in grid.T)
     total = int(np.prod(shape))
     check_budget(total, f"Donsker field would need {total} innovations")
@@ -185,7 +187,7 @@ def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:
     The rule depends on no Poisson point, so a sign grid over the budget of
     check_budget is refused before any point is drawn.
     """
-    n = _ks_intensity(n)
+    n, r = _ks_intensity(n), whole_number(r, "refinement factor r", 1)
     cells = [r * max(nb, int(np.ceil(n * t))) for nb, t in zip(grid.N, grid.T)]
     total = np.prod(cells, dtype=float)
     check_budget(total, f"Kac-Stroock sign grid would need {total:.0f} cells")
@@ -276,15 +278,15 @@ def cell_overlaps(a, e) -> np.ndarray:
     return np.clip(np.minimum(np.asarray(a, dtype=float)[:, None], e[1:]) - e[:-1], 0.0, None)
 
 
-def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
+def zeta_on_axes(f, axes, r: int = 1) -> np.ndarray:
     """zeta_n(x) = int_{[0,x]} theta_n(y) dy at every point of the tensor grid of
     axes, shape (len(a_1), ..., len(a_d)).
 
     theta_n is constant on the cells of a tensor grid, so zeta is its cell values
     contracted with one overlap matrix |cell_j cap [0, a_p]| per axis. Donsker
     fields integrate exactly on the donsker_edges lattice. Kac-Stroock fields
-    take their midpoint values on the ks_rule sub-cells, as KacStroockIntegrator
-    does.
+    take their midpoint values on the ks_rule sub-cells, refined r-fold, as
+    KacStroockIntegrator does; r is read by no other family.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != f.d:
@@ -293,7 +295,7 @@ def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
         scale, vals = f.n ** (f.d / 2.0), f.Z
         edges = donsker_edges(f.n, f.T)
     elif isinstance(f, PoissonField):
-        cells, widths = ks_rule(f.grid, f.n, quad.r)
+        cells, widths = ks_rule(f.grid, f.n, r)
         scale, vals = 1.0, ks_values_on_grid(f, ks_midpoints(cells, widths))
         edges = ks_edges(cells, widths)
     else:
@@ -303,11 +305,11 @@ def zeta_on_axes(f, axes, quad: QuadSpec = QuadSpec()) -> np.ndarray:
     return scale * contract_axes(vals[None], [cell_overlaps(a, e).T for a, e in zip(axes, edges)])[0]
 
 
-def zeta(f, x, quad: QuadSpec = QuadSpec()) -> float:
+def zeta(f, x, r: int = 1) -> float:
     """zeta_n at one point x of D: zeta_on_axes on the one-point grid."""
     p = as_point(x)
     if p.size != f.d:
         raise ValueError("dimension mismatch")
     if np.any(p < 0) or np.any(p > np.asarray(f.T)):
         raise ValueError("x outside D")
-    return zeta_on_axes(f, p[:, None], quad).item()
+    return zeta_on_axes(f, p[:, None], r).item()

@@ -1,36 +1,16 @@
-"""Quadrature control, tensor grids and the axis-by-axis contraction."""
+"""Tensor grids and the axis-by-axis contraction."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadSpec",
     "tensor_points",
     "row_outer",
     "distinct_coordinates",
     "contract_axes",
     "contract_axis",
 ]
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Quadrature control: r sub-cells per axis per grid cell (the
-    Kac-Stroock rule and the norm quadrature of the reports), and the
-    diagonal-exclusion radius rho of holder_probe."""
-
-    r: int = 1
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if int(self.r) < 1:
-            raise ValueError("refinement factor r must be an integer >= 1")
-        if self.rho < 0:
-            raise ValueError("exclusion radius rho must be >= 0")
-        object.__setattr__(self, "r", int(self.r))
 
 
 def tensor_points(axes) -> np.ndarray:

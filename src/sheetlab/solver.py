@@ -21,7 +21,7 @@ from .green import (
     lambda_sup,
     poincare_constant,
 )
-from .quadrature import QuadSpec, tensor_points
+from .quadrature import tensor_points
 from .rng import RngStream
 
 __all__ = [
@@ -268,7 +268,7 @@ class SpdeSampler:
         cfg: SolveConfig = SolveConfig(),
         # Kac-Stroock's refinement r; r = 1 suffices, since its rule already
         # has at least ceil(n T_i) cells per axis
-        quad: QuadSpec = QuadSpec(),
+        r: int = 1,
     ):
         self.F = F
         self.gs = gs
@@ -278,7 +278,7 @@ class SpdeSampler:
         self.gate = _check_gate(gs, grid, F, cfg)
         self._Kg = k_apply(gs, g).values
         interior = tensor_points([grid.axis_nodes(i)[1:-1] for i in range(grid.d)])
-        self._integ = noise_integrator(family, green_integrand(gs), interior, grid, n, quad)
+        self._integ = noise_integrator(family, green_integrand(gs), interior, grid, n, r)
 
     def _noise_block(self, streams) -> np.ndarray:
         """eta at the grid nodes for one replicate per stream, shape

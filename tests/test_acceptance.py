@@ -13,7 +13,6 @@ from sheetlab import (
     DiagConfig,
     GreenSeries,
     GridSpec,
-    QuadSpec,
     RngStream,
     SolveConfig,
     WosConfig,
@@ -99,7 +98,7 @@ def test_criterion_02_zeta_exactness():
             x = np.full(d, xc)
             p = (d + 1) / 2.0
             closed = 4.0 ** (d / 2.0) * float(np.prod(x**p / p))
-            ok &= abs(zeta(empty, x, QuadSpec(r=64)) - closed) <= 1e-4
+            ok &= abs(zeta(empty, x, 64) - closed) <= 1e-4
     _report(2, "zeta exactness", ok)
 
 
@@ -109,7 +108,7 @@ def test_criterion_03_variance_convergence():
     x = (0.75, 0.75)
     ok = True
     for stream, family in enumerate(("donsker", "kac-stroock")):
-        cfg = DiagConfig(n_list=(64,), M=5000, quad=QuadSpec(r=2))
+        cfg = DiagConfig(n_list=(64,), M=5000, r=2)
         rep = variance_convergence_report(
             indicator_integrand(), family, grid, x, cfg, RngStream(303).substream(stream)
         )
@@ -136,7 +135,7 @@ def test_criterion_05_moment_bound():
     grid = GridSpec(d=1, T=1.0, N=4)
     # at x = T the indicator is g = 1 on D
     ones = indicator_integrand()
-    cfg = DiagConfig(n_list=(4, 16, 64), m=2, M=10_000, quad=QuadSpec(r=4))
+    cfg = DiagConfig(n_list=(4, 16, 64), m=2, M=10_000, r=4)
     rep_d = moment_bound_probe(ones, "donsker", grid, cfg, RngStream(515))
     exact_one = all(
         row["exact"] and abs(row["ratio"] - 1.0) < 1e-12 for row in rep_d.per_n
@@ -230,8 +229,7 @@ def test_criterion_09_holder_probe():
             offs = np.zeros(case["d"])
             offs[0] = 1.0
             pairs = [(base, base + t * offs) for t in dists]
-        quad = QuadSpec(r=case["quad"]["r"], rho=case["quad"]["rho"])
-        est = holder_probe(gs, case["alpha"], pairs, quad)
+        est = holder_probe(gs, case["alpha"], pairs, **case["quad"])
         ok &= est.beta > 0 and est.r_squared >= 0.9
         ok &= abs(est.beta - case["beta"]) <= 1e-6
         ok &= abs(est.r_squared - case["r_squared"]) <= 1e-6
@@ -311,6 +309,6 @@ def test_criterion_12_end_to_end():
     g = GridField(grid, np.ones(grid.node_shape))
     F = nonlinearity_preset("tanh:1.0")
     probes = [(0.25, 0.25), (0.5, 0.25), (0.5, 0.5), (0.75, 0.5), (0.75, 0.75)]
-    cfg = DiagConfig(n_list=(4, 16, 64), M=2000, significance=0.01, quad=QuadSpec(r=1, rho=1e-3))
+    cfg = DiagConfig(n_list=(4, 16, 64), M=2000, significance=0.01, r=1)
     rep = solution_convergence_report("donsker", probes, g, F, gs, cfg, RngStream(1105))
     _report(12, "end-to-end solution law", rep.passed())

@@ -8,7 +8,6 @@ import pytest
 
 from sheetlab import (
     GridSpec,
-    QuadSpec,
     RngStream,
     __version__,
     cli,
@@ -102,7 +101,7 @@ def test_simulate_sheet_is_donsker_at_grid_scale(tmp_path):
         elif family == "donsker":
             want = zeta_on_axes(sample_donsker(grid, 3, "rademacher", RngStream(5)), axes)
         else:
-            want = zeta_on_axes(sample_kac_stroock(grid, 3.0, RngStream(5)), axes, QuadSpec(r=4))
+            want = zeta_on_axes(sample_kac_stroock(grid, 3.0, RngStream(5)), axes, 4)
         np.testing.assert_array_equal(got, want)
         assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0) and np.all(got[:, :, 0] == 0.0)
 
@@ -241,6 +240,65 @@ def test_config_file_non_whole_donsker_n_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--report-dir", str(out)]) == EXIT_CONFIG
     assert "whole number, got 4.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, value",
+    [
+        ("convergence-report", "d", 2.5),
+        ("convergence-report", "grid_n", 4.7),
+        ("convergence-report", "M", 1000.9),
+        ("convergence-report", "m", 2.5),
+        ("convergence-report", "projections", 2.5),
+        ("convergence-report", "seed", 0.5),
+        ("convergence-report", "r", 2.5),
+        ("green-table", "kmax", 8.5),
+        ("poisson-solve", "max_iterations", 200.5),
+    ],
+)
+def test_config_file_non_whole_integer_is_config_error(tmp_path, capsys, subcommand, key, value):
+    # int() ran each of these truncated (r = 2.5 as 2) while the manifest recorded 2.5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--report-dir", str(out)]) == EXIT_CONFIG
+    assert f"field {key!r} must be a whole number, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["simulate", "convergence-report", "poisson-solve", "spde-compare"]
+)
+@pytest.mark.parametrize("family", ["donsker", "kac-stroock", "sheet"])
+def test_refinement_below_one_is_refused_in_every_family(tmp_path, capsys, subcommand, family):
+    # only Kac-Stroock reads r, but a run of any family records it
+    out = tmp_path / "run"
+    argv = [subcommand, "--family", family, "--r", "0", "--report-dir", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "field 'r' must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["poisson-solve"], ["spde-compare", "--M", "100"]],
+)
+def test_rho_changes_no_artifact_and_is_refused_below_zero(tmp_path, capsys, argv):
+    # rho is holder_probe's radius: the SPDE runs record it and read it nowhere else
+    runs = {}
+    for rho in ("1e-3", "0.5"):
+        out = tmp_path / rho
+        assert main(argv + ["--rho", rho, "--report-dir", str(out)]) == EXIT_OK
+        runs[rho] = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = json.loads(runs[rho].pop("manifest.json"))
+        assert manifest["config"].pop("rho") == rho
+        del manifest["timestamp"], manifest["config"]["report_dir"]
+        runs[rho]["manifest"] = manifest
+    assert runs["1e-3"] == runs["0.5"]
+    out = tmp_path / "negative"
+    assert main(argv + ["--rho", "-1", "--report-dir", str(out)]) == EXIT_CONFIG
+    assert "exclusion radius rho must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,6 @@ import pytest
 from sheetlab import (
     DiagConfig,
     GridSpec,
-    QuadSpec,
     RngStream,
     fdd_test,
     holder_probe,
@@ -114,7 +113,7 @@ def test_moment_probe_rejects_zero_norm():
 
 def test_norm_quadrature_budget(monkeypatch):
     # r = 4 on an 8 x 8 grid: the norm's midpoint rule has 32^2 = 1024 nodes
-    grid, cfg = GridSpec(d=2, T=1.0, N=8), DiagConfig(quad=QuadSpec(r=4))
+    grid, cfg = GridSpec(d=2, T=1.0, N=8), DiagConfig(r=4)
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 1023)
     with pytest.raises(BudgetExceededError, match="norm quadrature would need 1024"):
         moment_bound_probe(indicator_integrand(), "donsker", grid, cfg, RngStream(0))
@@ -132,7 +131,7 @@ def test_norm_quadrature_budget(monkeypatch):
 def test_variance_target_off_the_grid_is_the_indicator_volume():
     # x = (0.33, 0.33) lies inside a cell of the r = 2 refined 16 x 16 grid;
     # whole sub-cells past x gave 0.11816 against |[0, x]| = 0.1089
-    grid, cfg = GridSpec(d=2, T=1.0, N=16), DiagConfig(n_list=(4,), M=100, quad=QuadSpec(r=2))
+    grid, cfg = GridSpec(d=2, T=1.0, N=16), DiagConfig(n_list=(4,), M=100, r=2)
     rep = variance_convergence_report(
         indicator_integrand(), "donsker", grid, (0.33, 0.33), cfg, RngStream(0)
     )
@@ -152,7 +151,7 @@ def test_moment_probe_donsker_ratio_exactly_one():
 
 
 def test_moment_probe_kac_stroock_bounded():
-    cfg = DiagConfig(n_list=(4, 16, 64), m=2, M=2000, quad=QuadSpec(r=4))
+    cfg = DiagConfig(n_list=(4, 16, 64), m=2, M=2000, r=4)
     rep = moment_bound_probe(
         indicator_integrand(), "kac-stroock", GridSpec(d=1, T=1.0, N=4), cfg, RngStream(44)
     )
@@ -207,7 +206,7 @@ def test_holder_probe_refuses_equal_pairs():
     # three distinct distances, then a zero-distance fourth pair: refused, not skipped
     pairs = [((0.4, 0.5), (0.4 + t, 0.5)) for t in (0.05, 0.1, 0.2)] + [((0.4, 0.5), (0.4, 0.5))]
     with pytest.raises(ValueError, match="x = z"):
-        holder_probe(GreenSeries(d=2, kmax=8), 2.5, pairs, QuadSpec(r=16, rho=1e-2))
+        holder_probe(GreenSeries(d=2, kmax=8), 2.5, pairs, r=16, rho=1e-2)
 
 
 def test_probes_outside_domain_rejected():
@@ -236,7 +235,7 @@ def test_tightness_donsker_d1_fourth_moment():
 
 def test_variance_report_indicator_at_corner():
     grid = GridSpec(d=2, T=1.0, N=8)
-    cfg = DiagConfig(n_list=(4, 16), M=3000, quad=QuadSpec(r=2))
+    cfg = DiagConfig(n_list=(4, 16), M=3000, r=2)
     rep = variance_convergence_report(
         indicator_integrand(), "donsker", grid, (1.0, 1.0), cfg, RngStream(46)
     )

@@ -3,7 +3,8 @@ Only kernels.check_budget reads the memory budget, solver imports no report
 layer, the reports name no noise family and no solver block, only convergence
 imports stats, each statistic of the reports is written once (the KS step, the
 slope fit, the verdict record), every integrand reaches the integrators through
-its three required callables, and only cli touches files."""
+its three required callables, only cli touches files, no module names a
+quadrature record, and only holder_probe and cli's refusal read rho."""
 
 import ast
 import dataclasses
@@ -191,3 +192,40 @@ def test_only_cli_touches_files():
     # format lives in cli alone
     sites = _all_sites(_touches_files)
     assert {module for module, _ in sites} == {"cli"}
+
+
+def _names_quadspec(node):
+    return (
+        (isinstance(node, ast.ClassDef) and node.name == "QuadSpec")
+        or (isinstance(node, ast.Name) and node.id == "QuadSpec")
+        or (isinstance(node, ast.Attribute) and node.attr == "QuadSpec")
+        or (isinstance(node, ast.alias) and node.name == "QuadSpec")
+    )
+
+
+def test_no_quadrature_record():
+    # r is a plain argument of each function that reads it, rho of holder_probe
+    assert _all_sites(_names_quadspec) == []
+    assert not hasattr(sheetlab, "QuadSpec")
+
+
+def _reads_rho(node):
+    """A name, parameter, keyword, attribute or subscript key rho."""
+    return (
+        (isinstance(node, ast.Name) and node.id == "rho")
+        or (isinstance(node, (ast.arg, ast.keyword)) and node.arg == "rho")
+        or (isinstance(node, ast.Attribute) and node.attr == "rho")
+        or (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)
+            and node.slice.value == "rho"
+        )
+    )
+
+
+def test_only_holder_probe_and_the_cli_refusal_read_rho():
+    # the exclusion radius reaches no noise, solver or report: the SPDE
+    # subcommands record it in the manifest and refuse a negative one
+    sites = _all_sites(_reads_rho)
+    assert set(sites) == {("convergence", "holder_probe"), ("cli", "_spde_problem")}
+    assert sites.count(("cli", "_spde_problem")) == 1

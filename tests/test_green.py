@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from sheetlab import (
     GreenSeries,
     GridSpec,
-    QuadSpec,
     RngStream,
     WosConfig,
     green_eval,
@@ -671,9 +670,9 @@ def test_holder_probe_validation():
     gs = GreenSeries(d=2, kmax=16)
     pairs = [((0.4, 0.5), (0.4, 0.5)), ((0.4, 0.5), (0.5, 0.5))]
     with pytest.raises(ValueError):
-        holder_probe(gs, 2.5, pairs, QuadSpec(r=16, rho=1e-2))
+        holder_probe(gs, 2.5, pairs, r=16, rho=1e-2)
     with pytest.raises(ValueError):
-        holder_probe(gs, 2.5, [((0.4, 0.5), (0.5, 0.5))] * 4, QuadSpec(r=16, rho=0.0))
+        holder_probe(gs, 2.5, [((0.4, 0.5), (0.5, 0.5))] * 4, r=16, rho=0.0)
 
 
 def test_holder_alpha_window_warning():
@@ -681,13 +680,13 @@ def test_holder_alpha_window_warning():
     dists = (0.05, 0.1, 0.2)
     pairs = [((0.4, 0.5), (0.4 + t, 0.5)) for t in dists]
     with pytest.warns(UserWarning):
-        holder_probe(gs, 1.5, pairs, QuadSpec(r=32, rho=1e-2))
+        holder_probe(gs, 1.5, pairs, r=32, rho=1e-2)
 
 
 def test_holder_probe_positive_slope():
     gs = GreenSeries(d=2, kmax=32)
     dists = np.logspace(-2, -1, 5)
     pairs = [((0.45, 0.55), (0.45 + t, 0.55)) for t in dists]
-    est = holder_probe(gs, 2.5, pairs, QuadSpec(r=64, rho=1e-2))
+    est = holder_probe(gs, 2.5, pairs, r=64, rho=1e-2)
     assert est.beta > 0
     assert est.r_squared >= 0.9

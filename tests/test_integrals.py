@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sheetlab import (
     GridSpec,
-    QuadSpec,
     RngStream,
     indicator_integrand,
     zeta,
@@ -59,9 +58,9 @@ def _piecewise_constant(knots, gvals):
     return Integrand(evaluator=ev, cell_integral=ci, cell_map=cm)
 
 
-def _one_draw(family, f, xs, grid, n, stream, quad=QuadSpec()):
+def _one_draw(family, f, xs, grid, n, stream, r=1):
     """The integrator's values at xs for the one kernel field that stream draws."""
-    return noise_integrator(family, f, xs, grid, n, quad).replicates([stream])[0]
+    return noise_integrator(family, f, xs, grid, n, r).replicates([stream])[0]
 
 
 def test_indicator_reduces_to_zeta_donsker():
@@ -79,11 +78,10 @@ def test_indicator_reduces_to_zeta_kac_stroock(n):
     # two points do not, and both integrate the indicator over the cut cells exactly
     grid = GridSpec(d=2, T=1.0, N=4)
     fld = sample_kac_stroock(grid, float(n), RngStream(32))
-    quad = QuadSpec(r=8)
     f = indicator_integrand()
     for x in [(0.5, 0.75), (0.3, 0.3), (0.33, 0.71)]:
-        got = _one_draw("kac-stroock", f, [x], grid, n, RngStream(32), quad)
-        assert got[0] == pytest.approx(zeta(fld, x, quad), rel=1e-13)
+        got = _one_draw("kac-stroock", f, [x], grid, n, RngStream(32), 8)
+        assert got[0] == pytest.approx(zeta(fld, x, 8), rel=1e-13)
 
 
 def test_donsker_oracle_matches_brute_force():
@@ -219,7 +217,7 @@ def test_sheet_driver_matches_former_sheet_integrator(kind, d, N, T, seed):
     if kind == "green":
         d = max(d, 2)
     f, xs, grid = _sheet_case(kind, d, N, T, seed)
-    integ = noise_integrator("sheet", f, xs, grid, None, QuadSpec(r=1, rho=1e-3))
+    integ = noise_integrator("sheet", f, xs, grid, None)
     assert integ.cell_shape == grid.N
     got = integ.replicates(RngStream(seed), 50)
     ref, ref_var = _former_sheet(f, xs, grid, RngStream(seed), 50)
@@ -236,7 +234,7 @@ def test_sheet_is_donsker_at_dyadic_n_equals_grid_n(kind, d, N):
     cell_volume^{-1/2} and n^{d/2}; at other N (10, 12) the two can differ in
     the last bits."""
     f, xs, grid = _sheet_case(kind, d, N, 1.0, 44)
-    sheet = noise_integrator("sheet", f, xs, grid, None, QuadSpec(r=1, rho=1e-3))
+    sheet = noise_integrator("sheet", f, xs, grid, None)
     donsker = DonskerIntegrator(f, xs, donsker_edges(N, grid.T), N ** (d / 2.0))
     np.testing.assert_array_equal(sheet.weights, donsker.weights)
     np.testing.assert_array_equal(
@@ -330,11 +328,11 @@ def test_green_mode_route_coefficients_budgeted(monkeypatch):
     assert integ.replicates(RngStream(50), 3).shape == (3, 1)
 
 
-def _ks_reference(f, xs, grid, n, quad, fields):
+def _ks_reference(f, xs, grid, n, r, fields):
     """Kac-Stroock values sum_c theta_n(mid_c) int_c f(x, y) dy over the rule's
     sub-cells c, with theta_n's parity counted by cumulative sums and int_c f
     from f's cell_integral oracle; shape (len(fields), npts)."""
-    cells, widths = ks_rule(grid, n, quad.r)
+    cells, widths = ks_rule(grid, n, r)
     mids = ks_midpoints(cells, widths)
     edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
     wmat = f.cell_integral(xs, edges).reshape(len(xs), -1)
@@ -398,13 +396,12 @@ def test_kac_stroock_replicates_match_former_dense_rule(kind, d, N, n, r, M, see
     if kind == "green":
         d = max(d, 2)
     f, xs, grid = _ks_case(kind, d, N, seed)
-    quad = QuadSpec(r=r, rho=1e-3)
-    integ = KacStroockIntegrator(f, xs, grid, float(n), quad)
+    integ = KacStroockIntegrator(f, xs, grid, float(n), r)
     sample = _crafted_sampler(xs[0], r)
     with mock.patch.object(integrals, "sample_kac_stroock", sample):
         got = integ.replicates(RngStream(seed), M)
     fields = [sample(grid, n, s) for s in RngStream(seed).split(M)]
-    ref = _ks_reference(f, xs, grid, float(n), quad, fields)
+    ref = _ks_reference(f, xs, grid, float(n), r, fields)
     assert got.shape == (M, 3)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -413,12 +410,12 @@ def test_kac_stroock_replicates_over_several_chunks():
     # the field-law rule at n = 64: 128^2 sub-cells, 129 fields in three parity grids
     grid = GridSpec(d=2, T=1.0, N=32)
     xs = np.array([[0.25, 0.25], [0.5, 0.5], [0.75, 0.75]])
-    f, quad = indicator_integrand(), QuadSpec(r=2)
-    integ = KacStroockIntegrator(f, xs, grid, 64.0, quad)
+    f = indicator_integrand()
+    integ = KacStroockIntegrator(f, xs, grid, 64.0, 2)
     assert integ.cell_shape == (128, 128)
     got = integ.replicates(RngStream(43), 129)
     streams = RngStream(43).split(129)
-    ref = _ks_reference(f, xs, grid, 64.0, quad, [sample_kac_stroock(grid, 64.0, s) for s in streams])
+    ref = _ks_reference(f, xs, grid, 64.0, 2, [sample_kac_stroock(grid, 64.0, s) for s in streams])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # a stream list draws the same fields in blocks of its own
     np.testing.assert_array_equal(integ.replicates(streams[64:128]), got[64:128])
@@ -430,7 +427,7 @@ def test_kac_stroock_block_is_its_fields_one_at_a_time(kind, d):
     # 70 fields: a full parity grid, then one of 6 fields (a partial byte);
     # each cell map contracts every field by its own BLAS calls
     f, xs, grid = _ks_case(kind, d, 3, 47)
-    integ = KacStroockIntegrator(f, xs, grid, 6.0, QuadSpec(r=2, rho=1e-3))
+    integ = KacStroockIntegrator(f, xs, grid, 6.0, 2)
     got = integ.replicates(RngStream(47), 70)
     for k in range(70):
         np.testing.assert_array_equal(got[k], integ.replicates([RngStream(47).substream(k)])[0])
@@ -621,13 +618,12 @@ def test_donsker_lattice_refused_before_any_edge():
 def test_donsker_budget_counts_quadrature_nodes(monkeypatch, oracles, r):
     # r refines the Kac-Stroock rule alone: at any r the Donsker weights count
     # one exact cell integral per cell, refused before any is computed
-    quad = QuadSpec(r=r)
     grid = GridSpec(d=2, T=1.0, N=4)
     xs = np.full((3, 2), 0.5)
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64 - 1)
-    integ = noise_integrator("donsker", _never_evaluated(oracles), xs, grid, 8, quad)
+    integ = noise_integrator("donsker", _never_evaluated(oracles), xs, grid, 8, r)
     with pytest.raises(BudgetExceededError, match=r"\(3, 64\)"):
         integ.weights
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64)
-    integ = noise_integrator("donsker", indicator_integrand(), xs, grid, 8, quad)
+    integ = noise_integrator("donsker", indicator_integrand(), xs, grid, 8, r)
     assert integ.weights.shape == (3, 64)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sheetlab import kernels
 from sheetlab import (
     GridSpec,
-    QuadSpec,
     RngStream,
     donsker_eval,
     kac_stroock_eval,
@@ -269,7 +268,7 @@ def test_zeta_kac_stroock_closed_form_empty():
             x = np.full(d, xc)
             p = (d + 1) / 2.0
             closed = 4.0 ** (d / 2.0) * np.prod(x**p / p)
-            got = zeta(fld, x, QuadSpec(r=64))
+            got = zeta(fld, x, 64)
             assert got == pytest.approx(closed, abs=1e-4)
 
 
@@ -277,12 +276,12 @@ def test_zeta_kac_stroock_sign_grid_budget(monkeypatch):
     # N=4, n=16, r=2: the rule has 2 * 16 = 32 sub-cells per axis, all of them
     # valued whatever x is
     fld = sample_kac_stroock(GridSpec(d=2, T=1.0, N=4), 16.0, RngStream(8))
-    x, quad = (0.5, 0.75), QuadSpec(r=2)
+    x = (0.5, 0.75)
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 32 * 32 - 1)
     with pytest.raises(BudgetExceededError, match="1024 cells"):
-        zeta(fld, x, quad)
+        zeta(fld, x, 2)
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 32 * 32)
-    assert np.isfinite(zeta(fld, x, quad))
+    assert np.isfinite(zeta(fld, x, 2))
 
 
 def test_donsker_edges_end_at_T():
@@ -346,7 +345,7 @@ def test_zeta_on_axes_matches_brute_force(d, T, N, n, r):
     want = np.array([_brute_zeta_donsker(don, x) for x in pts])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     ks = sample_kac_stroock(grid, float(n), RngStream(52))
-    got = zeta_on_axes(ks, axes, QuadSpec(r=r)).ravel()
+    got = zeta_on_axes(ks, axes, r).ravel()
     want = np.array([_brute_zeta_kac_stroock(ks, x, r) for x in pts])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -369,7 +368,7 @@ def test_zeta_on_axes_matches_former_rule_at_aligned_nodes(d, N, n, r):
     grid = GridSpec(d=d, T=1.0, N=N)
     fld = sample_kac_stroock(grid, n, RngStream(53))
     axes = [grid.axis_nodes(i) for i in range(d)]
-    got = zeta_on_axes(fld, axes, QuadSpec(r=r))
+    got = zeta_on_axes(fld, axes, r)
     inner = got[(slice(1, None),) * d].ravel()
     inside = itertools.product(*(a[1:] for a in axes))
     want = np.array([_former_zeta_kac_stroock(fld, x, r) for x in inside])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheetlab import GridSpec, QuadSpec, RngStream, sample_donsker, sample_kac_stroock, zeta_on_axes
+from sheetlab import GridSpec, RngStream, sample_donsker, sample_kac_stroock, zeta_on_axes
 from sheetlab.kernels import (
     DonskerField,
     donsker_edges,
@@ -49,14 +49,14 @@ def test_contract_axes_wants_one_matrix_per_axis():
         contract_axes(x, [np.ones((3, 2))])
 
 
-def _former_zeta_on_axes(f, axes, quad=QuadSpec()):
+def _former_zeta_on_axes(f, axes, r=1):
     """zeta_on_axes as one np.tensordot per axis over the cell values."""
     axes = [np.asarray(a, dtype=float) for a in axes]
     if isinstance(f, DonskerField):
         scale, vals = f.n ** (f.d / 2.0), f.Z
         edges = donsker_edges(f.n, f.T)
     else:
-        cells, widths = ks_rule(f.grid, f.n, quad.r)
+        cells, widths = ks_rule(f.grid, f.n, r)
         scale, vals = 1.0, ks_values_on_grid(f, ks_midpoints(cells, widths))
         edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
     for a, e in zip(axes, edges):
@@ -73,13 +73,13 @@ def test_zeta_on_axes_matches_former_tensordot_loop(d, T, family):
         grid = GridSpec(d=d, T=T, N=N)
         stream = RngStream(seed)
         if family == "donsker":
-            f, quad = sample_donsker(grid, n, rng=stream), QuadSpec()
+            f, r = sample_donsker(grid, n, rng=stream), 1
         else:
-            f, quad = sample_kac_stroock(grid, n, rng=stream), QuadSpec(r=2)
+            f, r = sample_kac_stroock(grid, n, rng=stream), 2
         gen = stream.substream(1).generator()
         node_axes = [grid.axis_nodes(i) for i in range(d)]
         random_axes = [np.sort(gen.uniform(0.0, T, 5)) for _ in range(d)]
         for axes in (node_axes, random_axes):
             np.testing.assert_array_equal(
-                zeta_on_axes(f, axes, quad), _former_zeta_on_axes(f, axes, quad)
+                zeta_on_axes(f, axes, r), _former_zeta_on_axes(f, axes, r)
             )

@@ -10,7 +10,6 @@ from sheetlab import (
     GreenSeries,
     GridSpec,
     Nonlinearity,
-    QuadSpec,
     RngStream,
     SolveConfig,
     k_apply,
@@ -341,7 +340,7 @@ def test_solution_report_null_case():
         g,
         nonlinearity_preset("zero"),
         GS,
-        DiagConfig(n_list=(1, 2), M=300, significance=0.01, quad=QuadSpec(r=1, rho=1e-3)),
+        DiagConfig(n_list=(1, 2), M=300, significance=0.01, r=1),
         RngStream(83),
     )
     final = rep.per_n[-1]
@@ -371,7 +370,7 @@ def test_no_stream_list_is_built(monkeypatch):
     integ = KacStroockIntegrator(indicator_integrand(), [(0.5, 0.5)], GRID, 4.0)
     assert integ.replicates(RngStream(87), KS_BLOCK + 1).shape == (KS_BLOCK + 1, 1)
     g = GridField(GRID, np.ones(GRID.node_shape))
-    cfg = DiagConfig(n_list=(2,), M=100, quad=QuadSpec(r=1, rho=1e-3))
+    cfg = DiagConfig(n_list=(2,), M=100, r=1)
     rep = solution_convergence_report(
         "kac-stroock", [(0.5, 0.5)], g, nonlinearity_preset("zero"), GS, cfg, RngStream(88)
     )
