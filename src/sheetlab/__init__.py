@@ -10,10 +10,10 @@ from .kernels import (
     kac_stroock_eval,
     sample_donsker,
     sample_kac_stroock,
+    sheet_covariance,
     zeta,
     zeta_on_axes,
 )
-from .sheet import sheet_covariance
 from .integrals import Integrand, indicator_integrand
 from .convergence import (
     ConvergenceReport,

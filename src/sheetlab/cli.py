@@ -39,7 +39,7 @@ from .convergence import (
     tightness_modulus_probe,
     variance_convergence_report,
 )
-from .grid import GridField, GridSpec
+from .grid import GridField, GridSpec, whole_number
 from .green import (
     GreenSeries,
     green_l2_norm,
@@ -48,7 +48,7 @@ from .green import (
     poincare_constant,
 )
 from .integrals import FAMILIES, indicator_integrand, noise_integrator
-from .kernels import INNOVATION_LAWS, BudgetExceededError, check_budget, whole_number
+from .kernels import INNOVATION_LAWS, BudgetExceededError, check_budget
 from .quadrature import tensor_points
 from .rng import RngStream
 from .solver import (
@@ -69,7 +69,8 @@ class ConfigError(ValueError):
 
 
 def _int(cfg: dict, key: str, least: int | None = None) -> int:
-    """cfg[key] as an int: a config file's 2.5 is refused, not run as 2."""
+    """cfg[key] as an int: a config file's 2.5 is refused, not run as 2; a flag's
+    "1e3" runs as 1000 and its "abc" is refused, each refusal naming the field."""
     return whole_number(cfg[key], f"field {key!r}", least)
 
 

@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridField, GridSpec, as_point
+from .grid import GridField, GridSpec, as_point, whole_number
 from .green import GreenSeries, green_on_axes
 from .integrals import Integrand, noise_integrator
-from .kernels import check_budget, check_shape_budget, whole_number
+from .kernels import check_budget, check_shape_budget
 
 # re-exported: bench/layers.py traces the integrator classes it finds on this module
 from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridField, GridSpec, as_point
+from .grid import GridField, GridSpec, as_point, whole_number
 from .integrals import Integrand
 from .kernels import check_budget
 from .quadrature import contract_axes, contract_axis, distinct_coordinates, row_outer
@@ -47,10 +47,8 @@ class GreenSeries:
     def __post_init__(self):
         if self.d not in (2, 3):
             raise ValueError("Green function supported for d in {2, 3}")
-        if self.kmax == 0:
-            object.__setattr__(self, "kmax", 64 if self.d == 2 else 32)
-        if self.kmax < 1:
-            raise ValueError("kmax must be >= 1")
+        kmax = self.kmax or (64 if self.d == 2 else 32)  # kmax = 0 asks for d's default
+        object.__setattr__(self, "kmax", whole_number(kmax, "kmax", 1))
         modes = self.kmax**self.d
         check_budget(modes, f"Green mode tensor would need {modes} modes")
 

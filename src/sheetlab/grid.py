@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,7 @@ __all__ = [
     "GridSpec",
     "GridField",
     "as_point",
+    "whole_number",
 ]
 
 _NODE_TOL = 1e-9
@@ -23,6 +25,25 @@ def as_point(x) -> np.ndarray:
     if p.ndim != 1:
         raise ValueError(f"lattice point must be one-dimensional, got shape {p.shape}")
     return p
+
+
+def whole_number(value, name: str, least: int | None = None) -> int:
+    """value as an int, refused unless it is a whole number (and at least least,
+    if given): 2.5 is never truncated to 2, "1e3" is 1000, and an int or a
+    decimal integer string keeps its exact value. Every refusal starts with name."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):  # "abc"
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    try:
+        whole = int(value)  # exact, where float would round an int above 2**53
+    except ValueError:  # a string such as "1e3"
+        whole = int(number)
+    if least is not None and whole < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -38,7 +59,7 @@ class GridSpec:
 
     def __post_init__(self):
         T = tuple(float(t) for t in np.atleast_1d(self.T))
-        N = tuple(int(n) for n in np.atleast_1d(self.N))
+        N = tuple(whole_number(n, "cell counts N", 1) for n in np.atleast_1d(self.N))
         if len(T) == 1 and self.d > 1:
             T = T * self.d
         if len(N) == 1 and self.d > 1:
@@ -49,10 +70,8 @@ class GridSpec:
             raise ValueError("dimension must be >= 1")
         if len(self.T) != self.d or len(self.N) != self.d:
             raise ValueError("T and N must have length d")
-        if any(t <= 0 for t in self.T):
-            raise ValueError("all axis lengths T_i must be positive")
-        if any(n < 1 for n in self.N):
-            raise ValueError("all cell counts N_i must be >= 1")
+        if not all(math.isfinite(t) and t > 0 for t in self.T):
+            raise ValueError(f"axis lengths T must be finite and positive, got {self.T}")
 
     @property
     def cell_volume(self) -> float:

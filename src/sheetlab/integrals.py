@@ -8,20 +8,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, whole_number
 from .kernels import (
     KS_BLOCK,
     _draw_innovations,
     cell_overlaps,
     check_shape_budget,
     donsker_edges,
-    ks_edges,
-    ks_midpoints,
     ks_parity_bits,
     ks_rule,
-    ks_scale,
+    ks_theta,
     sample_kac_stroock,
-    whole_number,
 )
 from .quadrature import contract_axes, distinct_coordinates, row_outer
 
@@ -196,7 +193,8 @@ class KacStroockIntegrator(_CellIntegrator):
     scale; theta_n takes its value at each sub-cell's midpoint, as in
     zeta_on_axes. f is integrated over the sub-cells exactly, by its
     cell_map. The fields of a block of KS_BLOCK streams share one packed
-    parity grid and are applied eight at a time.
+    parity grid and are applied eight at a time, their theta_n built by
+    kernels.ks_theta.
     """
 
     _rows, _applied, _block_name = KS_BLOCK, 8, "cell value block"
@@ -204,9 +202,8 @@ class KacStroockIntegrator(_CellIntegrator):
     def __init__(self, f: Integrand, xs, grid: GridSpec, n: float, r: int = 1):
         self.grid = grid
         self.n = float(n)
-        cells, widths = ks_rule(grid, self.n, r)
-        self.mids = ks_midpoints(cells, widths)
-        super().__init__(f, xs, ks_edges(cells, widths), 1.0)
+        edges, self.mids = ks_rule(grid, self.n, r)
+        super().__init__(f, xs, edges, 1.0)
 
     def _block_values(self, rng, streams):
         """One field per stream: the substreams of rng, or each stream of the
@@ -218,15 +215,9 @@ class KacStroockIntegrator(_CellIntegrator):
             bits = ks_parity_bits([fld.points for fld in fields], self.mids).reshape(-1)
             out = np.empty((hi - lo, self.npts))
             for j in range(0, hi - lo, self._applied):
-                # theta = ks_scale * (-1)^N, as ks_values_on_grid forms it: the
-                # parity of field b, bit b of bits, shifted to bit 63 flips the
-                # sign bit of the scale (an exact negation). The scale is made
-                # anew for each sub-block, so it is not held beside theta
-                b = np.arange(j, min(j + self._applied, hi - lo), dtype=np.uint64)
-                theta = np.right_shift(bits, b[:, None])
-                theta <<= np.uint64(63)
-                theta ^= ks_scale(self.n, self.mids).reshape(-1).view(np.uint64)
-                out[j : j + len(b)] = self.apply_innovations(theta.view(np.float64))
+                sets = np.arange(j, min(j + self._applied, hi - lo), dtype=np.uint64)
+                theta = ks_theta(bits, sets, self.n, self.mids)
+                out[j : j + len(sets)] = self.apply_innovations(theta)
             return out
 
         return values

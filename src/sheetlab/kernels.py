@@ -4,7 +4,7 @@ A Donsker kernel takes the value n^{d/2} Z_k on the cube {y : ny in [k-1, k)}
 for i.i.d. standardized innovations Z_k; a Kac-Stroock kernel is
 n^{d/2} (prod x_i)^{(d-1)/2} (-1)^{N(x)} for a Poisson point count N of
 intensity n.  The primitive zeta_n(x) = int_{[0,x]} theta_n(y) dy of either
-family approximates the Brownian sheet.
+family approximates the Brownian sheet, whose covariance is sheet_covariance.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, as_point
-from .quadrature import contract_axes
+from .grid import GridSpec, as_point, whole_number
+from .quadrature import contract_axes, row_outer
 from .rng import RngStream
 
 __all__ = [
@@ -24,20 +24,19 @@ __all__ = [
     "INNOVATION_LAWS",
     "check_budget",
     "check_shape_budget",
-    "whole_number",
     "sample_donsker",
     "donsker_edges",
     "donsker_eval",
     "sample_kac_stroock",
     "kac_stroock_eval",
     "ks_rule",
-    "ks_midpoints",
-    "ks_edges",
     "ks_parity_bits",
     "ks_scale",
+    "ks_theta",
     "cell_overlaps",
     "zeta_on_axes",
     "zeta",
+    "sheet_covariance",
 ]
 
 INNOVATION_LAWS = ("standard-normal", "rademacher", "centered-uniform")
@@ -106,16 +105,6 @@ def _draw_innovations(rng: np.random.Generator, law: str, shape) -> np.ndarray:
     raise ValueError(f"unsupported innovation law {law!r}; choose one of {INNOVATION_LAWS}")
 
 
-def whole_number(value, name: str, least: int | None = None) -> int:
-    """value as an int, refused unless it is a whole number (and at least least,
-    if given): a float such as 2.5 is never truncated. name leads the message."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value}")
-    if least is not None and int(value) < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return int(value)
-
-
 def sample_donsker(
     grid: GridSpec,
     n: int,
@@ -145,18 +134,22 @@ def donsker_edges(n: int, T) -> list:
     return [np.minimum(np.arange(k + 1) / n, t) for k, t in zip(shape, T)]
 
 
-def donsker_eval(f: DonskerField, x) -> float:
-    """Kernel value n^{d/2} Z_k at the unique k with nx in [k-1, k)."""
+def _point_in(f, x) -> np.ndarray:
+    """x as a point of the field f's domain D = [0, T], refused unless it is one."""
     p = as_point(x)
     if p.size != f.d:
         raise ValueError("dimension mismatch")
-    idx = []
-    for i in range(f.d):
-        if p[i] < 0 or p[i] > f.T[i]:
-            raise ValueError(f"coordinate {p[i]} outside [0, {f.T[i]}]")
-        # last cell closed at T_i (grid boundary convention)
-        idx.append(min(int(np.floor(f.n * p[i])), f.Z.shape[i] - 1))
-    return float(f.n ** (f.d / 2.0) * f.Z[tuple(idx)])
+    for c, t in zip(p, f.T):
+        if not 0 <= c <= t:
+            raise ValueError(f"coordinate {c} outside [0, {t}]")
+    return p
+
+
+def donsker_eval(f: DonskerField, x) -> float:
+    """Kernel value n^{d/2} Z_k at the unique k with nx in [k-1, k)."""
+    # last cell closed at T_i (grid boundary convention)
+    idx = tuple(min(int(np.floor(f.n * c)), k - 1) for c, k in zip(_point_in(f, x), f.Z.shape))
+    return float(f.n ** (f.d / 2.0) * f.Z[idx])
 
 
 def _ks_intensity(n) -> float:
@@ -180,9 +173,10 @@ def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream | None = None) -
 
 
 def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:
-    """Sub-cells per axis and their widths in the Kac-Stroock midpoint rule: the
-    grid's N_i cells, floored at ceil(n T_i) so that the rule resolves the noise
-    scale, each split r-fold.
+    """(edges, midpoints) per axis of the Kac-Stroock midpoint rule: the grid's
+    N_i cells, floored at ceil(n T_i) so that the rule resolves the noise scale,
+    each split r-fold into k_i sub-cells of width w_i = T_i / k_i, with edges
+    j w_i (j = 0..k_i) and midpoints (j + 1/2) w_i.
 
     The rule depends on no Poisson point, so a sign grid over the budget of
     check_budget is refused before any point is drawn.
@@ -191,17 +185,9 @@ def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:
     cells = [r * max(nb, int(np.ceil(n * t))) for nb, t in zip(grid.N, grid.T)]
     total = np.prod(cells, dtype=float)
     check_budget(total, f"Kac-Stroock sign grid would need {total:.0f} cells")
-    return cells, [t / k for k, t in zip(cells, grid.T)]
-
-
-def ks_midpoints(cells, widths) -> list:
-    """Midpoints of the cells[i] sub-cells of width widths[i] on each axis."""
-    return [(np.arange(k) + 0.5) * w for k, w in zip(cells, widths)]
-
-
-def ks_edges(cells, widths) -> list:
-    """Edges j widths[i], j = 0..cells[i], of the sub-cells on each axis."""
-    return [np.arange(k + 1) * w for k, w in zip(cells, widths)]
+    widths = [t / k for k, t in zip(cells, grid.T)]
+    edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
+    return edges, [(np.arange(k) + 0.5) * w for k, w in zip(cells, widths)]
 
 
 def _ks_prefactor_exponent(d: int) -> float:
@@ -210,12 +196,7 @@ def _ks_prefactor_exponent(d: int) -> float:
 
 def kac_stroock_eval(f: PoissonField, x) -> float:
     """Kernel value n^{d/2} (prod x_i)^{(d-1)/2} (-1)^{N(x)}."""
-    p = as_point(x)
-    if p.size != f.d:
-        raise ValueError("dimension mismatch")
-    for i in range(f.d):
-        if p[i] < 0 or p[i] > f.T[i]:
-            raise ValueError(f"coordinate {p[i]} outside [0, {f.T[i]}]")
+    p = _point_in(f, x)
     pref = float(np.prod(p)) ** _ks_prefactor_exponent(f.d)
     count = int(np.sum(np.all(f.points <= p, axis=1))) if f.points.size else 0
     return float(f.n ** (f.d / 2.0) * pref * (-1) ** count)
@@ -228,7 +209,7 @@ KS_BLOCK = 64
 def ks_parity_bits(point_sets, mid_axes) -> np.ndarray:
     """N(y) mod 2 on the tensor grid of midpoints for up to KS_BLOCK point sets.
 
-    mid_axes are uniform midpoints (j + 1/2) w per axis, as ks_midpoints gives.
+    mid_axes are uniform midpoints (j + 1/2) w per axis, as ks_rule gives.
     Bit b of each entry, the narrowest unsigned integer with a bit per set, is
     the parity for point_sets[b]. A point's cell on axis i is the first midpoint
     at or above its coordinate; points past the last midpoint are dropped. One
@@ -260,16 +241,29 @@ def ks_scale(n: float, mid_axes) -> np.ndarray:
     grid of midpoints."""
     d = len(mid_axes)
     expo = _ks_prefactor_exponent(d)
-    vecs = [np.power(m, expo) for m in mid_axes]
-    pref = vecs[0]
-    for v in vecs[1:]:
-        pref = np.multiply.outer(pref, v)
+    pref = row_outer([np.power(m, expo)[None] for m in mid_axes])[0]
     return np.multiply(pref, n ** (d / 2.0), out=pref)  # in place: pref is a fresh array
 
 
+def ks_theta(bits, sets, n: float, mid_axes) -> np.ndarray:
+    """theta_n = ks_scale * (-1)^{N(y)} on the tensor grid of midpoints for each
+    point set b of sets, whose parity is bit b of the packed grid bits (from
+    ks_parity_bits, flat or not): shape (len(sets), *bits.shape).
+
+    Bit b shifted to bit 63 flips the sign bit of the scale, an exact negation.
+    The scale is made on each call, so a caller that builds theta a few sets at
+    a time never holds the scale beside it.
+    """
+    shifts = np.asarray(sets, dtype=np.uint64).reshape((-1,) + (1,) * bits.ndim)
+    theta = np.right_shift(bits, shifts)
+    theta <<= np.uint64(63)
+    theta ^= ks_scale(n, mid_axes).reshape(bits.shape).view(np.uint64)
+    return theta.view(np.float64)
+
+
 def ks_values_on_grid(f: PoissonField, mid_axes) -> np.ndarray:
-    """Kernel values theta_n = ks_scale * (-1)^{N(y)} on the tensor grid of midpoints."""
-    return ks_scale(f.n, mid_axes) * (1.0 - 2.0 * (ks_parity_bits([f.points], mid_axes) & 1))
+    """Kernel values theta_n on the tensor grid of midpoints: ks_theta of f's points alone."""
+    return ks_theta(ks_parity_bits([f.points], mid_axes), [0], f.n, mid_axes)[0]
 
 
 def cell_overlaps(a, e) -> np.ndarray:
@@ -295,9 +289,8 @@ def zeta_on_axes(f, axes, r: int = 1) -> np.ndarray:
         scale, vals = f.n ** (f.d / 2.0), f.Z
         edges = donsker_edges(f.n, f.T)
     elif isinstance(f, PoissonField):
-        cells, widths = ks_rule(f.grid, f.n, r)
-        scale, vals = 1.0, ks_values_on_grid(f, ks_midpoints(cells, widths))
-        edges = ks_edges(cells, widths)
+        edges, mids = ks_rule(f.grid, f.n, r)
+        scale, vals = 1.0, ks_values_on_grid(f, mids)
     else:
         raise TypeError(f"unsupported kernel field type {type(f)!r}")
     # each overlap is built (points, cells) and passed as a transposed view: built
@@ -307,9 +300,13 @@ def zeta_on_axes(f, axes, r: int = 1) -> np.ndarray:
 
 def zeta(f, x, r: int = 1) -> float:
     """zeta_n at one point x of D: zeta_on_axes on the one-point grid."""
-    p = as_point(x)
-    if p.size != f.d:
+    return zeta_on_axes(f, _point_in(f, x)[:, None], r).item()
+
+
+def sheet_covariance(x, z) -> float:
+    """Cov(W(x), W(z)) = prod_i min(x_i, z_i), the covariance of zeta_n's limit,
+    the Brownian sheet."""
+    a, b = as_point(x), as_point(z)
+    if a.size != b.size:
         raise ValueError("dimension mismatch")
-    if np.any(p < 0) or np.any(p > np.asarray(f.T)):
-        raise ValueError("x outside D")
-    return zeta_on_axes(f, p[:, None], r).item()
+    return float(np.prod(np.minimum(a, b)))

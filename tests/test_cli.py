@@ -267,6 +267,43 @@ def test_config_file_non_whole_integer_is_config_error(tmp_path, capsys, subcomm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "nan"])
+def test_integer_flag_that_is_no_number_names_its_field(tmp_path, capsys, value):
+    # float("abc") and int("1e3") once spoke for the flag, naming no field
+    out = tmp_path / "bad-m"
+    assert main(["convergence-report", "--M", value, "--report-dir", str(out)]) == EXIT_CONFIG
+    assert f"field 'M' must be a whole number, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SMALL_FDD = ["convergence-report", "--n", "4", "--projections", "2", "--grid-n", "4"]
+
+
+@pytest.mark.parametrize("flag", ["1e3", "1000.0"])
+def test_whole_float_integer_flag_runs_as_a_config_files_float(tmp_path, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": 1000.0}))
+    reports = []
+    for name, extra in (("flag", ["--M", flag]), ("file", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert main(_SMALL_FDD + extra + ["--report-dir", str(out)]) == EXIT_OK
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert _read_json(tmp_path / "flag" / "report.json")["config"]["M"] == 1000
+
+
+def test_decimal_integer_seed_keeps_its_exact_value(tmp_path):
+    # 2**53 + 1 through float would be 2**53, and both seeds would draw one field
+    fields = []
+    for seed in (2**53, 2**53 + 1):
+        out = tmp_path / str(seed)
+        argv = ["simulate", "--d", "1", "--grid-n", "4", "--n", "4", "--seed", str(seed)]
+        assert main(argv + ["--report-dir", str(out)]) == EXIT_OK
+        assert _read_json(out / "manifest.json")["config"]["seed"] == str(seed)
+        fields.append((out / "field.csv").read_text())
+    assert fields[0] != fields[1]
+
+
 @pytest.mark.parametrize(
     "subcommand", ["simulate", "convergence-report", "poisson-solve", "spde-compare"]
 )

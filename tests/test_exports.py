@@ -4,7 +4,8 @@ layer, the reports name no noise family and no solver block, only convergence
 imports stats, each statistic of the reports is written once (the KS step, the
 slope fit, the verdict record), every integrand reaches the integrators through
 its three required callables, only cli touches files, no module names a
-quadrature record, and only holder_probe and cli's refusal read rho."""
+quadrature record, only holder_probe and cli's refusal read rho, and only
+kernels derives the Kac-Stroock rule and theta_n."""
 
 import ast
 import dataclasses
@@ -229,3 +230,20 @@ def test_only_holder_probe_and_the_cli_refusal_read_rho():
     sites = _all_sites(_reads_rho)
     assert set(sites) == {("convergence", "holder_probe"), ("cli", "_spde_problem")}
     assert sites.count(("cli", "_spde_problem")) == 1
+
+
+def _defines(*names):
+    """A predicate accepting a function or class definition of one of names."""
+
+    def named(node):
+        return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+
+    return named
+
+
+def test_only_kernels_derives_the_kac_stroock_rule_and_theta():
+    # the parity-bit packing and the rule's edges and midpoints stay behind
+    # kernels.ks_theta and kernels.ks_rule; integrals only calls them
+    assert _all_sites(_calls("right_shift")) == [("kernels", "ks_theta")]
+    assert _all_sites(_defines("ks_midpoints", "ks_edges")) == []
+    assert "sheet" not in MODULES

@@ -60,6 +60,14 @@ def test_series_defaults():
         GreenSeries(d=2, kmax=-4)
 
 
+@pytest.mark.parametrize("kmax", [2.5, float("nan"), float("inf")])
+def test_series_refuses_a_kmax_that_is_not_whole(kmax):
+    # kmax = 2.5 once passed, and green_l2_norm then raised a TypeError from range
+    with pytest.raises(ValueError, match=f"kmax must be a whole number, got {kmax}"):
+        GreenSeries(d=2, kmax=kmax)
+    assert GreenSeries(d=2, kmax=4.0).kmax == 4
+
+
 def test_series_mode_tensor_budget(monkeypatch):
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10**3 - 1)
     with pytest.raises(BudgetExceededError, match="would need 1000 modes"):

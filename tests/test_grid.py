@@ -25,6 +25,23 @@ def test_invalid_specs_rejected():
         GridSpec(d=2, T=(1.0,) * 3, N=4)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"N": 4.7}, "cell counts N must be a whole number, got 4.7"),
+        ({"N": (4, 2.5)}, "cell counts N must be a whole number, got 2.5"),
+        ({"T": float("nan")}, "axis lengths T must be finite and positive"),
+        ({"T": float("inf")}, "axis lengths T must be finite and positive"),
+        ({"T": (1.0, -float("inf"))}, "axis lengths T must be finite and positive"),
+    ],
+)
+def test_unusable_cell_counts_and_lengths_are_refused(kwargs, message):
+    # int() truncated N = 4.7 to 4, and a non-finite T made a non-finite cell_volume
+    with pytest.raises(ValueError, match=message):
+        GridSpec(d=2, **kwargs)
+    assert GridSpec(d=2, N=4.0).N == (4, 4)
+
+
 def test_axis_nodes_from_indices():
     grid = GridSpec(d=1, T=(0.3,), N=(3,))
     np.testing.assert_allclose(grid.axis_nodes(0), [0.0, 0.1, 0.2, 0.3])

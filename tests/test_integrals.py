@@ -29,7 +29,6 @@ from sheetlab.kernels import (
     BudgetExceededError,
     PoissonField,
     donsker_edges,
-    ks_midpoints,
     ks_rule,
     sample_donsker,
     sample_kac_stroock,
@@ -332,9 +331,8 @@ def _ks_reference(f, xs, grid, n, r, fields):
     """Kac-Stroock values sum_c theta_n(mid_c) int_c f(x, y) dy over the rule's
     sub-cells c, with theta_n's parity counted by cumulative sums and int_c f
     from f's cell_integral oracle; shape (len(fields), npts)."""
-    cells, widths = ks_rule(grid, n, r)
-    mids = ks_midpoints(cells, widths)
-    edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
+    edges, mids = ks_rule(grid, n, r)
+    cells = [len(m) for m in mids]
     wmat = f.cell_integral(xs, edges).reshape(len(xs), -1)
     d = grid.d
     pref = n ** (d / 2.0) * np.prod(np.meshgrid(*mids, indexing="ij"), axis=0) ** ((d - 1) / 2)
@@ -359,8 +357,8 @@ def _crafted_sampler(anchor, r):
     def sample(grid, n, stream):
         gen = stream.generator()
         T = np.asarray(grid.T)
-        cells, widths = ks_rule(grid, n, r)
-        on_mid = (gen.integers(0, cells) + 0.5) * np.asarray(widths)
+        mids = ks_rule(grid, n, r)[1]
+        on_mid = np.array([m[j] for m, j in zip(mids, gen.integers(0, [len(m) for m in mids]))])
         past = gen.uniform(size=grid.d) * T
         axis = gen.integers(grid.d)
         past[axis] = T[axis]

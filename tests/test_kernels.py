@@ -27,6 +27,7 @@ from sheetlab.kernels import (
     ks_parity_bits,
     ks_rule,
     ks_scale,
+    ks_theta,
     ks_values_on_grid,
 )
 
@@ -189,7 +190,8 @@ def _brute_parity(points, mid_axes):
 def test_ks_parity_bits_count_points_on_and_past_midpoints(cells, T, on_mids, scaled):
     """Each point, a set of its own, is counted at every midpoint at or above it:
     on midpoints and next to them, at 0 and T, and past the last midpoint."""
-    mids = kernels.ks_midpoints([cells], [T / cells])[0]
+    # at intensity 0.5 / T the rule keeps the grid's cells: midpoints (j + 1/2) T / cells
+    (mids,) = ks_rule(GridSpec(d=1, T=T, N=cells), 0.5 / T, 1)[1]
     on = mids[np.array(on_mids, dtype=int) % cells]
     x = np.concatenate(
         [[0.0, T, np.nextafter(T, np.inf), 2.0 * T, mids[-1]], on,
@@ -227,6 +229,30 @@ def test_ks_parity_bits_pack_each_fields_own_sign_grid(d):
     assert not np.any(ks_parity_bits(sets[:0], mids))
     with pytest.raises(ValueError, match="at most 64 point sets"):
         ks_parity_bits(sets + sets[:1], mids)
+
+
+@pytest.mark.parametrize(
+    "count, kind",
+    [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32),
+     (33, np.uint64), (64, np.uint64)],
+)
+@pytest.mark.parametrize("d", [2, 3])
+def test_ks_theta_matches_kac_stroock_eval_at_every_midpoint(d, count, kind):
+    """theta of every set of one packed grid, at every midpoint of the rule, has
+    kac_stroock_eval's sign exactly and its magnitude to 1e-14 relative."""
+    grid = GridSpec(d=d, T=(1.0, 0.75, 1.25)[:d], N=3)
+    n = 5.0
+    mids = ks_rule(grid, n, 1)[1]
+    fields = [sample_kac_stroock(grid, n, RngStream(12, count).substream(b)) for b in range(count)]
+    bits = ks_parity_bits([f.points for f in fields], mids)
+    assert bits.dtype == kind
+    theta = ks_theta(bits, range(count), n, mids)
+    assert theta.shape == (count,) + bits.shape
+    for f, th in zip(fields, theta):
+        want = np.array([kac_stroock_eval(f, y) for y in itertools.product(*mids)])
+        got = th.ravel()
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------- zeta

@@ -9,7 +9,6 @@ from sheetlab import GridSpec, RngStream, sample_donsker, sample_kac_stroock, ze
 from sheetlab.kernels import (
     DonskerField,
     donsker_edges,
-    ks_midpoints,
     ks_rule,
     ks_values_on_grid,
 )
@@ -56,9 +55,8 @@ def _former_zeta_on_axes(f, axes, r=1):
         scale, vals = f.n ** (f.d / 2.0), f.Z
         edges = donsker_edges(f.n, f.T)
     else:
-        cells, widths = ks_rule(f.grid, f.n, r)
-        scale, vals = 1.0, ks_values_on_grid(f, ks_midpoints(cells, widths))
-        edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
+        edges, mids = ks_rule(f.grid, f.n, r)
+        scale, vals = 1.0, ks_values_on_grid(f, mids)
     for a, e in zip(axes, edges):
         overlap = np.clip(np.minimum(a[:, None], e[1:]) - e[:-1], 0.0, None)
         vals = np.tensordot(vals, overlap, axes=([0], [1]))
