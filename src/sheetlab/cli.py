@@ -49,7 +49,6 @@ from .green import (
 )
 from .integrals import FAMILIES, indicator_integrand, noise_integrator
 from .kernels import INNOVATION_LAWS, BudgetExceededError, check_budget
-from .quadrature import tensor_points
 from .rng import RngStream
 from .solver import (
     GateError,
@@ -74,11 +73,13 @@ def _int(cfg: dict, key: str, least: int | None = None) -> int:
     return whole_number(cfg[key], f"field {key!r}", least)
 
 
-def _parse_int_list(text: str) -> list:
-    try:
-        return [int(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+def _int_list(cfg: dict, key: str) -> tuple:
+    """cfg[key], comma-separated or a config file's list, as whole numbers: each
+    token or element goes through whole_number, so "1e3" is 1000, and a refusal
+    names the field."""
+    val = cfg[key]
+    toks = val if isinstance(val, (list, tuple)) else [t for t in str(val).split(",") if t != ""]
+    return tuple(whole_number(t, f"field {key!r}") for t in toks)
 
 
 def _parse_probes(text, d: int) -> np.ndarray:
@@ -164,10 +165,10 @@ def _write(path: str, content) -> None:
         writer.writerows(rows)
 
 
-def _field_table(field: GridField, name: str):
-    """A node per row: the coordinates x1..xd, then the value column name."""
+def _field_table(field: GridField, name: str, coord: str = "x"):
+    """A node per row: the coordinates coord1..coordd, then the value column name."""
     grid = field.grid
-    header = [f"x{i+1}" for i in range(grid.d)] + [name]
+    header = [f"{coord}{i+1}" for i in range(grid.d)] + [name]
     rows = [list(p) + [v] for p, v in zip(grid.node_points(), field.values.ravel())]
     return header, rows, "\r\n"
 
@@ -274,7 +275,7 @@ def _convergence_report(cfg: dict) -> ConvergenceReport:
     d = _int(cfg, "d")
     grid = GridSpec(d=d, T=1.0, N=_int(cfg, "grid_n"))
     diag = DiagConfig(
-        n_list=tuple(_parse_int_list(cfg["n"])),
+        n_list=_int_list(cfg, "n"),
         M=_int(cfg, "M"),
         m=_int(cfg, "m"),
         q=float(cfg["q"]),
@@ -316,16 +317,13 @@ GREEN_DEFAULTS = {
 
 def _run_green_table(cfg: dict) -> dict:
     grid = _node_grid(cfg)
-    d, m = grid.d, grid.N[0]
+    d = grid.d
     gs = GreenSeries(d=d, kmax=_int(cfg, "kmax"))
     pts = _parse_probes(cfg["x"] or _diagonal_points(d, 0.5), d)
     if len(pts) != 1:
         raise ConfigError(f"field 'x': green-table takes one point, got {len(pts)}")
     x = grid.point_in_domain(pts[0])
-    axes = [np.arange(m + 1) / m] * d
-    table = green_on_axes(gs, x, axes)
-    header = [f"y{i+1}" for i in range(d)] + ["K"]
-    rows = [list(p) + [v] for p, v in zip(tensor_points(axes), table.ravel())]
+    table = GridField(grid, green_on_axes(gs, x, [grid.axis_nodes(i) for i in range(d)]))
     norms = {
         "x": x.tolist(),
         "kmax": gs.kmax,
@@ -333,7 +331,7 @@ def _run_green_table(cfg: dict) -> dict:
         "lambda_sup_on_grid": lambda_sup(gs, grid),
         "poincare_constant": poincare_constant(gs),
     }
-    return {"green.csv": (header, rows, "\r\n"), "norms.json": norms}
+    return {"green.csv": _field_table(table, "K", "y"), "norms.json": norms}
 
 
 SOLVE_DEFAULTS = {
@@ -401,7 +399,7 @@ COMPARE_DEFAULTS = {
 def _run_spde_compare(cfg: dict) -> dict:
     grid, gs, F, g = _spde_problem(cfg)
     diag = DiagConfig(
-        n_list=_parse_int_list(cfg["n_list"]),
+        n_list=_int_list(cfg, "n_list"),
         M=_int(cfg, "M"),
         significance=float(cfg["significance"]),
         r=_int(cfg, "r", 1),

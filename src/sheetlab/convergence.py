@@ -8,14 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridField, GridSpec, as_point, whole_number
+from .grid import GridField, GridSpec, as_point, uniform_cells, whole_number
 from .green import GreenSeries, green_on_axes
 from .integrals import Integrand, noise_integrator
 from .kernels import check_budget, check_shape_budget
 
 # re-exported: bench/layers.py traces the integrator classes it finds on this module
 from .integrals import DonskerIntegrator, KacStroockIntegrator  # noqa: F401
-from .quadrature import row_outer, tensor_points
+from .quadrature import row_outer
 from .rng import RngStream
 from .solver import Nonlinearity, SolveConfig, SpdeSampler
 from . import stats
@@ -159,8 +159,7 @@ def fdd_test(
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.size == 0:
         raise ValueError("probe set must be nonempty")
-    for p in probes:
-        grid.point_in_domain(p)
+    probes = np.array([grid.point_in_domain(p) for p in probes])
     if cfg.M < 1000:
         raise ValueError("asymptotic two-sample KS needs M >= 1000")
     gen = rng.substream(0).generator()
@@ -195,29 +194,23 @@ def fdd_test(
 
 
 def _lp_norm(values, grid: GridSpec, p: float, r: int, x) -> float:
-    """||g||_p over D by the composite midpoint rule on the r-refined grid,
-    with the cell that holds x_i split at x_i on each axis, so that a g that
-    jumps at x (the indicator of [0, x]) has no cell across its jump.
+    """||g||_p over D by the composite midpoint rule on the cells of
+    uniform_cells(r N_i, T_i), with x_i one more edge on each axis where it lies
+    strictly inside a cell and below T_i, so that a g that jumps at x (the
+    indicator of [0, x]) has no cell across its jump, and no cell starts at or
+    beyond T_i.
 
     values(axes) gives g on the tensor grid of the per-axis midpoints.
     """
-    cuts = []
+    edges = []
     for nb, t, c in zip(grid.N, grid.T, x):
-        k = r * nb
-        h = t / k
-        j = min(int(c / h), k - 1)
-        cuts.append((k, h, j, j * h, c, t if j == k - 1 else (j + 1) * h))
-    nodes = np.prod([k + (lo < c < hi) for k, _, _, lo, c, hi in cuts], dtype=float)
-    check_budget(nodes, f"norm quadrature would need {nodes:.0f} integrand values")
-    mids, widths = [], []
-    for k, h, j, lo, c, hi in cuts:
-        mid, width = (np.arange(k) + 0.5) * h, np.full(k, h)
-        if lo < c < hi:
-            mid = np.concatenate([mid[:j], [(lo + c) / 2, (c + hi) / 2], mid[j + 1 :]])
-            width = np.concatenate([width[:j], [c - lo, hi - c], width[j + 1 :]])
-        mids.append(mid)
-        widths.append(width[None])
-    vol = row_outer(widths)[0]
+        e = uniform_cells(r * nb, t)[0]
+        j = np.searchsorted(e, c)
+        edges.append(np.insert(e, j, c) if j < len(e) and c < min(e[j], t) else e)
+    cells = np.prod([len(e) - 1 for e in edges], dtype=float)
+    check_budget(cells, f"norm quadrature would need {cells:.0f} integrand values")
+    mids = [(e[:-1] + e[1:]) / 2 for e in edges]
+    vol = row_outer([np.diff(e)[None] for e in edges])[0]
     return float(np.sum(np.abs(values(mids)) ** p * vol) ** (1.0 / p))
 
 
@@ -284,9 +277,7 @@ def tightness_modulus_probe(
     rng: RngStream,
 ) -> ConvergenceReport:
     """Regress log E|X_n(x) - X_n(z)|^m on log sum_i |x_i - z_i|, pooled over n."""
-    pts = [(as_point(x), as_point(z)) for x, z in pairs]
-    for p in (q for pair in pts for q in pair):
-        grid.point_in_domain(p)
+    pts = [(grid.point_in_domain(x), grid.point_in_domain(z)) for x, z in pairs]
     dists = [float(np.sum(np.abs(x - z))) for x, z in pts]
     _check_distances(dists, "tightness probe")
     rows = []
@@ -322,8 +313,7 @@ def variance_convergence_report(
     rng: RngStream,
 ) -> ConvergenceReport:
     """Check E[X_n(x)^2] -> int_D f^2(x,y) dy across the n list."""
-    grid.point_in_domain(x)
-    xp = as_point(x)
+    xp = grid.point_in_domain(x)
     target = _lp_norm(lambda axes: f.evaluator(xp[None], axes)[0] ** 2, grid, 1.0, cfg.r, xp)
     per_n = []
     for j, n in enumerate(cfg.n_list):
@@ -428,8 +418,9 @@ def holder_probe(
 ) -> HolderEstimate:
     """Estimate beta in ||K(x,.) - K(z,.)||_alpha <= C |x-z|^beta by log-log regression.
 
-    The norm is the midpoint rule on r^d cells of the unit cube, without the
-    midpoints within rho of x or of z, where K is singular."""
+    The norm is the midpoint rule on the r^d cells of uniform_cells(r, 1.0) per
+    axis, without the midpoints within rho of x or of z, where K is singular.
+    The r^d kernel values are refused over the budget before they are built."""
     _alpha_window_check(gs.d, alpha)
     r = whole_number(r, "holder_probe's midpoint count r", 1)
     if rho <= 0:
@@ -437,16 +428,22 @@ def holder_probe(
     pts = [(as_point(x), as_point(z)) for x, z in pairs]
     dists = [float(np.linalg.norm(x - z)) for x, z in pts]
     _check_distances(dists, "holder_probe")
-    mids = [(np.arange(r) + 0.5) / r] * gs.d
+    check_shape_budget("holder_probe kernel values", (r,) * gs.d)
+    mids = [uniform_cells(r, 1.0)[1]] * gs.d
     vol = (1.0 / r) ** gs.d
-    nodes = tensor_points(mids)
     norms = []
     for x, z in pts:
-        kx = green_on_axes(gs, x, mids).ravel()
-        kz = green_on_axes(gs, z, mids).ravel()
-        mask = (np.linalg.norm(nodes - x, axis=1) > rho) & (np.linalg.norm(nodes - z, axis=1) > rho)
-        norms.append(float(np.sum(np.abs(kx - kz)[mask] ** alpha * vol) ** (1.0 / alpha)))
+        diff = green_on_axes(gs, x, mids) - green_on_axes(gs, z, mids)
+        keep = (_distances(mids, x) > rho) & (_distances(mids, z) > rho)
+        norms.append(float(np.sum(np.abs(diff[keep]) ** alpha * vol) ** (1.0 / alpha)))
     beta, r_squared = _slope_fit(dists, norms)
     return HolderEstimate(
         alpha=alpha, distances=np.array(dists), norms=np.array(norms), beta=beta, r_squared=r_squared
     )
+
+
+def _distances(axes, p) -> np.ndarray:
+    """|y - p| on the tensor grid of axes, without its (prod m_i, d) points: the
+    per-axis squared distances are broadcast and summed axis by axis, the order
+    in which np.linalg.norm sums a row, so every bit matches it."""
+    return np.sqrt(sum(np.ix_(*[(a - c) ** 2 for a, c in zip(axes, p)])))

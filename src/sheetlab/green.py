@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridField, GridSpec, as_point, whole_number
+from .grid import GridField, GridSpec, as_point, uniform_cells, whole_number
 from .integrals import Integrand
 from .kernels import check_budget
 from .quadrature import contract_axes, contract_axis, distinct_coordinates, row_outer
@@ -341,12 +341,13 @@ def poincare_constant(gs: GreenSeries) -> float:
 
 @lru_cache(maxsize=32)
 def _interior_sine_bases(N: int, kuse: int) -> tuple:
-    """(analysis, synthesis) matrices on the interior nodes j = 1..N-1.
+    """(analysis, synthesis) matrices on the interior nodes y_j, j = 1..N-1, of
+    uniform_cells(N, 1.0): the nodes at which the noise is integrated.
 
-    synthesis[j, k] = sqrt(2) sin((k+1) pi j / N) and analysis = synthesis / N.
+    synthesis[j, k] = sqrt(2) sin((k+1) pi y_j) and analysis = synthesis / N.
     Cached, so both are read-only.
     """
-    synthesis = _sine_matrix(np.arange(1, N) / N, kuse)
+    synthesis = _sine_matrix(uniform_cells(N, 1.0)[0][1:-1], kuse)
     analysis = synthesis / N
     synthesis.flags.writeable = False
     analysis.flags.writeable = False

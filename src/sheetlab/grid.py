@@ -13,6 +13,7 @@ __all__ = [
     "GridSpec",
     "GridField",
     "as_point",
+    "uniform_cells",
     "whole_number",
 ]
 
@@ -46,11 +47,21 @@ def whole_number(value, name: str, least: int | None = None) -> int:
     return whole
 
 
+def uniform_cells(k: int, t: float) -> tuple:
+    """(edges, midpoints) of [0, t] cut into k cells of width w = t / k: the
+    edges j w (j = 0..k) and the midpoints (j + 1/2) w (j = 0..k-1), each from
+    its integer index, never by accumulation. The one derivation of a uniform
+    lattice: grid nodes, Kac-Stroock sub-cells, norm and Holder quadratures and
+    the sine bases of the spectral solve all read it."""
+    w = t / k
+    return np.arange(k + 1) * w, (np.arange(k) + 0.5) * w
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on D = [0, T_1] x ... x [0, T_d].
 
-    Nodes along axis i sit at j * T_i / N_i, j = 0..N_i.
+    Nodes along axis i are the edges of uniform_cells(N_i, T_i).
     """
 
     d: int
@@ -82,11 +93,10 @@ class GridSpec:
         return tuple(n + 1 for n in self.N)
 
     def axis_nodes(self, i: int) -> np.ndarray:
-        # derive coordinates from integer indices, never by accumulation
-        return np.arange(self.N[i] + 1) * (self.T[i] / self.N[i])
+        return uniform_cells(self.N[i], self.T[i])[0]
 
     def axis_cell_centers(self, i: int) -> np.ndarray:
-        return (np.arange(self.N[i]) + 0.5) * (self.T[i] / self.N[i])
+        return uniform_cells(self.N[i], self.T[i])[1]
 
     def node_index(self, x) -> tuple:
         """Map a grid-aligned point to its node multi-index; raise if off-grid."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, as_point, whole_number
+from .grid import GridSpec, as_point, uniform_cells, whole_number
 from .quadrature import contract_axes, row_outer
 from .rng import RngStream
 
@@ -106,18 +106,14 @@ def _draw_innovations(rng: np.random.Generator, law: str, shape) -> np.ndarray:
 
 
 def sample_donsker(
-    grid: GridSpec,
-    n: int,
-    law: str = "standard-normal",
-    rng: RngStream | None = None,
+    grid: GridSpec, n: int, law: str = "standard-normal", *, rng: RngStream
 ) -> DonskerField:
     """Draw i.i.d. innovations for every multi-index covering D at scale 1/n."""
     n = whole_number(n, "Donsker scale n", 1)
     shape = tuple(int(np.ceil(n * t)) for t in grid.T)
     total = int(np.prod(shape))
     check_budget(total, f"Donsker field would need {total} innovations")
-    gen = rng.generator() if rng is not None else np.random.default_rng()
-    Z = _draw_innovations(gen, law, shape)
+    Z = _draw_innovations(rng.generator(), law, shape)
     return DonskerField(n=n, T=grid.T, Z=Z)
 
 
@@ -160,13 +156,13 @@ def _ks_intensity(n) -> float:
     return n
 
 
-def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream | None = None) -> PoissonField:
+def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream) -> PoissonField:
     """Homogeneous Poisson point process of intensity n on D."""
     n = _ks_intensity(n)
     volume = math.prod(grid.T)  # np.prod's product, without its cost on every field
     expected = n * volume * grid.d
     check_budget(expected, f"Kac-Stroock field would need about {expected:.0f} point coordinates")
-    gen = rng.generator() if rng is not None else np.random.default_rng()
+    gen = rng.generator()
     count = int(gen.poisson(n * volume))
     pts = gen.uniform(0.0, 1.0, size=(count, grid.d)) * np.asarray(grid.T)
     return PoissonField(n=n, grid=grid, points=pts)
@@ -175,8 +171,7 @@ def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream | None = None) -
 def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:
     """(edges, midpoints) per axis of the Kac-Stroock midpoint rule: the grid's
     N_i cells, floored at ceil(n T_i) so that the rule resolves the noise scale,
-    each split r-fold into k_i sub-cells of width w_i = T_i / k_i, with edges
-    j w_i (j = 0..k_i) and midpoints (j + 1/2) w_i.
+    each split r-fold: uniform_cells(k_i, T_i) of k_i sub-cells.
 
     The rule depends on no Poisson point, so a sign grid over the budget of
     check_budget is refused before any point is drawn.
@@ -185,9 +180,7 @@ def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:
     cells = [r * max(nb, int(np.ceil(n * t))) for nb, t in zip(grid.N, grid.T)]
     total = np.prod(cells, dtype=float)
     check_budget(total, f"Kac-Stroock sign grid would need {total:.0f} cells")
-    widths = [t / k for k, t in zip(cells, grid.T)]
-    edges = [np.arange(k + 1) * w for k, w in zip(cells, widths)]
-    return edges, [(np.arange(k) + 0.5) * w for k, w in zip(cells, widths)]
+    return tuple(zip(*(uniform_cells(k, t) for k, t in zip(cells, grid.T))))
 
 
 def _ks_prefactor_exponent(d: int) -> float:

@@ -99,7 +99,7 @@ def test_simulate_sheet_is_donsker_at_grid_scale(tmp_path):
             assert (config["n"], config["law"]) == ("4", "standard-normal")
             want = zeta_on_axes(sample_donsker(grid, 4, rng=RngStream(5)), axes)
         elif family == "donsker":
-            want = zeta_on_axes(sample_donsker(grid, 3, "rademacher", RngStream(5)), axes)
+            want = zeta_on_axes(sample_donsker(grid, 3, "rademacher", rng=RngStream(5)), axes)
         else:
             want = zeta_on_axes(sample_kac_stroock(grid, 3.0, RngStream(5)), axes, 4)
         np.testing.assert_array_equal(got, want)
@@ -290,6 +290,59 @@ def test_whole_float_integer_flag_runs_as_a_config_files_float(tmp_path, flag):
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
     assert _read_json(tmp_path / "flag" / "report.json")["config"]["M"] == 1000
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", "4,1e3"), ("n", "4,1000.0"), ("n", [4, 1000]), ("n_list", "4,1e3"), ("n_list", [4, 1000.0])],
+)
+def test_n_lists_go_through_whole_number(key, value):
+    # int() refused "1e3" and "16.0", and a config file's list, naming no field
+    assert cli._int_list({key: value}, key) == (4, 1000)
+    assert all(type(n) is int for n in cli._int_list({key: value}, key))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convergence-report", "--n", "4,2.5"], "field 'n' must be a whole number, got 2.5"),
+        (["convergence-report", "--n", "4,abc"], "field 'n' must be a whole number, got abc"),
+        (["spde-compare", "--n-list", "4,16.5"], "field 'n_list' must be a whole number, got 16.5"),
+    ],
+)
+def test_n_list_that_is_no_whole_number_names_its_field(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--report-dir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_n_list_runs_as_the_flag(tmp_path):
+    # a config file's "n": [4, 16] exited 2, though "probes" may be a nested list
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": [4, 16]}))
+    reports = []
+    for name, extra in (("flag", ["--n", "4,16.0"]), ("file", ["--config", str(cfg)])):
+        out = tmp_path / name
+        argv = ["convergence-report", "--projections", "2", "--grid-n", "4", *extra]
+        assert main(argv + ["--report-dir", str(out)]) == EXIT_OK
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert _read_json(tmp_path / "file" / "report.json")["config"]["n_list"] == [4, 16]
+
+
+def test_green_table_nodes_are_the_simulate_nodes(tmp_path):
+    # at a non-dyadic grid-n, arange(m + 1) / m wrote y = 0.3 where simulate
+    # writes x = 0.30000000000000004 for the same node
+    columns = []
+    for sub in ("green-table", "simulate"):
+        out = tmp_path / sub
+        assert main([sub, "--grid-n", "10", "--report-dir", str(out)]) == EXIT_OK
+        csv_name = "green.csv" if sub == "green-table" else "field.csv"
+        rows = (out / csv_name).read_text().splitlines()[1:]
+        columns.append([row.rsplit(",", 1)[0] for row in rows])
+    assert columns[0] == columns[1]
+    assert "0.30000000000000004,0.0" in columns[0]
 
 
 def test_decimal_integer_seed_keeps_its_exact_value(tmp_path):

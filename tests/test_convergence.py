@@ -1,5 +1,7 @@
 """Statistical diagnostics: FDD tests, moment bounds, tightness, variance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,11 @@ from sheetlab import (
     variance_convergence_report,
 )
 from sheetlab import convergence, kernels
-from sheetlab.green import GreenSeries
-from sheetlab.grid import GridField
+from sheetlab.green import GreenSeries, green_integrand
+from sheetlab.grid import GridField, uniform_cells
 from sheetlab.integrals import FAMILIES, Integrand
 from sheetlab.kernels import BudgetExceededError
+from sheetlab.quadrature import tensor_points
 from sheetlab.solver import SpdeSampler, nonlinearity_preset
 
 
@@ -128,6 +131,33 @@ def test_norm_quadrature_budget(monkeypatch):
         )
 
 
+def _norm_axes(grid, x):
+    """The per-axis midpoints at which _lp_norm (r = 1) evaluates its integrand."""
+    seen = []
+
+    def values(axes):
+        seen.extend(axes)
+        return np.ones(tuple(len(a) for a in axes))
+
+    convergence._lp_norm(values, grid, 1.0, 1, np.asarray(x, dtype=float))
+    return seen
+
+
+@pytest.mark.parametrize("T, N", [(1.0, 8), (1.0, 49), (1.7, 13), (1.7, 5), (0.28, 10)])
+def test_norm_quadrature_adds_no_cell_at_T_or_on_an_edge(T, N):
+    # at N = 49 and T = 1, 49 * (1 / 49) < 1; at N = 13 and T = 1.7 the last
+    # edge lies past 1.7: neither x = T nor an edge of the lattice splits a cell
+    grid = GridSpec(d=2, T=T, N=N)
+    edges = uniform_cells(N, T)[0]
+    for x in ((T, T), (edges[3], edges[-2]), (0.0, T)):
+        axes = _norm_axes(grid, x)
+        assert [len(a) for a in axes] == [N, N]
+        assert all(np.all(a < T) for a in axes)
+    # strictly inside a cell, x is one more edge
+    axes = _norm_axes(grid, ((edges[2] + edges[3]) / 2, T))
+    assert [len(a) for a in axes] == [N + 1, N]
+
+
 def test_variance_target_off_the_grid_is_the_indicator_volume():
     # x = (0.33, 0.33) lies inside a cell of the r = 2 refined 16 x 16 grid;
     # whole sub-cells past x gave 0.11816 against |[0, x]| = 0.1089
@@ -136,6 +166,49 @@ def test_variance_target_off_the_grid_is_the_indicator_volume():
         indicator_integrand(), "donsker", grid, (0.33, 0.33), cfg, RngStream(0)
     )
     assert rep.config["target"] == pytest.approx(0.33**2, rel=1e-15, abs=0.0)
+
+
+def _at_edge_and_clipped(run):
+    """run(p) at p = (1 + 5e-10, 0.5), within point_in_domain's tolerance of D,
+    and at its clipped point (1, 0.5)."""
+    return run((1.0 + 5e-10, 0.5)), run((1.0, 0.5))
+
+
+@pytest.mark.parametrize("kmax", [None, 16])
+def test_variance_report_integrates_and_records_the_clipped_point(kmax):
+    # the point was checked, then discarded: the Green integrand refused
+    # 1.0000000005 and the indicator's report recorded it, outside D
+    grid, cfg = GridSpec(d=2, T=1.0, N=16), DiagConfig(n_list=(4,), M=100)
+    f = indicator_integrand() if kmax is None else green_integrand(GreenSeries(d=2, kmax=kmax))
+    off, on = _at_edge_and_clipped(
+        lambda p: variance_convergence_report(f, "donsker", grid, p, cfg, RngStream(0))
+    )
+    assert off.config["x"] == [1.0, 0.5]
+    assert (off.config, off.per_n) == (on.config, on.per_n)
+
+
+def test_fdd_test_integrates_and_records_the_clipped_point():
+    grid, cfg = GridSpec(d=2, T=1.0, N=16), DiagConfig(n_list=(4,), M=1000, projections=2)
+    f = green_integrand(GreenSeries(d=2, kmax=16))
+    off, on = _at_edge_and_clipped(
+        lambda p: fdd_test(f, "donsker", grid, [p, (0.5, 0.5)], cfg, RngStream(0))
+    )
+    assert off.config["probes"][0] == [1.0, 0.5]
+    assert (off.config, off.per_n) == (on.config, on.per_n)
+
+
+def test_tightness_probe_integrates_the_clipped_point():
+    # the distance of a pair is that of the points integrated
+    grid, cfg = GridSpec(d=2, T=1.0, N=16), DiagConfig(n_list=(4,), M=100)
+    f = green_integrand(GreenSeries(d=2, kmax=16))
+    x = (0.5, 0.5)
+    off, on = _at_edge_and_clipped(
+        lambda p: tightness_modulus_probe(
+            f, "donsker", grid, [(x, p), (x, (0.7, 0.5)), (x, (0.6, 0.5))], cfg, RngStream(0)
+        )
+    )
+    assert off.per_n[0]["distance"] == 0.5
+    assert (off.per_n, off.extra) == (on.per_n, on.extra)
 
 
 def test_moment_probe_donsker_ratio_exactly_one():
@@ -207,6 +280,43 @@ def test_holder_probe_refuses_equal_pairs():
     pairs = [((0.4, 0.5), (0.4 + t, 0.5)) for t in (0.05, 0.1, 0.2)] + [((0.4, 0.5), (0.4, 0.5))]
     with pytest.raises(ValueError, match="x = z"):
         holder_probe(GreenSeries(d=2, kmax=8), 2.5, pairs, r=16, rho=1e-2)
+
+
+def _holder_pairs(d):
+    base = np.array([0.4] + [0.5] * (d - 1))
+    return [(base, base + t * np.eye(d)[0]) for t in (0.01, 0.02, 0.04)]
+
+
+def test_holder_probe_budget_refused_before_any_kernel_value(monkeypatch):
+    def never(*_):
+        raise AssertionError("kernel values built before the budget check")
+
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 16**2 - 1)
+    monkeypatch.setattr(convergence, "green_on_axes", never)
+    with pytest.raises(BudgetExceededError, match=r"kernel values of shape \(16, 16\)"):
+        holder_probe(GreenSeries(d=2, kmax=8), 2.5, _holder_pairs(2), r=16)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_holder_distances_match_the_norm_of_the_node_array(d):
+    # the exclusion mask keeps every bit of np.linalg.norm over tensor_points
+    axes = [uniform_cells(k, 1.0)[1] for k in (10, 7, 12)[:d]]
+    p = np.array([0.3, 0.47, 0.61][:d])
+    want = np.linalg.norm(tensor_points(axes) - p, axis=1)
+    np.testing.assert_array_equal(convergence._distances(axes, p).ravel(), want)
+
+
+def test_holder_probe_d3_builds_no_node_array():
+    # the (r^3, 3) node array and its two differences peaked at 212 MiB
+    tracemalloc.start()
+    try:
+        est = holder_probe(GreenSeries(d=3, kmax=32), 2.2, _holder_pairs(3), r=128, rho=0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    # the node-array probe's beta; its last bits follow the BLAS kernel
+    assert est.beta == pytest.approx(0.7710980409793974, rel=1e-12, abs=0.0)
 
 
 def test_probes_outside_domain_rejected():

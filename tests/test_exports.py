@@ -4,8 +4,9 @@ layer, the reports name no noise family and no solver block, only convergence
 imports stats, each statistic of the reports is written once (the KS step, the
 slope fit, the verdict record), every integrand reaches the integrators through
 its three required callables, only cli touches files, no module names a
-quadrature record, only holder_probe and cli's refusal read rho, and only
-kernels derives the Kac-Stroock rule and theta_n."""
+quadrature record, only holder_probe and cli's refusal read rho, only
+kernels derives the Kac-Stroock rule and theta_n, and only grid.uniform_cells
+derives a uniform lattice."""
 
 import ast
 import dataclasses
@@ -247,3 +248,28 @@ def test_only_kernels_derives_the_kac_stroock_rule_and_theta():
     assert _all_sites(_calls("right_shift")) == [("kernels", "ks_theta")]
     assert _all_sites(_defines("ks_midpoints", "ks_edges")) == []
     assert "sheet" not in MODULES
+
+
+def _offsets_an_arange_by_half(node):
+    """arange(...) + 0.5, either way round: a uniform lattice's midpoints."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    sides = (node.left, node.right)
+    return any(_calls("arange")(a) for a in sides) and any(
+        isinstance(b, ast.Constant) and b.value == 0.5 for b in sides
+    )
+
+
+def test_one_uniform_lattice():
+    # nodes, cell midpoints, the Kac-Stroock sub-cells, both norm quadratures
+    # and the spectral solve's sine bases are all the cells of uniform_cells
+    assert _all_sites(_offsets_an_arange_by_half) == [("grid", "uniform_cells")]
+    assert set(_all_sites(_calls("uniform_cells"))) == {
+        ("grid", "axis_nodes"),
+        ("grid", "axis_cell_centers"),
+        ("kernels", "ks_rule"),
+        ("convergence", "_lp_norm"),
+        ("convergence", "holder_probe"),
+        ("green", "_interior_sine_bases"),
+    }
+    assert ("convergence", "holder_probe") not in _all_sites(_calls("tensor_points"))

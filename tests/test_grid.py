@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sheetlab import GridSpec
+from sheetlab.grid import uniform_cells
 
 
 def test_scalar_broadcast():
@@ -46,6 +47,19 @@ def test_axis_nodes_from_indices():
     grid = GridSpec(d=1, T=(0.3,), N=(3,))
     np.testing.assert_allclose(grid.axis_nodes(0), [0.0, 0.1, 0.2, 0.3])
     np.testing.assert_allclose(grid.axis_cell_centers(0), [0.05, 0.15, 0.25])
+
+
+@pytest.mark.parametrize("k", [1, 8, 10, 12, 49, 64])
+@pytest.mark.parametrize("t", [1.0, 0.28, 1.7])
+def test_uniform_cells_keeps_the_former_formulas(k, t):
+    # the formulas GridSpec and ks_rule each wrote out: edges j w, midpoints (j + 1/2) w
+    w = t / k
+    edges, mids = uniform_cells(k, t)
+    assert edges.tobytes() == (np.arange(k + 1) * w).tobytes()
+    assert mids.tobytes() == ((np.arange(k) + 0.5) * w).tobytes()
+    grid = GridSpec(d=2, T=(1.0, t), N=(3, k))
+    assert grid.axis_nodes(1).tobytes() == edges.tobytes()
+    assert grid.axis_cell_centers(1).tobytes() == mids.tobytes()
 
 
 def test_node_index_roundtrip_and_offgrid():

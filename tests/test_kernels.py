@@ -36,28 +36,28 @@ from sheetlab.kernels import (
 
 
 def test_donsker_innovation_counts():
-    assert sample_donsker(GridSpec(d=1, T=1.0, N=1), 4).Z.shape == (4,)
-    assert sample_donsker(GridSpec(d=2, T=1.0, N=1), 3).Z.shape == (3, 3)
+    assert sample_donsker(GridSpec(d=1, T=1.0, N=1), 4, rng=RngStream(0)).Z.shape == (4,)
+    assert sample_donsker(GridSpec(d=2, T=1.0, N=1), 3, rng=RngStream(0)).Z.shape == (3, 3)
     # non-unit domain rounds up per axis
-    assert sample_donsker(GridSpec(d=1, T=(1.3,), N=1), 4).Z.shape == (6,)
+    assert sample_donsker(GridSpec(d=1, T=(1.3,), N=1), 4, rng=RngStream(0)).Z.shape == (6,)
 
 
 def test_donsker_scale_must_be_whole():
     # ceil(4.5) = 5 cells per axis would be drawn under a field that records n = 4
     with pytest.raises(ValueError, match="whole number, got 4.5"):
-        sample_donsker(GridSpec(d=1, T=1.0, N=4), 4.5)
-    assert sample_donsker(GridSpec(d=1, T=1.0, N=4), 4.0).n == 4
+        sample_donsker(GridSpec(d=1, T=1.0, N=4), 4.5, rng=RngStream(0))
+    assert sample_donsker(GridSpec(d=1, T=1.0, N=4), 4.0, rng=RngStream(0)).n == 4
 
 
 def test_donsker_budget_refusal():
     with pytest.raises(BudgetExceededError):
-        sample_donsker(GridSpec(d=2, T=1.0, N=1), 10_000)
+        sample_donsker(GridSpec(d=2, T=1.0, N=1), 10_000, rng=RngStream(0))
 
 
 def test_donsker_budget_read_at_call_time(monkeypatch):
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 10)
     with pytest.raises(BudgetExceededError, match="256 innovations"):
-        sample_donsker(GridSpec(d=2, T=1.0, N=4), 16)
+        sample_donsker(GridSpec(d=2, T=1.0, N=4), 16, rng=RngStream(0))
 
 
 @pytest.mark.parametrize("n", [0.0, -1.0, np.inf, np.nan])
