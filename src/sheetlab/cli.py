@@ -48,7 +48,7 @@ from .green import (
     poincare_constant,
 )
 from .integrals import FAMILIES, indicator_integrand, noise_integrator
-from .kernels import INNOVATION_LAWS, BudgetExceededError, check_budget
+from .kernels import INNOVATION_LAWS, BudgetExceededError, _ks_intensity, check_budget
 from .rng import RngStream
 from .solver import (
     GateError,
@@ -73,13 +73,24 @@ def _int(cfg: dict, key: str, least: int | None = None) -> int:
     return whole_number(cfg[key], f"field {key!r}", least)
 
 
-def _int_list(cfg: dict, key: str) -> tuple:
-    """cfg[key], comma-separated or a config file's list, as whole numbers: each
-    token or element goes through whole_number, so "1e3" is 1000, and a refusal
-    names the field."""
+def _n_list(cfg: dict, key: str) -> tuple:
+    """cfg[key], comma-separated or a config file's list, as the n of cfg's
+    family: whole numbers (each through whole_number, so "1e3" is 1000) for the
+    Donsker and sheet families, finite positive intensities for Kac-Stroock,
+    where a whole one stays that int. Each refusal names the field."""
     val = cfg[key]
     toks = val if isinstance(val, (list, tuple)) else [t for t in str(val).split(",") if t != ""]
-    return tuple(whole_number(t, f"field {key!r}") for t in toks)
+    name = f"field {key!r}"
+    if cfg.get("family") != "kac-stroock":
+        return tuple(whole_number(t, name) for t in toks)
+    out = []
+    for t in toks:
+        try:
+            n = _ks_intensity(t)
+        except ValueError as exc:  # "abc", 0, -1, nan, inf
+            raise ConfigError(f"{name}: {exc}") from exc
+        out.append(whole_number(t, name) if n.is_integer() else n)
+    return tuple(out)
 
 
 def _parse_probes(text, d: int) -> np.ndarray:
@@ -275,7 +286,7 @@ def _convergence_report(cfg: dict) -> ConvergenceReport:
     d = _int(cfg, "d")
     grid = GridSpec(d=d, T=1.0, N=_int(cfg, "grid_n"))
     diag = DiagConfig(
-        n_list=_int_list(cfg, "n"),
+        n_list=_n_list(cfg, "n"),
         M=_int(cfg, "M"),
         m=_int(cfg, "m"),
         q=float(cfg["q"]),
@@ -399,7 +410,7 @@ COMPARE_DEFAULTS = {
 def _run_spde_compare(cfg: dict) -> dict:
     grid, gs, F, g = _spde_problem(cfg)
     diag = DiagConfig(
-        n_list=_int_list(cfg, "n_list"),
+        n_list=_n_list(cfg, "n_list"),
         M=_int(cfg, "M"),
         significance=float(cfg["significance"]),
         r=_int(cfg, "r", 1),

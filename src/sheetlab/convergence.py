@@ -200,18 +200,28 @@ def _lp_norm(values, grid: GridSpec, p: float, r: int, x) -> float:
     indicator of [0, x]) has no cell across its jump, and no cell starts at or
     beyond T_i.
 
-    values(axes) gives g on the tensor grid of the per-axis midpoints.
+    values(axes) gives g on the tensor grid of the per-axis midpoints. The cells
+    are counted, and refused over the budget, before any edge array exists.
     """
-    edges = []
-    for nb, t, c in zip(grid.N, grid.T, x):
-        e = uniform_cells(r * nb, t)[0]
-        j = np.searchsorted(e, c)
-        edges.append(np.insert(e, j, c) if j < len(e) and c < min(e[j], t) else e)
-    cells = np.prod([len(e) - 1 for e in edges], dtype=float)
+    splits = [_splits_a_cell(c, r * nb, t) for nb, t, c in zip(grid.N, grid.T, x)]
+    cells = np.prod([r * nb + s for nb, s in zip(grid.N, splits)], dtype=float)
     check_budget(cells, f"norm quadrature would need {cells:.0f} integrand values")
+    edges = []
+    for nb, t, c, split in zip(grid.N, grid.T, x, splits):
+        e = uniform_cells(r * nb, t)[0]
+        edges.append(np.insert(e, np.searchsorted(e, c), c) if split else e)
     mids = [(e[:-1] + e[1:]) / 2 for e in edges]
     vol = row_outer([np.diff(e)[None] for e in edges])[0]
     return float(np.sum(np.abs(values(mids)) ** p * vol) ** (1.0 / p))
+
+
+def _splits_a_cell(c: float, k: int, t: float) -> bool:
+    """Whether c lies strictly inside one of the cells of uniform_cells(k, t) and
+    below t, decided without the edges j w: an edge equal to c is one of the
+    three products j w around c / w, the floats that uniform_cells computes."""
+    w = t / k
+    j = round(c / w)
+    return c < min(k * w, t) and all(c != i * w for i in (j - 1, j, j + 1) if 0 <= i <= k)
 
 
 def moment_bound_probe(
@@ -358,13 +368,14 @@ def solution_convergence_report(
         raise ValueError(f"the solution report draws standard-normal innovations, not {cfg.law!r}")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     grid = g.grid
-    probe_idx = [grid.node_index(p) for p in probes]
+    # the probes' node indices per axis, so that one fancy index reads them all
+    at_probes = (slice(None),) + tuple(np.array([grid.node_index(p) for p in probes]).T)
 
     def solution_values(family: str, n, stream: RngStream) -> np.ndarray:
         # solutions arrive a block at a time; only their probe values are kept
         sampler = SpdeSampler(family, n, g, F, gs, solve, cfg.r)
-        solves = sampler.sample_solutions(stream.substream(k) for k in range(cfg.M))
-        return np.array([[r.u.values[idx] for idx in probe_idx] for r in solves])
+        blocks = sampler.solve_blocks(stream.substream(k) for k in range(cfg.M))
+        return np.concatenate([solved.u[at_probes] for solved in blocks])
 
     target = solution_values("sheet", None, rng.substream(0))
     per_n = []

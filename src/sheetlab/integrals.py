@@ -12,15 +12,17 @@ from .grid import GridSpec, whole_number
 from .kernels import (
     KS_BLOCK,
     _draw_innovations,
+    _ks_field_intensity,
+    _poisson_points,
     cell_overlaps,
     check_shape_budget,
     donsker_edges,
     ks_parity_bits,
     ks_rule,
     ks_theta,
-    sample_kac_stroock,
 )
 from .quadrature import contract_axes, distinct_coordinates, row_outer
+from .rng import generators
 
 __all__ = [
     "Integrand",
@@ -174,8 +176,8 @@ class DonskerIntegrator(_CellIntegrator):
                 Z = _draw_innovations(gen, self.law, (hi - lo, ncells))
             else:
                 Z = np.empty((hi - lo, ncells))
-                for row, s in zip(Z, streams[lo:hi]):
-                    row[:] = _draw_innovations(s.generator(), self.law, ncells)
+                for row, g in zip(Z, generators(streams[lo:hi])):
+                    row[:] = _draw_innovations(g, self.law, ncells)
             return self.apply_innovations(Z)
 
         return values
@@ -192,9 +194,9 @@ class KacStroockIntegrator(_CellIntegrator):
     ceil(n T_i) base cells, so that it resolves the sign staircase at the noise
     scale; theta_n takes its value at each sub-cell's midpoint, as in
     zeta_on_axes. f is integrated over the sub-cells exactly, by its
-    cell_map. The fields of a block of KS_BLOCK streams share one packed
-    parity grid and are applied eight at a time, their theta_n built by
-    kernels.ks_theta.
+    cell_map. The fields of a block of KS_BLOCK streams are seeded by one
+    rng.generators call, share one packed parity grid and are applied eight
+    at a time, their theta_n built by kernels.ks_theta.
     """
 
     _rows, _applied, _block_name = KS_BLOCK, 8, "cell value block"
@@ -207,12 +209,14 @@ class KacStroockIntegrator(_CellIntegrator):
 
     def _block_values(self, rng, streams):
         """One field per stream: the substreams of rng, or each stream of the
-        list, made only when its block is drawn."""
+        list, made only when its block is drawn and seeded as one block."""
         stream = rng.substream if streams is None else streams.__getitem__
+        n = _ks_field_intensity(self.grid, self.n)
 
         def values(lo, hi):
-            fields = [sample_kac_stroock(self.grid, self.n, stream(k)) for k in range(lo, hi)]
-            bits = ks_parity_bits([fld.points for fld in fields], self.mids).reshape(-1)
+            gens = generators(stream(k) for k in range(lo, hi))
+            points = [_poisson_points(g, self.grid, n) for g in gens]
+            bits = ks_parity_bits(points, self.mids).reshape(-1)
             out = np.empty((hi - lo, self.npts))
             for j in range(0, hi - lo, self._applied):
                 sets = np.arange(j, min(j + self._applied, hi - lo), dtype=np.uint64)

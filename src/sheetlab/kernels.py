@@ -156,16 +156,28 @@ def _ks_intensity(n) -> float:
     return n
 
 
+def _ks_field_intensity(grid: GridSpec, n) -> float:
+    """The intensity n as a float, once a Poisson field of intensity n on D fits
+    the budget with its expected n |D| d point coordinates. A block of fields
+    is checked once, before any of them is drawn."""
+    n = _ks_intensity(n)
+    expected = n * math.prod(grid.T) * grid.d
+    check_budget(expected, f"Kac-Stroock field would need about {expected:.0f} point coordinates")
+    return n
+
+
+def _poisson_points(gen: np.random.Generator, grid: GridSpec, n: float) -> np.ndarray:
+    """The points, shape (count, d), of one Poisson field of intensity n on D
+    drawn from gen: a Poisson count of mean n |D|, then that many uniform points."""
+    # math.prod: np.prod's product, without its cost on every field
+    count = int(gen.poisson(n * math.prod(grid.T)))
+    return gen.uniform(0.0, 1.0, size=(count, grid.d)) * np.asarray(grid.T)
+
+
 def sample_kac_stroock(grid: GridSpec, n: float, rng: RngStream) -> PoissonField:
     """Homogeneous Poisson point process of intensity n on D."""
-    n = _ks_intensity(n)
-    volume = math.prod(grid.T)  # np.prod's product, without its cost on every field
-    expected = n * volume * grid.d
-    check_budget(expected, f"Kac-Stroock field would need about {expected:.0f} point coordinates")
-    gen = rng.generator()
-    count = int(gen.poisson(n * volume))
-    pts = gen.uniform(0.0, 1.0, size=(count, grid.d)) * np.asarray(grid.T)
-    return PoissonField(n=n, grid=grid, points=pts)
+    n = _ks_field_intensity(grid, n)
+    return PoissonField(n=n, grid=grid, points=_poisson_points(rng.generator(), grid, n))
 
 
 def ks_rule(grid: GridSpec, n: float, r: int) -> tuple:

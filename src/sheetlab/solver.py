@@ -28,6 +28,7 @@ __all__ = [
     "Nonlinearity",
     "SolveConfig",
     "SolveResult",
+    "SolvedBlock",
     "GateError",
     "solve_contraction",
     "residual",
@@ -143,23 +144,43 @@ def _check_gate(gs: GreenSeries, grid: GridSpec, F: Nonlinearity, cfg: SolveConf
     return {"gate": L / a}
 
 
+@dataclass
+class SolvedBlock:
+    """The fixed-point solves of one stack of data eta, as arrays over its M rows.
+
+    u has eta's shape (M, *node_shape); iterations and converged have shape
+    (M,); deltas has shape (steps, M): row i's step size at each of its
+    iterations[i] steps, NaN once the row has stopped.
+    """
+
+    eta: np.ndarray
+    u: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    deltas: np.ndarray
+
+    def contraction_ratios(self, i: int) -> list:
+        """Row i's ratios of successive step sizes, where the earlier one is positive."""
+        steps = self.deltas[: self.iterations[i], i]
+        return [float(b / a) for a, b in zip(steps[:-1], steps[1:]) if a > 0]
+
+
 def _solve_stack(
     F: Nonlinearity,
     Kg: np.ndarray,
     eta: np.ndarray,
     gs: GreenSeries,
     grid: GridSpec,
-    gate: dict,
     cfg: SolveConfig,
-) -> list:
+) -> SolvedBlock:
     """Fixed-point iteration for a stack eta of shape (M, *node_shape).
 
     With b = Kg + eta and relaxation w, each step is u <- b - K F(u) at w = 1
     and u <- (1 - w) u + w (b - K F(u)) below.  The step is -w times the
     residual at u, so each replicate stops on its own delta / w <= tolerance;
     finished replicates leave the stack, so every replicate takes the
-    iterations, ratios and verdict of a lone solve.  Kg = int K g and the gate
-    diagnostics were computed by the caller, which also checked the gate.
+    iterations, steps and verdict of a lone solve.  Kg = int K g was computed,
+    and the gate checked, by the caller.
     """
     w = cfg.relaxation
     M = eta.shape[0]
@@ -167,39 +188,51 @@ def _solve_stack(
     u_out = np.empty_like(b)
     iterations = np.zeros(M, dtype=int)
     converged = np.zeros(M, dtype=bool)
-    ratios = [[] for _ in range(M)]
+    deltas = []
     active = np.arange(M)
     u = np.zeros_like(b)
-    prev_delta = None
     for it in range(1, cfg.max_iterations + 1):
         u_new = b - k_apply_stack(gs, F(u), grid)
         if w != 1.0:
             u_new = (1.0 - w) * u + w * u_new
         delta = np.max(np.abs(u_new - u), axis=tuple(range(1, u.ndim))) / w
-        if prev_delta is not None:
-            for row, dl, pd in zip(active, delta, prev_delta):
-                if pd > 0:
-                    ratios[row].append(float(dl / pd))
+        step = np.full(M, np.nan)
+        step[active] = delta
+        deltas.append(step)
         iterations[active] = it
         done = delta <= cfg.tolerance
         converged[active[done]] = True
         u_out[active[done]] = u_new[done]
         keep = ~done
-        active, u, b, prev_delta = active[keep], u_new[keep], b[keep], delta[keep]
+        active, u, b = active[keep], u_new[keep], b[keep]
         if active.size == 0:
             break
     u_out[active] = u
-    res = _sup_residual(u_out, k_apply_stack(gs, F(u_out), grid), Kg, eta, grid.d)
+    return SolvedBlock(eta, u_out, iterations, converged, np.array(deltas))
+
+
+def _solve_results(
+    solved: SolvedBlock,
+    F: Nonlinearity,
+    Kg: np.ndarray,
+    gs: GreenSeries,
+    grid: GridSpec,
+    gate: dict,
+) -> list:
+    """One SolveResult per row of solved, with the gate diagnostics; the final
+    residuals come from one k_apply_stack of the whole block."""
+    u = solved.u
+    res = _sup_residual(u, k_apply_stack(gs, F(u), grid), Kg, solved.eta, grid.d)
     return [
         SolveResult(
-            u=GridField(grid, u_out[i]),
-            iterations=int(iterations[i]),
+            u=GridField(grid, u[i]),
+            iterations=int(solved.iterations[i]),
             final_residual=float(res[i]),
-            converged=bool(converged[i]),
-            contraction_ratios=ratios[i],
+            converged=bool(solved.converged[i]),
+            contraction_ratios=solved.contraction_ratios(i),
             diagnostics=dict(gate),
         )
-        for i in range(M)
+        for i in range(len(u))
     ]
 
 
@@ -215,7 +248,8 @@ def solve_contraction(
     grid = eta.grid
     gate = _check_gate(gs, grid, F, cfg)
     Kg = k_apply(gs, g).values
-    return _solve_stack(F, Kg, eta.values[None], gs, grid, gate, cfg)[0]
+    solved = _solve_stack(F, Kg, eta.values[None], gs, grid, cfg)
+    return _solve_results(solved, F, Kg, gs, grid, gate)[0]
 
 
 def psi_continuity_check(
@@ -294,14 +328,19 @@ class SpdeSampler:
         """One realization of eta(x) = int_D K(x,y) (noise)(dy) at the grid nodes."""
         return GridField(self.grid, self._noise_block([rng])[0])
 
-    def sample_solutions(self, streams):
-        """Yield one solve per stream, in order; replicate i depends only on the
-        i-th stream. streams may be any iterable, even a lazy one: it is read and
-        solved one SOLVE_BLOCK at a time."""
+    def solve_blocks(self, streams):
+        """Yield one SolvedBlock per SOLVE_BLOCK streams, in order; replicate i
+        depends only on the i-th stream. streams may be any iterable, even a
+        lazy one: it is read and solved one block at a time."""
         streams = iter(streams)
         while block := list(islice(streams, SOLVE_BLOCK)):
             eta = self._noise_block(block)
-            yield from _solve_stack(self.F, self._Kg, eta, self.gs, self.grid, self.gate, self.cfg)
+            yield _solve_stack(self.F, self._Kg, eta, self.gs, self.grid, self.cfg)
+
+    def sample_solutions(self, streams):
+        """Yield one SolveResult per stream, in order, a block at a time."""
+        for solved in self.solve_blocks(streams):
+            yield from _solve_results(solved, self.F, self._Kg, self.gs, self.grid, self.gate)
 
     def sample_solution(self, rng: RngStream) -> SolveResult:
         return next(self.sample_solutions([rng]))

@@ -1,6 +1,9 @@
 """CLI: artifact emission, config precedence, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -298,8 +301,8 @@ def test_whole_float_integer_flag_runs_as_a_config_files_float(tmp_path, flag):
 )
 def test_n_lists_go_through_whole_number(key, value):
     # int() refused "1e3" and "16.0", and a config file's list, naming no field
-    assert cli._int_list({key: value}, key) == (4, 1000)
-    assert all(type(n) is int for n in cli._int_list({key: value}, key))
+    assert cli._n_list({key: value}, key) == (4, 1000)
+    assert all(type(n) is int for n in cli._n_list({key: value}, key))
 
 
 @pytest.mark.parametrize(
@@ -314,6 +317,70 @@ def test_n_list_that_is_no_whole_number_names_its_field(tmp_path, capsys, argv, 
     out = tmp_path / "out"
     assert main(argv + ["--report-dir", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergence-report", "--diagnostic", "variance", "--n", "4.5,16", "--M", "100"],
+        ["spde-compare", "--n-list", "4.5,16", "--M", "100", "--grid-n", "4"],
+    ],
+)
+def test_kac_stroock_n_list_takes_real_intensities(tmp_path, argv):
+    # simulate --family kac-stroock --n 4.5 ran while both n lists refused 4.5
+    out = tmp_path / "out"
+    assert main(argv + ["--family", "kac-stroock", "--report-dir", str(out)]) == EXIT_OK
+    ns = [row["n"] for row in _read_json(out / "report.json")["per_n"]]
+    assert ns == [4.5, 16] and type(ns[1]) is int
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convergence-report", "--n", "0,4"], "field 'n': Kac-Stroock intensity n must be"),
+        (["convergence-report", "--n", "4,-2.5"], "field 'n': Kac-Stroock intensity n must be"),
+        (["convergence-report", "--n", "4,abc"], "field 'n': could not convert"),
+        (["spde-compare", "--n-list", "4,inf"], "field 'n_list': Kac-Stroock intensity n must"),
+        (["spde-compare", "--n-list", "nan"], "field 'n_list': Kac-Stroock intensity n must"),
+    ],
+)
+def test_kac_stroock_n_list_refusal_names_its_field(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--family", "kac-stroock", "--report-dir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kac_stroock_whole_n_list_stays_ints():
+    cfg = {"family": "kac-stroock", "n": "4,1e3,16.0"}
+    assert cli._n_list(cfg, "n") == (4, 1000, 16)
+    assert all(type(n) is int for n in cli._n_list(cfg, "n"))
+    assert cli._n_list({**cfg, "n": [4, 4.5]}, "n") == (4, 4.5)
+
+
+def test_norm_quadrature_refused_before_its_edges_are_built(tmp_path):
+    # 2 * 2e6 cells per axis: the edges and midpoints of both axes peaked at
+    # 158 MB before the cell count was refused. The peak is the child's VmHWM:
+    # its ru_maxrss may carry the forking test process's peak across exec
+    out = tmp_path / "huge"
+    code = f"""
+from sheetlab.cli import main
+code = main(["convergence-report", "--diagnostic", "variance", "--grid-n", "2000000",
+             "--report-dir", {str(out)!r}])
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, hwm_kb / 1024)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    exit_code, peak_mb = run.stdout.split()
+    assert int(exit_code) == EXIT_REFUSED
+    assert "norm quadrature would need 16000000000000 integrand values" in run.stderr
+    assert float(peak_mb) < 60, peak_mb
     assert not out.exists()
 
 
@@ -459,7 +526,7 @@ def test_kac_stroock_sign_grid_refused_before_the_draw(tmp_path, monkeypatch, ca
     def never(*_):
         raise AssertionError("Poisson points drawn before the sign grid was refused")
 
-    monkeypatch.setattr(integrals, "sample_kac_stroock", never)
+    monkeypatch.setattr(integrals, "_poisson_points", never)
     out = tmp_path / "run"
     code = main(
         [

@@ -5,8 +5,9 @@ imports stats, each statistic of the reports is written once (the KS step, the
 slope fit, the verdict record), every integrand reaches the integrators through
 its three required callables, only cli touches files, no module names a
 quadrature record, only holder_probe and cli's refusal read rho, only
-kernels derives the Kac-Stroock rule and theta_n, and only grid.uniform_cells
-derives a uniform lattice."""
+kernels derives the Kac-Stroock rule and theta_n, only grid.uniform_cells
+derives a uniform lattice, only rng seeds a generator, and the solution report
+builds no SolveResult."""
 
 import ast
 import dataclasses
@@ -273,3 +274,31 @@ def test_one_uniform_lattice():
         ("green", "_interior_sine_bases"),
     }
     assert ("convergence", "holder_probe") not in _all_sites(_calls("tensor_points"))
+
+
+def _subclasses_iseedsequence(node):
+    return isinstance(node, ast.ClassDef) and any(
+        (isinstance(b, ast.Name) and b.id == "ISeedSequence")
+        or (isinstance(b, ast.Attribute) and b.attr == "ISeedSequence")
+        for b in node.bases
+    )
+
+
+def test_only_rng_seeds_generators():
+    # one seeding path: rng.generators builds every PCG64 from its own words,
+    # and numpy's SeedSequence is left to the tests as their oracle
+    assert {m for m, _ in _all_sites(_calls("PCG64"))} == {"rng"}
+    assert {m for m, _ in _all_sites(_subclasses_iseedsequence)} == {"rng"}
+    assert _all_sites(_calls("SeedSequence")) == []
+    assert _all_sites(_calls("default_rng")) == []
+
+
+def test_solution_report_builds_no_solve_result():
+    # the report reads its probe values from each block's u; SolveResults are
+    # built only where solve_contraction or sample_solution(s) are asked for
+    tree = ast.parse((Path(sheetlab.__file__).parent / "convergence.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    built = {"SolveResult", "sample_solutions", "sample_solution", "solve_contraction"}
+    assert names & built == set()

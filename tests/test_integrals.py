@@ -350,12 +350,11 @@ def _ks_reference(f, xs, grid, n, r, fields):
 
 
 def _crafted_sampler(anchor, r):
-    """A sample_kac_stroock stand-in whose fields hit the parity grid's edge cases:
-    no points, one point twice, a point on the r-fold rule's midpoints, a point
-    past the last midpoint and a point (anchor) shared by several fields."""
+    """A kernels._poisson_points stand-in whose fields hit the parity grid's edge
+    cases: no points, one point twice, a point on the r-fold rule's midpoints, a
+    point past the last midpoint and a point (anchor) shared by several fields."""
 
-    def sample(grid, n, stream):
-        gen = stream.generator()
+    def sample(gen, grid, n):
         T = np.asarray(grid.T)
         mids = ks_rule(grid, n, r)[1]
         on_mid = np.array([m[j] for m, j in zip(mids, gen.integers(0, [len(m) for m in mids]))])
@@ -368,7 +367,7 @@ def _crafted_sampler(anchor, r):
         pts = np.concatenate([pts] + [e for e, u in zip(extra, use) if u])
         if gen.integers(0, 4) == 0:
             pts = pts[:0]
-        return PoissonField(n=float(n), grid=grid, points=pts)
+        return pts
 
     return sample
 
@@ -396,9 +395,12 @@ def test_kac_stroock_replicates_match_former_dense_rule(kind, d, N, n, r, M, see
     f, xs, grid = _ks_case(kind, d, N, seed)
     integ = KacStroockIntegrator(f, xs, grid, float(n), r)
     sample = _crafted_sampler(xs[0], r)
-    with mock.patch.object(integrals, "sample_kac_stroock", sample):
+    with mock.patch.object(integrals, "_poisson_points", sample):
         got = integ.replicates(RngStream(seed), M)
-    fields = [sample(grid, n, s) for s in RngStream(seed).split(M)]
+    fields = [
+        PoissonField(n=float(n), grid=grid, points=sample(s.generator(), grid, float(n)))
+        for s in RngStream(seed).split(M)
+    ]
     ref = _ks_reference(f, xs, grid, float(n), r, fields)
     assert got.shape == (M, 3)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -30,9 +30,12 @@ from sheetlab.solver import (
     Nonlinearity,
     SpdeSampler,
     _check_gate,
+    _solve_results,
     _solve_stack,
+    _sup_residual,
     nonlinearity_preset,
 )
+from sheetlab import convergence
 
 GRID = GridSpec(d=2, T=1.0, N=12)
 GS = GreenSeries(d=2, kmax=11)
@@ -201,7 +204,7 @@ def test_unit_relaxation_is_the_banach_iteration(spec, M, max_iterations):
     Kg = k_apply(GS, _random_field(86)).values
     eta = gen.standard_normal((M,) + GRID.node_shape) * 0.1
     gate = _check_gate(GS, GRID, F, cfg)
-    got = _solve_stack(F, Kg, eta, GS, GRID, gate, cfg)
+    got = _solve_results(_solve_stack(F, Kg, eta, GS, GRID, cfg), F, Kg, GS, GRID, gate)
     u, iterations, ratios, converged = _banach_stack(F, Kg, eta, cfg)
     assert not converged.all() if max_iterations == 4 else converged.all()
     for i, res in enumerate(got):
@@ -210,6 +213,102 @@ def test_unit_relaxation_is_the_banach_iteration(spec, M, max_iterations):
         assert res.contraction_ratios == ratios[i]
         assert res.converged == converged[i]
         assert list(res.diagnostics) == ["lambda_hat", "gate", "residual_bound"]
+
+
+def _former_solve_stack(F, Kg, eta, gate, cfg):
+    """Reference: the block loop that built its ratio lists row by row while it
+    iterated and its SolveResults at once, with the final residuals of one
+    k_apply_stack of the whole block."""
+    w = cfg.relaxation
+    M = eta.shape[0]
+    b = Kg + eta
+    u_out = np.empty_like(b)
+    iterations = np.zeros(M, dtype=int)
+    converged = np.zeros(M, dtype=bool)
+    ratios = [[] for _ in range(M)]
+    active = np.arange(M)
+    u = np.zeros_like(b)
+    prev_delta = None
+    for it in range(1, cfg.max_iterations + 1):
+        u_new = b - k_apply_stack(GS, F(u), GRID)
+        if w != 1.0:
+            u_new = (1.0 - w) * u + w * u_new
+        delta = np.max(np.abs(u_new - u), axis=tuple(range(1, u.ndim))) / w
+        if prev_delta is not None:
+            for row, dl, pd in zip(active, delta, prev_delta):
+                if pd > 0:
+                    ratios[row].append(float(dl / pd))
+        iterations[active] = it
+        done = delta <= cfg.tolerance
+        converged[active[done]] = True
+        u_out[active[done]] = u_new[done]
+        keep = ~done
+        active, u, b, prev_delta = active[keep], u_new[keep], b[keep], delta[keep]
+        if active.size == 0:
+            break
+    u_out[active] = u
+    res = _sup_residual(u_out, k_apply_stack(GS, F(u_out), GRID), Kg, eta, GRID.d)
+    return [
+        (u_out[i], int(iterations[i]), float(res[i]), bool(converged[i]), ratios[i], dict(gate))
+        for i in range(M)
+    ]
+
+
+@pytest.mark.parametrize("spec, relaxation", [("tanh:1.0", 1.0), ("tanh:19", 0.5)])
+@pytest.mark.parametrize("M", [1, SOLVE_BLOCK + 1])
+@pytest.mark.parametrize("max_iterations", [200, 5])
+def test_block_record_gives_the_former_solve_results(spec, relaxation, M, max_iterations):
+    """The SolvedBlock's arrays rebuild every field of the former loop's
+    SolveResults bit for bit: u, iterations, verdict, final residual, ratios."""
+    F = nonlinearity_preset(spec)
+    cfg = SolveConfig(max_iterations=max_iterations, relaxation=relaxation)
+    Kg = k_apply(GS, _random_field(92)).values
+    eta = RngStream(93).generator().standard_normal((M,) + GRID.node_shape) * 0.1
+    gate = _check_gate(GS, GRID, F, cfg)
+    solved = _solve_stack(F, Kg, eta, GS, GRID, cfg)
+    assert solved.deltas.shape == (solved.iterations.max(), M)
+    got = _solve_results(solved, F, Kg, GS, GRID, gate)
+    want = _former_solve_stack(F, Kg, eta, gate, cfg)
+    # 5 steps stop some replicates unconverged, 200 none
+    converged = [w[3] for w in want]
+    assert all(converged) if max_iterations == 200 else not all(converged)
+    for res, (u, iterations, final_residual, converged, ratios, diagnostics) in zip(got, want):
+        np.testing.assert_array_equal(res.u.values, u)
+        assert res.iterations == iterations
+        assert res.final_residual == final_residual
+        assert res.converged == converged
+        assert res.contraction_ratios == ratios
+        assert res.diagnostics == diagnostics
+
+
+def test_solution_report_probe_values_are_those_of_sample_solutions(monkeypatch):
+    # the report reads its probe values from each block's u by one fancy index;
+    # they are the values sample_solutions' SolveResults hold at the probes
+    g = GridField(GRID, np.ones(GRID.node_shape))
+    F = nonlinearity_preset("tanh:1.0")
+    probes = [(0.25, 0.5), (0.5, 0.5), (0.75, 0.25)]
+    cfg = DiagConfig(n_list=(4,), M=SOLVE_BLOCK + 36, r=1)
+    samples = []
+    ks_2samp = convergence.stats.ks_2samp
+
+    def capture(sample, target):
+        samples.append((sample, target))
+        return ks_2samp(sample, target)
+
+    monkeypatch.setattr(convergence.stats, "ks_2samp", capture)
+    rng = RngStream(94)
+    solution_convergence_report("donsker", probes, g, F, GS, cfg, rng)
+    idx = [GRID.node_index(p) for p in probes]
+
+    def values(family, n, stream):
+        solves = SpdeSampler(family, n, g, F, GS).sample_solutions(stream.split(cfg.M))
+        return np.array([[res.u.values[i] for i in idx] for res in solves])
+
+    target, vals = values("sheet", None, rng.substream(0)), values("donsker", 4, rng.substream(1))
+    assert len(samples) == len(probes)
+    for p, (sample, tgt) in enumerate(samples):
+        np.testing.assert_array_equal(sample, vals[:, p])
+        np.testing.assert_array_equal(tgt, target[:, p])
 
 
 def test_residual_positive_for_random_guess():
