@@ -132,7 +132,12 @@ def _node_grid(cfg: dict) -> GridSpec:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags into one dict."""
+    """Merge defaults < config file < explicit flags into one dict.
+
+    The config file may be a run's manifest.json: a run of the same subcommand
+    then reads the manifest's config block, less report_dir and strict, which
+    belong to the run and not to its configuration.
+    """
     cfg = dict(defaults)
     path = getattr(args, "config", None)
     if path:
@@ -143,6 +148,16 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             raise ConfigError(f"config file {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path}: top level must be an object")
+        if "subcommand" in file_cfg:
+            if file_cfg["subcommand"] != args.subcommand:
+                raise ConfigError(
+                    f"config file {path}: a manifest of {file_cfg['subcommand']!r} "
+                    f"cannot configure {args.subcommand!r}"
+                )
+            file_cfg = file_cfg.get("config")
+            if not isinstance(file_cfg, dict):
+                raise ConfigError(f"config file {path}: a manifest's config must be an object")
+            file_cfg = {k: v for k, v in file_cfg.items() if k not in ("report_dir", "strict")}
         for key, val in file_cfg.items():
             if key not in defaults:
                 raise ConfigError(f"config file {path}: unknown field {key!r}")

@@ -76,8 +76,8 @@ class WalkTruncationError(RuntimeError):
 # kmax * 64 KiB; also bounds every x block's mode tensor to POINT_CHUNK * kmax doubles
 POINT_CHUNK = 8192
 
-# entries per eigenvalue slab in _contract_inv_lam, as integrals.DRAW_BLOCK (2 MiB):
-# a product of 2^18 entries stays on one OpenBLAS thread, one of 2^19 woke a second
+# entries per eigenvalue slab in _contract_inv_lam (2 MiB of doubles): a product
+# of 2^18 entries stays on one OpenBLAS thread, one of 2^19 woke a second
 LAM_SLAB = 1 << 18
 
 
@@ -344,11 +344,14 @@ def _interior_sine_bases(N: int, kuse: int) -> tuple:
     """(analysis, synthesis) matrices on the interior nodes y_j, j = 1..N-1, of
     uniform_cells(N, 1.0): the nodes at which the noise is integrated.
 
-    synthesis[j, k] = sqrt(2) sin((k+1) pi y_j) and analysis = synthesis / N.
+    analysis[j, k] = sqrt(2) sin((k+1) pi y_j) / N, and synthesis is the
+    C-contiguous (kuse, N - 1) transpose of analysis * N, as _synthesis hands it
+    to BLAS: a transposed view costs BLAS more time, for the same bits.
     Cached, so both are read-only.
     """
-    synthesis = _sine_matrix(uniform_cells(N, 1.0)[0][1:-1], kuse)
-    analysis = synthesis / N
+    sines = _sine_matrix(uniform_cells(N, 1.0)[0][1:-1], kuse)
+    analysis = sines / N
+    synthesis = np.ascontiguousarray(sines.T)
     synthesis.flags.writeable = False
     analysis.flags.writeable = False
     return analysis, synthesis
@@ -375,7 +378,7 @@ def _analysis(values: np.ndarray, grid: GridSpec, kuse: int) -> np.ndarray:
 def _synthesis(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Node values (zero boundary) of a stack (B, kuse, ..., kuse) of coefficient tensors."""
     kuse = coef.shape[-1]
-    out = contract_axes(coef, [_interior_sine_bases(n, kuse)[1].T for n in grid.N])
+    out = contract_axes(coef, [_interior_sine_bases(n, kuse)[1] for n in grid.N])
     vals = np.zeros((coef.shape[0],) + grid.node_shape)
     vals[(slice(None),) + tuple(slice(1, -1) for _ in range(grid.d))] = out
     return vals
@@ -444,9 +447,10 @@ def green_integrand(gs: GreenSeries) -> Integrand:
         xs = _series_points(gs, xs)
         moments = [_cell_moments(e, gs.kmax) for e in edges]
         lam = _lam_tensor(gs.d, gs.kmax)
-        # sines once per distinct coordinate on each axis, gathered per point
+        # sines once per distinct coordinate on each axis, gathered per point, and
+        # contiguous (kmax, points) matrices: BLAS takes a transposed view slower
         uniq, inv = distinct_coordinates(xs)
-        sines = [_sine_matrix(u, gs.kmax).T for u in uniq]
+        sines = [np.ascontiguousarray(_sine_matrix(u, gs.kmax).T) for u in uniq]
 
         def apply(Z):
             coef = contract_axes(Z, moments)

@@ -35,9 +35,13 @@ __all__ = [
 
 FAMILIES = ("donsker", "kac-stroock", "sheet")
 
-# innovations per drawn row block in DonskerIntegrator.replicates (2 MiB of
-# doubles): the (M, cells) innovation matrix is never held at once
+# innovations per block of fields in DonskerIntegrator.replicates (2 MiB of
+# doubles): the fields of a block of streams are seeded by one generators call
 DRAW_BLOCK = 1 << 18
+# cell values (or mode coefficients, if more) per applied slab of a Donsker
+# block (512 KiB of doubles): only one slab's innovations and coefficients exist
+# at a time, so neither the (M, cells) innovations nor a block's are ever held
+DRAW_SLAB = 1 << 16
 
 
 @dataclass
@@ -91,9 +95,11 @@ class _CellIntegrator:
     and s = scale.
 
     The cell values go through f's cell_map, which holds no weight matrix. A
-    subclass draws them: _block_values(rng, streams) maps (lo, hi) to the values
-    at xs of fields lo..hi-1, for blocks of _rows fields applied as
-    (_applied, *cells) arrays named _block_name.
+    subclass draws them in blocks of _rows fields and slabs of _applied:
+    _block_values(rng, streams) maps a block (lo, hi) to a function of (j, k)
+    that returns the cell values of its fields lo + j..lo + k - 1, an array
+    named _block_name of k - j fields. A block's state (its generators, its
+    parity grid) is built once; its cell values only one slab at a time.
     """
 
     def __init__(self, f: Integrand, xs, edges, scale: float):
@@ -121,20 +127,26 @@ class _CellIntegrator:
 
         rng is one RngStream that draws all M fields, or, with M omitted, a
         list of streams drawing one field each. Fields are drawn in blocks of
-        _rows and applied _applied at a time, so the (M, cells) values are never
-        held at once. The (M, npts) values, then the first block's cell values
-        and mode coefficients, are checked against the budget before any draw.
+        _rows and built and applied in slabs of _applied, so the (M, cells)
+        values are never held at once. The (M, npts) values, then the first
+        slab's cell values and mode coefficients, are checked against the budget
+        before any draw.
         """
         streams = list(rng) if M is None else None
         M = len(streams) if M is None else M
         check_shape_budget("replicate values", (M, self.npts))
         out = np.empty((M, self.npts))
-        B = min(self._applied, M)
+        rows, applied = self._rows, self._applied
+        B = min(applied, rows, M)
         check_shape_budget(self._block_name, (B,) + self.cell_shape)
         check_shape_budget("mode coefficients", (B, self.modes))
-        values = self._block_values(rng, streams)
-        for lo in range(0, M, self._rows):
-            out[lo : lo + self._rows] = values(lo, min(lo + self._rows, M))
+        block = self._block_values(rng, streams)
+        for lo in range(0, M, rows):
+            hi = min(lo + rows, M)
+            values = block(lo, hi)
+            for j in range(lo, hi, applied):
+                k = min(j + applied, hi)
+                out[j:k] = self.apply_innovations(values(j - lo, k - lo))
         return out
 
 
@@ -148,9 +160,12 @@ class DonskerIntegrator(_CellIntegrator):
     (sqrt(cell_volume) Z_k) is the discrete Wiener integral against the
     Brownian sheet's cell increments.
 
-    Innovation rows are drawn and applied in blocks of about DRAW_BLOCK
-    innovations (or mode coefficients, if more), so one generator gives the
-    same innovations in the same order as a single (M, cells) draw.
+    Fields come in blocks of about DRAW_BLOCK innovations (or mode
+    coefficients, if more), each block's streams seeded by one generators
+    call, and their innovations are drawn and applied in slabs of about
+    DRAW_SLAB. One generator draws the slabs in order, so it gives the
+    innovations of a single (M, cells) draw. Both sizes are read when
+    replicates runs.
     """
 
     _block_name = "innovation block"
@@ -165,22 +180,40 @@ class DonskerIntegrator(_CellIntegrator):
     ):
         super().__init__(f, xs, edges, scale)
         self.law = law
-        self._rows = self._applied = max(1, DRAW_BLOCK // max(math.prod(self.cell_shape), self.modes, 1))
+        self._width = max(math.prod(self.cell_shape), self.modes, 1)
+
+    @property
+    def _rows(self) -> int:
+        return max(1, DRAW_BLOCK // self._width)
+
+    @property
+    def _applied(self) -> int:
+        return max(1, DRAW_SLAB // self._width)
 
     def _block_values(self, rng, streams):
         ncells = math.prod(self.cell_shape)
-        gen = rng.generator() if streams is None else None
+        if streams is None:
+            gen = rng.generator()
 
-        def values(lo, hi):
-            if gen is not None:
-                Z = _draw_innovations(gen, self.law, (hi - lo, ncells))
-            else:
-                Z = np.empty((hi - lo, ncells))
-                for row, g in zip(Z, generators(streams[lo:hi])):
-                    row[:] = _draw_innovations(g, self.law, ncells)
-            return self.apply_innovations(Z)
+            def draw(j, k):
+                return _draw_innovations(gen, self.law, (k - j, ncells))
 
-        return values
+            # no block state: the slabs are drawn in order, so one generator
+            # gives them the innovations of one (M, cells) draw
+            return lambda lo, hi: draw
+
+        def block(lo, hi):
+            gens = generators(streams[lo:hi])
+
+            def values(j, k):
+                Z = np.empty((k - j, ncells))
+                for row, g in zip(Z, gens[j:k]):
+                    _draw_innovations(g, self.law, ncells, out=row)
+                return Z
+
+            return values
+
+        return block
 
     def second_moment(self) -> np.ndarray:
         """Exact E[X(x)^2] = s^2 sum_k w_k(x)^2 (unit-variance innovations)."""
@@ -213,18 +246,13 @@ class KacStroockIntegrator(_CellIntegrator):
         stream = rng.substream if streams is None else streams.__getitem__
         n = _ks_field_intensity(self.grid, self.n)
 
-        def values(lo, hi):
+        def block(lo, hi):
             gens = generators(stream(k) for k in range(lo, hi))
             points = [_poisson_points(g, self.grid, n) for g in gens]
             bits = ks_parity_bits(points, self.mids).reshape(-1)
-            out = np.empty((hi - lo, self.npts))
-            for j in range(0, hi - lo, self._applied):
-                sets = np.arange(j, min(j + self._applied, hi - lo), dtype=np.uint64)
-                theta = ks_theta(bits, sets, self.n, self.mids)
-                out[j : j + len(sets)] = self.apply_innovations(theta)
-            return out
+            return lambda j, k: ks_theta(bits, np.arange(j, k, dtype=np.uint64), self.n, self.mids)
 
-        return values
+        return block
 
 
 def noise_integrator(

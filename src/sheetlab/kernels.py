@@ -95,14 +95,21 @@ class PoissonField:
         return self.grid.T
 
 
-def _draw_innovations(rng: np.random.Generator, law: str, shape) -> np.ndarray:
+def _draw_innovations(rng: np.random.Generator, law: str, shape, out=None) -> np.ndarray:
+    """Innovations of the law, of the given shape, written into out if given:
+    the same draws either way."""
     if law == "standard-normal":
-        return rng.standard_normal(shape)
+        return rng.standard_normal(shape, out=out)
     if law == "rademacher":
-        return rng.integers(0, 2, size=shape) * 2.0 - 1.0
-    if law == "centered-uniform":
-        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=shape)
-    raise ValueError(f"unsupported innovation law {law!r}; choose one of {INNOVATION_LAWS}")
+        Z = rng.integers(0, 2, size=shape) * 2.0 - 1.0
+    elif law == "centered-uniform":
+        Z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=shape)
+    else:
+        raise ValueError(f"unsupported innovation law {law!r}; choose one of {INNOVATION_LAWS}")
+    if out is None:
+        return Z
+    out[...] = Z
+    return out
 
 
 def sample_donsker(

@@ -102,16 +102,25 @@ def generators(streams) -> list:
     of streams of equal entropy length.
 
     A stream's entropy words are those of seed, zero-padded to 4, then those of
-    stream_id and of each path key. A word column equal across the group stays a
+    stream_id and of each path key. The words of all but the last key are made
+    once per call for each distinct (seed, stream_id, path[:-1]), the prefix that
+    a block of substreams shares. A word column equal across the group stays a
     Python int; only the varying columns, normally the last key, are arrays.
     """
     streams = list(streams)
-    groups = {}
+    prefixes, groups = {}, {}
     for i, s in enumerate(streams):
-        seed = _words(s.seed)
-        words = seed + [0] * (_POOL - len(seed))
-        for key in (s.stream_id, *s._path):
-            words += _words(key)
+        *head, last = (s.stream_id, *s._path)
+        # the types too: a float seed equal to an int one is refused, not reused
+        ident = (type(s.seed), s.seed, type(s.stream_id), *head)
+        prefix = prefixes.get(ident)
+        if prefix is None:
+            seed = _words(s.seed)
+            prefix = seed + [0] * (_POOL - len(seed))
+            for key in head:
+                prefix += _words(key)
+            prefixes[ident] = prefix
+        words = prefix + _words(last)
         groups.setdefault(len(words), []).append((i, words))
     state = np.empty((len(streams), _POOL), dtype=np.uint64)
     for members in groups.values():

@@ -41,7 +41,8 @@ __all__ = [
 GATE_INFLATION = 1.05
 
 # replicates solved together by SpdeSampler.sample_solutions; at n=64, d=2 a
-# block's Donsker innovations are one integrals.DRAW_BLOCK (2 MiB)
+# block's Donsker streams are one integrals.DRAW_BLOCK of fields, seeded by one
+# generators call and drawn in four integrals.DRAW_SLAB (512 KiB) slabs
 SOLVE_BLOCK = 64
 
 
@@ -201,10 +202,14 @@ def _solve_stack(
         deltas.append(step)
         iterations[active] = it
         done = delta <= cfg.tolerance
+        u = u_new
+        if not done.any():
+            continue
+        # the stack shrinks, by fancy-index copies, only when a replicate finishes
         converged[active[done]] = True
-        u_out[active[done]] = u_new[done]
+        u_out[active[done]] = u[done]
         keep = ~done
-        active, u, b = active[keep], u_new[keep], b[keep]
+        active, u, b = active[keep], u[keep], b[keep]
         if active.size == 0:
             break
     u_out[active] = u

@@ -459,6 +459,32 @@ def test_rho_changes_no_artifact_and_is_refused_below_zero(tmp_path, capsys, arg
     assert not out.exists()
 
 
+def test_a_run_reruns_from_its_own_manifest(tmp_path, capsys):
+    # the manifest's version, subcommand and timestamp were refused as unknown
+    # fields; its config block, less report_dir and strict, is the run's config
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = ["simulate", "--d", "2", "--grid-n", "8", "--seed", "3", "--family", "kac-stroock"]
+    assert main(argv + ["--strict", "--report-dir", str(first)]) == EXIT_OK
+    manifest = str(first / "manifest.json")
+    assert main(["simulate", "--config", manifest, "--report-dir", str(again)]) == EXIT_OK
+    assert (again / "field.csv").read_bytes() == (first / "field.csv").read_bytes()
+    configs = [_read_json(out / "manifest.json")["config"] for out in (first, again)]
+    assert [c.pop("report_dir") for c in configs] == [str(first), str(again)]
+    assert configs[0].pop("strict") is True and configs[1].pop("strict") is False
+    assert json.dumps(configs[1]) == json.dumps(configs[0])
+    # flags still win over the manifest's config
+    seeded = tmp_path / "seeded"
+    assert main(["simulate", "--config", manifest, "--seed", "4", "--report-dir", str(seeded)]) == EXIT_OK
+    assert _read_json(seeded / "manifest.json")["config"]["seed"] == "4"
+    assert (seeded / "field.csv").read_bytes() != (first / "field.csv").read_bytes()
+    # a manifest of another subcommand is refused, naming both
+    out = tmp_path / "other"
+    assert main(["green-table", "--config", manifest, "--report-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'simulate'" in err and "'green-table'" in err
+    assert not out.exists()
+
+
 def test_unknown_config_field_is_config_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_field": 1}))

@@ -31,6 +31,7 @@ from sheetlab.grid import GridField
 from sheetlab.green import (
     POINT_CHUNK,
     WalkTruncationError,
+    _cell_moments,
     _interior_sine_bases,
     _lam_tensor,
     _project_to_face,
@@ -47,7 +48,7 @@ from sheetlab.green import (
     walk_on_spheres_exit,
 )
 from sheetlab.kernels import BudgetExceededError
-from sheetlab.quadrature import tensor_points
+from sheetlab.quadrature import contract_axes, distinct_coordinates, tensor_points
 from sheetlab.solver import SpdeSampler, nonlinearity_preset
 
 
@@ -519,6 +520,35 @@ def test_cached_spectral_tensors_are_read_only():
     for arr in _interior_sine_bases(8, 5):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+@pytest.mark.parametrize("d, N, kmax", [(2, 16, 64), (2, 10, 5), (3, 8, 32)])
+def test_contiguous_sine_matrices_keep_the_bits_of_transposed_views(d, N, kmax):
+    # the synthesis and the Green cell map hand BLAS C-contiguous (kmax, nodes)
+    # matrices, where they once handed transposed views: faster, same bits
+    grid = GridSpec(d=d, T=1.0, N=N)
+    gs = GreenSeries(d=d, kmax=kmax)
+    kuse = min(kmax, N - 1)
+    _, synthesis = _interior_sine_bases(N, kuse)
+    assert synthesis.flags.c_contiguous and synthesis.shape == (kuse, N - 1)
+    gen = RngStream(98).generator()
+    stack = gen.standard_normal((20,) + grid.node_shape)
+    coef = contract_axes(stack[(slice(None),) + (slice(1, -1),) * d],
+                         [_interior_sine_bases(N, kuse)[0]] * d) / _lam_tensor(d, kuse)
+    view = _sine_matrix(grid.axis_nodes(0)[1:-1], kuse).T
+    assert not view.flags.c_contiguous
+    want = contract_axes(coef, [view] * d)
+    got = k_apply_stack(gs, stack, grid)
+    np.testing.assert_array_equal(got[(slice(None),) + (slice(1, -1),) * d], want)
+    # the cell map at the interior nodes, against the same map with transposed sines
+    xs = tensor_points([grid.axis_nodes(i)[1:-1] for i in range(d)])
+    edges = [kernels.donsker_edges(16, (1.0,) * d)[0]] * d
+    apply, _ = green_integrand(gs).cell_map(xs, edges)
+    Z = gen.standard_normal((5,) + (16,) * d)
+    uniq, inv = distinct_coordinates(xs)
+    modes = contract_axes(Z, [_cell_moments(e, kmax) for e in edges]) / _lam_tensor(d, kmax)
+    want = contract_axes(modes, [_sine_matrix(u, kmax).T for u in uniq])[(slice(None),) + inv]
+    np.testing.assert_array_equal(apply(Z), want)
 
 
 @pytest.mark.parametrize("d, kmax", [(1, 9), (2, 17), (3, 64)])

@@ -627,3 +627,70 @@ def test_donsker_budget_counts_quadrature_nodes(monkeypatch, oracles, r):
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", 3 * 64)
     integ = noise_integrator("donsker", indicator_integrand(), xs, grid, 8, r)
     assert integ.weights.shape == (3, 64)
+
+
+def _former_donsker_block_loop(integ, rng, M=None):
+    """Reference: the Donsker block loop before slabs. Blocks of about 2^18
+    innovations or mode coefficients were drawn whole, from one generator in
+    order or from one generator per stream, and applied at once."""
+    streams = list(rng) if M is None else None
+    M = len(streams) if M is None else M
+    ncells = int(np.prod(integ.cell_shape))
+    rows = max(1, (1 << 18) // max(ncells, integ.modes, 1))
+    gen = rng.generator() if streams is None else None
+    out = np.empty((M, integ.npts))
+    for lo in range(0, M, rows):
+        hi = min(lo + rows, M)
+        if gen is not None:
+            Z = kernels._draw_innovations(gen, integ.law, (hi - lo, ncells))
+        else:
+            Z = np.empty((hi - lo, ncells))
+            for row, s in zip(Z, streams[lo:hi]):
+                row[:] = kernels._draw_innovations(s.generator(), integ.law, ncells)
+        out[lo:hi] = integ.apply_innovations(Z)
+    return out
+
+
+# (integrand, d, n): each lattice or mode tensor has 4096 entries, so a block
+# holds 64 fields and a slab 16
+_SLAB_CASES = [("indicator", 1, 4096), ("indicator", 2, 64), ("indicator", 3, 16),
+               ("green", 2, 64), ("green", 3, 16)]
+
+
+@pytest.fixture(scope="module", params=_SLAB_CASES, ids=lambda c: "-".join(map(str, c)))
+def slab_case(request):
+    kind, d, n = request.param
+    grid = GridSpec(d=d, T=1.0, N=4)
+    xs = RngStream(52).generator().uniform(0.05, 0.95, size=(5, d))
+    f = green_integrand(GreenSeries(d=d, kmax=n)) if kind == "green" else indicator_integrand()
+    return {law: noise_integrator("donsker", f, xs, grid, n, law=law) for law in INNOVATION_LAWS}
+
+
+@pytest.mark.parametrize("law", INNOVATION_LAWS)
+@pytest.mark.parametrize("route", ["one generator", "streams"])
+@pytest.mark.parametrize("M", [1, 15, 16, 17, 64, 65, 129])
+def test_donsker_slabs_match_the_former_block_loop_bit_for_bit(slab_case, law, route, M):
+    """Blocks of 64 fields, drawn and applied in slabs of 16, give the bits of
+    whole 64-field blocks, on both routes and for every law and integrand."""
+    integ = slab_case[law]
+    assert (integ._rows, integ._applied) == (64, 16)
+    rng = RngStream(53, 2) if route == "one generator" else RngStream(53, 2).split(M)
+    count = M if route == "one generator" else None
+    got = integ.replicates(rng, count)
+    np.testing.assert_array_equal(got, _former_donsker_block_loop(integ, rng, count))
+
+
+def test_donsker_replicates_hold_one_slab_of_innovations_and_coefficients():
+    # the 64 fields of a 64 x 64 Green block at kmax 64: whole, its innovations
+    # and two mode tensors took 6 MiB; slabs of 16 hold a quarter of each
+    grid = GridSpec(d=2, T=1.0, N=4)
+    integ = noise_integrator("donsker", green_integrand(GreenSeries(d=2, kmax=64)),
+                             np.full((3, 2), 0.5), grid, 64)
+    for rng, M in ((RngStream(54), 64), (RngStream(54).split(64), None)):
+        tracemalloc.start()
+        try:
+            integ.replicates(rng, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak

@@ -106,3 +106,20 @@ def test_negative_or_non_integer_seeds_refused_as_seedsequence_refuses_them(stre
         generators([RngStream(1, 0, (0,)), stream])
     with pytest.raises(want.type):
         stream.generator()
+
+
+def test_generators_share_prefix_words_only_between_equal_prefixes():
+    # one call interleaving two seeds, two stream ids, paths of length 0 to 3 and
+    # a key of 2^32 or more: each stream's prefix (seed, stream_id, path[:-1])
+    # is made once, and every stream is still its own SeedSequence
+    streams = [
+        RngStream(seed, sid, path)
+        for path in [(), (4,), (4, 2**32 + 7), (4, 2**32 + 7, 1), (5,), (4, 1), (2**33, 0, 9)]
+        for seed in (8, 2**40)
+        for sid in (0, 3)
+    ]
+    streams = streams[::2] + streams[1::2]
+    gens = generators(streams)
+    for s, gen in zip(streams, gens):
+        for got, want in zip(_first_draws(gen), _first_draws(_oracle(s))):
+            np.testing.assert_array_equal(got, want)

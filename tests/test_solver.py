@@ -474,3 +474,76 @@ def test_no_stream_list_is_built(monkeypatch):
         "kac-stroock", [(0.5, 0.5)], g, nonlinearity_preset("zero"), GS, cfg, RngStream(88)
     )
     assert [row["n"] for row in rep.per_n] == [2]
+
+
+def _former_shrinking_stack(F, Kg, eta, cfg):
+    """Reference: the block loop that copied u, b and active by fancy index on
+    every iteration, whether or not a replicate had finished."""
+    w = cfg.relaxation
+    M = eta.shape[0]
+    b = Kg + eta
+    u_out = np.empty_like(b)
+    iterations = np.zeros(M, dtype=int)
+    converged = np.zeros(M, dtype=bool)
+    deltas = []
+    active = np.arange(M)
+    u = np.zeros_like(b)
+    for it in range(1, cfg.max_iterations + 1):
+        u_new = b - k_apply_stack(GS, F(u), GRID)
+        if w != 1.0:
+            u_new = (1.0 - w) * u + w * u_new
+        delta = np.max(np.abs(u_new - u), axis=tuple(range(1, u.ndim))) / w
+        step = np.full(M, np.nan)
+        step[active] = delta
+        deltas.append(step)
+        iterations[active] = it
+        done = delta <= cfg.tolerance
+        converged[active[done]] = True
+        u_out[active[done]] = u_new[done]
+        keep = ~done
+        active, u, b = active[keep], u_new[keep], b[keep]
+        if active.size == 0:
+            break
+    u_out[active] = u
+    return u_out, iterations, converged, np.array(deltas)
+
+
+@pytest.mark.parametrize(
+    "spec, relaxation, max_iterations", [("tanh:1.0", 1.0, 5), ("tanh:19", 0.5, 30)]
+)
+def test_solve_stack_copies_only_when_a_replicate_finishes(spec, relaxation, max_iterations):
+    """Rows of data scaled from 0 to 10 finish at different steps, with steps in
+    between where none does, and one runs into max_iterations; the SolvedBlock
+    keeps the bits of the loop that copied on every step."""
+    F = nonlinearity_preset(spec)
+    cfg = SolveConfig(max_iterations=max_iterations, relaxation=relaxation)
+    Kg = k_apply(GS, _random_field(95, 1e-3)).values
+    scales = np.array([0.0, 1e-9, 1e-4, 0.1, 10.0])
+    eta = RngStream(96).generator().standard_normal((5,) + GRID.node_shape) * scales[:, None, None]
+    solved = _solve_stack(F, Kg, eta, GS, GRID, cfg)
+    u, iterations, converged, deltas = _former_shrinking_stack(F, Kg, eta, cfg)
+    assert converged.any() and not converged.all()
+    assert iterations.max() == cfg.max_iterations
+    assert len(set(iterations[converged])) > 1
+    np.testing.assert_array_equal(solved.u, u)
+    np.testing.assert_array_equal(solved.iterations, iterations)
+    np.testing.assert_array_equal(solved.converged, converged)
+    np.testing.assert_array_equal(solved.deltas, deltas)  # NaN where a row has stopped
+
+
+def test_solve_block_memory_bounded():
+    # spde-law's finest level, d = 2, N = 16, kmax 64, n = 64: a block's 64
+    # fields held their 64 x 64 innovations and two 64^3 mode tensors at once,
+    # 6.3 MiB; drawn and applied 16 fields at a time they stay under 3 MiB
+    grid = GridSpec(d=2, T=1.0, N=16)
+    g = GridField(grid, np.ones(grid.node_shape))
+    sampler = SpdeSampler("donsker", 64, g, nonlinearity_preset("tanh:1.0"), GreenSeries(d=2, kmax=64))
+    streams = RngStream(97).split(SOLVE_BLOCK)
+    tracemalloc.start()
+    try:
+        solved = next(sampler.solve_blocks(streams))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solved.converged.all()
+    assert peak < 3 * 2**20, peak
