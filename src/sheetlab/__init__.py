@@ -40,7 +40,7 @@ from .green import (
 from .solver import (
     Nonlinearity,
     SolveConfig,
-    SolveResult,
+    SolvedBlock,
     psi_continuity_check,
     residual,
     solve_contraction,

@@ -10,10 +10,10 @@ manifest.json, echoing the resolved configuration plus the package version.
 This module alone decides the artifact format. Artifacts are written only by
 runs that exit 0 or 3; a refused run creates no file and no directory.
 
-Exit codes: 0 success, 2 config error, 3 statistical verdict failure under
---strict, 4 resource refusal (node-grid, innovation or cell-value block,
-Donsker-lattice, weight-matrix, noise-stack or sign-grid budget, or
-contraction gate).
+Exit codes: 0 success, 2 config error, 3 statistical verdict failure or
+unconverged poisson-solve under --strict, 4 resource refusal (node-grid,
+innovation or cell-value block, Donsker-lattice, weight-matrix, noise-stack or
+sign-grid budget, or contraction gate).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .solver import (
     SolveConfig,
     SpdeSampler,
     nonlinearity_preset,
+    residual,
 )
 
 EXIT_OK = 0
@@ -393,15 +394,21 @@ def _spde_problem(cfg: dict):
 
 
 def _run_poisson_solve(cfg: dict) -> dict:
-    _, gs, F, g = _spde_problem(cfg)
+    grid, gs, F, g = _spde_problem(cfg)
     solve_cfg = SolveConfig(
         tolerance=float(cfg["tolerance"]), max_iterations=_int(cfg, "max_iterations")
     )
     sampler = SpdeSampler(cfg["family"], float(cfg["n"]), g, F, gs, solve_cfg, _int(cfg, "r", 1))
-    result = sampler.sample_solution(RngStream(_int(cfg, "seed")))
-    # solve.json: every field of the result but the solution u itself
-    solve = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "u"}
-    return {"solution.csv": _field_table(result.u, "u"), "solve.json": solve}
+    solved = sampler.sample_solution(RngStream(_int(cfg, "seed")))
+    u, eta = GridField(grid, solved.u[0]), GridField(grid, solved.eta[0])
+    solve = {
+        "iterations": int(solved.iterations[0]),
+        "final_residual": residual(u, F, g, eta, gs),
+        "converged": bool(solved.converged[0]),
+        "contraction_ratios": solved.contraction_ratios(0),
+        "diagnostics": sampler.gate,
+    }
+    return {"solution.csv": _field_table(u, "u"), "solve.json": solve}
 
 
 COMPARE_DEFAULTS = {
@@ -468,7 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output directory for artifacts (default: current directory)",
         )
         sp.add_argument("--strict", action="store_true",
-                        help="exit 3 when any statistical verdict fails")
+                        help="exit 3 when any statistical verdict fails or a solve "
+                        "does not converge")
         for key in defaults:
             sp.add_argument("--" + key.replace("_", "-"), default=None, type=str)
     return parser
@@ -489,9 +497,12 @@ def main(argv=None) -> int:
         _sheet_at_grid_scale(args.subcommand, cfg)
         files = runner(cfg)
         code = EXIT_OK
-        # the verdicts of the report.json about to be written decide exit 3
+        # the verdicts of the report.json, or the solve of the solve.json,
+        # about to be written decide exit 3
         verdicts = files.get("report.json", {}).get("verdicts", {})
         failed = {k: v for k, v in verdicts.items() if not v["ok"]}
+        if not files.get("solve.json", {}).get("converged", True):
+            failed["converged"] = False
         if args.strict and failed:
             print("verdict failure:", failed)
             code = EXIT_VERDICT

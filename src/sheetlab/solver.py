@@ -4,7 +4,7 @@ u + int_D K(.,y) F(u(y)) dy = int_D K(.,y) g(y) dy + eta."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable, Optional
 
@@ -27,7 +27,6 @@ from .rng import RngStream
 __all__ = [
     "Nonlinearity",
     "SolveConfig",
-    "SolveResult",
     "SolvedBlock",
     "GateError",
     "solve_contraction",
@@ -40,7 +39,7 @@ __all__ = [
 # safety factor absorbing grid-maximum underestimation of sup ||K(x,.)||_2
 GATE_INFLATION = 1.05
 
-# replicates solved together by SpdeSampler.sample_solutions; at n=64, d=2 a
+# replicates solved together by SpdeSampler.solve_blocks; at n=64, d=2 a
 # block's Donsker streams are one integrals.DRAW_BLOCK of fields, seeded by one
 # generators call and drawn in four integrals.DRAW_SLAB (512 KiB) slabs
 SOLVE_BLOCK = 64
@@ -93,26 +92,10 @@ class SolveConfig:
             raise ValueError("relaxation must lie in (0, 1]")
 
 
-@dataclass
-class SolveResult:
-    u: GridField
-    iterations: int
-    final_residual: float
-    converged: bool
-    contraction_ratios: list
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _sup_residual(u: np.ndarray, KFu: np.ndarray, Kg: np.ndarray, eta: np.ndarray, d: int):
-    """Sup norm of u + K F(u) - K g - eta over the last d (node) axes."""
-    r = u + KFu - Kg - eta
-    return np.max(np.abs(r), axis=tuple(range(r.ndim - d, r.ndim)))
-
-
 def residual(u: GridField, F: Nonlinearity, g: GridField, eta: GridField, gs: GreenSeries) -> float:
     """Sup norm of u + int K F(u) - int K g - eta over the grid nodes."""
     KFu = k_apply(gs, GridField(u.grid, F(u.values))).values
-    return float(_sup_residual(u.values, KFu, k_apply(gs, g).values, eta.values, u.grid.d))
+    return float(np.max(np.abs(u.values + KFu - k_apply(gs, g).values - eta.values)))
 
 
 def _check_gate(gs: GreenSeries, grid: GridSpec, F: Nonlinearity, cfg: SolveConfig) -> dict:
@@ -147,11 +130,14 @@ def _check_gate(gs: GreenSeries, grid: GridSpec, F: Nonlinearity, cfg: SolveConf
 
 @dataclass
 class SolvedBlock:
-    """The fixed-point solves of one stack of data eta, as arrays over its M rows.
+    """The fixed-point solves of one stack of data eta, as arrays over its M rows:
+    the one record of every solve, lone or in a block.
 
     u has eta's shape (M, *node_shape); iterations and converged have shape
     (M,); deltas has shape (steps, M): row i's step size at each of its
-    iterations[i] steps, NaN once the row has stopped.
+    iterations[i] steps, NaN once the row has stopped. The final residual of
+    row i is residual() of u[i] and eta[i]; the gate diagnostics are those of
+    the regime, SpdeSampler.gate.
     """
 
     eta: np.ndarray
@@ -216,45 +202,18 @@ def _solve_stack(
     return SolvedBlock(eta, u_out, iterations, converged, np.array(deltas))
 
 
-def _solve_results(
-    solved: SolvedBlock,
-    F: Nonlinearity,
-    Kg: np.ndarray,
-    gs: GreenSeries,
-    grid: GridSpec,
-    gate: dict,
-) -> list:
-    """One SolveResult per row of solved, with the gate diagnostics; the final
-    residuals come from one k_apply_stack of the whole block."""
-    u = solved.u
-    res = _sup_residual(u, k_apply_stack(gs, F(u), grid), Kg, solved.eta, grid.d)
-    return [
-        SolveResult(
-            u=GridField(grid, u[i]),
-            iterations=int(solved.iterations[i]),
-            final_residual=float(res[i]),
-            converged=bool(solved.converged[i]),
-            contraction_ratios=solved.contraction_ratios(i),
-            diagnostics=dict(gate),
-        )
-        for i in range(len(u))
-    ]
-
-
 def solve_contraction(
     F: Nonlinearity,
     g: GridField,
     eta: GridField,
     gs: GreenSeries,
     cfg: SolveConfig = SolveConfig(),
-) -> SolveResult:
+) -> SolvedBlock:
     """Fixed-point iteration u <- -int K F(u) + int K g + eta from u0 = 0,
-    damped by cfg.relaxation, under the gate that the relaxation selects."""
-    grid = eta.grid
-    gate = _check_gate(gs, grid, F, cfg)
-    Kg = k_apply(gs, g).values
-    solved = _solve_stack(F, Kg, eta.values[None], gs, grid, cfg)
-    return _solve_results(solved, F, Kg, gs, grid, gate)[0]
+    damped by cfg.relaxation, under the gate that the relaxation selects:
+    the one-row block of eta."""
+    _check_gate(gs, eta.grid, F, cfg)
+    return _solve_stack(F, k_apply(gs, g).values, eta.values[None], gs, eta.grid, cfg)
 
 
 def psi_continuity_check(
@@ -267,11 +226,15 @@ def psi_continuity_check(
 ) -> dict:
     """Verify the data-continuity bound of the solution map Psi:
     ||Psi(eta) - Psi(eta')||_inf <= (1 - Lambda L)^{-1} ||eta - eta'||_inf."""
-    # the bound assumes a contraction, whatever relaxation cfg sets
-    lam = _check_gate(gs, eta.grid, F, replace(cfg, relaxation=1.0))["lambda_hat"]
-    u = solve_contraction(F, g, eta, gs, cfg)
-    u_prime = solve_contraction(F, g, eta_prime, gs, cfg)
-    lhs = float(np.max(np.abs(u.u.values - u_prime.u.values)))
+    grid = eta.grid
+    # the bound assumes a contraction, whatever relaxation cfg sets; a damped
+    # solve must pass its own gate too
+    lam = _check_gate(gs, grid, F, replace(cfg, relaxation=1.0))["lambda_hat"]
+    if cfg.relaxation != 1.0:
+        _check_gate(gs, grid, F, cfg)
+    etas = np.stack([eta.values, eta_prime.values])
+    u = _solve_stack(F, k_apply(gs, g).values, etas, gs, grid, cfg).u
+    lhs = float(np.max(np.abs(u[0] - u[1])))
     data_gap = float(np.max(np.abs(eta.values - eta_prime.values)))
     rhs = data_gap / (1.0 - lam * F.lipschitz) + 2.0 * cfg.tolerance
     return {
@@ -342,10 +305,6 @@ class SpdeSampler:
             eta = self._noise_block(block)
             yield _solve_stack(self.F, self._Kg, eta, self.gs, self.grid, self.cfg)
 
-    def sample_solutions(self, streams):
-        """Yield one SolveResult per stream, in order, a block at a time."""
-        for solved in self.solve_blocks(streams):
-            yield from _solve_results(solved, self.F, self._Kg, self.gs, self.grid, self.gate)
-
-    def sample_solution(self, rng: RngStream) -> SolveResult:
-        return next(self.sample_solutions([rng]))
+    def sample_solution(self, rng: RngStream) -> SolvedBlock:
+        """The one-row block of the replicate drawn from rng."""
+        return next(self.solve_blocks([rng]))

@@ -757,6 +757,30 @@ def test_strict_verdict_failure(tmp_path):
     assert _read_json(tmp_path / "manifest.json")["config"]["strict"] is True
 
 
+def test_strict_unconverged_solve(tmp_path):
+    # two steps stop the solve short of its tolerance: --strict exits 3 and
+    # keeps the run's files, a plain run exits 0 with the same solve.json
+    argv = ["poisson-solve", "--family", "donsker", "--n", "64", "--F", "tanh:1.0",
+            "--max-iterations", "2"]
+    strict, plain = tmp_path / "strict", tmp_path / "plain"
+    assert main(argv + ["--strict", "--report-dir", str(strict)]) == EXIT_VERDICT
+    assert main(argv + ["--report-dir", str(plain)]) == EXIT_OK
+    assert sorted(p.name for p in strict.iterdir()) == ["manifest.json", "solution.csv", "solve.json"]
+    assert _read_json(strict / "solve.json")["converged"] is False
+    assert (strict / "solve.json").read_bytes() == (plain / "solve.json").read_bytes()
+    # a solve that converges passes --strict
+    assert main(argv[:-2] + ["--strict", "--report-dir", str(tmp_path / "ok")]) == EXIT_OK
+
+
+def test_solve_json_golden(tmp_path):
+    # every byte of solve.json, final_residual and contraction_ratios included
+    golden = Path(__file__).parent / "golden" / "poisson_solve.json"
+    for case in _read_json(golden)["cases"]:
+        out = tmp_path / case["name"]
+        assert main(case["argv"] + ["--report-dir", str(out)]) == EXIT_OK
+        assert (out / "solve.json").read_text() == case["solve_json"], case["name"]
+
+
 def test_green_table_artifacts(tmp_path):
     code = main(
         [

@@ -6,8 +6,8 @@ slope fit, the verdict record), every integrand reaches the integrators through
 its three required callables, only cli touches files, no module names a
 quadrature record, only holder_probe and cli's refusal read rho, only
 kernels derives the Kac-Stroock rule and theta_n, only grid.uniform_cells
-derives a uniform lattice, only rng seeds a generator, and the solution report
-builds no SolveResult."""
+derives a uniform lattice, only rng seeds a generator, and solver keeps one
+solve record."""
 
 import ast
 import dataclasses
@@ -121,7 +121,7 @@ def test_solver_imports_no_report_layer():
 
 def test_reports_name_no_family_and_no_solve_block():
     # the family dispatch lives in integrals.noise_integrator, the blocking of
-    # solves in SpdeSampler.sample_solutions
+    # solves in SpdeSampler.solve_blocks
     from sheetlab.integrals import FAMILIES
 
     tree = ast.parse((Path(sheetlab.__file__).parent / "convergence.py").read_text())
@@ -293,12 +293,27 @@ def test_only_rng_seeds_generators():
     assert _all_sites(_calls("default_rng")) == []
 
 
-def test_solution_report_builds_no_solve_result():
-    # the report reads its probe values from each block's u; SolveResults are
-    # built only where solve_contraction or sample_solution(s) are asked for
-    tree = ast.parse((Path(sheetlab.__file__).parent / "convergence.py").read_text())
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    built = {"SolveResult", "sample_solutions", "sample_solution", "solve_contraction"}
-    assert names & built == set()
+def test_solver_defines_one_solve_record():
+    # every solve, lone or in a block, is a SolvedBlock from the one loop
+    # _solve_stack; beside it solver's records are F and the solve settings
+    tree = ast.parse((Path(sheetlab.__file__).parent / "solver.py").read_text())
+    records = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(dec) for dec in node.decorator_list)
+    }
+    assert records == {"Nonlinearity", "SolveConfig", "SolvedBlock"}
+    solves = ("_solve_stack", "solve_contraction", "sample_solution")
+    returns = {
+        node.name: ast.unparse(node.returns)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in solves
+    }
+    assert returns == dict.fromkeys(solves, "SolvedBlock")
+    gone = ("SolveResult", "_solve_results", "sample_solutions")
+    assert [(p.stem, name) for p in SOURCES for name in gone if name in p.read_text()] == []
+    assert {m for m, _ in _all_sites(_calls("_solve_stack"))} == {"solver"}
+    # the report solves in blocks: only cli asks for a lone solve
+    lone = _all_sites(_calls("solve_contraction")) + _all_sites(_calls("sample_solution"))
+    assert {m for m, _ in lone} == {"cli"}

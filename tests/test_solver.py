@@ -30,9 +30,7 @@ from sheetlab.solver import (
     Nonlinearity,
     SpdeSampler,
     _check_gate,
-    _solve_results,
     _solve_stack,
-    _sup_residual,
     nonlinearity_preset,
 )
 from sheetlab import convergence
@@ -44,6 +42,11 @@ GS = GreenSeries(d=2, kmax=11)
 def _random_field(seed, scale=1.0):
     gen = RngStream(seed).generator()
     return GridField(GRID, gen.standard_normal(GRID.node_shape) * scale)
+
+
+def _row(solved, i=0):
+    """Row i of a SolvedBlock's u as a field on GRID."""
+    return GridField(GRID, solved.u[i])
 
 
 def test_nonlinearity_presets():
@@ -73,11 +76,12 @@ def test_solveconfig_validation():
 def test_zero_nonlinearity_one_step():
     g = _random_field(61)
     eta = _random_field(62, scale=0.1)
-    res = solve_contraction(nonlinearity_preset("zero"), g, eta, GS)
+    F = nonlinearity_preset("zero")
+    res = solve_contraction(F, g, eta, GS)
     expect = k_apply(GS, g).values + eta.values
-    np.testing.assert_allclose(res.u.values, expect, atol=1e-12)
-    assert res.converged
-    assert res.final_residual < 1e-12
+    np.testing.assert_allclose(res.u[0], expect, atol=1e-12)
+    assert res.converged[0]
+    assert residual(_row(res), F, g, eta, GS) < 1e-12
 
 
 def test_constant_nonlinearity_closed_form():
@@ -88,7 +92,7 @@ def test_constant_nonlinearity_closed_form():
     res = solve_contraction(F, g, eta, GS)
     ones = GridField(GRID, np.ones(GRID.node_shape))
     expect = k_apply(GS, g).values + eta.values - c * k_apply(GS, ones).values
-    np.testing.assert_allclose(res.u.values, expect, atol=1e-10)
+    np.testing.assert_allclose(res.u[0], expect, atol=1e-10)
 
 
 def test_manufactured_solution_recovery():
@@ -105,9 +109,9 @@ def test_manufactured_solution_recovery():
     )
     cfg = SolveConfig(tolerance=1e-10, max_iterations=300)
     res = solve_contraction(F, g, eta, GS, cfg)
-    assert res.converged
-    assert np.max(np.abs(res.u.values - u_star.values)) <= 10 * cfg.tolerance
-    assert residual(res.u, F, g, eta, GS) <= 100 * cfg.tolerance
+    assert res.converged[0]
+    assert np.max(np.abs(res.u[0] - u_star.values)) <= 10 * cfg.tolerance
+    assert residual(_row(res), F, g, eta, GS) <= 100 * cfg.tolerance
 
 
 def test_contraction_gate_refusal():
@@ -137,18 +141,17 @@ def test_relaxed_matches_contraction_for_zero_f():
     cfg = SolveConfig(tolerance=1e-9, relaxation=0.5)
     a = solve_contraction(nonlinearity_preset("zero"), g, eta, GS, cfg)
     b = solve_contraction(nonlinearity_preset("zero"), g, eta, GS)
-    assert a.converged
-    np.testing.assert_allclose(a.u.values, b.u.values, atol=1e-7)
+    assert a.converged[0]
+    np.testing.assert_allclose(a.u[0], b.u[0], atol=1e-7)
 
 
 def test_relaxed_bounded_sigmoid_converges():
     cfg = SolveConfig(tolerance=1e-8, relaxation=0.5, max_iterations=300)
-    res = solve_contraction(
-        nonlinearity_preset("tanh:3.0"), _random_field(71), _random_field(72, 0.1), GS, cfg
-    )
-    assert res.converged and res.final_residual <= cfg.tolerance
+    F, g, eta = nonlinearity_preset("tanh:3.0"), _random_field(71), _random_field(72, 0.1)
+    res = solve_contraction(F, g, eta, GS, cfg)
+    assert res.converged[0] and residual(_row(res), F, g, eta, GS) <= cfg.tolerance
     # the contraction-only residual bound is not reported in the damped regime
-    assert res.diagnostics == {"gate": 3.0 / poincare_constant(GS)}
+    assert _check_gate(GS, GRID, F, cfg) == {"gate": 3.0 / poincare_constant(GS)}
 
 
 def test_relaxed_rejects_unbounded_or_strong_f():
@@ -203,21 +206,19 @@ def test_unit_relaxation_is_the_banach_iteration(spec, M, max_iterations):
     gen = RngStream(85).generator()
     Kg = k_apply(GS, _random_field(86)).values
     eta = gen.standard_normal((M,) + GRID.node_shape) * 0.1
-    gate = _check_gate(GS, GRID, F, cfg)
-    got = _solve_results(_solve_stack(F, Kg, eta, GS, GRID, cfg), F, Kg, GS, GRID, gate)
+    got = _solve_stack(F, Kg, eta, GS, GRID, cfg)
     u, iterations, ratios, converged = _banach_stack(F, Kg, eta, cfg)
     assert not converged.all() if max_iterations == 4 else converged.all()
-    for i, res in enumerate(got):
-        np.testing.assert_array_equal(res.u.values, u[i])
-        assert res.iterations == iterations[i]
-        assert res.contraction_ratios == ratios[i]
-        assert res.converged == converged[i]
-        assert list(res.diagnostics) == ["lambda_hat", "gate", "residual_bound"]
+    np.testing.assert_array_equal(got.u, u)
+    np.testing.assert_array_equal(got.iterations, iterations)
+    np.testing.assert_array_equal(got.converged, converged)
+    assert [got.contraction_ratios(i) for i in range(M)] == ratios
+    assert list(_check_gate(GS, GRID, F, cfg)) == ["lambda_hat", "gate", "residual_bound"]
 
 
-def _former_solve_stack(F, Kg, eta, gate, cfg):
+def _former_solve_stack(F, Kg, eta, cfg):
     """Reference: the block loop that built its ratio lists row by row while it
-    iterated and its SolveResults at once, with the final residuals of one
+    iterated and its per-row records at once, with the final residuals of one
     k_apply_stack of the whole block."""
     w = cfg.relaxation
     M = eta.shape[0]
@@ -247,9 +248,10 @@ def _former_solve_stack(F, Kg, eta, gate, cfg):
         if active.size == 0:
             break
     u_out[active] = u
-    res = _sup_residual(u_out, k_apply_stack(GS, F(u_out), GRID), Kg, eta, GRID.d)
+    r = u_out + k_apply_stack(GS, F(u_out), GRID) - Kg - eta
+    res = np.max(np.abs(r), axis=tuple(range(1, r.ndim)))
     return [
-        (u_out[i], int(iterations[i]), float(res[i]), bool(converged[i]), ratios[i], dict(gate))
+        (u_out[i], int(iterations[i]), float(res[i]), bool(converged[i]), ratios[i])
         for i in range(M)
     ]
 
@@ -258,32 +260,31 @@ def _former_solve_stack(F, Kg, eta, gate, cfg):
 @pytest.mark.parametrize("M", [1, SOLVE_BLOCK + 1])
 @pytest.mark.parametrize("max_iterations", [200, 5])
 def test_block_record_gives_the_former_solve_results(spec, relaxation, M, max_iterations):
-    """The SolvedBlock's arrays rebuild every field of the former loop's
-    SolveResults bit for bit: u, iterations, verdict, final residual, ratios."""
+    """The SolvedBlock's arrays, with residual() of each row, rebuild every
+    field of the former loop's per-row records bit for bit: u, iterations,
+    verdict, final residual, ratios."""
     F = nonlinearity_preset(spec)
     cfg = SolveConfig(max_iterations=max_iterations, relaxation=relaxation)
-    Kg = k_apply(GS, _random_field(92)).values
+    g = _random_field(92)
+    Kg = k_apply(GS, g).values
     eta = RngStream(93).generator().standard_normal((M,) + GRID.node_shape) * 0.1
-    gate = _check_gate(GS, GRID, F, cfg)
     solved = _solve_stack(F, Kg, eta, GS, GRID, cfg)
     assert solved.deltas.shape == (solved.iterations.max(), M)
-    got = _solve_results(solved, F, Kg, GS, GRID, gate)
-    want = _former_solve_stack(F, Kg, eta, gate, cfg)
+    want = _former_solve_stack(F, Kg, eta, cfg)
     # 5 steps stop some replicates unconverged, 200 none
     converged = [w[3] for w in want]
     assert all(converged) if max_iterations == 200 else not all(converged)
-    for res, (u, iterations, final_residual, converged, ratios, diagnostics) in zip(got, want):
-        np.testing.assert_array_equal(res.u.values, u)
-        assert res.iterations == iterations
-        assert res.final_residual == final_residual
-        assert res.converged == converged
-        assert res.contraction_ratios == ratios
-        assert res.diagnostics == diagnostics
+    for i, (u, iterations, final_residual, converged, ratios) in enumerate(want):
+        np.testing.assert_array_equal(solved.u[i], u)
+        assert solved.iterations[i] == iterations
+        assert residual(_row(solved, i), F, g, GridField(GRID, eta[i]), GS) == final_residual
+        assert solved.converged[i] == converged
+        assert solved.contraction_ratios(i) == ratios
 
 
-def test_solution_report_probe_values_are_those_of_sample_solutions(monkeypatch):
+def test_solution_report_probe_values_are_those_of_lone_solves(monkeypatch):
     # the report reads its probe values from each block's u by one fancy index;
-    # they are the values sample_solutions' SolveResults hold at the probes
+    # they are the values that lone solves of its replicates hold at the probes
     g = GridField(GRID, np.ones(GRID.node_shape))
     F = nonlinearity_preset("tanh:1.0")
     probes = [(0.25, 0.5), (0.5, 0.5), (0.75, 0.25)]
@@ -301,8 +302,9 @@ def test_solution_report_probe_values_are_those_of_sample_solutions(monkeypatch)
     idx = [GRID.node_index(p) for p in probes]
 
     def values(family, n, stream):
-        solves = SpdeSampler(family, n, g, F, GS).sample_solutions(stream.split(cfg.M))
-        return np.array([[res.u.values[i] for i in idx] for res in solves])
+        sampler = SpdeSampler(family, n, g, F, GS)
+        solves = [sampler.sample_solution(s).u[0] for s in stream.split(cfg.M)]
+        return np.array([[u[i] for i in idx] for u in solves])
 
     target, vals = values("sheet", None, rng.substream(0)), values("donsker", 4, rng.substream(1))
     assert len(samples) == len(probes)
@@ -337,19 +339,39 @@ def test_psi_continuity_affine_case():
     assert chk["ok"]
 
 
+@pytest.mark.parametrize("relaxation", [1.0, 0.5])
+def test_psi_continuity_stack_is_two_lone_solves(relaxation):
+    # eta and eta' are solved as one two-row stack: the gap of two lone solves
+    F, g = nonlinearity_preset("tanh:1.0"), _random_field(98)
+    eta, etap = _random_field(99, scale=0.1), _random_field(100, scale=0.1)
+    cfg = SolveConfig(relaxation=relaxation, max_iterations=300)
+    u, up = (solve_contraction(F, g, e, GS, cfg).u[0] for e in (eta, etap))
+    assert psi_continuity_check(F, g, eta, etap, GS, cfg)["lhs"] == np.max(np.abs(u - up))
+
+
+def test_psi_continuity_checks_the_gate_of_a_damped_solve():
+    # linear:1 passes the contraction gate of the bound, not the damped regime's
+    cfg = SolveConfig(relaxation=0.5)
+    with pytest.raises(ValueError, match="bounded nonlinearity"):
+        psi_continuity_check(
+            nonlinearity_preset("linear:1.0"), _random_field(1), _random_field(2),
+            _random_field(3), GS, cfg,
+        )
+
+
 def test_spde_sample_deterministic_and_boundary_zero():
     g = GridField(GRID, np.ones(GRID.node_shape))
     F = nonlinearity_preset("tanh:1.0")
     rng = RngStream(81)
     for family, n in (("donsker", 8), ("kac-stroock", 8), ("sheet", None)):
-        u1 = SpdeSampler(family, n, g, F, GS).sample_solution(rng).u
-        u2 = SpdeSampler(family, n, g, F, GS).sample_solution(rng).u
-        np.testing.assert_array_equal(u1.values, u2.values)
+        u1 = SpdeSampler(family, n, g, F, GS).sample_solution(rng).u[0]
+        u2 = SpdeSampler(family, n, g, F, GS).sample_solution(rng).u[0]
+        np.testing.assert_array_equal(u1, u2)
         tol = 1e-7
-        assert np.all(np.abs(u1.values[0, :]) < tol)
-        assert np.all(np.abs(u1.values[-1, :]) < tol)
-        assert np.all(np.abs(u1.values[:, 0]) < tol)
-        assert np.all(np.abs(u1.values[:, -1]) < tol)
+        assert np.all(np.abs(u1[0, :]) < tol)
+        assert np.all(np.abs(u1[-1, :]) < tol)
+        assert np.all(np.abs(u1[:, 0]) < tol)
+        assert np.all(np.abs(u1[:, -1]) < tol)
 
 
 DRIVERS = [("donsker", 8), ("kac-stroock", 8), ("sheet", None)]
@@ -362,7 +384,7 @@ DRIVERS = [("donsker", 8), ("kac-stroock", 8), ("sheet", None)]
     + [pytest.param(f, n, "tanh:19", 0.5, id=f"{f}-{n}-relaxed") for f, n in DRIVERS],
 )
 @pytest.mark.parametrize("max_iterations", [200, 6])
-def test_sample_solutions_match_single_solves(family, n, spec, relaxation, max_iterations):
+def test_solve_blocks_match_single_solves(family, n, spec, relaxation, max_iterations):
     """Block solves reproduce one solve_contraction per replicate substream:
     the same iterations and verdict, and the same values bit for bit, since
     every driver's block noise equals lone noise fields."""
@@ -375,12 +397,12 @@ def test_sample_solutions_match_single_solves(family, n, spec, relaxation, max_i
     streams = RngStream(84).split(2 * B + 3)
     ref = [solve_contraction(F, g, sampler.sample_noise_field(s), GS, cfg) for s in streams]
     for M in (1, B - 1, B, B + 1, 2 * B + 3):
-        got = list(sampler.sample_solutions(streams[:M]))
+        got = [(b, i) for b in sampler.solve_blocks(streams[:M]) for i in range(len(b.u))]
         assert len(got) == M
-        for res, want in zip(got, ref):
-            assert res.iterations == want.iterations
-            assert res.converged == want.converged
-            np.testing.assert_array_equal(res.u.values, want.u.values)
+        for (block, i), want in zip(got, ref):
+            assert block.iterations[i] == want.iterations[0]
+            assert block.converged[i] == want.converged[0]
+            np.testing.assert_array_equal(block.u[i], want.u[0])
 
 
 def test_block_noise_equals_lone_noise_fields():
@@ -427,8 +449,8 @@ def test_linear_case_decomposition():
     sampler = SpdeSampler("sheet", None, g, nonlinearity_preset("zero"), GS)
     rng = RngStream(82)
     eta = sampler.sample_noise_field(rng)
-    u = sampler.sample_solution(rng).u
-    np.testing.assert_allclose(u.values, k_apply(GS, g).values + eta.values, atol=1e-12)
+    u = sampler.sample_solution(rng).u[0]
+    np.testing.assert_allclose(u, k_apply(GS, g).values + eta.values, atol=1e-12)
 
 
 def test_solution_report_null_case():
@@ -454,9 +476,9 @@ def test_noise_stack_refused_before_allocation(monkeypatch):
     sampler = SpdeSampler("sheet", None, g, nonlinearity_preset("zero"), GS)
     streams = [RngStream(86).substream(k) for k in range(SOLVE_BLOCK)]
     monkeypatch.setattr(kernels, "DEFAULT_MAX_CELLS", SOLVE_BLOCK * 13 * 13 - 1)
-    assert len(list(sampler.sample_solutions(streams[:-1]))) == SOLVE_BLOCK - 1
+    assert [len(b.u) for b in sampler.solve_blocks(streams[:-1])] == [SOLVE_BLOCK - 1]
     with pytest.raises(BudgetExceededError, match=r"noise stack of shape \(64, 13, 13\)"):
-        list(sampler.sample_solutions(streams))
+        list(sampler.solve_blocks(streams))
 
 
 def test_no_stream_list_is_built(monkeypatch):
